@@ -19,7 +19,7 @@ from . import families
 from .coins import CoinAssignment, CoinError, parse_coins, reflection_about
 from .cospec import strong_cospectral_exact
 from .decider import decide_periodicity, decide_transfer
-from .exact import pole_support, psi
+from .exact import pole_support, resolvent
 from .graphs import FamilySpec, GraphError, build_family, parse_graph
 from .reduction import ReductionError, reduction_for
 from .walk import coin_state, walk_apply
@@ -258,7 +258,7 @@ def _initial_state(args, graph, a, assignment, w_basis):
 def cmd_psi(args) -> int:
     graph, a, b, assignment, w_basis = _load_instance(args)
     red = _reduction(args, graph, a, b, assignment, w_basis)
-    fun = psi(red, red.s, red.s)
+    fun = resolvent(red).psi_s
     print("PSI", fun.serialize())
     for factor in pole_support(fun):
         print("POLE_FACTOR", factor.serialize())

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .coins import CoinAssignment, ReflectionCoin
-from .exact import RatPoly, factor_irreducible, poly_gcd, psi
+from .exact import RatPoly, factor_irreducible, resolvent
 from .graphs import Graph
 from .reduction import BlowUp, HermitianReduction, build_blowup
 from .walk import orthonormal_columns
@@ -51,9 +51,7 @@ class NumericSplit:
 def cospectral(red: HermitianReduction, s: list[int] | None = None,
                t: list[int] | None = None) -> bool:
     """Exact test psi_S = psi_T."""
-    s = list(red.s if s is None else s)
-    t = list(red.t if t is None else t)
-    return psi(red, s, s) == psi(red, t, t)
+    return resolvent(red, s, t).cospectral
 
 
 def strong_cospectral_exact(red: HermitianReduction, s: list[int] | None = None,
@@ -64,21 +62,15 @@ def strong_cospectral_exact(red: HermitianReduction, s: list[int] | None = None,
     split is reported with gamma = +1, plus = poles surviving in
     psi_S + psi_{S,T}, minus = poles surviving in psi_S - psi_{S,T}.
     """
-    s = list(red.s if s is None else s)
-    t = list(red.t if t is None else t)
-    psi_s = psi(red, s, s)
-    if psi_s != psi(red, t, t):
+    summary = resolvent(red, s, t)
+    if not summary.cospectral:
         return None
-    psi_st = psi(red, s, t)
-    g = (psi_s.den // poly_gcd(psi_s.num, psi_s.den)).monic()
-    g_minus = (psi_s - psi_st).den.monic()
-    g_plus = (psi_s + psi_st).den.monic()
-    if g_plus * g_minus != g:
+    if summary.g_plus * summary.g_minus != summary.g:
         return None
     return SupportSplit(
-        support_factors=tuple(factor_irreducible(g)),
-        plus_factors=tuple(factor_irreducible(g_plus)),
-        minus_factors=tuple(factor_irreducible(g_minus)),
+        support_factors=tuple(factor_irreducible(summary.g)),
+        plus_factors=tuple(factor_irreducible(summary.g_plus)),
+        minus_factors=tuple(factor_irreducible(summary.g_minus)),
         gamma=1,
     )
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import isqrt, lcm
 from typing import TYPE_CHECKING
 
-from .exact import ONE, RatPoly, poly_gcd, psi
+from .exact import ONE, RatPoly, resolvent
 
 if TYPE_CHECKING:
     from .reduction import HermitianReduction
@@ -157,16 +157,15 @@ def decide_periodicity(red: "HermitianReduction", s: list[int] | None = None
                        ) -> PeriodicityVerdict:
     """Pointwise W-periodicity at a with integer periods (exact).
 
-    Writes psi_S = p/q reduced, takes g = q/gcd(p, q) (idempotent here, kept as
-    stated), and checks whether g# is a product of cyclotomics; if so the
-    minimum period is lcm of their orders.
+    Writes psi_S = p/q reduced, takes g = q/gcd(p, q) (which is q, psi_S being
+    reduced), and checks whether g# is a product of cyclotomics; if so the
+    minimum period is lcm of their orders.  With the default clone set it
+    reads the same resolvent summary as ``decide_transfer``.
     """
-    clones = list(red.s if s is None else s)
-    if not clones:
+    summary = resolvent(red) if s is None else resolvent(red, s, s)
+    if not summary.s:
         raise ValueError("periodicity needs a nonempty clone set")
-    psi_s = psi(red, clones, clones)
-    g = (psi_s.den // poly_gcd(psi_s.num, psi_s.den)).monic()
-    orders = _orders_of_sharp(g)
+    orders = _orders_of_sharp(summary.g)
     if orders is None:
         return PeriodicityVerdict(False, reason="support-not-cyclotomic")
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
@@ -181,13 +180,10 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
     against the denominators of psi_S -+ psi_{S,T}.  On success the minimum
     time is tau/2 and gamma records the transfer phase.
     """
-    s = list(red.s if s is None else s)
-    t = list(red.t if t is None else t)
-    psi_s = psi(red, s, s)
-    psi_t = psi(red, t, t)
-    if psi_s != psi_t:
+    summary = resolvent(red, s, t)
+    if not summary.cospectral:
         return TransferVerdict(False, reason="not-cospectral")
-    g = (psi_s.den // poly_gcd(psi_s.num, psi_s.den)).monic()
+    g = summary.g
     orders = _orders_of_sharp(g)
     if orders is None:
         return TransferVerdict(False, reason="not-periodic")
@@ -196,9 +192,7 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
         return TransferVerdict(False, reason="odd-tau")
     l_plus = frozenset(m for m in orders if (tau // m) % 2 == 0)
     l_minus = orders - l_plus
-    psi_st = psi(red, s, t)
-    g_from_minus = (psi_s - psi_st).den.monic()   # poles where E B_S = -E B_T
-    g_from_plus = (psi_s + psi_st).den.monic()    # poles where E B_S = +E B_T
+    g_from_plus, g_from_minus = summary.g_plus, summary.g_minus
     if g_from_plus * g_from_minus != g:
         # strong cospectrality fails: some pole survives in both combinations
         return TransferVerdict(False, reason="support-split-fails")

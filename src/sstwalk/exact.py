@@ -1,23 +1,29 @@
-"""Exact univariate polynomials and rational functions over Q.
+"""Exact univariate polynomials, rational functions and resolvent traces over Q.
 
 ``RatPoly`` is a dense coefficient vector of Fractions (constant term first);
 ``RatFun`` is a reduced fraction of two RatPolys with monic denominator.  These
-carry every exact object in the pipeline: characteristic polynomials, the
-resolvent traces psi_{S,T}, their denominators, and cyclotomic factors.
+carry every exact object in the pipeline: the resolvent traces psi_{S,T},
+their denominators, and cyclotomic factors.
 
-Determinant work is done on integers: matrices are scaled by a common
-denominator, principal minors go through the division-free Berkowitz
-characteristic polynomial, and non-principal minors of xI - M are recovered by
-evaluating integer Bareiss determinants at enough points and interpolating.
+psi_{S,T} is computed from moments, never from determinants: with the
+reduction's sparse integer view Z = scale * H_rat, the integers
+m_k = sum_j (Z^k)[s_j, t_j] for k < 2 size come from sparse mat-vecs (a
+Krylov sequence), and Berlekamp-Massey turns them into the reduced fraction
+directly.  ``Resolvent`` memoises psi_S, the support polynomial g and its
++-split per (reduction, S, T) for the decider, the cospectrality checks and
+the CLI.  ``charpoly`` (integer Berkowitz) is kept as the reference the tests
+check psi against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as int_gcd
 from typing import Iterable, TYPE_CHECKING
 
 from . import linalg
+from .reduction import z_apply
 
 if TYPE_CHECKING:
     from .reduction import HermitianReduction
@@ -351,56 +357,13 @@ def charpoly(m: linalg.Mat) -> RatPoly:
                     for k, c in enumerate(int_coeffs)])
 
 
-def _submatrix(m: linalg.Mat, drop_rows: set[int], drop_cols: set[int]) -> linalg.Mat:
-    return [[m[i][j] for j in range(len(m)) if j not in drop_cols]
-            for i in range(len(m)) if i not in drop_rows]
+def _moments(red: "HermitianReduction", s: list[int], t: list[int]) -> list[int]:
+    """m_k = sum_j (Z^k)[s_j, t_j] for k < 2 size, with Z = scale H_rat the
+    reduction's sparse integer view; memoised per (S, T) on the reduction.
 
-
-def _minor_poly(m: linalg.Mat, row: int, col: int) -> RatPoly:
-    """det((xI - M) with row ``row`` and column ``col`` deleted), row != col.
-
-    The x-cells surviving the deletion are the n-2 diagonal positions away from
-    row/col, so the degree is at most n-2; we evaluate the integer-scaled
-    determinant at n-1 points and interpolate.
-    """
-    n = len(m)
-    size = n - 1
-    scale = linalg.common_denominator(m)
-    pts: list[tuple[Fraction, Fraction]] = []
-    x = 0
-    while len(pts) < max(size, 1):
-        for xv in ((x, -x) if x else (0,)):
-            if len(pts) == max(size, 1):
-                break
-            a = [[scale * xv * (1 if i == j else 0) - int(m[i][j] * scale)
-                  for j in range(n) if j != col] for i in range(n) if i != row]
-            det = linalg.bareiss_det(a)
-            pts.append((Fraction(xv), Fraction(det, scale ** size)))
-        x += 1
-    return newton_interpolate(pts)
-
-
-def newton_interpolate(points: list[tuple[Fraction, Fraction]]) -> RatPoly:
-    """Exact polynomial through the given (x, y) points (distinct x)."""
-    xs = [p[0] for p in points]
-    coeffs = [p[1] for p in points]
-    for j in range(1, len(points)):
-        for i in range(len(points) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = RatPoly()
-    basis = ONE
-    for j, c in enumerate(coeffs):
-        poly = poly + basis * c
-        basis = basis * RatPoly([-xs[j], 1])
-    return poly
-
-
-def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
-    """The resolvent trace psi_{S,T}(x) = tr((xI - H)^{-1}_{S,T}), exact over Q.
-
-    Computed on the rational similar matrix H_rat; valid whenever the paired
-    clones carry equal squared scaling (checked), in which case the diagonal
-    similarity cancels entrywise.
+    Raises ValueError unless the pairs (s_j, t_j) carry equal delta_sq: only
+    then does the diagonal similarity H = Delta^{-1} H_rat Delta cancel
+    entrywise, so that the moments are those of H.
     """
     if len(s) != len(t):
         raise ValueError("psi needs |S| = |T|")
@@ -410,16 +373,149 @@ def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
         if red.delta_sq[a] != red.delta_sq[b]:
             raise ValueError(
                 f"clones {a},{b} carry different delta_sq; psi would be irrational")
-    h = red.h_rat
-    den = charpoly(h)
-    num = RatPoly()
+    key = ("moments", tuple(s), tuple(t))
+    if key not in red.memo:
+        red.memo[key] = _krylov_moments(red, s, t)
+    return red.memo[key]
+
+
+def _krylov_moments(red: "HermitianReduction", s: list[int], t: list[int]) -> list[int]:
+    """The moment kernel: 2 size - 1 sparse mat-vecs per start column t_j."""
+    rows = red.int_view[0]
+    count = 2 * red.size
+    out = [0] * count
     for a, b in zip(s, t):
-        if a == b:
-            num = num + charpoly(_submatrix(h, {a}, {a}))
+        vec = [0] * red.size
+        vec[b] = 1
+        for k in range(count):
+            out[k] += vec[a]
+            if k + 1 < count:
+                vec = z_apply(rows, vec)
+    return out
+
+
+def berlekamp_massey(seq: list[int]) -> list[int]:
+    """Shortest linear recurrence of an integer sequence (Massey 1969).
+
+    Returns the connection polynomial c_0 + c_1 z + ... + c_L z^L as a
+    primitive integer vector (c_0 != 0, length L + 1) with
+    sum_i c_i seq[k - i] = 0 for L <= k < len(seq).  The update
+    C <- b C - d z^m B is the rational one scaled by the earlier discrepancy
+    b; dividing out the content after each step keeps C at the size of the
+    rational connection polynomial instead of letting it grow with every
+    step.
+    """
+    c, prev = [1], [1]
+    length, shift, prev_disc = 0, 1, 1
+    for k in range(len(seq)):
+        d = sum(ci * seq[k - i] for i, ci in enumerate(c))
+        if d == 0:
+            shift += 1
+            continue
+        new = [prev_disc * x for x in c] + [0] * max(0, len(prev) + shift - len(c))
+        for i, x in enumerate(prev):
+            new[i + shift] -= d * x
+        while new[-1] == 0:
+            new.pop()
+        g = int_gcd(*new)
+        new = [x // g for x in new]
+        if 2 * length <= k:
+            prev, prev_disc = c, d
+            length, shift = k + 1 - length, 1
         else:
-            sign = -1 if (a + b) % 2 else 1
-            num = num + sign * _minor_poly(h, b, a)
+            shift += 1
+        c = new
+    return c + [0] * (length + 1 - len(c))
+
+
+def _series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
+    """(num, den) with den monic and coprime to num, such that
+    num/den = sum_k seq[k] scale^-k x^(-k-1), from 2 deg(den) terms or more.
+
+    Berlekamp-Massey on the integer moments of Z gives the reduced fraction
+    P(y)/Q(y) in y = scale x; the function of x is scale P(scale x)/Q(scale x).
+    """
+    c = berlekamp_massey(seq)
+    length = len(c) - 1
+    q = c[::-1]                      # Q(y) = sum_i c_i y^(L-i), lead c_0
+    p = [sum(q[j] * seq[j - i - 1] for j in range(i + 1, length + 1))
+         for i in range(length)]
+    lead = q[-1] * scale ** length
+    den = RatPoly([Fraction(x * scale ** i, lead) for i, x in enumerate(q)])
+    num = RatPoly([Fraction(x * scale ** (i + 1), lead) for i, x in enumerate(p)])
+    return num, den
+
+
+def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
+    """The resolvent trace psi_{S,T}(x) = tr((xI - H)^{-1}_{S,T}), exact over Q.
+
+    psi_{S,T} = sum_k m_k x^(-k-1) with m_k = sum_j (H^k)[s_j, t_j]; its
+    reduced denominator has degree at most size, so the first 2 size moments
+    fix it and Berlekamp-Massey returns it directly.  Computed on the rational
+    similar matrix H_rat; valid whenever the paired clones carry equal squared
+    scaling (checked), in which case the diagonal similarity cancels entrywise.
+    """
+    num, den = _series_fraction(_moments(red, s, t), red.int_view[1])
     return RatFun(num, den)
+
+
+class Resolvent:
+    """The resolvent summary of one (reduction, S, T), filled lazily: every
+    field is computed at most once, because a reduction is not mutated after
+    build_H.  Obtain it through ``resolvent``.
+
+    ``cospectral`` compares moment sequences, so a not-cospectral instance
+    never builds the (S, T) moments; ``g_plus`` and ``g_minus`` come from
+    Berlekamp-Massey on m_S +- m_{S,T}, the moments of psi_S +- psi_{S,T}.
+    """
+
+    def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
+        self.red, self.s, self.t = red, s, t
+
+    @cached_property
+    def cospectral(self) -> bool:
+        """psi_S = psi_T, exactly: both have denominators dividing
+        charpoly(H), so their difference vanishes iff its first size moments
+        do."""
+        return _moments(self.red, self.s, self.s) == _moments(self.red, self.t, self.t)
+
+    @cached_property
+    def psi_s(self) -> RatFun:
+        return psi(self.red, self.s, self.s)
+
+    @cached_property
+    def g(self) -> RatPoly:
+        """The support polynomial q / gcd(p, q) of psi_S = p/q: psi_S is
+        reduced, so this is its denominator."""
+        return self.psi_s.den
+
+    @cached_property
+    def g_plus(self) -> RatPoly:
+        """Reduced denominator of psi_S + psi_{S,T}: poles where E B_S = +E B_T."""
+        return self._combined_den(1)
+
+    @cached_property
+    def g_minus(self) -> RatPoly:
+        """Reduced denominator of psi_S - psi_{S,T}: poles where E B_S = -E B_T."""
+        return self._combined_den(-1)
+
+    def _combined_den(self, sign: int) -> RatPoly:
+        m_s = _moments(self.red, self.s, self.s)
+        m_st = _moments(self.red, self.s, self.t)
+        return _series_fraction([x + sign * y for x, y in zip(m_s, m_st)],
+                                self.red.int_view[1])[1]
+
+
+def resolvent(red: "HermitianReduction", s: list[int] | None = None,
+              t: list[int] | None = None) -> Resolvent:
+    """The memoised resolvent summary of (red, S, T); S and T default to the
+    reduction's clone sets."""
+    s = list(red.s if s is None else s)
+    t = list(red.t if t is None else t)
+    key = ("resolvent", tuple(s), tuple(t))
+    if key not in red.memo:
+        red.memo[key] = Resolvent(red, s, t)
+    return red.memo[key]
 
 
 def pole_support(f: RatFun) -> list[RatPoly]:

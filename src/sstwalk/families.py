@@ -106,31 +106,6 @@ def random_coin_and_subspace(rng: random.Random, degree: int):
     return coin, [list(v) for v in cols[:dim_w]]
 
 
-def random_rational_subspace(rng: random.Random, dim: int, rank: int,
-                             inside: list[list[Fraction]] | None = None
-                             ) -> list[list[Fraction]]:
-    """Rank ``rank`` rational subspace of Q^dim, optionally inside the span of
-    the given vectors (sampled as rational combinations)."""
-    out: list[list[Fraction]] = []
-    guard = 0
-    while len(out) < rank:
-        guard += 1
-        if guard > 500:
-            raise RuntimeError("could not sample an independent subspace")
-        if inside is None:
-            cand = random_rational_vector(rng, dim)
-        else:
-            coeffs = random_rational_vector(rng, len(inside))
-            cand = [sum((c * v[i] for c, v in zip(coeffs, inside)), Fraction(0))
-                    for i in range(dim)]
-        try:
-            linalg.gram_schmidt(out + [cand])
-        except ValueError:
-            continue
-        out.append(cand)
-    return out
-
-
 # -- the transfer families ----------------------------------------------------
 
 

@@ -2,9 +2,9 @@
 
 Matrices are plain lists of lists of ``fractions.Fraction`` (rows), vectors are
 lists of Fractions.  Everything here is small and dense; the sizes that show up
-in practice are a few dozen rows, so clarity wins over asymptotics.  The one
-performance-sensitive primitive is the integer Bareiss determinant, which backs
-all exact characteristic-polynomial work.
+in practice are a few dozen rows, so clarity wins over asymptotics.  The
+integer Berkowitz characteristic polynomial and Bareiss determinant back
+``exact.charpoly`` and the determinant reference for psi that the tests use.
 """
 
 from __future__ import annotations
@@ -30,13 +30,6 @@ def zeros(r: int, c: int) -> Mat:
     return [[Fraction(0)] * c for _ in range(r)]
 
 
-def identity(n: int) -> Mat:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     rows, inner, cols = len(a), len(b), len(b[0])
     out = zeros(rows, cols)
@@ -57,16 +50,8 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
 
 
 def dot(u: Vec, v: Vec) -> Fraction:

@@ -5,13 +5,17 @@ symmetric rational matrix S = M^T R M (M = exact orthogonal coin basis) and the
 diagonal D = M^T M; the true Hermitian matrix is H = D^{-1/2} S D^{-1/2} and
 its rational similar carrier is H_rat = S D^{-1} (so H = Delta^{-1} H_rat Delta
 with Delta = D^{1/2}).  Exact transfer checks and resolvent traces operate on
-H_rat directly whenever the paired clones share delta_sq.
+H_rat directly whenever the paired clones share delta_sq, through its sparse
+integer view Z = scale * H_rat (sparse integer mat-vecs, no dense products).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -102,6 +106,11 @@ class HermitianReduction:
 
     Invariants (exact): sym is symmetric, H_rat = sym * diag(delta_sq)^{-1},
     delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i].
+
+    A reduction is not mutated after build_H: the lazy views below (dense
+    h_rat, the sparse integer view) and the moment sequences and resolvent
+    summaries that ``sstwalk.exact`` memoises in ``memo`` are computed once
+    from sym and delta_sq and never invalidated.
     """
 
     assignment: CoinAssignment
@@ -111,18 +120,30 @@ class HermitianReduction:
     clone_of: list[tuple[int, int]]  # clone index -> (vertex, column id at vertex)
     s: list[int]
     t: list[int]
-    _h_rat: Mat | None = field(default=None, repr=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.delta_sq)
 
-    @property
+    @cached_property
     def h_rat(self) -> Mat:
-        if self._h_rat is None:
-            self._h_rat = [[self.sym[i][j] / self.delta_sq[j]
-                            for j in range(self.size)] for i in range(self.size)]
-        return self._h_rat
+        """Dense H_rat; only --dump-H and tests need it."""
+        return [[self.sym[i][j] / self.delta_sq[j]
+                 for j in range(self.size)] for i in range(self.size)]
+
+    @cached_property
+    def int_view(self) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+        """Sparse integer view (rows, scale) of H_rat: Z = scale * H_rat with
+        scale the least common denominator of its entries; row i is the pair
+        (column indices, integer values) of the nonzeros of Z[i]."""
+        inv = [1 / d for d in self.delta_sq]
+        entries = [[(j, x * inv[j]) for j, x in enumerate(row) if x] for row in self.sym]
+        scale = lcm(1, *(h.denominator for row in entries for _, h in row))
+        rows = [(tuple(j for j, _ in row),
+                 tuple(h.numerator * (scale // h.denominator) for _, h in row))
+                for row in entries]
+        return rows, scale
 
     def h_numeric(self) -> np.ndarray:
         d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
@@ -145,6 +166,11 @@ class HermitianReduction:
         return [j for j, (v, _) in enumerate(self.clone_of) if v == u]
 
 
+def z_apply(rows, vec: list[int]) -> list[int]:
+    """Z vec for the sparse integer rows of ``HermitianReduction.int_view``."""
+    return [sum(map(mul, vals, map(vec.__getitem__, cols))) for cols, vals in rows]
+
+
 def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
     """Assemble sym = M^T R M and delta_sq = diag(M^T M) from a coin basis.
 
@@ -163,13 +189,15 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
                 raise ReductionError(
                     f"coin basis at vertex {u} is not exactly orthogonal")
     sym = linalg.zeros(m, m)
-    for j, (u, vj) in enumerate(cols):
-        for k, (w, vk) in enumerate(cols):
-            if k <= j or not g.adjacent(u, w):
+    for u, ids in per_vertex.items():
+        for pos_w, w in enumerate(g.neighbors[u]):
+            if w < u or w not in per_vertex:
                 continue
-            val = vj[g.sigma_pos(u, w)] * vk[g.sigma_pos(w, u)]
-            sym[j][k] = val
-            sym[k][j] = val
+            pos_u = g.sigma_pos(w, u)
+            for j in ids:
+                vj = cols[j][1][pos_w]
+                for k in per_vertex[w]:
+                    sym[j][k] = sym[k][j] = vj * cols[k][1][pos_u]
     delta_sq = [linalg.dot(list(v), list(v)) for _, v in cols]
     clone_ids: dict[int, int] = {}
     clone_of = []
@@ -188,6 +216,29 @@ def reduction_for(assignment: CoinAssignment, a: int, w_basis: list[Vec],
     return build_H(assignment, induced_coin_basis(assignment, a, w_basis, b, v_basis))
 
 
+def _chebyshev_columns(red: HermitianReduction, t: int, cols: list[int]) -> list[list[int]]:
+    """scale^t f_t(H_rat) e_c for each c in ``cols``, as integer vectors.
+
+    With Z = scale H_rat and w_k = scale^k T_k(H_rat) e_c the Chebyshev
+    recurrence reads w_{k+1} = 2 Z w_k - scale^2 w_{k-1}: sparse integer
+    mat-vecs only.
+    """
+    rows, scale = red.int_view
+    sq = scale * scale
+    out = []
+    for c in cols:
+        prev = [0] * red.size
+        prev[c] = 1
+        if t == 0:
+            out.append(prev)
+            continue
+        cur = z_apply(rows, prev)
+        for _ in range(t - 1):
+            prev, cur = cur, [2 * x - sq * y for x, y in zip(z_apply(rows, cur), prev)]
+        out.append(cur)
+    return out
+
+
 def chebyshev_apply(red: HermitianReduction, t: int) -> Mat:
     """Exact f_t(H_rat) via the Chebyshev recurrence T_{k+1} = 2 H T_k - T_{k-1}.
 
@@ -196,34 +247,25 @@ def chebyshev_apply(red: HermitianReduction, t: int) -> Mat:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    n = red.size
-    if t == 0:
-        return linalg.identity(n)
-    h = red.h_rat
-    if t == 1:
-        return [list(row) for row in h]
-    prev = linalg.identity(n)
-    cur = [list(row) for row in h]
-    for _ in range(t - 1):
-        nxt = linalg.mat_sub(
-            [[2 * x for x in row] for row in linalg.mat_mul(h, cur)], prev)
-        prev, cur = cur, nxt
-    return cur
+    den = red.int_view[1] ** t
+    columns = _chebyshev_columns(red, t, list(range(red.size)))
+    return [[Fraction(x, den) for x in row] for row in zip(*columns)]
 
 
 def exact_transfer_check(red: HermitianReduction, t: int, gamma: int) -> bool:
-    """Exact test of f_t(H) B_S = gamma B_T (gamma in {+1, -1})."""
+    """Exact test of f_t(H) B_S = gamma B_T (gamma in {+1, -1}), on the |S|
+    start columns only."""
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     for aj, bj in zip(red.s, red.t):
         if red.delta_sq[aj] != red.delta_sq[bj]:
             raise ReductionError("paired S/T clones carry different delta_sq")
-    ft = chebyshev_apply(red, t)
-    for aj, bj in zip(red.s, red.t):
-        for i in range(red.size):
-            want = Fraction(gamma) if i == bj else Fraction(0)
-            if ft[i][aj] != want:
-                return False
+    want = gamma * red.int_view[1] ** t
+    for col, bj in zip(_chebyshev_columns(red, t, red.s), red.t):
+        if col[bj] != want or any(x for i, x in enumerate(col) if i != bj):
+            return False
     return True
 
 

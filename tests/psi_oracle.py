@@ -1,0 +1,83 @@
+"""Determinant reference for the resolvent trace psi_{S,T}.
+
+This is the original algorithm behind ``sstwalk.exact.psi``, kept as a test
+oracle: the denominator is charpoly(H_rat) (Berkowitz), diagonal numerator
+terms are principal-minor characteristic polynomials, and each off-diagonal
+minor of xI - H_rat is recovered from integer Bareiss determinants at n-1
+points by Newton interpolation.  It is O(n^4) per minor and only fit for the
+small instances the differential tests use.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from sstwalk import linalg
+from sstwalk.exact import ONE, RatFun, RatPoly, charpoly
+
+
+def _submatrix(m: linalg.Mat, drop_rows: set[int], drop_cols: set[int]) -> linalg.Mat:
+    return [[m[i][j] for j in range(len(m)) if j not in drop_cols]
+            for i in range(len(m)) if i not in drop_rows]
+
+
+def _minor_poly(m: linalg.Mat, row: int, col: int) -> RatPoly:
+    """det((xI - M) with row ``row`` and column ``col`` deleted), row != col.
+
+    The x-cells surviving the deletion are the n-2 diagonal positions away from
+    row/col, so the degree is at most n-2; we evaluate the integer-scaled
+    determinant at n-1 points and interpolate.
+    """
+    n = len(m)
+    size = n - 1
+    scale = linalg.common_denominator(m)
+    pts: list[tuple[Fraction, Fraction]] = []
+    x = 0
+    while len(pts) < max(size, 1):
+        for xv in ((x, -x) if x else (0,)):
+            if len(pts) == max(size, 1):
+                break
+            a = [[scale * xv * (1 if i == j else 0) - int(m[i][j] * scale)
+                  for j in range(n) if j != col] for i in range(n) if i != row]
+            det = linalg.bareiss_det(a)
+            pts.append((Fraction(xv), Fraction(det, scale ** size)))
+        x += 1
+    return newton_interpolate(pts)
+
+
+def newton_interpolate(points: list[tuple[Fraction, Fraction]]) -> RatPoly:
+    """Exact polynomial through the given (x, y) points (distinct x)."""
+    xs = [p[0] for p in points]
+    coeffs = [p[1] for p in points]
+    for j in range(1, len(points)):
+        for i in range(len(points) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    poly = RatPoly()
+    basis = ONE
+    for j, c in enumerate(coeffs):
+        poly = poly + basis * c
+        basis = basis * RatPoly([-xs[j], 1])
+    return poly
+
+
+def psi_oracle(red, s: list[int], t: list[int]) -> RatFun:
+    """psi_{S,T} = tr((xI - H_rat)^{-1}_{S,T}) from determinants; raises the
+    same ValueErrors as ``sstwalk.exact.psi``."""
+    if len(s) != len(t):
+        raise ValueError("psi needs |S| = |T|")
+    if not s:
+        raise ValueError("psi needs nonempty clone sets")
+    for a, b in zip(s, t):
+        if red.delta_sq[a] != red.delta_sq[b]:
+            raise ValueError(
+                f"clones {a},{b} carry different delta_sq; psi would be irrational")
+    h = red.h_rat
+    den = charpoly(h)
+    num = RatPoly()
+    for a, b in zip(s, t):
+        if a == b:
+            num = num + charpoly(_submatrix(h, {a}, {a}))
+        else:
+            sign = -1 if (a + b) % 2 else 1
+            num = num + sign * _minor_poly(h, b, a)
+    return RatFun(num, den)

@@ -230,3 +230,16 @@ def test_criterion_10_pretty_good():
     ok = ok and not case_pretty_good_cone(
         complete_multipartite([3, 3, 3]), name="k333-k6").accepted
     report(10, "pretty-good special case (k=3 in, k=2/6 out)", ok)
+
+
+def test_criterion_11_gp_194_clones():
+    """Exact decide + Chebyshev check on GP(4,50), 194 clones, under 10 s."""
+    start = time.perf_counter()
+    g, a, b = generalized_path(4, 50)
+    asn = CoinAssignment.grover_with_marked(g, a, b, grover_coin(4))
+    red = reduction_for(asn, a, [[1] * 4], b)
+    verdict = decide_transfer(red)
+    ok = red.size == 194 and verdict.line() == "TRANSFER time=49 gamma=+1"
+    ok = ok and exact_transfer_check(red, verdict.time, verdict.gamma)
+    elapsed = time.perf_counter() - start
+    report(11, f"GP(4,50) exact decide + check ({elapsed:.1f}s)", ok and elapsed < 10.0)

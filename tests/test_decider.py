@@ -285,3 +285,60 @@ def test_adjacent_triangle_odd_tau():
     e_ab[g.arc_index[(0, 1)]] = 1.0
     out = u @ (c @ e_ab)
     assert abs(out[g.arc_index[(1, 0)]]) > 1 - 1e-12
+
+
+def _count_kernels(monkeypatch):
+    """Wrap the moment and Berlekamp-Massey kernels with call counters."""
+    from collections import Counter
+
+    from sstwalk import exact
+
+    built, bm = Counter(), []
+    krylov, massey = exact._krylov_moments, exact.berlekamp_massey
+
+    def counted_krylov(red, s, t):
+        built[(tuple(s), tuple(t))] += 1
+        return krylov(red, s, t)
+
+    def counted_massey(seq):
+        bm.append(len(seq))
+        return massey(seq)
+
+    monkeypatch.setattr(exact, "_krylov_moments", counted_krylov)
+    monkeypatch.setattr(exact, "berlekamp_massey", counted_massey)
+    return built, bm
+
+
+def test_resolvent_summary_built_once(monkeypatch):
+    """decide_transfer, strong_cospectral_exact, cospectral and
+    decide_periodicity on one reduction build the moments of psi_S, psi_T and
+    psi_{S,T} once each, and run Berlekamp-Massey once each for psi_S, g+ and
+    g-."""
+    from sstwalk.cospec import cospectral, strong_cospectral_exact
+
+    built, bm = _count_kernels(monkeypatch)
+    g, a, b = circulant_2m(4, 1, 3)
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
+                        a, w, b)
+    s, t = tuple(red.s), tuple(red.t)
+    assert decide_transfer(red).occurs
+    assert strong_cospectral_exact(red) is not None
+    assert cospectral(red)
+    assert decide_periodicity(red).periodic
+    assert dict(built) == {(s, s): 1, (t, t): 1, (s, t): 1}
+    assert len(bm) == 3
+
+
+def test_not_cospectral_never_builds_psi_st(monkeypatch):
+    from sstwalk.cospec import cospectral, strong_cospectral_exact
+
+    built, bm = _count_kernels(monkeypatch)
+    g = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], 5)  # triangle with a tail
+    red = reduction_for(CoinAssignment.all_grover(g), 0, [[1, 1]], 3)
+    assert decide_transfer(red).reason == "not-cospectral"
+    assert strong_cospectral_exact(red) is None
+    assert not cospectral(red)
+    s, t = tuple(red.s), tuple(red.t)
+    assert dict(built) == {(s, s): 1, (t, t): 1}
+    assert bm == []

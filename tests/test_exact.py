@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import synthetic_reduction
 from sstwalk.exact import (ONE, RatFun, RatPoly, X, charpoly,
-                           factor_irreducible, newton_interpolate, pole_support,
-                           poly_gcd, psi, squarefree_part)
+                           factor_irreducible, pole_support, poly_gcd, psi,
+                           squarefree_part)
 from sstwalk.graphs import build_graph
 from sstwalk.coins import CoinAssignment
 from sstwalk.reduction import reduction_for
@@ -81,11 +81,6 @@ def test_gcd_divides_both(a, b):
 def test_squarefree_part():
     p = P(-1, 1) ** 3 * P(1, 1)
     assert squarefree_part(p) == (P(-1, 1) * P(1, 1)).monic()
-
-
-def test_newton_interpolation():
-    pts = [(Fraction(i), Fraction(i) ** 2 + 1) for i in (-1, 0, 2)]
-    assert newton_interpolate(pts) == P(1, 0, 1)
 
 
 # -- characteristic polynomials -------------------------------------------------
