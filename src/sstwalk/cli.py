@@ -3,7 +3,8 @@
 Machine output is line-oriented and stable across runs; the sampling seed is
 taken from the SST_SEED environment variable (default 0).  Exit codes:
 0 = analysis completed (whatever the verdict), 2 = input error, 3 = internal
-invariant violation.
+invariant violation, including a ``family`` case whose decider, exact check
+and simulation disagree (status=FAIL).
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ def cmd_simulate(args) -> int:
     graph, a, b, assignment, w_basis = _load_instance(args)
     state = _initial_state(args, graph, a, assignment, w_basis)
     times = [int(tok) for tok in (args.times or "0").split(",")]
+    vec, now = state, 0
     for t in sorted(set(times)):
-        vec = walk_apply(assignment, state, t)
+        vec, now = walk_apply(assignment, vec, t - now), t
         print(f"t={t}")
         for idx, (u, v) in enumerate(graph.arcs):
             amp = vec[idx]
@@ -288,7 +290,7 @@ def cmd_family(args) -> int:
     for res in results:
         print(res.line())
         failed = failed or res.status != "PASS"
-    return 0
+    return 3 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

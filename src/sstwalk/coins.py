@@ -4,12 +4,18 @@ A reflection coin at a degree-d vertex is C_u = 2P_u - I for an exact rational
 symmetric projection P_u on C^{sigma_u}.  Coins are stored by their projection
 plus an exact orthogonal (unnormalized) basis of col(P_u); the basis is what
 the Hermitian reduction consumes.
+
+Coins are frozen and validated exactly (P^2 = P = P^T, basis fixed and
+orthogonal) once, when built.  The Grover and -I coins are cached per degree,
+so an assignment shares one validated coin per (degree, kind) instead of
+holding a copy per vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 from . import linalg
 from .graphs import Graph
@@ -27,7 +33,6 @@ class ReflectionCoin:
     degree: int
     projection: tuple[tuple[Fraction, ...], ...]
     basis: tuple[tuple[Fraction, ...], ...]  # orthogonal basis of col(P), may be empty
-    vertex: int | None = None
 
     def __post_init__(self):
         p = self.p_matrix()
@@ -64,14 +69,12 @@ class ReflectionCoin:
         """Exact test that C w = w, i.e. P w = w."""
         return linalg.mat_vec(self.p_matrix(), w) == list(w)
 
-    def at(self, vertex: int) -> "ReflectionCoin":
-        return ReflectionCoin(self.degree, self.projection, self.basis, vertex)
-
 
 def _freeze(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
+@cache
 def grover_coin(degree: int) -> ReflectionCoin:
     """The Grover coin (2/d)J - I: reflection about the all-ones vector."""
     if degree < 1:
@@ -81,12 +84,13 @@ def grover_coin(degree: int) -> ReflectionCoin:
     return ReflectionCoin(degree, _freeze(p), (ones,))
 
 
+@cache
 def negative_identity_coin(degree: int) -> ReflectionCoin:
     """C = -I: the rank-0 reflection (no clones)."""
     return ReflectionCoin(degree, _freeze(linalg.zeros(degree, degree)), ())
 
 
-def reflection_about(basis_vectors: list[Vec], vertex: int | None = None) -> ReflectionCoin:
+def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
     """Reflection about the span of the given rational vectors.
 
     The vectors are orthogonalized exactly (unnormalized Gram-Schmidt);
@@ -108,15 +112,18 @@ def reflection_about(basis_vectors: list[Vec], vertex: int | None = None) -> Ref
             if b[i]:
                 for j in range(degree):
                     p[i][j] += b[i] * b[j] / nb
-    return ReflectionCoin(degree, _freeze(p), _freeze(ortho), vertex)
+    return ReflectionCoin(degree, _freeze(p), _freeze(ortho))
 
 
 class CoinAssignment:
-    """One reflection coin per vertex of a graph; immutable once built."""
+    """One reflection coin per vertex of a graph; immutable once built.
+
+    The coins are kept as given (vertices may share one coin object); each was
+    validated when it was built, so only the sizes are checked here.
+    """
 
     def __init__(self, graph: Graph, coins: dict[int, ReflectionCoin]):
         self.graph = graph
-        full: dict[int, ReflectionCoin] = {}
         for u in range(graph.n):
             coin = coins.get(u)
             if coin is None:
@@ -124,8 +131,7 @@ class CoinAssignment:
             if coin.degree != graph.degree(u):
                 raise CoinError(
                     f"coin at vertex {u} has size {coin.degree}, degree is {graph.degree(u)}")
-            full[u] = coin.at(u)
-        self.coins = full
+        self.coins = {u: coins[u] for u in range(graph.n)}
 
     @classmethod
     def all_grover(cls, graph: Graph) -> "CoinAssignment":
@@ -147,6 +153,14 @@ class CoinAssignment:
     def total_rank(self) -> int:
         """Total clone count: sum of rk(C_u + I)."""
         return sum(c.rank for c in self.coins.values())
+
+    @cached_property
+    def step_plan(self):
+        """The simulator's stacked coin blocks and arc reversal
+        (``sstwalk.walk.StepPlan``), built on first use and then reused."""
+        from .walk import StepPlan
+
+        return StepPlan.build(self)
 
 
 def parse_coins(text: str, graph: Graph) -> CoinAssignment:
@@ -179,7 +193,7 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
                 raise CoinError(
                     f"coin at {v}: expected {r * deg} entries, got {len(entries)}")
             rows = [entries[i * deg:(i + 1) * deg] for i in range(r)]
-            coins[v] = reflection_about(rows, v)
+            coins[v] = reflection_about(rows)
         else:
             raise CoinError(f"unknown coin kind {parts[2]!r}")
     return CoinAssignment(graph, coins)

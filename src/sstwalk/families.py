@@ -21,7 +21,8 @@ from .exact import pole_support, psi
 from .graphs import (Graph, circulant_2m, complete_bipartite_k2m,
                      double_cone_cycles, double_cone_over, generalized_path)
 from .reduction import exact_transfer_check, reduction_for
-from .walk import coin_state, orthonormal_columns, transfer_fidelity, walk_unitary
+from .walk import (_fidelity_score, orthonormal_columns, transfer_fidelity,
+                   walk_unitary)
 
 FID_TOL = 1e-9
 
@@ -254,16 +255,8 @@ def pointwise_fidelity_power(assignment: CoinAssignment, a: int, b: int,
     """Same score as transfer_fidelity but through a dense power of U, so a
     single large t costs log(t) matrix products instead of t steps."""
     u_t = np.linalg.matrix_power(walk_unitary(assignment).astype(complex), t)
-    gamma = complex(1.0)
-    worst = 1.0
-    for j, w in enumerate(orthonormal_columns(w_basis)):
-        x = coin_state(assignment, a, w)
-        y = coin_state(assignment, b, w)
-        overlap = np.vdot(y, u_t @ x)
-        if j == 0:
-            gamma = overlap / abs(overlap) if abs(overlap) > 1e-12 else complex(1.0)
-        worst = min(worst, float((np.conj(gamma) * overlap).real))
-    return max(0.0, min(1.0, worst)), gamma
+    return _fidelity_score(assignment, a, b, orthonormal_columns(w_basis),
+                           lambda x: u_t @ x)
 
 
 def fidelity_series(red, t_max: int, early_exit: float | None = None,

@@ -8,6 +8,7 @@ Fixing both makes every coin matrix and every reduction reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 class GraphError(ValueError):
@@ -23,6 +24,8 @@ class Graph:
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
     arcs: tuple[tuple[int, int], ...] = field(repr=False)
     arc_index: dict[tuple[int, int], int] = field(repr=False, compare=False)
+    # n + 1 cumulative degrees: u's outgoing arcs are arcs[arc_start[u]:arc_start[u + 1]]
+    arc_start: tuple[int, ...] = field(repr=False, compare=False)
 
     def degree(self, u: int) -> int:
         return len(self.neighbors[u])
@@ -77,8 +80,9 @@ def build_graph(edges, n: int) -> Graph:
     neighbors = tuple(tuple(sorted(s)) for s in nbrs)
     arcs = tuple((u, v) for u in range(n) for v in neighbors[u])
     arc_index = {arc: i for i, arc in enumerate(arcs)}
+    arc_start = tuple(accumulate(map(len, neighbors), initial=0))
     return Graph(n=n, edges=tuple(sorted(canon)), neighbors=neighbors,
-                 arcs=arcs, arc_index=arc_index)
+                 arcs=arcs, arc_index=arc_index, arc_start=arc_start)
 
 
 def parse_graph(text: str) -> Graph:

@@ -105,7 +105,9 @@ class HermitianReduction:
     """The pair (H_rat, delta_sq) plus clone bookkeeping.
 
     Invariants (exact): sym is symmetric, H_rat = sym * diag(delta_sq)^{-1},
-    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i].
+    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i]; ``nonzeros`` lists
+    the (i, j, sym[i][j]) with sym[i][j] != 0, sorted by (i, j), and the
+    numeric views read it instead of scanning the dense sym.
 
     A reduction is not mutated after build_H: the lazy views below (dense
     h_rat, the sparse integer view) and the moment sequences and resolvent
@@ -116,6 +118,7 @@ class HermitianReduction:
     assignment: CoinAssignment
     basis: CoinBasis
     sym: Mat
+    nonzeros: list[tuple[int, int, Fraction]]
     delta_sq: list[Fraction]
     clone_of: list[tuple[int, int]]  # clone index -> (vertex, column id at vertex)
     s: list[int]
@@ -138,7 +141,9 @@ class HermitianReduction:
         scale the least common denominator of its entries; row i is the pair
         (column indices, integer values) of the nonzeros of Z[i]."""
         inv = [1 / d for d in self.delta_sq]
-        entries = [[(j, x * inv[j]) for j, x in enumerate(row) if x] for row in self.sym]
+        entries = [[] for _ in range(self.size)]
+        for i, j, x in self.nonzeros:
+            entries[i].append((j, x * inv[j]))
         scale = lcm(1, *(h.denominator for row in entries for _, h in row))
         rows = [(tuple(j for j, _ in row),
                  tuple(h.numerator * (scale // h.denominator) for _, h in row))
@@ -146,9 +151,14 @@ class HermitianReduction:
         return rows, scale
 
     def h_numeric(self) -> np.ndarray:
+        """H = D^{-1/2} sym D^{-1/2} in doubles, filled from the nonzeros."""
         d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
-        s = linalg.to_numpy(self.sym)
-        return s / np.outer(d, d)
+        rows = np.array([i for i, _, _ in self.nonzeros], dtype=int)
+        cols = np.array([j for _, j, _ in self.nonzeros], dtype=int)
+        vals = np.array([float(x) for _, _, x in self.nonzeros], dtype=float)
+        h = np.zeros((self.size, self.size))
+        h[rows, cols] = vals / (d[rows] * d[cols])
+        return h
 
     def n_numeric(self) -> np.ndarray:
         """Arc-space matrix N with orthonormal columns (doubles only)."""
@@ -189,6 +199,7 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
                 raise ReductionError(
                     f"coin basis at vertex {u} is not exactly orthogonal")
     sym = linalg.zeros(m, m)
+    nonzeros = []
     for u, ids in per_vertex.items():
         for pos_w, w in enumerate(g.neighbors[u]):
             if w < u or w not in per_vertex:
@@ -197,7 +208,11 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
             for j in ids:
                 vj = cols[j][1][pos_w]
                 for k in per_vertex[w]:
-                    sym[j][k] = sym[k][j] = vj * cols[k][1][pos_u]
+                    x = vj * cols[k][1][pos_u]
+                    if x:
+                        sym[j][k] = sym[k][j] = x
+                        nonzeros += ((j, k, x), (k, j, x))
+    nonzeros.sort()
     delta_sq = [linalg.dot(list(v), list(v)) for _, v in cols]
     clone_ids: dict[int, int] = {}
     clone_of = []
@@ -205,7 +220,7 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
         clone_of.append((u, clone_ids.get(u, 0)))
         clone_ids[u] = clone_ids.get(u, 0) + 1
     return HermitianReduction(assignment=assignment, basis=basis, sym=sym,
-                              delta_sq=delta_sq, clone_of=clone_of,
+                              nonzeros=nonzeros, delta_sq=delta_sq, clone_of=clone_of,
                               s=list(basis.s_clones), t=list(basis.t_clones))
 
 

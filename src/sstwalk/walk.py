@@ -1,34 +1,78 @@
 """Double-precision simulation of the arc-reversal walk U = RC.
 
-States live on arcs in the graph's canonical order.  The step applies the
-block-diagonal coin (one dense block per vertex, acting on the contiguous
-slice of outgoing arcs) followed by the arc-reversal permutation.  No
+States live on arcs in the graph's canonical order; the outgoing arcs of a
+vertex form a contiguous slice, found in O(1) from ``Graph.arc_start``.  The
+step applies the block-diagonal coin followed by the arc-reversal permutation.
+Blocks of equal degree are stacked: a ``StepPlan``, built once per coin
+assignment, holds for each degree d an (n_d x d) array of arc indices and the
+(n_d x d x d) stack of float coin blocks (each distinct coin converted once),
+so one step is one ``einsum`` per degree class plus one gather.  No
 renormalization is performed: norm drift is itself a diagnostic.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .coins import CoinAssignment
+from .coins import CoinAssignment, ReflectionCoin
 from .graphs import Graph
 
 
 def out_arc_slice(graph: Graph, u: int) -> slice:
     """Outgoing arcs of u form a contiguous slice in lexicographic arc order."""
-    start = sum(graph.degree(w) for w in range(u))
-    return slice(start, start + graph.degree(u))
+    return slice(graph.arc_start[u], graph.arc_start[u + 1])
 
 
 def reversal_permutation(graph: Graph) -> np.ndarray:
     return np.array([graph.arc_index[(v, u)] for u, v in graph.arcs], dtype=int)
 
 
+def _c_float(coin: ReflectionCoin) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in coin.c_matrix()])
+
+
 def coin_blocks(assignment: CoinAssignment) -> list[np.ndarray]:
-    return [np.array([[float(x) for x in row] for row in assignment.coin(u).c_matrix()])
-            for u in range(assignment.graph.n)]
+    return [_c_float(assignment.coin(u)) for u in range(assignment.graph.n)]
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """One step of U = RC with equal-degree coin blocks stacked.
+
+    ``classes`` holds, per degree d, the (n_d x d) outgoing-arc indices of the
+    degree-d vertices and their (n_d x d x d) float coin blocks; ``rev`` is
+    the arc-reversal permutation.
+    """
+
+    classes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    rev: np.ndarray
+
+    @classmethod
+    def build(cls, assignment: CoinAssignment) -> "StepPlan":
+        g = assignment.graph
+        floats: dict[int, np.ndarray] = {}  # id(coin) -> C as floats
+        by_degree: dict[int, list[int]] = {}
+        for u in range(g.n):
+            coin = assignment.coin(u)
+            if id(coin) not in floats:
+                floats[id(coin)] = _c_float(coin)
+            by_degree.setdefault(g.degree(u), []).append(u)
+        start = np.array(g.arc_start[:-1], dtype=int)
+        classes = []
+        for d, us in sorted(by_degree.items()):
+            arcs = start[us][:, None] + np.arange(d)
+            blocks = np.stack([floats[id(assignment.coin(u))] for u in us])
+            classes.append((arcs, blocks))
+        return cls(tuple(classes), reversal_permutation(g))
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
+        for arcs, blocks in self.classes:
+            y[arcs] = np.einsum("vij,vj->vi", blocks, x[arcs])
+        return y[self.rev]
 
 
 def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
@@ -79,22 +123,16 @@ def coin_state(assignment: CoinAssignment, a: int, w, normalize: bool = True) ->
 
 
 def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndarray:
-    """U^t applied by t sparse (blockwise) applications of C then R."""
+    """U^t applied by t stacked-block applications of C then R; the
+    assignment's step plan is built on the first step and then reused."""
     g = assignment.graph
     x = np.asarray(state, dtype=complex)
     if x.shape != (g.num_arcs,):
         raise ValueError(f"state must have length {g.num_arcs}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    blocks = coin_blocks(assignment)
-    slices = [out_arc_slice(g, u) for u in range(g.n)]
-    rev = reversal_permutation(g)
     for _ in range(t):
-        y = np.empty_like(x)
-        for u in range(g.n):
-            sl = slices[u]
-            y[sl] = blocks[u] @ x[sl]
-        x = y[rev]
+        x = assignment.step_plan.step(x)
     return x
 
 
@@ -139,13 +177,21 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
         raise ValueError("empty subspace")
     if assignment.graph.degree(a) != assignment.graph.degree(b):
         raise ValueError("positional identification needs deg(a) = deg(b)")
+    return _fidelity_score(assignment, a, b, ws, lambda x: walk_apply(assignment, x, t))
+
+
+def _fidelity_score(assignment: CoinAssignment, a: int, b: int, ws, evolve
+                    ) -> tuple[float, complex]:
+    """min_j Re(conj(gamma) <x_b(w_j), evolve(x_a(w_j))>) over the orthonormal
+    vectors ``ws``, clamped to [0, 1], with gamma the phase of the first
+    overlap.  ``evolve`` applies U^t: by stepping here, by a dense power in
+    ``families.pointwise_fidelity_power``."""
     gamma = complex(1.0)
     worst = 1.0
     for j, w in enumerate(ws):
         x = coin_state(assignment, a, w)
         y = coin_state(assignment, b, w)
-        z = walk_apply(assignment, x, t)
-        overlap = np.vdot(y, z)
+        overlap = np.vdot(y, evolve(x))
         if j == 0:
             gamma = overlap / abs(overlap) if abs(overlap) > 1e-12 else complex(1.0)
         worst = min(worst, float((np.conj(gamma) * overlap).real))

@@ -160,3 +160,35 @@ def test_family_default_battery(capsys, monkeypatch):
     lines = [line for line in out.splitlines() if line.startswith("CASE")]
     assert len(lines) >= 8
     assert all(line.endswith("status=PASS") for line in lines)
+
+
+def test_simulate_steps_incrementally(capsys):
+    """Several times in one call print exactly what one call per time does."""
+    circ = ("simulate", "--family", "circulant", "--m", "3", "--c", "1", "--d", "2",
+            "--state", "w1", "--times")
+    rc, out, _ = run(capsys, *circ, "8,0,4")
+    assert rc == 0
+    singles = [run(capsys, *circ, t) for t in ("0", "4", "8")]
+    assert all(r == 0 for r, _, _ in singles)
+    assert out == "".join(o for _, o, _ in singles)
+
+
+def test_family_fail_exit_3(capsys, monkeypatch):
+    """A FAIL case (decider, exact check and simulation disagree) is the
+    program's fault: exit 3, after printing every case line."""
+    from sstwalk import families
+
+    real = families.case_k2m
+
+    def failing(m, rng=None):
+        res = real(m, rng)
+        if rng is not None:
+            res.status = "FAIL"
+        return res
+
+    monkeypatch.setattr(families, "case_k2m", failing)
+    rc, out, _ = run(capsys, "family", "--family", "k2m", "--m", "3")
+    assert rc == 3
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].endswith("status=PASS") and lines[1].endswith("status=FAIL")

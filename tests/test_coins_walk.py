@@ -203,3 +203,61 @@ def test_complex_coin_simulation_only():
     x = rng.normal(size=g.num_arcs) + 1j * rng.normal(size=g.num_arcs)
     y = np.linalg.matrix_power(u, 5) @ x
     assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12
+
+
+def test_walk_apply_matches_dense_power_on_random_graphs():
+    """The stacked-block stepper against U^t from the dense walk_unitary: 50
+    seeded connected graphs of mixed degree, n <= 12, every vertex a random
+    rational reflection or a (shared) Grover coin, complex states, t <= 6."""
+    from sstwalk.families import random_coin_and_subspace
+    from sstwalk.graphs import GraphError
+
+    rng = random.Random(2024)
+    nrng = np.random.default_rng(2024)
+    checked = 0
+    while checked < 50:
+        n = rng.randint(3, 12)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        try:
+            g = build_graph(edges, n)
+        except GraphError:
+            continue
+        if len({g.degree(u) for u in range(n)}) < 2:
+            continue
+        coins = {u: grover_coin(g.degree(u)) if rng.random() < 0.5
+                 else random_coin_and_subspace(rng, g.degree(u))[0] for u in range(n)}
+        asn = CoinAssignment(g, coins)
+        u = walk_unitary(asn)
+        x = nrng.normal(size=g.num_arcs) + 1j * nrng.normal(size=g.num_arcs)
+        for t in range(7):
+            want = np.linalg.matrix_power(u, t) @ x
+            assert np.allclose(walk_apply(asn, x, t), want, rtol=0, atol=1e-12)
+        checked += 1
+
+
+def test_all_grover_validates_one_coin(monkeypatch):
+    """2000 degree-4 vertices share one Grover coin, validated once; a
+    non-idempotent projection and a wrong-size coin are still refused."""
+    from sstwalk.coins import ReflectionCoin
+
+    validations = []
+    original = ReflectionCoin.__post_init__
+
+    def counting(self):
+        validations.append(self.degree)
+        original(self)
+
+    monkeypatch.setattr(ReflectionCoin, "__post_init__", counting)
+    grover_coin.cache_clear()
+    g, a, b = circulant_2m(1000, 1, 999)
+    asn = CoinAssignment.all_grover(g)
+    assert validations == [4]
+    assert all(asn.coin(u) is asn.coin(0) for u in range(g.n))
+
+    one = Fraction(1)
+    with pytest.raises(CoinError, match="idempotent"):
+        ReflectionCoin(2, ((one, one), (one, one)), ((one, one),))
+    coins = {u: grover_coin(4) for u in range(g.n)}
+    coins[7] = grover_coin(3)
+    with pytest.raises(CoinError, match="degree is 4"):
+        CoinAssignment(g, coins)

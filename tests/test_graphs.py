@@ -160,3 +160,18 @@ def test_family_parameter_validation():
         double_cone_cycles([])
     with pytest.raises(GraphError):
         double_cone_cycles([0])
+
+
+def test_arc_start_offsets():
+    """arc_start[u] is the index of u's first outgoing arc and arc_start[n]
+    the arc count, on graphs of uniform and of mixed degree."""
+    graphs = [build_graph(FIGURE_OCTAHEDRON, 6), generalized_path(3, 5)[0],
+              complete_bipartite_k2m(4)[0], double_cone_cycles([1, 2])[0],
+              build_graph([(0, 1)], 2)]
+    for g in graphs:
+        assert len(g.arc_start) == g.n + 1
+        for u in range(g.n):
+            assert g.arc_start[u] == g.arc_index[(u, g.neighbors[u][0])]
+            span = g.arcs[g.arc_start[u]:g.arc_start[u + 1]]
+            assert span == tuple((u, v) for v in g.neighbors[u])
+        assert g.arc_start[g.n] == g.num_arcs

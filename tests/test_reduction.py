@@ -306,3 +306,30 @@ def test_exact_transfer_check_rejects_mismatched_delta():
     red = synthetic_reduction([[0, 1], [1, 0]], [1, 4], [0], [1])
     with pytest.raises(ReductionError):
         exact_transfer_check(red, 1, 1)
+
+
+def test_sparse_numeric_views_match_dense_scan():
+    """h_numeric and int_view, read from the recorded nonzeros, equal their
+    dense-scan definitions over sym (h_numeric bit for bit)."""
+    from math import lcm
+
+    from sstwalk import linalg
+
+    g, a, b = generalized_path(4, 10)
+    reds = [reduction_for(CoinAssignment.all_grover(g), a, [[1] * 4], b)]
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(20, 1, 19)
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    reds.append(reduction_for(asn, a, w, b))
+    reds += [assembled_instance(seed)[-1] for seed in range(20)]
+    for red in reds:
+        d = np.sqrt(np.array([float(x) for x in red.delta_sq]))
+        assert np.array_equal(red.h_numeric(), linalg.to_numpy(red.sym) / np.outer(d, d))
+        assert red.nonzeros == [(i, j, x) for i, row in enumerate(red.sym)
+                                for j, x in enumerate(row) if x]
+        entries = [[(j, x / red.delta_sq[j]) for j, x in enumerate(row) if x]
+                   for row in red.sym]
+        scale = lcm(1, *(h.denominator for row in entries for _, h in row))
+        rows = [(tuple(j for j, _ in row), tuple(int(h * scale) for _, h in row))
+                for row in entries]
+        assert red.int_view == (rows, scale)
