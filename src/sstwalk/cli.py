@@ -20,7 +20,7 @@ from . import families
 from .coins import CoinAssignment, CoinError, parse_coins, reflection_about
 from .cospec import strong_cospectral_exact
 from .decider import decide_periodicity, decide_transfer
-from .exact import pole_support, resolvent
+from .exact import InvariantError, pole_support, resolvent
 from .graphs import FamilySpec, GraphError, build_family, parse_graph
 from .reduction import ReductionError, reduction_for
 from .walk import coin_state, walk_apply
@@ -44,7 +44,6 @@ def _add_source_args(p: argparse.ArgumentParser):
     p.add_argument("--b", type=int, help="receiver vertex")
     p.add_argument("--coins", help="coin spec file (default: all Grover)")
     p.add_argument("--subspace", help="W basis file: one vector per line, deg(a) rationals")
-    p.add_argument("--S", default="auto-a", help="clone set selector (auto-a only)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--dump-H", action="store_true", help="emit H_rat and delta_sq exactly")
     p.add_argument("--report-split", action="store_true",
@@ -83,8 +82,6 @@ def _load_instance(args):
         raise InputError("a graph source is required (--graph or --family)")
     if a == b or not (0 <= a < graph.n and 0 <= b < graph.n):
         raise InputError("marked vertices must be distinct and in range")
-    if args.S != "auto-a":
-        raise InputError("only --S auto-a (the W-clones of the sender) is supported")
 
     if args.coins:
         path = Path(args.coins)
@@ -314,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     except (InputError, GraphError, CoinError, ReductionError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

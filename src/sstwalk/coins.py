@@ -115,6 +115,13 @@ def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
     return ReflectionCoin(degree, _freeze(p), _freeze(ortho))
 
 
+def _grover_coins(graph: Graph) -> dict[int, ReflectionCoin]:
+    """The Grover coin at every vertex, with one grover_coin call per degree."""
+    degrees = [graph.degree(u) for u in range(graph.n)]
+    by_degree = {d: grover_coin(d) for d in set(degrees)}
+    return {u: by_degree[d] for u, d in enumerate(degrees)}
+
+
 class CoinAssignment:
     """One reflection coin per vertex of a graph; immutable once built.
 
@@ -135,14 +142,14 @@ class CoinAssignment:
 
     @classmethod
     def all_grover(cls, graph: Graph) -> "CoinAssignment":
-        return cls(graph, {u: grover_coin(graph.degree(u)) for u in range(graph.n)})
+        return cls(graph, _grover_coins(graph))
 
     @classmethod
     def grover_with_marked(cls, graph: Graph, a: int, b: int,
                            coin_a: ReflectionCoin,
                            coin_b: ReflectionCoin | None = None) -> "CoinAssignment":
         """Grover coins everywhere except the marked pair."""
-        coins = {u: grover_coin(graph.degree(u)) for u in range(graph.n)}
+        coins = _grover_coins(graph)
         coins[a] = coin_a
         coins[b] = coin_b if coin_b is not None else coin_a
         return cls(graph, coins)
@@ -170,7 +177,7 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
     ``coin <v> basis <r> <r*deg rationals>`` (row-major basis vectors).
     Vertices not mentioned get the Grover coin.
     """
-    coins = {u: grover_coin(graph.degree(u)) for u in range(graph.n)}
+    coins = _grover_coins(graph)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:

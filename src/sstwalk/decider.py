@@ -1,10 +1,15 @@
 """Exact decision procedures for pointwise periodicity and perfect transfer.
 
 Everything runs over Q end to end.  The eigenvalue support of the clones shows
-up as the reduced denominator g of a resolvent trace; the degree-doubling
-transform h -> h#(x) = 2^deg x^deg h((x + 1/x)/2) sends cos(theta) roots to
-e^{+-i theta}, so integer-step questions become "does g# factor into
-cyclotomic polynomials", which the totient bound makes a finite check.
+up as the reduced denominator g of a resolvent trace, and integer-step
+questions become "is every root of g of the form cos(2 pi k/m)".  The test runs
+on g itself over Z[y]: ``exact.cosine_factor`` divides the primitive integer
+polynomial of 2^deg g(y/2) by the cosine minimal polynomials Psi~_m (monic
+over Z), for every m the totient bound allows.  The degree-doubling transform
+g -> g#(x) = 2^deg x^deg g((x + 1/x)/2), which sends cos(theta) roots to
+e^{+-i theta}, and the scan of g# for cyclotomic factors (``sharp``,
+``factor_into_cyclotomics``) answer the same question; the decider no longer
+calls them, and the tests keep them as the oracle.
 
 Phase bookkeeping: the reduced denominator of psi_S - psi_{S,T} carries the
 poles where E B_S = -E B_T, and that of psi_S + psi_{S,T} the poles where
@@ -16,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 from typing import TYPE_CHECKING
 
-from .exact import ONE, RatPoly, resolvent
+from .exact import (ONE, InvariantError, RatPoly, cosine_factor, cyclotomic,
+                    default_order_bound, euler_phi, resolvent)
 
 if TYPE_CHECKING:
     from .reduction import HermitianReduction
@@ -59,61 +64,29 @@ class TransferVerdict:
 def sharp(h: RatPoly) -> RatPoly:
     """h#(x) = 2^deg(h) x^deg(h) h((x + 1/x)/2), exact.
 
-    With h = sum c_k y^k this is sum c_k 2^(d-k) x^(d-k) (x^2+1)^k; the result
-    has degree 2 deg(h) and is palindromic up to sign.
+    With h = sum c_k y^k this is sum c_k (x^2+1)^k (2x)^(d-k), evaluated by
+    Horner's rule in the pair (x^2+1, 2x); the result has degree 2 deg(h) and
+    is palindromic up to sign.  The decider no longer calls it; it is the
+    tests' oracle for the cosine scan.
     """
     if h.is_zero():
-        raise ValueError("sharp of the zero polynomial")
-    d = h.degree
-    x2p1 = RatPoly([1, 0, 1])
-    out = RatPoly()
-    for k, c in enumerate(h.coeffs):
-        if c:
-            term = (x2p1 ** k) * c * Fraction(2) ** (d - k)
-            out = out + RatPoly([Fraction(0)] * (d - k) + list(term.coeffs))
-    return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(m: int) -> RatPoly:
-    """The m-th cyclotomic polynomial, by recursive exact division of x^m - 1."""
-    if m < 1:
-        raise ValueError("cyclotomic order must be positive")
-    num = RatPoly([-1] + [0] * (m - 1) + [1])
-    for d in range(1, m):
-        if m % d == 0:
-            num = num // cyclotomic(d)
-    return num
-
-
-def euler_phi(m: int) -> int:
-    result = m
-    p = 2
-    rem = m
-    while p * p <= rem:
-        if rem % p == 0:
-            while rem % p == 0:
-                rem //= p
-            result -= result // p
-        p += 1
-    if rem > 1:
-        result -= result // rem
-    return result
-
-
-def default_order_bound(degree: int) -> int:
-    """Orders m with phi(m) <= degree satisfy m <= 3 phi(m)^{3/2} <= 3 degree^{3/2};
-    computed exactly as floor(sqrt(9 degree^3)) + 1."""
-    if degree <= 0:
-        return 1
-    return isqrt(9 * degree ** 3) + 1
+        raise InvariantError("sharp of the zero polynomial")
+    acc = [h.coeffs[-1]]
+    for j, c in enumerate(reversed(h.coeffs[:-1]), 1):
+        acc = [Fraction(0)] * 2 + acc
+        for i in range(len(acc) - 2):
+            acc[i] += acc[i + 2]
+        acc[j] += c * 2 ** j
+    return RatPoly(acc)
 
 
 def factor_into_cyclotomics(p: RatPoly, m_bound: int | None = None
                             ) -> dict[int, int] | None:
     """If p = prod Phi_m^{e_m} exactly, return the multiset {m: e_m}; else None.
 
-    Absence of such a factorization is a normal outcome, not an error.
+    Absence of such a factorization is a normal outcome, not an error.  The
+    decider no longer calls it; with ``sharp`` it is the tests' oracle for the
+    cosine scan.
     """
     if p.is_zero():
         return None
@@ -135,22 +108,19 @@ def factor_into_cyclotomics(p: RatPoly, m_bound: int | None = None
     return out if p.is_one() else None
 
 
-def _orders_of_sharp(g: RatPoly) -> frozenset[int] | None:
-    """Cyclotomic order set of g# for squarefree g with roots in [-1, 1].
+def _support_orders(g: RatPoly) -> frozenset[int] | None:
+    """The orders m with g = c * prod Psi_m, each Psi_m once; None when g is
+    not such a product.
 
-    Phi_1 and Phi_2 always show up squared (lambda = +-1 gives double roots of
-    the sharp); multiplicity is collapsed to the single order, which leaves
-    every lcm unchanged.
+    This is the g# criterion: sharp is multiplicative, sharp(x -+ 1) is
+    Phi_1^2 or Phi_2^2 and sharp(Psi_m) = Phi_m for m >= 3, so g# is a product
+    of cyclotomics with Phi_1, Phi_2 squared and the others simple exactly
+    when g is a product of distinct Psi_m.
     """
-    factors = factor_into_cyclotomics(sharp(g))
-    if factors is None:
+    orders, rest = cosine_factor(g)
+    if not rest.is_one() or any(e != 1 for e in orders.values()):
         return None
-    for m, e in factors.items():
-        if m > 2 and e != 1:
-            return None
-        if m <= 2 and e != 2:
-            return None
-    return frozenset(factors)
+    return frozenset(orders)
 
 
 def decide_periodicity(red: "HermitianReduction", s: list[int] | None = None
@@ -158,14 +128,15 @@ def decide_periodicity(red: "HermitianReduction", s: list[int] | None = None
     """Pointwise W-periodicity at a with integer periods (exact).
 
     Writes psi_S = p/q reduced, takes g = q/gcd(p, q) (which is q, psi_S being
-    reduced), and checks whether g# is a product of cyclotomics; if so the
-    minimum period is lcm of their orders.  With the default clone set it
-    reads the same resolvent summary as ``decide_transfer``.
+    reduced), and checks whether g is a product of distinct cosine minimal
+    polynomials Psi_m; if so the minimum period is the lcm of their orders.
+    With the default clone set it reads the same resolvent summary as
+    ``decide_transfer``.
     """
     summary = resolvent(red) if s is None else resolvent(red, s, s)
     if not summary.s:
         raise ValueError("periodicity needs a nonempty clone set")
-    orders = _orders_of_sharp(summary.g)
+    orders = _support_orders(summary.g)
     if orders is None:
         return PeriodicityVerdict(False, reason="support-not-cyclotomic")
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
@@ -184,7 +155,7 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
     if not summary.cospectral:
         return TransferVerdict(False, reason="not-cospectral")
     g = summary.g
-    orders = _orders_of_sharp(g)
+    orders = _support_orders(g)
     if orders is None:
         return TransferVerdict(False, reason="not-periodic")
     tau = lcm(*orders)
@@ -196,8 +167,8 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
     if g_from_plus * g_from_minus != g:
         # strong cospectrality fails: some pole survives in both combinations
         return TransferVerdict(False, reason="support-split-fails")
-    plus_orders = _orders_of_sharp(g_from_plus) if g_from_plus.degree > 0 else frozenset()
-    minus_orders = _orders_of_sharp(g_from_minus) if g_from_minus.degree > 0 else frozenset()
+    plus_orders = _support_orders(g_from_plus)
+    minus_orders = _support_orders(g_from_minus)
     if plus_orders is None or minus_orders is None:
         return TransferVerdict(False, reason="support-split-fails")
     if plus_orders == l_plus and minus_orders == l_minus:

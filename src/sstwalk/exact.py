@@ -13,13 +13,20 @@ directly.  ``Resolvent`` memoises psi_S, the support polynomial g and its
 +-split per (reduction, S, T) for the decider, the cospectrality checks and
 the CLI.  ``charpoly`` (integer Berkowitz) is kept as the reference the tests
 check psi against.
+
+The support questions are answered over Z as well: 2cos(2 pi/m) is an
+algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
+``cosine_factor`` divides the primitive integer polynomial of 2^deg p(y/2) by
+every Psi~_m that fits.  That scan decides periodicity and splits the support
+into the cosine minimal polynomials Psi_m(x) = 2^-deg Psi~_m(2x); sympy only
+factors what is left over.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import gcd as int_gcd
+from functools import cached_property, lru_cache
+from math import gcd as int_gcd, isqrt, prod
 from typing import Iterable, TYPE_CHECKING
 
 from . import linalg
@@ -27,6 +34,11 @@ from .reduction import z_apply
 
 if TYPE_CHECKING:
     from .reduction import HermitianReduction
+
+
+class InvariantError(ValueError):
+    """An internal invariant of the exact pipeline failed: the program, not
+    its input, is at fault (``sst`` exits 3)."""
 
 
 class RatPoly:
@@ -134,18 +146,21 @@ class RatPoly:
             return RatPoly(), self
         quo = [Fraction(0)] * (dq + 1)
         inv_lead = 1 / other.lead
+        d = other.degree
+        low = [(j, b) for j, b in enumerate(other.coeffs[:d]) if b]
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
+            c = rem[k + d] * inv_lead
             if c:
                 quo[k] = c
-                for j, b in enumerate(other.coeffs):
+                rem[k + d] = Fraction(0)
+                for j, b in low:
                     rem[k + j] -= c * b
         return RatPoly(quo), RatPoly(rem)
 
     def __floordiv__(self, other: "RatPoly") -> "RatPoly":
         q, r = self.divmod(other)
         if not r.is_zero():
-            raise ValueError("inexact polynomial division")
+            raise InvariantError("inexact polynomial division")
         return q
 
     def __mod__(self, other: "RatPoly") -> "RatPoly":
@@ -250,25 +265,20 @@ def squarefree_part(p: RatPoly) -> RatPoly:
 
 
 def factor_irreducible(p: RatPoly) -> list[RatPoly]:
-    """Distinct monic Q-irreducible factors of p.
+    """Distinct monic Q-irreducible factors of p, sorted by (degree, coeffs).
 
-    Square-free reduction is done here; degree <= 1 pieces are split directly
-    and anything harder goes to sympy's Q[x] factorizer.
+    The square-free part is split into cosine minimal polynomials by the
+    exact scan ``cosine_factor``; a linear remainder is its own factor, and
+    only a remainder of degree >= 2 goes to sympy's Q[x] factorizer.
     """
     if p.degree <= 0:
         return []
-    sf = squarefree_part(p)
-    factors: list[RatPoly] = []
-    # peel linear factors at 0 cheaply (very common: the pole at lambda = 0)
-    if sf.coeffs[0] == 0:
-        factors.append(X)
-        while sf.coeffs[0] == 0:
-            sf = RatPoly(sf.coeffs[1:])
-    if sf.degree == 1:
-        factors.append(sf.monic())
-        return sorted(factors, key=lambda q: (q.degree, q.coeffs))
-    if sf.degree > 1:
-        factors.extend(_sympy_factor(sf))
+    orders, rest = cosine_factor(squarefree_part(p))
+    factors = [cosine_poly(m) for m in orders]
+    if rest.degree == 1:
+        factors.append(rest)
+    elif rest.degree > 1:
+        factors.extend(_sympy_factor(rest))
     return sorted(factors, key=lambda q: (q.degree, q.coeffs))
 
 
@@ -285,6 +295,166 @@ def _sympy_factor(p: RatPoly) -> list[RatPoly]:
         if q.degree >= 1:
             out.append(q)
     return out
+
+
+# -- cyclotomic and cosine minimal polynomials ---------------------------------
+
+
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+def euler_phi(m: int) -> int:
+    result = m
+    for p in _prime_factors(m):
+        result -= result // p
+    return result
+
+
+def default_order_bound(degree: int) -> int:
+    """Orders m with phi(m) <= degree satisfy m <= 3 phi(m)^{3/2} <= 3 degree^{3/2};
+    computed exactly as floor(sqrt(9 degree^3)) + 1."""
+    if degree <= 0:
+        return 1
+    return isqrt(9 * degree ** 3) + 1
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(m: int) -> tuple[int, ...]:
+    """Phi_m = prod_{d | m} (x^d - 1)^mu(m/d) over Z, constant term first."""
+    if m < 1:
+        raise ValueError("cyclotomic order must be positive")
+    primes = _prime_factors(m)
+    up, down = [], []                 # d = m/e over the squarefree divisors e
+    for mask in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        (down if len(chosen) % 2 else up).append(m // prod(chosen))
+    out = [1]
+    for d in up:                      # times x^d - 1
+        times = [-c for c in out] + [0] * d
+        for i, c in enumerate(out):
+            times[i + d] += c
+        out = times
+    for d in down:                    # exactly divided by x^d - 1
+        quo = [0] * (len(out) - d)
+        for i in range(len(quo) - 1, -1, -1):
+            quo[i] = out[i + d] + (quo[i + d] if i + d < len(quo) else 0)
+        out = quo
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(m: int) -> RatPoly:
+    """The m-th cyclotomic polynomial Phi_m."""
+    return RatPoly(_cyclotomic_coeffs(m))
+
+
+@lru_cache(maxsize=None)
+def _cosine_coeffs(m: int) -> tuple[int, ...]:
+    """Psi~_m, the minimal polynomial of 2cos(2 pi/m): monic over Z, constant
+    term first.
+
+    For m >= 3, Phi_m is palindromic of degree 2k and
+    x^-k Phi_m(x) = c_k + sum_j c_{k+j} (x^j + x^-j); with y = x + 1/x,
+    x^j + x^-j = L_j(y) where L_0 = 2, L_1 = y, L_{j+1} = y L_j - L_{j-1}.
+    """
+    if m <= 2:
+        return (-2, 1) if m == 1 else (2, 1)
+    phi = _cyclotomic_coeffs(m)
+    k = len(phi) // 2
+    out = [phi[k]] + [0] * k
+    prev, cur = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(cur):
+            out[i] += phi[k + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cosine_orders(degree: int) -> tuple[tuple[int, int], ...]:
+    """(m, deg Psi_m) for every m with deg Psi_m <= degree, ascending in m.
+
+    deg Psi_m is phi(m)/2 (1 for m <= 2), so these m have phi(m) <= 2 degree
+    and lie below default_order_bound(2 degree); a totient sieve to that bound
+    finds them all.
+    """
+    bound = default_order_bound(2 * degree)
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple((m, max(1, phi[m] // 2)) for m in range(1, bound + 1)
+                 if phi[m] <= 2 * degree)
+
+
+def _from_scaled(ints) -> RatPoly:
+    """The monic p(x) proportional to p~(2x), for p~ = ints."""
+    k = len(ints) - 1
+    return RatPoly([Fraction(c * 2 ** i, ints[-1] * 2 ** k) for i, c in enumerate(ints)])
+
+
+@lru_cache(maxsize=None)
+def cosine_poly(m: int) -> RatPoly:
+    """Psi_m(x) = 2^-k Psi~_m(2x), the monic minimal polynomial of
+    cos(2 pi/m) over Q (k = phi(m)/2, or 1 for m <= 2)."""
+    return _from_scaled(_cosine_coeffs(m))
+
+
+def _monic_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
+    """num / den over Z for a monic den, or None when den does not divide num."""
+    k = len(den) - 1
+    low = den[:k]
+    rem = list(num)
+    quo = [0] * (len(num) - k)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + k]
+        if c:
+            quo[i] = c
+            for j, b in enumerate(low):
+                rem[i + j] -= c * b
+    return None if any(rem[:k]) else quo
+
+
+def cosine_factor(p: RatPoly) -> tuple[dict[int, int], RatPoly]:
+    """Split p = c * prod_m Psi_m^{e_m} * rest over Q; returns ({m: e_m}, rest)
+    with rest monic and divisible by no Psi_m.
+
+    Works on p~(y), the primitive integer polynomial of 2^deg p(y/2), whose
+    cosine factors are the monic Psi~_m: every m with deg Psi_m <= deg p is
+    tried (the same orders as a cyclotomic scan of the degree-2 deg p
+    polynomial p#), skipping those that no longer fit the remaining degree,
+    and each is divided out exactly as often as it divides.  Monic divisors
+    keep the division in Z[y], so a nonzero remainder proves that Psi~_m does
+    not divide p~ and the split is exact.
+    """
+    if p.is_zero():
+        raise ValueError("cosine_factor of the zero polynomial")
+    d = p.degree
+    scaled = RatPoly([c * 2 ** (d - i) for i, c in enumerate(p.coeffs)])
+    ints = scaled.primitive_int_coeffs()
+    orders: dict[int, int] = {}
+    for m, k in _cosine_orders(d):
+        if len(ints) == 1:
+            break
+        while k < len(ints):
+            quo = _monic_quotient(ints, _cosine_coeffs(m))
+            if quo is None:
+                break
+            ints = quo
+            orders[m] = orders.get(m, 0) + 1
+    return orders, _from_scaled(ints)
 
 
 class RatFun:

@@ -1,8 +1,10 @@
 """CLI subcommands, file formats, and exit codes."""
 
 import numpy as np
+import pytest
 
 from sstwalk.cli import main
+from sstwalk.exact import InvariantError
 
 
 def run(capsys, *argv):
@@ -142,8 +144,11 @@ def test_not_periodic_still_exit_0(tmp_path, capsys):
 
 
 def test_unknown_clone_selector_rejected(capsys):
-    rc, _, err = run(capsys, "psi", "--family", "k2m", "--m", "2", "--S", "all")
-    assert rc == 2 and "auto-a" in err
+    """The clone set is always the sender's W-clones; there is no --S flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--family", "k2m", "--m", "2", "--S", "all"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --S" in capsys.readouterr().err
 
 
 def test_human_format(capsys):
@@ -192,3 +197,21 @@ def test_family_fail_exit_3(capsys, monkeypatch):
     lines = out.splitlines()
     assert len(lines) == 2
     assert lines[0].endswith("status=PASS") and lines[1].endswith("status=FAIL")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ValueError, 2, "error: "),
+    (InvariantError, 3, "internal error: "),
+])
+def test_exit_code_names_the_fault(capsys, monkeypatch, error, code, prefix):
+    """A ValueError from a stage is an input error (exit 2); an InvariantError,
+    though also a ValueError, is the program's fault (exit 3)."""
+    from sstwalk import decider
+
+    def broken(g):
+        raise error("stage failed")
+
+    monkeypatch.setattr(decider, "cosine_factor", broken)
+    rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
+    assert rc == code and out == ""
+    assert err == prefix + "stage failed\n"

@@ -261,3 +261,28 @@ def test_all_grover_validates_one_coin(monkeypatch):
     coins[7] = grover_coin(3)
     with pytest.raises(CoinError, match="degree is 4"):
         CoinAssignment(g, coins)
+
+
+def test_grover_coin_called_once_per_degree(monkeypatch):
+    """all_grover, grover_with_marked and parse_coins ask for one Grover coin
+    per distinct degree, not one per vertex."""
+    from sstwalk import coins
+
+    calls = []
+
+    def counting(degree):
+        calls.append(degree)
+        return grover_coin(degree)
+
+    monkeypatch.setattr(coins, "grover_coin", counting)
+    g, a, b = circulant_2m(1000, 1, 999)
+    asn = CoinAssignment.all_grover(g)
+    assert calls == [4]
+    assert all(asn.coin(u) is grover_coin(4) for u in range(g.n))
+    g, a, b = complete_bipartite_k2m(5)
+    calls.clear()
+    CoinAssignment.grover_with_marked(g, a, b, grover_coin(5))
+    assert sorted(calls) == [2, 5]
+    calls.clear()
+    parse_coins("", g)
+    assert sorted(calls) == [2, 5]

@@ -1,0 +1,198 @@
+"""The cosine scan on g over Z against the g# oracle it replaced.
+
+``old_orders`` and ``old_factor_irreducible`` are the algorithms the decider
+and the factorizer used before the scan: the sharp transform g -> g# plus a
+scan for cyclotomic factors with the Phi_{1,2}-squared multiplicity rule, and
+peel-x-then-sympy.  The cosine scan (``decider._support_orders``,
+``exact.factor_irreducible``) must agree with both on the single Psi_m, on
+random products of distinct Psi_m with and without a squared or non-cosine
+factor, and on g, g+ and g- of seeded random reductions.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from sstwalk.decider import (_support_orders, cyclotomic,
+                             factor_into_cyclotomics, sharp)
+from sstwalk.exact import (X, RatPoly, _sympy_factor, cosine_factor,
+                           cosine_poly, factor_irreducible, resolvent,
+                           squarefree_part)
+from test_psi_oracle import random_reduction
+
+ORACLE_BOUND = 200
+# The g# oracle divides a degree-2D Fraction polynomial by every Phi_m in
+# turn: on the single Psi_m it took 3 s for m <= 80 and 87 s for m <= 200
+# (2-core x86 host, Python 3.11), so it runs on m <= ORACLE_SINGLE and on
+# products of orders below ORACLE_PRODUCT; sharp(Psi_m) = Phi_m is checked for
+# every m <= ORACLE_BOUND.
+ORACLE_SINGLE = 80
+ORACLE_PRODUCT = 30
+
+def old_orders(g: RatPoly, m_bound: int | None = None):
+    """The decider's order set before the cosine scan (g# oracle)."""
+    factors = factor_into_cyclotomics(sharp(g), m_bound)
+    if factors is None:
+        return None
+    if any(e != (2 if m <= 2 else 1) for m, e in factors.items()):
+        return None
+    return frozenset(factors)
+
+
+def old_factor_irreducible(p: RatPoly) -> list[RatPoly]:
+    """The factorizer before the cosine scan: peel x, then sympy."""
+    if p.degree <= 0:
+        return []
+    sf = squarefree_part(p)
+    factors = []
+    if sf.coeffs[0] == 0:
+        factors.append(X)
+        while sf.coeffs[0] == 0:
+            sf = RatPoly(sf.coeffs[1:])
+    if sf.degree == 1:
+        factors.append(sf.monic())
+    elif sf.degree > 1:
+        factors.extend(_sympy_factor(sf))
+    return sorted(factors, key=lambda q: (q.degree, q.coeffs))
+
+
+def test_cosine_poly_is_the_sharp_preimage_of_phi_m():
+    assert cosine_poly(1) == RatPoly([-1, 1]) and cosine_poly(2) == RatPoly([1, 1])
+    assert cosine_poly(4) == X
+    assert cosine_poly(8) == RatPoly([Fraction(-1, 2), 0, 1])
+    for m in range(3, ORACLE_BOUND + 1):
+        assert sharp(cosine_poly(m)) == cyclotomic(m), m
+
+
+def test_cyclotomic_is_the_recursive_quotient():
+    """Phi_m from the Moebius product equals (x^m - 1) / prod_{d | m, d < m} Phi_d."""
+    for m in range(1, 61):
+        num = RatPoly([-1] + [0] * (m - 1) + [1])
+        for d in range(1, m):
+            if m % d == 0:
+                num = num // cyclotomic(d)
+        assert cyclotomic(m) == num, m
+
+
+def test_every_single_cosine_poly_matches_oracle():
+    """Psi_m alone: the scan finds {m} for every m <= 200, and equals the g#
+    oracle and the old factorizer for m <= 80.  Beyond that the oracle's
+    answer is pinned by sharp(Psi_m) = Phi_m (checked above for m <= 200)
+    and the irreducibility of Phi_m."""
+    for m in range(1, ORACLE_BOUND + 1):
+        psi_m = cosine_poly(m)
+        assert _support_orders(psi_m) == {m}, m
+        assert cosine_factor(psi_m) == ({m: 1}, RatPoly([1]))
+        assert factor_irreducible(psi_m) == [psi_m]
+        if m <= ORACLE_SINGLE:
+            assert old_orders(psi_m) == {m}, m
+            assert old_factor_irreducible(psi_m) == [psi_m], m
+
+
+def _non_cosine_factor(rng: random.Random) -> RatPoly:
+    """A rational linear or quadratic factor with no root cos(2 pi k/m)."""
+    while True:
+        if rng.random() < 0.5:
+            f = RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1])
+        else:
+            f = RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                         Fraction(rng.randint(-3, 3), rng.randint(1, 3)), 1])
+        if not cosine_factor(f)[0] and not old_orders(f):
+            return f
+
+
+def test_random_products_match_oracle():
+    """300 products of 1-3 distinct Psi_m (m < 30), each with a copy that has
+    a squared factor or a non-cosine rational linear or quadratic factor, all
+    times a random rational.  The oracle scans m <= 30: no input has a
+    cyclotomic factor of higher order in its sharp, so that is its answer
+    under the default bound too."""
+    rng = random.Random(20261018)
+    kinds = {"periodic": 0, "squared": 0, "non-cosine": 0}
+    for _ in range(300):
+        orders = rng.sample(range(1, ORACLE_PRODUCT), rng.randint(1, 3))
+        prod = RatPoly([1])
+        for m in orders:
+            prod = prod * cosine_poly(m)
+        kind = rng.choice(["squared", "non-cosine"])
+        if kind == "squared":
+            extra = cosine_poly(rng.choice(orders))
+        else:
+            extra = _non_cosine_factor(rng)
+        for p, label in ((prod, "periodic"), (prod * extra, kind)):
+            p = p * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            want = old_orders(p, ORACLE_PRODUCT)
+            assert want == (frozenset(orders) if label == "periodic" else None)
+            assert _support_orders(p) == want, p
+            assert factor_irreducible(p) == old_factor_irreducible(p), p
+            kinds[label] += 1
+    assert kinds["periodic"] == 300 and min(kinds.values()) > 100
+
+
+def test_random_reduction_supports_match_oracle():
+    """g, g+ and g- of 100 seeded random reductions (those that exist: g+- need
+    equal delta_sq along the pairing), with the default totient bound."""
+    rng = random.Random(4)
+    checked, periodic = 0, 0
+    for _ in range(100):
+        summary = resolvent(random_reduction(rng))
+        polys = [summary.g]
+        try:
+            polys += [summary.g_plus, summary.g_minus]
+        except ValueError:
+            pass
+        for g in polys:
+            want = old_orders(g)
+            assert _support_orders(g) == want, g
+            assert factor_irreducible(g) == old_factor_irreducible(g), g
+            checked += 1
+            periodic += want is not None
+    assert checked >= 250 and periodic > 0
+
+
+def test_cosine_factor_rest_and_zero():
+    p = cosine_poly(5) * cosine_poly(12) ** 2 * RatPoly([-3, 0, 1]) * 7
+    orders, rest = cosine_factor(p)
+    assert orders == {5: 1, 12: 2} and rest == RatPoly([-3, 0, 1])
+    assert cosine_factor(RatPoly([Fraction(2, 3)])) == ({}, RatPoly([1]))
+    with pytest.raises(ValueError):
+        cosine_factor(RatPoly())
+
+
+def _run_without_sympy(code: str) -> str:
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--family", "k2m", "--m", "3"],
+    ["transfer", "--family", "circulant", "--m", "3", "--c", "1", "--d", "2",
+     "--report-split"],
+])
+def test_cosine_supports_never_import_sympy(argv):
+    out = _run_without_sympy(
+        "import sys\n"
+        "from sstwalk import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('sympy' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
+
+
+def test_non_cosine_quadratic_goes_to_sympy():
+    out = _run_without_sympy(
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from sstwalk.exact import RatPoly, factor_irreducible\n"
+        "p = RatPoly([Fraction(-1, 3), 0, 1])\n"
+        "assert factor_irreducible(p) == [p]\n"
+        "print('sympy' in sys.modules)\n")
+    assert out.splitlines()[-1] == "True"

@@ -34,6 +34,19 @@ def test_divrem_example():
     assert q == P(4, 2, 1) and r == P(8)
 
 
+def test_internal_faults_raise_invariant_error():
+    """Inexact division and sharp of zero are the program's faults; they stay
+    ValueErrors for callers that catch those."""
+    from sstwalk.decider import sharp
+    from sstwalk.exact import InvariantError
+
+    assert issubclass(InvariantError, ValueError)
+    with pytest.raises(InvariantError, match="inexact"):
+        P(1, 0, 1) // P(1, 1)
+    with pytest.raises(InvariantError, match="zero"):
+        sharp(RatPoly())
+
+
 def test_zero_poly_sentinel():
     z = RatPoly()
     assert z.degree == -1 and z.is_zero()
