@@ -10,10 +10,10 @@ from .decider import (PeriodicityVerdict, TransferVerdict, cyclotomic,
                       decide_periodicity, decide_pretty_good_special,
                       decide_transfer, factor_into_cyclotomics, sharp)
 from .exact import RatFun, RatPoly, charpoly, pole_support, poly_gcd, psi
-from .graphs import (FamilySpec, Graph, GraphError, build_family, build_graph,
-                     circulant_2m, complete_bipartite_k2m, cycle_graph,
-                     double_cone_cycles, double_cone_over, generalized_path,
-                     parse_graph, prism_graph)
+from .graphs import (Graph, GraphError, build_family, build_graph, circulant_2m,
+                     complete_bipartite_k2m, cycle_graph, double_cone_cycles,
+                     double_cone_over, generalized_path, parse_graph,
+                     prism_graph)
 from .reduction import (AdjacentMarkedPair, BlowUp, CoinBasis,
                         HermitianReduction, ReductionError, build_H,
                         build_blowup, chebyshev_apply, exact_transfer_check,

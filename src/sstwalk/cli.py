@@ -21,7 +21,7 @@ from .coins import CoinAssignment, CoinError, parse_coins, reflection_about
 from .cospec import strong_cospectral_exact
 from .decider import decide_periodicity, decide_transfer
 from .exact import InvariantError, pole_support, resolvent
-from .graphs import FamilySpec, GraphError, build_family, parse_graph
+from .graphs import GraphError, build_family, parse_graph
 from .reduction import ReductionError, reduction_for
 from .walk import coin_state, walk_apply
 
@@ -30,129 +30,86 @@ class InputError(ValueError):
     pass
 
 
-def _add_source_args(p: argparse.ArgumentParser):
-    p.add_argument("--graph", help="graph file (n <count> header, 'u v' edge lines)")
-    p.add_argument("--family", choices=["k2m", "circulant", "double-cone", "gp", "cone-over"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+def _add_family_args(p: argparse.ArgumentParser):
+    p.add_argument("--family", choices=list(families.FAMILIES))
+    for flag in ("m", "c", "d", "k", "n"):
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--cycles", help="comma-separated cycle lengths (multiples of 4)")
     p.add_argument("--base", help="base graph file for cone-over")
+
+
+def _add_source_args(p: argparse.ArgumentParser):
+    p.add_argument("--graph", help="graph file (n <count> header, 'u v' edge lines)")
+    _add_family_args(p)
     p.add_argument("--a", type=int, help="sender vertex (families have defaults)")
     p.add_argument("--b", type=int, help="receiver vertex")
     p.add_argument("--coins", help="coin spec file (default: all Grover)")
     p.add_argument("--subspace", help="W basis file: one vector per line, deg(a) rationals")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--dump-H", action="store_true", help="emit H_rat and delta_sq exactly")
-    p.add_argument("--report-split", action="store_true",
-                   help="emit the Lambda+/Lambda- support factors")
-    p.add_argument("--format", choices=["human", "machine"], default="machine")
+
+
+def _read(path: str, what: str) -> str:
+    file = Path(path)
+    if not file.exists():
+        raise InputError(f"{what} file not found: {file}")
+    return file.read_text()
 
 
 def _load_instance(args):
     """Resolve (graph, a, b, assignment, w_basis) from the CLI flags."""
-    family_w = None
-    family_coin = None
+    marked_w = None
     if args.graph and args.family:
         raise InputError("give exactly one of --graph or --family")
     if args.graph:
-        path = Path(args.graph)
-        if not path.exists():
-            raise InputError(f"graph file not found: {path}")
-        graph = parse_graph(path.read_text())
-        a = args.a if args.a is not None else 0
-        b = args.b if args.b is not None else graph.n - 1
+        graph = parse_graph(_read(args.graph, "graph"))
+        a, b = 0, graph.n - 1
     elif args.family:
-        spec = _family_spec(args)
-        graph, a, b = build_family(spec)
-        if args.a is not None:
-            a = args.a
-        if args.b is not None:
-            b = args.b
-        if args.family == "circulant":
-            family_w = [list(v) for v in families.CIRCULANT_W]
-            family_coin = reflection_about(family_w)
-        elif args.family == "double-cone":
-            ms = [length // 4 for length in _parse_cycles(args.cycles)]
-            family_w = _alternating_vectors(ms)
-            family_coin = reflection_about([list(v) for v in family_w])
+        family = families.FAMILIES[args.family]
+        params = _family_params(args, family)
+        graph, a, b = build_family(args.family, params)
+        if family.marked_w is not None:
+            marked_w = family.marked_w(*params)
     else:
         raise InputError("a graph source is required (--graph or --family)")
+    a = a if args.a is None else args.a
+    b = b if args.b is None else args.b
     if a == b or not (0 <= a < graph.n and 0 <= b < graph.n):
         raise InputError("marked vertices must be distinct and in range")
 
     if args.coins:
-        path = Path(args.coins)
-        if not path.exists():
-            raise InputError(f"coin file not found: {path}")
-        assignment = parse_coins(path.read_text(), graph)
-    elif family_coin is not None:
-        assignment = CoinAssignment.grover_with_marked(graph, a, b, family_coin)
+        assignment = parse_coins(_read(args.coins, "coin"), graph)
+    elif marked_w is not None:
+        assignment = CoinAssignment.grover_with_marked(graph, a, b, reflection_about(marked_w))
     else:
         assignment = CoinAssignment.all_grover(graph)
 
     if args.subspace:
-        path = Path(args.subspace)
-        if not path.exists():
-            raise InputError(f"subspace file not found: {path}")
-        w_basis = _parse_subspace(path.read_text(), graph.degree(a))
-    elif family_w is not None:
-        w_basis = family_w
+        w_basis = _parse_subspace(_read(args.subspace, "subspace"), graph.degree(a))
     else:
-        w_basis = [[Fraction(1)] * graph.degree(a)]
+        w_basis = marked_w or [[Fraction(1)] * graph.degree(a)]
     return graph, a, b, assignment, w_basis
 
 
-def _family_spec(args) -> FamilySpec:
-    kind = {"k2m": "k2m", "circulant": "circulant", "double-cone": "double_cone",
-            "gp": "gp", "cone-over": "cone_over"}[args.family]
-    if kind == "k2m":
-        _need(args.m, "--m")
-        return FamilySpec(kind="k2m", m=args.m)
-    if kind == "circulant":
-        _need(args.m, "--m"), _need(args.c, "--c"), _need(args.d, "--d")
-        return FamilySpec(kind="circulant", m=args.m, c=args.c, d=args.d)
-    if kind == "double_cone":
-        lengths = _parse_cycles(args.cycles)
-        return FamilySpec(kind="double_cone", cycles=tuple(length // 4 for length in lengths))
-    if kind == "gp":
-        _need(args.k, "--k"), _need(args.n, "--n")
-        return FamilySpec(kind="gp", k=args.k, n=args.n)
-    _need(args.base, "--base")
-    path = Path(args.base)
-    if not path.exists():
-        raise InputError(f"base graph file not found: {path}")
-    return FamilySpec(kind="cone_over", base=parse_graph(path.read_text()))
+def _family_params(args, family: families.Family) -> tuple:
+    """The values of the family's flags, as its builders take them."""
+    params = []
+    for flag in family.params:
+        value = getattr(args, flag)
+        if value is None:
+            raise InputError(f"--{flag} is required for the {args.family} family")
+        if flag == "cycles":
+            value = _parse_cycles(value)
+        elif flag == "base":
+            value = parse_graph(_read(value, "base graph"))
+        params.append(value)
+    return tuple(params)
 
 
-def _need(value, flag: str):
-    if value is None:
-        raise InputError(f"{flag} is required for this family")
-
-
-def _parse_cycles(text: str | None) -> list[int]:
-    if not text:
-        raise InputError("--cycles is required for double-cone")
+def _parse_cycles(text: str) -> list[int]:
+    """The m_j of comma-separated cycle lengths 4m_j."""
     lengths = [int(tok) for tok in text.split(",") if tok]
     if any(length % 4 for length in lengths):
         raise InputError("double-cone cycle lengths must be divisible by 4")
-    return lengths
-
-
-def _alternating_vectors(ms: list[int]) -> list[list[Fraction]]:
-    total = sum(4 * m for m in ms)
-    out = []
-    offset = 0
-    for m in ms:
-        vec = [Fraction(0)] * total
-        for i in range(m):
-            vec[offset + 4 * i] = Fraction(1)
-            vec[offset + 4 * i + 2] = Fraction(-1)
-        out.append(vec)
-        offset += 4 * m
-    return out
+    return [length // 4 for length in lengths]
 
 
 def _parse_subspace(text: str, degree: int) -> list[list[Fraction]]:
@@ -161,7 +118,10 @@ def _parse_subspace(text: str, degree: int) -> list[list[Fraction]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        vec = [Fraction(tok) for tok in line.split()]
+        try:
+            vec = [Fraction(tok) for tok in line.split()]
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"bad subspace vector {line!r}: {e}") from e
         if len(vec) != degree:
             raise InputError(f"subspace vector has {len(vec)} entries, need {degree}")
         rows.append(vec)
@@ -266,23 +226,14 @@ def cmd_psi(args) -> int:
 
 def cmd_family(args) -> int:
     seed = int(os.environ.get("SST_SEED", "0"))
-    rng = random.Random(seed)
     if args.family is None:
         results = families.standard_battery(seed)
-    elif args.family == "k2m":
-        _need(args.m, "--m")
-        results = [families.case_k2m(args.m), families.case_k2m(args.m, rng=rng)]
-    elif args.family == "circulant":
-        _need(args.m, "--m"), _need(args.c, "--c"), _need(args.d, "--d")
-        results = [families.case_circulant(args.m, args.c, args.d)]
-    elif args.family == "double-cone":
-        ms = [length // 4 for length in _parse_cycles(args.cycles)]
-        results = [families.case_double_cone(ms)]
-    elif args.family == "gp":
-        _need(args.k, "--k"), _need(args.n, "--n")
-        results = [families.case_gp(args.k, args.n)]
     else:
-        raise InputError("cone-over runs through the pretty-good harness in demos")
+        family = families.FAMILIES[args.family]
+        if family.cases is None:
+            raise InputError(f"the {args.family} family has no cases; it runs through the "
+                             "pretty-good harness in demos")
+        results = family.cases(random.Random(seed), *_family_params(args, family))
     failed = False
     for res in results:
         print(res.line())
@@ -291,19 +242,32 @@ def cmd_family(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each accepting only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="sst",
         description="subspace state transfer analysis for coined arc-reversal walks")
     sub = parser.add_subparsers(dest="command", required=True)
+    cmds = {}
     for name, fn in (("period", cmd_period), ("transfer", cmd_transfer),
                      ("simulate", cmd_simulate), ("psi", cmd_psi),
                      ("family", cmd_family)):
-        p = sub.add_parser(name)
-        _add_source_args(p)
-        if name == "simulate":
-            p.add_argument("--times", help="comma-separated step counts")
-            p.add_argument("--state", help="w<j> | uniform | arc:u,v (default w1)")
-        p.set_defaults(fn=fn)
+        cmds[name] = sub.add_parser(name)
+        cmds[name].set_defaults(fn=fn)
+        if name == "family":
+            _add_family_args(cmds[name])
+        else:
+            _add_source_args(cmds[name])
+    for name in ("period", "transfer", "psi"):
+        cmds[name].add_argument("--dump-H", action="store_true",
+                                help="emit H_rat and delta_sq exactly")
+    for name in ("period", "transfer"):
+        cmds[name].add_argument("--format", choices=["human", "machine"], default="machine")
+    cmds["transfer"].add_argument("--report-split", action="store_true",
+                                  help="emit the Lambda+/Lambda- support factors")
+    cmds["simulate"].add_argument("--times", help="comma-separated step counts")
+    cmds["simulate"].add_argument("--state", help="w<j> | uniform | arc:u,v (default w1)")
+    cmds["simulate"].add_argument("--tol", type=float, default=1e-9,
+                                  help="print amplitudes above this modulus")
     return parser
 
 

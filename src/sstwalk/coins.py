@@ -157,10 +157,6 @@ class CoinAssignment:
     def coin(self, u: int) -> ReflectionCoin:
         return self.coins[u]
 
-    def total_rank(self) -> int:
-        """Total clone count: sum of rk(C_u + I)."""
-        return sum(c.rank for c in self.coins.values())
-
     @cached_property
     def step_plan(self):
         """The simulator's stacked coin blocks and arc reversal
@@ -194,8 +190,11 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
         elif parts[2] == "minus_identity":
             coins[v] = negative_identity_coin(deg)
         elif parts[2] == "basis":
-            r = int(parts[3])
-            entries = [Fraction(tok) for tok in parts[4:]]
+            try:
+                r = int(parts[3])
+                entries = [Fraction(tok) for tok in parts[4:]]
+            except (IndexError, ValueError, ZeroDivisionError) as e:
+                raise CoinError(f"bad coin line: {line!r}") from e
             if len(entries) != r * deg:
                 raise CoinError(
                     f"coin at {v}: expected {r * deg} entries, got {len(entries)}")

@@ -4,11 +4,13 @@ Each case builds the graph, the marked coins and the subspace W, runs the
 exact decider, the exact Chebyshev check and the double-precision simulation,
 and reports the three next to the expected transfer time.  The pretty-good
 case runs the special-form decision plus a numeric fidelity sweep.
+``FAMILIES`` is the table of the families the ``sst`` command line offers.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -151,10 +153,10 @@ def case_circulant(m: int, c: int, d: int,
                              coin, w, expected_time=4)
 
 
-def case_double_cone(ms: list[int]) -> CaseResult:
-    """Double cone over C_{4m_1} u ... u C_{4m_k}: transfer of the k-dimensional
-    alternating subspace between the conical vertices at t=4."""
-    graph, a, b = double_cone_cycles(ms)
+def double_cone_w(ms: list[int]) -> list[list[Fraction]]:
+    """The alternating W of the double cone over C_{4m_1} u ... u C_{4m_k}:
+    one vector per cycle, 1, 0, -1, 0, ... along that cycle's vertices in the
+    neighbor order of a conical vertex, 0 on the other cycles."""
     total = sum(4 * m for m in ms)
     w = []
     offset = 0
@@ -165,7 +167,15 @@ def case_double_cone(ms: list[int]) -> CaseResult:
             vec[offset + 4 * i + 2] = Fraction(-1)
         w.append(vec)
         offset += 4 * m
-    coin = reflection_about([list(v) for v in w])
+    return w
+
+
+def case_double_cone(ms: list[int]) -> CaseResult:
+    """Double cone over C_{4m_1} u ... u C_{4m_k}: transfer of the k-dimensional
+    alternating subspace between the conical vertices at t=4."""
+    graph, a, b = double_cone_cycles(ms)
+    w = double_cone_w(ms)
+    coin = reflection_about(w)
     name = "double_cone(" + ",".join(str(4 * m) for m in ms) + ")"
     return run_transfer_case(name, graph, a, b, coin, w, expected_time=4)
 
@@ -301,3 +311,38 @@ def standard_battery(seed: int = 0) -> list[CaseResult]:
         case_octahedron_grover(),
     ]
     return results
+
+
+# -- the family table ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family of the ``sst`` command line.
+
+    ``params`` names the flags the family reads, in the order in which
+    ``graph``, ``marked_w`` and ``cases`` take their values.  ``graph`` builds
+    (graph, a, b); ``graphs.build_family`` calls it.  ``marked_w`` gives the
+    canonical marked subspace W, and the marked coin is the reflection about it
+    (None: Grover coins everywhere and W = span{1}).  ``cases(rng, *params)``
+    gives the ``sst family`` results (None: the family has none).
+    """
+
+    params: tuple[str, ...]
+    graph: Callable[..., tuple[Graph, int, int]]
+    marked_w: Callable[..., list[list[Fraction]]] | None = None
+    cases: Callable[..., list[CaseResult]] | None = None
+
+
+FAMILIES = {
+    "k2m": Family(("m",), complete_bipartite_k2m,
+                  cases=lambda rng, m: [case_k2m(m), case_k2m(m, rng=rng)]),
+    "circulant": Family(("m", "c", "d"), circulant_2m,
+                        marked_w=lambda m, c, d: [list(v) for v in CIRCULANT_W],
+                        cases=lambda rng, m, c, d: [case_circulant(m, c, d)]),
+    "double-cone": Family(("cycles",), double_cone_cycles, marked_w=double_cone_w,
+                          cases=lambda rng, ms: [case_double_cone(ms)]),
+    "gp": Family(("k", "n"), generalized_path,
+                 cases=lambda rng, k, n: [case_gp(k, n)]),
+    "cone-over": Family(("base",), double_cone_over),
+}

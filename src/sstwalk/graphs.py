@@ -114,35 +114,14 @@ def format_graph(g: Graph) -> str:
 # -- families ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family instance; ``build`` returns (graph, a, b)."""
+def build_family(name: str, params: tuple) -> tuple[Graph, int, int]:
+    """(graph, a, b) of the family ``name`` of ``sstwalk.families.FAMILIES``;
+    ``params`` are the values of that family's flags, in order."""
+    from .families import FAMILIES
 
-    kind: str
-    m: int | None = None
-    c: int | None = None
-    d: int | None = None
-    k: int | None = None
-    n: int | None = None
-    cycles: tuple[int, ...] | None = None
-    base: Graph | None = None
-
-    def build(self) -> tuple[Graph, int, int]:
-        return build_family(self)
-
-
-def build_family(spec: FamilySpec) -> tuple[Graph, int, int]:
-    if spec.kind == "k2m":
-        return complete_bipartite_k2m(spec.m)
-    if spec.kind == "circulant":
-        return circulant_2m(spec.m, spec.c, spec.d)
-    if spec.kind == "double_cone":
-        return double_cone_cycles(list(spec.cycles))
-    if spec.kind == "gp":
-        return generalized_path(spec.k, spec.n)
-    if spec.kind == "cone_over":
-        return double_cone_over(spec.base)
-    raise GraphError(f"unknown family kind {spec.kind!r}")
+    if name not in FAMILIES:
+        raise GraphError(f"unknown family {name!r}")
+    return FAMILIES[name].graph(*params)
 
 
 def complete_bipartite_k2m(m: int) -> tuple[Graph, int, int]:

@@ -18,10 +18,6 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-def frac_mat(rows) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def frac_vec(entries) -> Vec:
     return [Fraction(x) for x in entries]
 

@@ -1,8 +1,8 @@
 """Coin bases, the Hermitian reduction H = N*RN, and the marked-vertex blow-up.
 
 H is never materialized with irrational entries.  A reduction stores the
-symmetric rational matrix S = M^T R M (M = exact orthogonal coin basis) and the
-diagonal D = M^T M; the true Hermitian matrix is H = D^{-1/2} S D^{-1/2} and
+nonzeros of the symmetric rational matrix S = M^T R M (M = exact orthogonal
+coin basis) and the diagonal D = M^T M; the true Hermitian matrix is H = D^{-1/2} S D^{-1/2} and
 its rational similar carrier is H_rat = S D^{-1} (so H = Delta^{-1} H_rat Delta
 with Delta = D^{1/2}).  Exact transfer checks and resolvent traces operate on
 H_rat directly whenever the paired clones share delta_sq, through its sparse
@@ -104,20 +104,19 @@ def _prepare_subspace(assignment: CoinAssignment, u: int, basis: list[Vec]) -> l
 class HermitianReduction:
     """The pair (H_rat, delta_sq) plus clone bookkeeping.
 
-    Invariants (exact): sym is symmetric, H_rat = sym * diag(delta_sq)^{-1},
-    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i]; ``nonzeros`` lists
-    the (i, j, sym[i][j]) with sym[i][j] != 0, sorted by (i, j), and the
-    numeric views read it instead of scanning the dense sym.
+    The carrier is ``nonzeros``: the (i, j, sym[i][j]) with sym[i][j] != 0,
+    sorted by (i, j), of the symmetric rational matrix sym.  Invariants
+    (exact): H_rat = sym * diag(delta_sq)^{-1}, so delta_sq[j] * H_rat[i][j]
+    == delta_sq[i] * H_rat[j][i].
 
-    A reduction is not mutated after build_H: the lazy views below (dense
-    h_rat, the sparse integer view) and the moment sequences and resolvent
+    A reduction is not mutated after build_H: the lazy views below (dense sym
+    and h_rat, the sparse integer view) and the moment sequences and resolvent
     summaries that ``sstwalk.exact`` memoises in ``memo`` are computed once
-    from sym and delta_sq and never invalidated.
+    from nonzeros and delta_sq and never invalidated.
     """
 
     assignment: CoinAssignment
     basis: CoinBasis
-    sym: Mat
     nonzeros: list[tuple[int, int, Fraction]]
     delta_sq: list[Fraction]
     clone_of: list[tuple[int, int]]  # clone index -> (vertex, column id at vertex)
@@ -130,10 +129,17 @@ class HermitianReduction:
         return len(self.delta_sq)
 
     @cached_property
+    def sym(self) -> Mat:
+        """Dense sym, filled from the nonzeros; only h_rat and tests need it."""
+        sym = linalg.zeros(self.size, self.size)
+        for i, j, x in self.nonzeros:
+            sym[i][j] = x
+        return sym
+
+    @cached_property
     def h_rat(self) -> Mat:
         """Dense H_rat; only --dump-H and tests need it."""
-        return [[self.sym[i][j] / self.delta_sq[j]
-                 for j in range(self.size)] for i in range(self.size)]
+        return [[x / d for x, d in zip(row, self.delta_sq)] for row in self.sym]
 
     @cached_property
     def int_view(self) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
@@ -172,9 +178,6 @@ class HermitianReduction:
             n[sl, j] = col / np.linalg.norm(col)
         return n
 
-    def clones_at(self, u: int) -> list[int]:
-        return [j for j, (v, _) in enumerate(self.clone_of) if v == u]
-
 
 def z_apply(rows, vec: list[int]) -> list[int]:
     """Z vec for the sparse integer rows of ``HermitianReduction.int_view``."""
@@ -182,14 +185,14 @@ def z_apply(rows, vec: list[int]) -> list[int]:
 
 
 def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
-    """Assemble sym = M^T R M and delta_sq = diag(M^T M) from a coin basis.
+    """Assemble the nonzeros of sym = M^T R M and delta_sq = diag(M^T M) from
+    a coin basis.
 
     The (j,k) entry couples clone j at u and clone k at u' ~ u with weight
     v_j[pos_u(u')] * v_k[pos_{u'}(u)]; non-adjacent (and equal) vertices give 0.
     """
     g = assignment.graph
     cols = basis.columns
-    m = len(cols)
     per_vertex: dict[int, list[int]] = {}
     for j, (u, _) in enumerate(cols):
         per_vertex.setdefault(u, []).append(j)
@@ -198,7 +201,6 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
             if linalg.dot(list(cols[i][1]), list(cols[j][1])) != 0:
                 raise ReductionError(
                     f"coin basis at vertex {u} is not exactly orthogonal")
-    sym = linalg.zeros(m, m)
     nonzeros = []
     for u, ids in per_vertex.items():
         for pos_w, w in enumerate(g.neighbors[u]):
@@ -210,7 +212,6 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
                 for k in per_vertex[w]:
                     x = vj * cols[k][1][pos_u]
                     if x:
-                        sym[j][k] = sym[k][j] = x
                         nonzeros += ((j, k, x), (k, j, x))
     nonzeros.sort()
     delta_sq = [linalg.dot(list(v), list(v)) for _, v in cols]
@@ -219,8 +220,8 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
     for u, _ in cols:
         clone_of.append((u, clone_ids.get(u, 0)))
         clone_ids[u] = clone_ids.get(u, 0) + 1
-    return HermitianReduction(assignment=assignment, basis=basis, sym=sym,
-                              nonzeros=nonzeros, delta_sq=delta_sq, clone_of=clone_of,
+    return HermitianReduction(assignment=assignment, basis=basis, nonzeros=nonzeros,
+                              delta_sq=delta_sq, clone_of=clone_of,
                               s=list(basis.s_clones), t=list(basis.t_clones))
 
 

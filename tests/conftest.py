@@ -43,9 +43,9 @@ def assembled_instance(seed: int):
 def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:
     """A reduction carrying an arbitrary (sym, delta_sq) pair, for exercising
     the exact algebra without a graph behind it."""
-    sym = [[Fraction(x) for x in row] for row in sym_rows]
-    nonzeros = [(i, j, x) for i, row in enumerate(sym) for j, x in enumerate(row) if x]
-    return HermitianReduction(assignment=None, basis=None, sym=sym, nonzeros=nonzeros,
+    nonzeros = [(i, j, Fraction(x)) for i, row in enumerate(sym_rows)
+                for j, x in enumerate(row) if x]
+    return HermitianReduction(assignment=None, basis=None, nonzeros=nonzeros,
                               delta_sq=[Fraction(x) for x in delta_sq],
-                              clone_of=[(i, 0) for i in range(len(sym))],
+                              clone_of=[(i, 0) for i in range(len(sym_rows))],
                               s=list(s), t=list(t))

@@ -18,7 +18,8 @@ from sstwalk.decider import (cyclotomic, decide_transfer,
 from sstwalk.exact import RatPoly, pole_support, psi
 from sstwalk.families import (case_circulant, case_double_cone, case_gp,
                               case_k2m, case_octahedron_grover,
-                              case_pretty_good_cone, fidelity_series)
+                              case_pretty_good_cone, double_cone_w,
+                              fidelity_series)
 from sstwalk.graphs import (circulant_2m, complete_bipartite_k2m,
                             complete_multipartite, cycle_graph,
                             double_cone_cycles, generalized_path, prism_graph)
@@ -50,18 +51,8 @@ def family_instances():
         out.append((f"gp-{k}-{n}", g, a, b, grover_coin(k), [[1] * k]))
     for ms in ([1, 2], [1, 1, 3]):
         g, a, b = double_cone_cycles(ms)
-        w = []
-        offset = 0
-        total = sum(4 * m for m in ms)
-        for m in ms:
-            vec = [Fraction(0)] * total
-            for i in range(m):
-                vec[offset + 4 * i] = Fraction(1)
-                vec[offset + 4 * i + 2] = Fraction(-1)
-            w.append(vec)
-            offset += 4 * m
-        out.append((f"cone-{ms}", g, a, b,
-                    reflection_about([list(v) for v in w]), w))
+        w = double_cone_w(ms)
+        out.append((f"cone-{ms}", g, a, b, reflection_about(w), w))
     g, a, b = circulant_2m(3, 1, 2)
     out.append(("octa-grover", g, a, b, grover_coin(4), [[1, 1, 1, 1]]))
     return out

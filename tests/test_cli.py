@@ -5,6 +5,8 @@ import pytest
 
 from sstwalk.cli import main
 from sstwalk.exact import InvariantError
+from sstwalk.families import FAMILIES
+from sstwalk.graphs import format_graph, prism_graph
 
 
 def run(capsys, *argv):
@@ -215,3 +217,74 @@ def test_exit_code_names_the_fault(capsys, monkeypatch, error, code, prefix):
     rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
     assert rc == code and out == ""
     assert err == prefix + "stage failed\n"
+
+
+# per family of the table: its flags (BASE stands for a prism graph file), then
+# the golden transfer and period lines and the `sst family` lines at
+# SST_SEED=0 (None: the family has no cases and `sst family` exits 2)
+FAMILY_GOLDEN = {
+    "k2m": (["--m", "3"], "TRANSFER time=2 gamma=+1", "PERIODIC min_period=4 L={1,2,4}",
+            ["CASE k2m(m=3,grover) expected=2 got=2 fidelity=1.000000000000 status=PASS",
+             "CASE k2m(m=3,rank=2,dim=2) expected=2 got=2 fidelity=1.000000000000 "
+             "status=PASS"]),
+    "circulant": (["--m", "3", "--c", "1", "--d", "2"], "TRANSFER time=4 gamma=-1",
+                  "PERIODIC min_period=8 L={4,8}",
+                  ["CASE circulant(m=3,c=1,d=2) expected=4 got=4 fidelity=1.000000000000 "
+                   "status=PASS"]),
+    "double-cone": (["--cycles", "4,8"], "TRANSFER time=4 gamma=-1",
+                    "PERIODIC min_period=8 L={4,8}",
+                    ["CASE double_cone(4,8) expected=4 got=4 fidelity=1.000000000000 "
+                     "status=PASS"]),
+    "gp": (["--k", "2", "--n", "4"], "TRANSFER time=3 gamma=+1",
+           "PERIODIC min_period=6 L={1,2,3,6}",
+           ["CASE gp(k=2,n=4,rank=1) expected=3 got=3 fidelity=1.000000000000 status=PASS"]),
+    "cone-over": (["--base", "BASE"], "NO_TRANSFER stage=not-periodic",
+                  "NOT_PERIODIC reason=support-not-cyclotomic", None),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_every_family_through_cli(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SST_SEED", "0")
+    base = tmp_path / "prism.txt"
+    base.write_text(format_graph(prism_graph()))
+    flags, transfer, period, cases = FAMILY_GOLDEN[name]
+    argv = ["--family", name, *(str(base) if f == "BASE" else f for f in flags)]
+    assert run(capsys, "transfer", *argv)[:2] == (0, transfer + "\n")
+    assert run(capsys, "period", *argv)[:2] == (0, period + "\n")
+    rc, out, err = run(capsys, "family", *argv)
+    if cases is None:
+        assert (rc, out) == (2, "") and "pretty-good harness" in err
+    else:
+        assert (rc, out.splitlines()) == (0, cases)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("coins", "coin 0 basis\n"),
+    ("coins", "coin 0 basis 1 1/0 0 0\n"),
+    ("subspace", "1/0 0 0\n"),
+])
+def test_malformed_file_exit_2(tmp_path, capsys, kind, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3",
+                       f"--{kind}", str(path))
+    assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--graph", "g.txt"],
+    ["family", "--family", "k2m", "--m", "3", "--coins", "bad.txt"],
+    ["family", "--family", "k2m", "--m", "3", "--format", "human"],
+    ["simulate", "--family", "k2m", "--m", "3", "--report-split"],
+    ["simulate", "--family", "k2m", "--m", "3", "--dump-H"],
+    ["psi", "--family", "k2m", "--m", "3", "--format", "human"],
+    ["period", "--family", "k2m", "--m", "3", "--tol", "0.1"],
+    ["transfer", "--family", "k2m", "--m", "3", "--times", "1"],
+])
+def test_unread_flag_rejected(capsys, argv):
+    """Each subcommand accepts only the flags it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

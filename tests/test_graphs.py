@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from sstwalk.graphs import (FamilySpec, GraphError, build_family, build_graph,
+from sstwalk.graphs import (GraphError, build_family, build_graph,
                             circulant_2m, complete_bipartite_k2m, cycle_graph,
                             double_cone_cycles, format_graph, generalized_path,
                             parse_graph, prism_graph)
@@ -117,11 +117,11 @@ def test_double_cone_conical_twins():
     assert g.degree(a) == 12
 
 
-def test_family_spec_dispatch():
-    g, a, b = build_family(FamilySpec(kind="gp", k=2, n=4))
-    assert g.n == 6
+def test_build_family_dispatch():
+    g, a, b = build_family("gp", (2, 4))
+    assert g.n == 6 and (a, b) == (0, 5)
     with pytest.raises(GraphError):
-        build_family(FamilySpec(kind="nope"))
+        build_family("nope", ())
 
 
 def test_parse_format_roundtrip():
