@@ -18,8 +18,9 @@ The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
 ``cosine_factor`` divides the primitive integer polynomial of 2^deg p(y/2) by
 every Psi~_m that fits.  That scan decides periodicity and splits the support
-into the cosine minimal polynomials Psi_m(x) = 2^-deg Psi~_m(2x); sympy only
-factors what is left over.
+into the cosine minimal polynomials Psi_m(x) = 2^-deg Psi~_m(2x); a quadratic
+rest is split by an exact discriminant test, and sympy only factors a rest of
+degree >= 3.
 """
 
 from __future__ import annotations
@@ -268,8 +269,9 @@ def factor_irreducible(p: RatPoly) -> list[RatPoly]:
     """Distinct monic Q-irreducible factors of p, sorted by (degree, coeffs).
 
     The square-free part is split into cosine minimal polynomials by the
-    exact scan ``cosine_factor``; a linear remainder is its own factor, and
-    only a remainder of degree >= 2 goes to sympy's Q[x] factorizer.
+    exact scan ``cosine_factor``; a linear remainder is its own factor, a
+    quadratic one is split by its discriminant (``_split_quadratic``), and
+    only a remainder of degree >= 3 goes to sympy's Q[x] factorizer.
     """
     if p.degree <= 0:
         return []
@@ -277,9 +279,27 @@ def factor_irreducible(p: RatPoly) -> list[RatPoly]:
     factors = [cosine_poly(m) for m in orders]
     if rest.degree == 1:
         factors.append(rest)
-    elif rest.degree > 1:
+    elif rest.degree == 2:
+        factors.extend(_split_quadratic(rest))
+    elif rest.degree > 2:
         factors.extend(_sympy_factor(rest))
     return sorted(factors, key=lambda q: (q.degree, q.coeffs))
+
+
+def _split_quadratic(p: RatPoly) -> list[RatPoly]:
+    """The monic factors of a monic square-free quadratic x^2 + bx + c over Q:
+    x + (b -+ r)/2 when the discriminant b^2 - 4c is the square of a rational
+    r, else p itself.  A reduced fraction is a rational square iff its
+    numerator and denominator are integer squares."""
+    c, b, _ = p.coeffs
+    disc = b * b - 4 * c
+    if disc < 0:
+        return [p]
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return [p]
+    r = Fraction(num, den)
+    return [RatPoly([(b - r) / 2, 1]), RatPoly([(b + r) / 2, 1])]
 
 
 def _sympy_factor(p: RatPoly) -> list[RatPoly]:

@@ -13,13 +13,14 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
 from . import linalg
 from .coins import CoinAssignment, ReflectionCoin, grover_coin, reflection_about
 from .decider import TransferVerdict, decide_pretty_good_special, decide_transfer
-from .exact import pole_support, psi
+from .exact import InvariantError, pole_support, psi
 from .graphs import (Graph, circulant_2m, complete_bipartite_k2m,
                      double_cone_cycles, double_cone_over, generalized_path)
 from .reduction import exact_transfer_check, reduction_for
@@ -269,24 +270,119 @@ def pointwise_fidelity_power(assignment: CoinAssignment, a: int, b: int,
                            lambda x: u_t @ x)
 
 
-def fidelity_series(red, t_max: int, early_exit: float | None = None,
-                    chunk: int = 20000) -> np.ndarray:
+SWEEP_CHUNK = 20000
+"""Steps per chunk of ``fidelity_series``: the early exit looks at whole
+chunks, and each chunk costs (chunk / B + B) cos and sin per eigenvalue with
+B = ceil(sqrt(chunk))."""
+
+_DEFLATION_TOL = 1e-10
+"""A Krylov direction whose norm falls below this after orthogonalisation
+against the basis is dropped as dependent; H has norm <= 1 and the starting
+columns are unit vectors, so the bound is absolute."""
+
+_FLUSH = 1e-20
+"""Entries of a unit basis vector below this are set to 0: they lie far below
+rounding in every inner product, and left alone the repeated projections
+drive them into subnormal numbers, which slow BLAS and LAPACK several-fold."""
+
+
+def _marked_spectrum(red) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values lam_k of H and weights E_k[T_j, S_j] (dim W x k) on the
+    block Krylov space of the unit columns of S u T.
+
+    The basis grows one block at a time: the next block is H times the last
+    one (sparse mat-vecs on ``h_sparse``), and each of its columns is
+    orthogonalised twice against the whole basis.  A column left with norm
+    below _DEFLATION_TOL is dropped.  When no column survives, the space is
+    H-invariant and holds every e_s and e_t, so Rayleigh-Ritz on it
+    reproduces the marked spectral weights of H up to rounding.
+    """
+    rows, cols, vals = red.h_sparse
+    n = red.size
+    marked = sorted(set(red.s) | set(red.t))
+    basis = np.zeros((min(max(2 * len(marked), 16), n), n))  # rows: orthonormal
+    basis[np.arange(len(marked)), marked] = 1.0
+    images = np.zeros_like(basis)                           # rows: H times each
+    used, last = len(marked), slice(0, len(marked))
+    while True:
+        block = basis[last]
+        width = len(block)
+        hits = (rows[:, None] * width + np.arange(width)).ravel()
+        image = np.bincount(hits, weights=(vals[:, None] * block.T[cols]).ravel(),
+                            minlength=n * width).reshape(n, width).T
+        images[last] = image
+        start = used
+        for col in image:
+            for _ in range(2):
+                col = col - basis[:used].T @ (basis[:used] @ col)
+            norm = float(np.linalg.norm(col))
+            if norm < _DEFLATION_TOL:
+                continue
+            if used == n:
+                raise InvariantError("Krylov basis outgrew the clone space")
+            if used == len(basis):  # double the capacity, up to n rows
+                grow = np.zeros((min(used, n - used), n))
+                basis, images = np.vstack([basis, grow]), np.vstack([images, grow])
+            col /= norm
+            col[np.abs(col) < _FLUSH] = 0.0
+            basis[used] = col
+            used += 1
+        if used == start:
+            break
+        last = slice(start, used)
+    basis, images = basis[:used], images[:used]
+    # Rayleigh-Ritz with the first-order Gram correction G^{-1/2} ~ I - E/2,
+    # E = basis basis^T - I: the basis is orthonormal only to rounding, and
+    # near |lam| = 1, where the sweep is most sensitive, E would otherwise
+    # move the Ritz values by a few ulps
+    skew = basis @ basis.T - np.eye(used)
+    rayleigh = basis @ images.T
+    rayleigh -= (skew @ rayleigh + rayleigh @ skew) / 2
+    lam, ritz = np.linalg.eigh((rayleigh + rayleigh.T) / 2)
+    ritz -= skew @ ritz / 2
+    return lam, (basis[:, red.t].T @ ritz) * (basis[:, red.s].T @ ritz)
+
+
+def _cos_sums(theta: np.ndarray, weights: np.ndarray, start: int,
+              length: int) -> np.ndarray:
+    """sum_k weights[j, k] cos(t theta_k) for t = start .. start+length-1,
+    as a (length, dim W) array.
+
+    With t = t0 + s, t0 on a grid of step B = ceil(sqrt(length)) and
+    0 <= s < B, angle addition gives cos(t0 theta) cos(s theta) -
+    sin(t0 theta) sin(s theta): (length / B + B) cos and sin per angle and
+    two matrix products, in place of length cosines.
+    """
+    step = isqrt(length - 1) + 1
+    coarse = np.outer(start + np.arange(0, length, step), theta)   # (length/B, k)
+    fine = np.outer(np.arange(step), theta)                        # (B, k)
+    cos0 = np.cos(coarse)[None] * weights[:, None, :]              # (dim W, length/B, k)
+    sin0 = np.sin(coarse)[None] * weights[:, None, :]
+    sums = cos0 @ np.cos(fine).T - sin0 @ np.sin(fine).T           # (dim W, length/B, B)
+    return sums.reshape(len(weights), -1)[:, :length].T
+
+
+def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndarray:
     """Pointwise W-transfer fidelity at integer steps 0..t_max, spectrally.
 
     Uses N* U^t N = f_t(H): the overlap of U^t x_a(w_j) with x_b(w_j) is
-    sum_k cos(t arccos lambda_k) E_k[T_j, S_j].  Identical to the direct
-    simulation up to the spectral-bridge accuracy; with ``early_exit`` the
-    sweep stops after the first step whose fidelity reaches the threshold.
+    sum_k cos(t arccos lambda_k) E_k[T_j, S_j].  Only eigenvalues with weight
+    on the marked clones S u T enter, so the spectrum comes from the block
+    Krylov space of their unit columns (``_marked_spectrum``): it grows until
+    it is H-invariant, so its Ritz values and weights are exact up to
+    rounding, and no size x size array is built.  The cosine sums are
+    evaluated in chunks of SWEEP_CHUNK steps by the blocked kernel
+    ``_cos_sums``.  Identical to the direct simulation up to the
+    spectral-bridge accuracy; with ``early_exit`` the sweep stops after the
+    first step whose fidelity reaches the threshold, and returns that prefix
+    of the full series.
     """
-    h = red.h_numeric()
-    lam, vecs = np.linalg.eigh(h)
+    lam, weights = _marked_spectrum(red)
     theta = np.arccos(np.clip(lam, -1.0, 1.0))
-    weights = vecs[red.t, :] * vecs[red.s, :]  # (dim W, #eigvecs)
     out = np.zeros(t_max + 1)
-    for start in range(0, t_max + 1, chunk):
-        ts = np.arange(start, min(start + chunk, t_max + 1))
-        cos_t = np.cos(np.outer(ts, theta))
-        overlaps = cos_t @ weights.T  # (len(ts), dim W)
+    for start in range(0, t_max + 1, SWEEP_CHUNK):
+        ts = np.arange(start, min(start + SWEEP_CHUNK, t_max + 1))
+        overlaps = _cos_sums(theta, weights, start, len(ts))  # (len(ts), dim W)
         gamma = np.sign(overlaps[:, 0])
         gamma[gamma == 0] = 1.0
         fid = np.min(overlaps * gamma[:, None], axis=1)

@@ -110,9 +110,9 @@ class HermitianReduction:
     == delta_sq[i] * H_rat[j][i].
 
     A reduction is not mutated after build_H: the lazy views below (dense sym
-    and h_rat, the sparse integer view) and the moment sequences and resolvent
-    summaries that ``sstwalk.exact`` memoises in ``memo`` are computed once
-    from nonzeros and delta_sq and never invalidated.
+    and h_rat, the sparse integer and float views) and the moment sequences
+    and resolvent summaries that ``sstwalk.exact`` memoises in ``memo`` are
+    computed once from nonzeros and delta_sq and never invalidated.
     """
 
     assignment: CoinAssignment
@@ -156,14 +156,22 @@ class HermitianReduction:
                 for row in entries]
         return rows, scale
 
-    def h_numeric(self) -> np.ndarray:
-        """H = D^{-1/2} sym D^{-1/2} in doubles, filled from the nonzeros."""
+    @cached_property
+    def h_sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse float view (rows, cols, vals) of H = D^{-1/2} sym D^{-1/2},
+        read from the nonzeros in O(nnz): vals = sym[i][j] / (d_i d_j) with
+        d = sqrt(delta_sq), at (i, j) = (rows, cols)."""
         d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
         rows = np.array([i for i, _, _ in self.nonzeros], dtype=int)
         cols = np.array([j for _, j, _ in self.nonzeros], dtype=int)
         vals = np.array([float(x) for _, _, x in self.nonzeros], dtype=float)
+        return rows, cols, vals / (d[rows] * d[cols])
+
+    def h_numeric(self) -> np.ndarray:
+        """Dense H in doubles, scattered from ``h_sparse``."""
+        rows, cols, vals = self.h_sparse
         h = np.zeros((self.size, self.size))
-        h[rows, cols] = vals / (d[rows] * d[cols])
+        h[rows, cols] = vals
         return h
 
     def n_numeric(self) -> np.ndarray:

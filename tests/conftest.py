@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sstwalk.coins import CoinAssignment
-from sstwalk.families import random_coin_and_subspace
-from sstwalk.graphs import GraphError, build_graph
+from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
+from sstwalk.families import (double_cone_w, random_coin_and_subspace,
+                              random_orthogonal_columns)
+from sstwalk.graphs import (GraphError, build_graph, circulant_2m,
+                            complete_bipartite_k2m, double_cone_cycles,
+                            generalized_path)
 from sstwalk.reduction import HermitianReduction, reduction_for
 
 
@@ -38,6 +41,48 @@ def assembled_instance(seed: int):
     assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     red = reduction_for(assignment, a, w, b)
     return graph, a, b, assignment, w, red
+
+
+def schedule_reduction(rng: random.Random, n: int, rank: int, dim_w: int
+                       ) -> HermitianReduction:
+    """The shape of the benchmark's random-small instances: a random tree on
+    n vertices plus 30 % of the other vertex pairs as chords, a marked pair of
+    equal degree >= rank with a shared random rational reflection coin of that
+    rank (Grover elsewhere) and W spanned by dim_w of its basis vectors."""
+    extra = round(0.3 * (n - 1) * (n - 2) / 2)
+    while True:
+        tree = [(rng.randrange(v), v) for v in range(1, n)]
+        chords = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) not in set(tree)]
+        graph = build_graph(tree + rng.sample(chords, extra), n)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if graph.degree(a) == graph.degree(b) >= rank]
+        if pairs:
+            break
+    a, b = rng.choice(pairs)
+    cols = random_orthogonal_columns(rng, graph.degree(a), rank)
+    assignment = CoinAssignment.grover_with_marked(graph, a, b, reflection_about(cols))
+    return reduction_for(assignment, a, cols[:dim_w], b)
+
+
+FAMILY_NAMES = ["gp(4,10)", "circulant(20,1,19)", "double_cone([1,2,3])", "k2m(20)"]
+
+
+def family_reduction(name: str) -> HermitianReduction:
+    """One of the four FAMILY_NAMES instances the differential tests share:
+    gp(4,10) and k2m(20) with Grover coins and W = span{1}, circulant(20,1,19)
+    and double_cone([1,2,3]) with the reflection about their canonical W."""
+    if name == "gp(4,10)":
+        (g, a, b), coin, w = generalized_path(4, 10), grover_coin(4), [[1] * 4]
+    elif name == "circulant(20,1,19)":
+        w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+        (g, a, b), coin = circulant_2m(20, 1, 19), reflection_about(w)
+    elif name == "double_cone([1,2,3])":
+        (g, a, b), w = double_cone_cycles([1, 2, 3]), double_cone_w([1, 2, 3])
+        coin = reflection_about(w)
+    else:
+        (g, a, b), coin, w = complete_bipartite_k2m(20), grover_coin(20), [[1] * 20]
+    return reduction_for(CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b)
 
 
 def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:

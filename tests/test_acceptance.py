@@ -234,3 +234,20 @@ def test_criterion_11_gp_194_clones():
     ok = ok and exact_transfer_check(red, verdict.time, verdict.gamma)
     elapsed = time.perf_counter() - start
     report(11, f"GP(4,50) exact decide + check ({elapsed:.1f}s)", ok and elapsed < 10.0)
+
+
+def test_criterion_12_sweep_10k_clones():
+    """Fidelity sweep on circulant(5000,1,4999), 10002 clones (Grover coins
+    plus the reflection about W): it first reaches 1 - 1e-9 at t = 4 over
+    t <= 1000, and reduction_for + fidelity_series take under 5 s."""
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(5000, 1, 4999)
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    start = time.perf_counter()
+    red = reduction_for(asn, a, w, b)
+    series = fidelity_series(red, 1000)
+    elapsed = time.perf_counter() - start
+    first = int(np.argmax(series >= 1 - 1e-9))
+    ok = red.size == 10002 and series[first] >= 1 - 1e-9 and first == 4
+    report(12, f"sweep on circulant(5000,1,4999), 10002 clones ({elapsed:.1f}s)",
+           ok and elapsed < 5.0)

@@ -20,9 +20,9 @@ import pytest
 
 from sstwalk.decider import (_support_orders, cyclotomic,
                              factor_into_cyclotomics, sharp)
-from sstwalk.exact import (X, RatPoly, _sympy_factor, cosine_factor,
-                           cosine_poly, factor_irreducible, resolvent,
-                           squarefree_part)
+from sstwalk.exact import (X, RatPoly, _split_quadratic, _sympy_factor,
+                           cosine_factor, cosine_poly, factor_irreducible,
+                           resolvent, squarefree_part)
 from test_psi_oracle import random_reduction
 
 ORACLE_BOUND = 200
@@ -187,12 +187,45 @@ def test_cosine_supports_never_import_sympy(argv):
     assert out.splitlines()[-1] == "False"
 
 
-def test_non_cosine_quadratic_goes_to_sympy():
+def test_only_a_cubic_rest_goes_to_sympy():
+    """A non-cosine quadratic rest is settled by the discriminant test with
+    sympy never imported; a rest of degree 3 still goes to sympy."""
     out = _run_without_sympy(
         "import sys\n"
         "from fractions import Fraction\n"
         "from sstwalk.exact import RatPoly, factor_irreducible\n"
         "p = RatPoly([Fraction(-1, 3), 0, 1])\n"
         "assert factor_irreducible(p) == [p]\n"
+        "print('sympy' in sys.modules)\n"
+        "q = RatPoly([-2, 0, 0, 1])\n"
+        "assert factor_irreducible(q) == [q]\n"
         "print('sympy' in sys.modules)\n")
-    assert out.splitlines()[-1] == "True"
+    assert out.splitlines()[-2:] == ["False", "True"]
+
+
+def test_quadratic_split_matches_sympy():
+    """_split_quadratic and factor_irreducible against sympy on 200 seeded
+    monic quadratics: products of two distinct rational linear factors
+    (square discriminant) and random x^2 + bx + c, which have a non-square
+    or negative discriminant unless they happen to split."""
+    rng = random.Random(20261019)
+
+    def rational():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    split = 0
+    for i in range(200):
+        if i % 2:
+            r, s = rational(), rational()
+            while s == r:
+                s = rational()
+            p = RatPoly([-r, 1]) * RatPoly([-s, 1])
+        else:
+            p = RatPoly([rational(), rational(), 1])
+            if squarefree_part(p).degree < 2:
+                continue
+        want = sorted(_sympy_factor(p), key=lambda q: (q.degree, q.coeffs))
+        assert sorted(_split_quadratic(p), key=lambda q: (q.degree, q.coeffs)) == want, p
+        assert factor_irreducible(p) == want, p
+        split += len(want) == 2
+    assert 100 <= split < 200

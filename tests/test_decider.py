@@ -1,10 +1,13 @@
 """The sharp transform, cyclotomics, and the periodicity/transfer deciders."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import synthetic_reduction
+from conftest import schedule_reduction, synthetic_reduction
 from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.decider import (cyclotomic, decide_periodicity,
                              decide_pretty_good_special, decide_transfer,
@@ -264,11 +267,40 @@ def test_cyclotomic_product_roundtrip():
     check()
 
 
+def test_decider_agrees_with_sweep_on_random_graphs():
+    """660 seeded random connected graphs on 4..14 vertices (the random-small
+    shapes), against the spectral sweep over t <= 4 size^3 by the benchmark's
+    rule: a positive verdict's time is the sweep's first step at or above
+    1 - 1e-9; a negative verdict's sweep never reaches 1 - 1e-9, and a first
+    near miss (>= 1 - 1e-4) at t <= 64 is rejected by the exact Chebyshev
+    identity with both phases."""
+    from sstwalk.families import fidelity_series
+
+    rng = random.Random(20261020)
+    shapes = ((1, 1), (2, 1), (2, 2))
+    stages = Counter()
+    for i in range(660):
+        rank, dim_w = shapes[i // 11 % 3]
+        red = schedule_reduction(rng, 4 + i % 11, rank, dim_w)
+        verdict = decide_transfer(red)
+        sweep = fidelity_series(red, 4 * red.size ** 3)
+        if verdict.occurs:
+            first = int(np.argmax(sweep >= 1 - 1e-9))
+            assert sweep[first] >= 1 - 1e-9 and first == verdict.time, verdict.line()
+        else:
+            assert sweep.max() < 1 - 1e-9, verdict.line()
+            near = np.flatnonzero(sweep >= 1 - 1e-4)
+            if near.size and near[0] <= 64:
+                assert not any(exact_transfer_check(red, int(near[0]), gamma)
+                               for gamma in (1, -1))
+        stages[verdict.reason or "transfer"] += 1
+    assert stages["transfer"] > 0 and stages["not-cospectral"] > 0
+
+
 def test_adjacent_triangle_odd_tau():
     """Adjacent marked pair on the triangle: span{1} does not transfer (the
     minimum period 3 is odd), even though the single arc state C e_{(a,b)}
     trivially crosses in one step."""
-    import numpy as np
     from sstwalk.families import fidelity_series
     from sstwalk.walk import walk_unitary
 

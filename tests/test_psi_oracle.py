@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import FAMILY_NAMES, family_reduction
 from psi_oracle import newton_interpolate, psi_oracle
-from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
+from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.exact import RatPoly, berlekamp_massey, psi, resolvent
 from sstwalk.families import random_orthogonal_columns
-from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
-                            double_cone_cycles, generalized_path)
+from sstwalk.graphs import build_graph
 from sstwalk.reduction import reduction_for
 
 
@@ -103,24 +103,6 @@ def test_psi_matches_oracle_on_random_reductions():
     assert mismatched > 0     # the delta_sq pairing error was exercised
 
 
-@pytest.mark.parametrize("name", ["gp(4,10)", "circulant(20,1,19)",
-                                  "double_cone([1,2,3])", "k2m(20)"])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_psi_matches_oracle_on_families(name):
-    if name == "gp(4,10)":
-        (g, a, b), coin, w = generalized_path(4, 10), grover_coin(4), [[1] * 4]
-    elif name == "circulant(20,1,19)":
-        w = [[1, 0, -1, 0], [0, 1, 0, -1]]
-        (g, a, b), coin = circulant_2m(20, 1, 19), reflection_about(w)
-    elif name == "double_cone([1,2,3])":
-        g, a, b = double_cone_cycles([1, 2, 3])
-        w = []
-        for offset, m in ((0, 1), (4, 2), (12, 3)):
-            vec = [0] * 24
-            for i in range(m):
-                vec[offset + 4 * i], vec[offset + 4 * i + 2] = 1, -1
-            w.append(vec)
-        coin = reflection_about(w)
-    else:
-        (g, a, b), coin, w = complete_bipartite_k2m(20), grover_coin(20), [[1] * 20]
-    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b)
-    assert not check_against_oracle(red)
+    assert not check_against_oracle(family_reduction(name))

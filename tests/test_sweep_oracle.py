@@ -1,0 +1,119 @@
+"""The Krylov fidelity sweep against the dense eigh sweep it replaced.
+
+``sweep_oracle.dense_fidelity_series`` diagonalises all of H;
+``families.fidelity_series`` works in the block Krylov space of the marked
+clones.  On seeded random reductions on the benchmark's random-small schedule,
+over the negative-verdict window t <= 4 size^3, the two must agree within
+1e-11 for t <= 64 and within 1e-8 over the whole window, and the same steps
+must reach 1 - 1e-9 and 1 - 1e-4 in both.
+
+The looser whole-window bound is rounding, not method: near an eigenvalue
+|lam| = 1 an error of one ulp in lam moves cos(t arccos lam) by about t^2 ulp,
+in both sweeps.  For the same reason the four families, whose perfect
+transfers recur all along their 4 size^3 windows, are compared on t <= 1000,
+the benchmark's family sweep window: past a few thousand steps the recurring
+fidelity-1 points drift below 1 - 1e-9 by t^2 ulp, at steps that depend on
+each sweep's last bits (on k2m(20) the dense sweep is 2e-7 from a 40-digit
+reference by t = 42592, the Krylov sweep 4e-12).
+"""
+
+import random
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import (FAMILY_NAMES, family_reduction, schedule_reduction,
+                      synthetic_reduction)
+from sstwalk import families
+from sstwalk.coins import CoinAssignment, reflection_about
+from sstwalk.families import fidelity_series
+from sstwalk.graphs import circulant_2m, generalized_path
+from sstwalk.reduction import reduction_for
+from sweep_oracle import dense_fidelity_series
+
+SCHEDULE_N = range(4, 13)
+SCHEDULE_SHAPES = ((1, 1), (2, 1), (2, 2))   # (coin rank, dim W)
+THRESHOLDS = (1 - 1e-9, 1 - 1e-4)
+
+
+def assert_sweeps_agree(red, t_max: int) -> None:
+    new = fidelity_series(red, t_max)
+    old = dense_fidelity_series(red, t_max)
+    assert new.shape == old.shape
+    gap = np.abs(new - old)
+    assert gap[:65].max() <= 1e-11
+    assert gap.max() <= 1e-8
+    for level in THRESHOLDS:
+        assert np.array_equal(new >= level, old >= level), level
+
+
+def test_sweep_matches_dense_on_random_small_schedule():
+    """486 reductions, one pass of the schedule: n cycles through 4..12 and
+    (coin rank, dim W) through the three shapes."""
+    rng = random.Random(20261018)
+    sizes = set()
+    for i in range(486):
+        n = SCHEDULE_N[i % len(SCHEDULE_N)]
+        rank, dim_w = SCHEDULE_SHAPES[i // len(SCHEDULE_N) % len(SCHEDULE_SHAPES)]
+        red = schedule_reduction(rng, n, rank, dim_w)
+        assert_sweeps_agree(red, 4 * red.size ** 3)
+        sizes.add(red.size)
+    assert min(sizes) <= 5 and max(sizes) >= 13
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_sweep_matches_dense_on_families(name):
+    assert_sweeps_agree(family_reduction(name), 1000)
+
+
+def test_sweep_matches_dense_across_a_weak_coupling():
+    """Two weighted cycles (7 and 9 clones) joined by one edge of weight
+    1e-9, one marked clone on each: the Krylov space nearly closes on each
+    cycle, and the direction across the edge, of norm ~3e-9, is kept.  Only
+    the second orthogonalisation pass keeps the basis orthonormal after it;
+    with one pass, rounding noise survives as new directions until the basis
+    outgrows the clone space."""
+    n_a, n = 7, 16
+    sym = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in ([(i, (i + 1) % n_a) for i in range(n_a)]
+                 + [(n_a + i, n_a + (i + 1) % (n - n_a)) for i in range(n - n_a)]):
+        sym[i][j] = sym[j][i] = Fraction(1, 3) + Fraction(i % 3, 17)
+    sym[2][n_a + 4] = sym[n_a + 4][2] = Fraction(1, 10 ** 9)
+    red = synthetic_reduction(sym, [1] * n, [0], [n_a + 1])
+    assert len(families._marked_spectrum(red)[0]) == n
+    assert_sweeps_agree(red, 4 * n ** 3)
+
+
+def test_early_exit_is_a_prefix_across_chunks(monkeypatch):
+    """With the chunk made small, an early exit after a chunk boundary returns
+    exactly the prefix of the full series, up to the first step at or above
+    the threshold; so does the default chunk."""
+    g, a, b = generalized_path(2, 12)
+    red = reduction_for(CoinAssignment.all_grover(g), a, [[1, 1]], b)
+    full = fidelity_series(red, 40)
+    for chunk in (5, families.SWEEP_CHUNK):
+        monkeypatch.setattr(families, "SWEEP_CHUNK", chunk)
+        part = fidelity_series(red, 40, early_exit=1 - 1e-6)
+        assert len(part) == 12 and part[-1] >= 1 - 1e-6 > part[:-1].max()
+        assert np.abs(part - full[:12]).max() <= 1e-12
+        assert np.array_equal(part, fidelity_series(red, 40)[:12])
+
+
+def test_sweep_allocates_no_clone_square():
+    """circulant(1000,1,999), 2002 clones: the sweep's peak allocation stays
+    below the 32 MB of a single size x size float array."""
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(1000, 1, 999)
+    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
+                        a, w, b)
+    red.h_sparse
+    tracemalloc.start()
+    try:
+        series = fidelity_series(red, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(np.argmax(series >= 1 - 1e-9)) == 4
+    assert peak < 8 * red.size ** 2
