@@ -7,12 +7,17 @@ their denominators, and cyclotomic factors.
 
 psi_{S,T} is computed from moments, never from determinants: with the
 reduction's sparse integer view Z = scale * H_rat, the integers
-m_k = sum_j (Z^k)[s_j, t_j] for k < 2 size come from sparse mat-vecs (a
-Krylov sequence), and Berlekamp-Massey turns them into the reduced fraction
-directly.  ``Resolvent`` memoises psi_S, the support polynomial g and its
-+-split per (reduction, S, T) for the decider, the cospectrality checks and
-the CLI.  ``charpoly`` (integer Berkowitz) is kept as the reference the tests
-check psi against.
+m_k = sum_j (Z^k)[s_j, t_j] are inner products of the Krylov vectors Z^i e_c
+of the start columns (two moments per sparse mat-vec), and Berlekamp-Massey
+turns them into the reduced fraction directly.  The vectors are grown only
+until an online Berlekamp-Massey candidate of order L is certified exactly,
+sum_i c_i Z^(L-i) e_c = 0 for every start column (Wiedemann 1986): about
+L + 1 mat-vecs per column, L the support degree, instead of 2 size.  At
+2 size moments the candidate is final without a certificate, since
+deg charpoly(H) = size.  ``Resolvent`` memoises psi_S, the support
+polynomial g and its +-split per (reduction, S, T) for the decider, the
+cospectrality checks and the CLI.  ``charpoly`` (integer Berkowitz) is kept
+as the reference the tests check psi against.
 
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
@@ -27,7 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd as int_gcd, isqrt, prod
+from math import gcd as int_gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, TYPE_CHECKING
 
 from . import linalg
@@ -547,14 +553,10 @@ def charpoly(m: linalg.Mat) -> RatPoly:
                     for k, c in enumerate(int_coeffs)])
 
 
-def _moments(red: "HermitianReduction", s: list[int], t: list[int]) -> list[int]:
-    """m_k = sum_j (Z^k)[s_j, t_j] for k < 2 size, with Z = scale H_rat the
-    reduction's sparse integer view; memoised per (S, T) on the reduction.
-
-    Raises ValueError unless the pairs (s_j, t_j) carry equal delta_sq: only
-    then does the diagonal similarity H = Delta^{-1} H_rat Delta cancel
-    entrywise, so that the moments are those of H.
-    """
+def _check_pairs(red: "HermitianReduction", s: list[int], t: list[int]) -> None:
+    """Raise ValueError unless S and T pair up into clones of equal delta_sq:
+    only then does the diagonal similarity H = Delta^{-1} H_rat Delta cancel
+    entrywise, so that the moments of Z are those of scale * H."""
     if len(s) != len(t):
         raise ValueError("psi needs |S| = |T|")
     if not s:
@@ -563,71 +565,244 @@ def _moments(red: "HermitianReduction", s: list[int], t: list[int]) -> list[int]
         if red.delta_sq[a] != red.delta_sq[b]:
             raise ValueError(
                 f"clones {a},{b} carry different delta_sq; psi would be irrational")
-    key = ("moments", tuple(s), tuple(t))
+
+
+class _Krylov:
+    """The Krylov vectors Z^k e_c of the start columns of one reduction, with
+    Z = scale * H_rat its sparse integer view; obtain it through ``_krylov``.
+
+    Z is self-adjoint for <x, y> = sum_r x_r y_r / delta_sq[r] (sym is
+    symmetric, which every HermitianReduction checks), so
+    (Z^(i+j))[s, t] = delta_sq[s] <Z^i e_s, Z^j e_t>: every new vector yields
+    two moments.  ``weights`` clears the delta_sq denominators,
+    weights[r] = big / delta_sq[r] with big the lcm of their numerators, so
+    the inner products stay in integers.  Vectors are grown on demand and
+    dropped by ``release`` once their readouts are taken; a released column is
+    regrown from e_c if it is asked for again.
+    """
+
+    def __init__(self, red: "HermitianReduction"):
+        self.rows = red.int_view[0]
+        self.size = red.size
+        self.delta_sq = red.delta_sq
+        self.big = lcm(*(d.numerator for d in red.delta_sq))
+        self.weights = [d.denominator * (self.big // d.numerator) for d in red.delta_sq]
+        self.vectors: dict[int, list[list[int]]] = {}
+
+    def levels(self, c: int, k: int) -> list[list[int]]:
+        """[Z^0 e_c, ..., Z^k e_c] (at least), grown by sparse mat-vecs."""
+        vecs = self.vectors.get(c)
+        if vecs is None:
+            unit = [0] * self.size
+            unit[c] = 1
+            vecs = self.vectors[c] = [unit]
+        while len(vecs) <= k:
+            vecs.append(z_apply(self.rows, vecs[-1]))
+        return vecs
+
+    def weighted(self, x: list[int]) -> list[int]:
+        return list(map(mul, self.weights, x))
+
+    def moment(self, s: int, wx: list[int], y: list[int]) -> int:
+        """delta_sq[s] <x, y> for wx = weighted(x): an integer entry of a power
+        of Z; a remainder means Z is not self-adjoint."""
+        d = self.delta_sq[s]
+        q, r = divmod(sum(map(mul, wx, y)) * d.numerator, d.denominator * self.big)
+        if r:
+            raise InvariantError("Krylov moment is not an integer: Z is not self-adjoint")
+        return q
+
+    def release(self, cols: Iterable[int]) -> None:
+        for c in cols:
+            self.vectors.pop(c, None)
+
+
+def _krylov(red: "HermitianReduction") -> _Krylov:
+    if "krylov" not in red.memo:
+        red.memo["krylov"] = _Krylov(red)
+    return red.memo["krylov"]
+
+
+def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
+    """The certificate sum_i c_i Z^(L-i) e_c = 0, for vecs = [Z^k e_c] with
+    k <= L at least and conn = c_0 .. c_L."""
+    acc = [0] * len(vecs[0])
+    for ci, vec in zip(conn, vecs[len(conn) - 1::-1]):
+        if ci:
+            acc = [a + ci * x for a, x in zip(acc, vec)]
+    return not any(acc)
+
+
+class _SelfMoments:
+    """m_k = sum_j (Z^k)[x_j, x_j] for one start column set X, grown two
+    terms per Krylov level and certified online; obtain it through
+    ``_self_moments``.
+
+    Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
+    Berlekamp-Massey.  When its candidate c of order L has 2L + 2 <= terms,
+    and L has changed since the last failed try, the certificate
+    sum_i c_i Z^(L-i) e_x = 0 is checked exactly for every x in X; once it
+    holds, every later moment obeys c, and so does every readout of the same
+    vectors.  The residues of psi_X are sum_j ||E e_(x_j)||^2 >= 0, so no pole
+    cancels and the minimal recurrence of m is the annihilator of X.  The
+    same positivity makes the Hankel matrices of m positive definite, so BM's
+    order grows by one every two terms until it reaches the annihilator, and
+    on a reduction (delta_sq > 0) the first candidate tried passes; a
+    sign-indefinite delta_sq can make candidates fail or never certify.  At
+    2 size terms the candidate is final without a certificate (``certified``
+    stays False).  ``poly`` is the final connection polynomial; later terms
+    come from it.
+    """
+
+    def __init__(self, red: "HermitianReduction", cols: tuple[int, ...]):
+        self.krylov, self.cols, self.cap = _krylov(red), cols, 2 * red.size
+        self.terms: list[int] = []
+        self.massey = _Massey(self.terms)
+        self.poly: list[int] | None = None
+        self.certified = False
+        self._failed = -1
+
+    @property
+    def order(self) -> int:
+        return len(self.poly) - 1
+
+    def term(self, k: int) -> int:
+        """m_k: grown level by level until final, then from the recurrence."""
+        while len(self.terms) <= k:
+            if self.poly is None:
+                self._grow()
+            else:
+                c, n = self.poly, len(self.terms)
+                q, r = divmod(-sum(ci * self.terms[n - i] for i, ci in enumerate(c) if i), c[0])
+                if r:
+                    raise InvariantError("moment recurrence is not integral")
+                self.terms.append(q)
+        return self.terms[k]
+
+    def certify(self) -> "_SelfMoments":
+        while not self.settle():
+            self._grow()
+        return self
+
+    def settle(self) -> bool:
+        """Feed the terms grown since the last call to Berlekamp-Massey and
+        try the certificate; True once the recurrence is final."""
+        if self.poly is None and self.terms:
+            self.massey.update()
+            conn, length, n = self.massey.connection, self.massey.length, len(self.terms)
+            if n >= self.cap:
+                self.poly = conn
+            elif 2 * length + 2 <= n and length != self._failed:
+                if all(_annihilates(self.krylov.levels(c, length), conn) for c in self.cols):
+                    self.poly, self.certified = conn, True
+                else:
+                    self._failed = length
+        return self.poly is not None
+
+    def _grow(self) -> None:
+        """The next Krylov level K: m_(2K-1) and m_(2K) (m_0 for K = 0)."""
+        kr, level = self.krylov, (len(self.terms) + 1) // 2
+        odd = even = 0
+        for c in self.cols:
+            vecs = kr.levels(c, level)
+            wv = kr.weighted(vecs[level])
+            even += kr.moment(c, wv, vecs[level])
+            if level:
+                odd += kr.moment(c, wv, vecs[level - 1])
+        if level:
+            self.terms.append(odd)
+        self.terms.append(even)
+
+
+def _self_moments(red: "HermitianReduction", cols: list[int]) -> _SelfMoments:
+    """The memoised self-moment sequence of the start columns ``cols``."""
+    if not cols:
+        raise ValueError("psi needs nonempty clone sets")
+    key = ("moments", tuple(cols))
     if key not in red.memo:
-        red.memo[key] = _krylov_moments(red, s, t)
+        red.memo[key] = _SelfMoments(red, tuple(cols))
     return red.memo[key]
 
 
-def _krylov_moments(red: "HermitianReduction", s: list[int], t: list[int]) -> list[int]:
-    """The moment kernel: 2 size - 1 sparse mat-vecs per start column t_j."""
-    rows = red.int_view[0]
-    count = 2 * red.size
-    out = [0] * count
-    for a, b in zip(s, t):
-        vec = [0] * red.size
-        vec[b] = 1
-        for k in range(count):
-            out[k] += vec[a]
-            if k + 1 < count:
-                vec = z_apply(rows, vec)
+def _cross_moments(red: "HermitianReduction", s: list[int], t: list[int],
+                   count: int) -> list[int]:
+    """m_k = sum_j (Z^k)[s_j, t_j] for k < count, read as
+    delta_sq[s_j] <Z^i e_(s_j), Z^(k-i) e_(t_j)> with i = ceil(k/2) from the
+    vectors the self sequences grew (more are grown if needed)."""
+    kr = _krylov(red)
+    out = []
+    for k in range(count):
+        i, j = (k + 1) // 2, k // 2
+        out.append(sum(kr.moment(a, kr.weighted(kr.levels(a, i)[i]), kr.levels(b, j)[j])
+                       for a, b in zip(s, t)))
     return out
 
 
+class _Massey:
+    """Berlekamp-Massey (Massey 1969) over the integers, fed online: ``update``
+    consumes the terms appended to ``seq`` since the last call.
+
+    ``connection`` is c_0 + c_1 z + ... + c_L z^L as a primitive integer
+    vector (c_0 != 0, length L + 1) with sum_i c_i seq[k - i] = 0 for
+    L <= k < len(seq).  The update C <- b C - d z^m B is the rational one
+    scaled by the earlier discrepancy b; dividing out the content after each
+    step keeps C at the size of the rational connection polynomial instead of
+    letting it grow with every step.
+    """
+
+    def __init__(self, seq: list[int]):
+        self.seq = seq
+        self.c, self.prev = [1], [1]
+        self.length, self.shift, self.prev_disc = 0, 1, 1
+        self.done = 0
+
+    def update(self) -> None:
+        seq = self.seq
+        for k in range(self.done, len(seq)):
+            c = self.c
+            d = sum(ci * seq[k - i] for i, ci in enumerate(c))
+            if d == 0:
+                self.shift += 1
+                continue
+            prev, shift = self.prev, self.shift
+            new = [self.prev_disc * x for x in c] + [0] * max(0, len(prev) + shift - len(c))
+            for i, x in enumerate(prev):
+                new[i + shift] -= d * x
+            while new[-1] == 0:
+                new.pop()
+            g = int_gcd(*new)
+            new = [x // g for x in new]
+            if 2 * self.length <= k:
+                self.prev, self.prev_disc = c, d
+                self.length, self.shift = k + 1 - self.length, 1
+            else:
+                self.shift += 1
+            self.c = new
+        self.done = len(seq)
+
+    @property
+    def connection(self) -> list[int]:
+        return self.c + [0] * (self.length + 1 - len(self.c))
+
+
 def berlekamp_massey(seq: list[int]) -> list[int]:
-    """Shortest linear recurrence of an integer sequence (Massey 1969).
-
-    Returns the connection polynomial c_0 + c_1 z + ... + c_L z^L as a
-    primitive integer vector (c_0 != 0, length L + 1) with
-    sum_i c_i seq[k - i] = 0 for L <= k < len(seq).  The update
-    C <- b C - d z^m B is the rational one scaled by the earlier discrepancy
-    b; dividing out the content after each step keeps C at the size of the
-    rational connection polynomial instead of letting it grow with every
-    step.
-    """
-    c, prev = [1], [1]
-    length, shift, prev_disc = 0, 1, 1
-    for k in range(len(seq)):
-        d = sum(ci * seq[k - i] for i, ci in enumerate(c))
-        if d == 0:
-            shift += 1
-            continue
-        new = [prev_disc * x for x in c] + [0] * max(0, len(prev) + shift - len(c))
-        for i, x in enumerate(prev):
-            new[i + shift] -= d * x
-        while new[-1] == 0:
-            new.pop()
-        g = int_gcd(*new)
-        new = [x // g for x in new]
-        if 2 * length <= k:
-            prev, prev_disc = c, d
-            length, shift = k + 1 - length, 1
-        else:
-            shift += 1
-        c = new
-    return c + [0] * (length + 1 - len(c))
+    """Shortest linear recurrence of an integer sequence: the connection
+    polynomial of ``_Massey`` after all of ``seq``."""
+    bm = _Massey(seq)
+    bm.update()
+    return bm.connection
 
 
-def _series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
+def _fraction(conn: list[int], seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
     """(num, den) with den monic and coprime to num, such that
-    num/den = sum_k seq[k] scale^-k x^(-k-1), from 2 deg(den) terms or more.
+    num/den = sum_k seq[k] scale^-k x^(-k-1), for the minimal connection
+    polynomial ``conn`` of seq.
 
-    Berlekamp-Massey on the integer moments of Z gives the reduced fraction
-    P(y)/Q(y) in y = scale x; the function of x is scale P(scale x)/Q(scale x).
+    It gives the reduced fraction P(y)/Q(y) in y = scale x of the moments of
+    Z; the function of x is scale P(scale x)/Q(scale x).
     """
-    c = berlekamp_massey(seq)
-    length = len(c) - 1
-    q = c[::-1]                      # Q(y) = sum_i c_i y^(L-i), lead c_0
+    length = len(conn) - 1
+    q = conn[::-1]                   # Q(y) = sum_i c_i y^(L-i), lead c_0
     p = [sum(q[j] * seq[j - i - 1] for j in range(i + 1, length + 1))
          for i in range(length)]
     lead = q[-1] * scale ** length
@@ -636,17 +811,29 @@ def _series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
     return num, den
 
 
+def _series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
+    """``_fraction`` with the connection polynomial from Berlekamp-Massey on
+    seq, which must hold 2 deg(den) terms or more."""
+    return _fraction(berlekamp_massey(seq), seq, scale)
+
+
 def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
     """The resolvent trace psi_{S,T}(x) = tr((xI - H)^{-1}_{S,T}), exact over Q.
 
-    psi_{S,T} = sum_k m_k x^(-k-1) with m_k = sum_j (H^k)[s_j, t_j]; its
-    reduced denominator has degree at most size, so the first 2 size moments
-    fix it and Berlekamp-Massey returns it directly.  Computed on the rational
-    similar matrix H_rat; valid whenever the paired clones carry equal squared
-    scaling (checked), in which case the diagonal similarity cancels entrywise.
+    psi_{S,T} = sum_k m_k x^(-k-1) with m_k = sum_j (H^k)[s_j, t_j].  For
+    S = T the certified self sequence of S gives the reduced fraction from
+    2L + O(1) moments, L = deg of its denominator; otherwise the summary of
+    (S, T) reads psi_{S,T} off the same Krylov vectors.  Computed on the
+    rational similar matrix H_rat; valid whenever the paired clones carry
+    equal squared scaling (checked), in which case the diagonal similarity
+    cancels entrywise.
     """
-    num, den = _series_fraction(_moments(red, s, t), red.int_view[1])
-    return RatFun(num, den)
+    _check_pairs(red, s, t)
+    if list(s) != list(t):
+        return resolvent(red, s, t).psi_st
+    seq = _self_moments(red, s).certify()
+    _krylov(red).release(s)
+    return RatFun(*_fraction(seq.poly, seq.terms, red.int_view[1]))
 
 
 class Resolvent:
@@ -654,9 +841,12 @@ class Resolvent:
     field is computed at most once, because a reduction is not mutated after
     build_H.  Obtain it through ``resolvent``.
 
-    ``cospectral`` compares moment sequences, so a not-cospectral instance
-    never builds the (S, T) moments; ``g_plus`` and ``g_minus`` come from
-    Berlekamp-Massey on m_S +- m_{S,T}, the moments of psi_S +- psi_{S,T}.
+    ``cospectral`` compares the self moments of S and T as they are grown and
+    stops at the first difference, so a not-cospectral instance never reads
+    the (S, T) moments.  m_{S,T} is read from the vectors of S and T; it obeys
+    the certified recurrence of S (it is also a readout of the S vectors), and
+    so do m_S +- m_{S,T}, so 2 L_S of their terms give psi_{S,T}, g+ and g-
+    by Berlekamp-Massey.
     """
 
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
@@ -664,14 +854,44 @@ class Resolvent:
 
     @cached_property
     def cospectral(self) -> bool:
-        """psi_S = psi_T, exactly: both have denominators dividing
-        charpoly(H), so their difference vanishes iff its first size moments
-        do."""
-        return _moments(self.red, self.s, self.s) == _moments(self.red, self.t, self.t)
+        """psi_S = psi_T, exactly: False at the first moment where m_S and
+        m_T differ; True once both recurrences are final and equal, since the
+        sequences then agree on more than their first L terms."""
+        m_s, m_t = _self_moments(self.red, self.s), _self_moments(self.red, self.t)
+        try:
+            k = 0
+            while True:
+                if m_s.term(k) != m_t.term(k):
+                    return False
+                k += 1
+                if k == len(m_s.terms) == len(m_t.terms):
+                    final_s, final_t = m_s.settle(), m_t.settle()
+                    if final_s and final_t:
+                        if m_s.poly != m_t.poly:
+                            return False
+                        self._m_st     # read while the vectors are still there
+                        return True
+        finally:
+            _krylov(self.red).release(self.s + self.t)
+
+    @cached_property
+    def _m_st(self) -> list[int]:
+        """The first 2 L_S moments of psi_{S,T}, or 2 size of them when the
+        recurrence of S was not certified."""
+        m_s = _self_moments(self.red, self.s).certify()
+        count = 2 * (m_s.order if m_s.certified else self.red.size)
+        out = _cross_moments(self.red, self.s, self.t, count)
+        _krylov(self.red).release(self.s + self.t)
+        return out
 
     @cached_property
     def psi_s(self) -> RatFun:
         return psi(self.red, self.s, self.s)
+
+    @cached_property
+    def psi_st(self) -> RatFun:
+        _check_pairs(self.red, self.s, self.t)
+        return RatFun(*_series_fraction(self._m_st, self.red.int_view[1]))
 
     @cached_property
     def g(self) -> RatPoly:
@@ -690,10 +910,10 @@ class Resolvent:
         return self._combined_den(-1)
 
     def _combined_den(self, sign: int) -> RatPoly:
-        m_s = _moments(self.red, self.s, self.s)
-        m_st = _moments(self.red, self.s, self.t)
-        return _series_fraction([x + sign * y for x, y in zip(m_s, m_st)],
-                                self.red.int_view[1])[1]
+        _check_pairs(self.red, self.s, self.t)
+        m_s = _self_moments(self.red, self.s)
+        seq = [m_s.term(k) + sign * y for k, y in enumerate(self._m_st)]
+        return _series_fraction(seq, self.red.int_view[1])[1]
 
 
 def resolvent(red: "HermitianReduction", s: list[int] | None = None,

@@ -107,7 +107,10 @@ class HermitianReduction:
     The carrier is ``nonzeros``: the (i, j, sym[i][j]) with sym[i][j] != 0,
     sorted by (i, j), of the symmetric rational matrix sym.  Invariants
     (exact): H_rat = sym * diag(delta_sq)^{-1}, so delta_sq[j] * H_rat[i][j]
-    == delta_sq[i] * H_rat[j][i].
+    == delta_sq[i] * H_rat[j][i].  Construction (build_H included) checks
+    that the transposed nonzeros sort back to nonzeros and raises
+    ``exact.InvariantError`` otherwise: the Krylov moments of
+    ``sstwalk.exact`` rely on this symmetry.
 
     A reduction is not mutated after build_H: the lazy views below (dense sym
     and h_rat, the sparse integer and float views) and the moment sequences
@@ -123,6 +126,12 @@ class HermitianReduction:
     s: list[int]
     t: list[int]
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if sorted([(j, i, x) for i, j, x in self.nonzeros]) != self.nonzeros:
+            from .exact import InvariantError
+
+            raise InvariantError("nonzeros are not the sorted entries of a symmetric sym")
 
     @property
     def size(self) -> int:

@@ -9,8 +9,8 @@ from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
 from sstwalk.families import (double_cone_w, random_coin_and_subspace,
                               random_orthogonal_columns)
 from sstwalk.graphs import (GraphError, build_graph, circulant_2m,
-                            complete_bipartite_k2m, double_cone_cycles,
-                            generalized_path)
+                            complete_bipartite_k2m, cycle_graph,
+                            double_cone_cycles, generalized_path)
 from sstwalk.reduction import HermitianReduction, reduction_for
 
 
@@ -83,6 +83,17 @@ def family_reduction(name: str) -> HermitianReduction:
     else:
         (g, a, b), coin, w = complete_bipartite_k2m(20), grover_coin(20), [[1] * 20]
     return reduction_for(CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b)
+
+
+def odd_cycle_reductions():
+    """(name, reduction) for the odd cycles C_n, n in {5, 7, 9, 11}, with
+    Grover coins, W = span{(1, 1)} at vertex 0 and the marked vertex at every
+    distance 1 .. (n - 1)/2.  Their support is periodic with odd minimum
+    period, so every one ends at NO_TRANSFER stage=odd-tau."""
+    for n in (5, 7, 9, 11):
+        assignment = CoinAssignment.all_grover(cycle_graph(n))
+        for d in range(1, n // 2 + 1):
+            yield f"C{n}(d={d})", reduction_for(assignment, 0, [[1, 1]], d)
 
 
 def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:

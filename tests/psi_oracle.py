@@ -1,11 +1,15 @@
-"""Determinant reference for the resolvent trace psi_{S,T}.
+"""Two references for the resolvent trace psi_{S,T}, kept as test oracles.
 
-This is the original algorithm behind ``sstwalk.exact.psi``, kept as a test
-oracle: the denominator is charpoly(H_rat) (Berkowitz), diagonal numerator
-terms are principal-minor characteristic polynomials, and each off-diagonal
-minor of xI - H_rat is recovered from integer Bareiss determinants at n-1
-points by Newton interpolation.  It is O(n^4) per minor and only fit for the
-small instances the differential tests use.
+``psi_oracle`` is the original determinant algorithm behind
+``sstwalk.exact.psi``: the denominator is charpoly(H_rat) (Berkowitz),
+diagonal numerator terms are principal-minor characteristic polynomials, and
+each off-diagonal minor of xI - H_rat is recovered from integer Bareiss
+determinants at n-1 points by Newton interpolation.  It is O(n^4) per minor
+and only fit for the small instances the differential tests use.
+
+``full_kernel_summary`` is the moment route before its certified early stop:
+``krylov_moments`` takes all 2 size moments of each sequence, one entry per
+mat-vec, and Berlekamp-Massey runs on the full sequences.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from sstwalk import linalg
-from sstwalk.exact import ONE, RatFun, RatPoly, charpoly
+from sstwalk.exact import ONE, RatFun, RatPoly, _series_fraction, charpoly
+from sstwalk.reduction import z_apply
 
 
 def _submatrix(m: linalg.Mat, drop_rows: set[int], drop_cols: set[int]) -> linalg.Mat:
@@ -81,3 +86,37 @@ def psi_oracle(red, s: list[int], t: list[int]) -> RatFun:
             sign = -1 if (a + b) % 2 else 1
             num = num + sign * _minor_poly(h, b, a)
     return RatFun(num, den)
+
+
+def krylov_moments(red, s: list[int], t: list[int]) -> list[int]:
+    """The moment kernel: 2 size - 1 sparse mat-vecs per start column t_j."""
+    rows = red.int_view[0]
+    count = 2 * red.size
+    out = [0] * count
+    for a, b in zip(s, t):
+        vec = [0] * red.size
+        vec[b] = 1
+        for k in range(count):
+            out[k] += vec[a]
+            if k + 1 < count:
+                vec = z_apply(rows, vec)
+    return out
+
+
+def full_kernel_summary(red, s: list[int], t: list[int]) -> dict:
+    """psi_S, psi_T, psi_{S,T}, cospectrality, g+ and g- from the full
+    sequences of ``krylov_moments``; psi_{S,T} and g+- are ValueError when
+    paired clones carry different delta_sq."""
+    scale = red.int_view[1]
+    m_s, m_t = krylov_moments(red, s, s), krylov_moments(red, t, t)
+    out = {"psi_s": RatFun(*_series_fraction(m_s, scale)),
+           "psi_t": RatFun(*_series_fraction(m_t, scale)),
+           "cospectral": m_s == m_t}
+    if any(red.delta_sq[a] != red.delta_sq[b] for a, b in zip(s, t)):
+        out["psi_st"] = out["g_plus"] = out["g_minus"] = ValueError
+        return out
+    m_st = krylov_moments(red, s, t)
+    out["psi_st"] = RatFun(*_series_fraction(m_st, scale))
+    out["g_plus"] = _series_fraction([x + y for x, y in zip(m_s, m_st)], scale)[1]
+    out["g_minus"] = _series_fraction([x - y for x, y in zip(m_s, m_st)], scale)[1]
+    return out

@@ -251,3 +251,20 @@ def test_criterion_12_sweep_10k_clones():
     ok = red.size == 10002 and series[first] >= 1 - 1e-9 and first == 4
     report(12, f"sweep on circulant(5000,1,4999), 10002 clones ({elapsed:.1f}s)",
            ok and elapsed < 5.0)
+
+
+def test_criterion_13_circulant_2002_clones():
+    """Exact decide + Chebyshev check on circulant(1000,1,999), 2002 clones
+    with support degree 3: reduction_for, decide_transfer and
+    exact_transfer_check give TRANSFER time=4 gamma=-1 in under 1 s."""
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(1000, 1, 999)
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    start = time.perf_counter()
+    red = reduction_for(asn, a, w, b)
+    verdict = decide_transfer(red)
+    ok = red.size == 2002 and verdict.line() == "TRANSFER time=4 gamma=-1"
+    ok = ok and exact_transfer_check(red, verdict.time, verdict.gamma)
+    elapsed = time.perf_counter() - start
+    report(13, f"circulant(1000,1,999) exact decide + check, 2002 clones ({elapsed:.2f}s)",
+           ok and elapsed < 1.0)

@@ -219,6 +219,26 @@ def test_exit_code_names_the_fault(capsys, monkeypatch, error, code, prefix):
     assert err == prefix + "stage failed\n"
 
 
+def test_asymmetric_reduction_exit_3(capsys, monkeypatch):
+    """A reduction whose sym is not symmetric is refused as the program's
+    fault: exit 3."""
+    import dataclasses
+
+    from sstwalk import reduction
+
+    build_h = reduction.build_H
+
+    def corrupted(assignment, basis):
+        red = build_h(assignment, basis)
+        i, j, x = red.nonzeros[0]
+        return dataclasses.replace(red, nonzeros=[(i, j, 2 * x)] + red.nonzeros[1:])
+
+    monkeypatch.setattr(reduction, "build_H", corrupted)
+    rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: ")
+
+
 # per family of the table: its flags (BASE stands for a prism graph file), then
 # the golden transfer and period lines and the `sst family` lines at
 # SST_SEED=0 (None: the family has no cases and `sst family` exits 2)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import schedule_reduction, synthetic_reduction
+from conftest import odd_cycle_reductions, schedule_reduction, synthetic_reduction
 from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.decider import (cyclotomic, decide_periodicity,
                              decide_pretty_good_special, decide_transfer,
@@ -320,35 +320,49 @@ def test_adjacent_triangle_odd_tau():
 
 
 def _count_kernels(monkeypatch):
-    """Wrap the moment and Berlekamp-Massey kernels with call counters."""
-    from collections import Counter
-
+    """Wrap the kernels of sstwalk.exact with recorders: sparse mat-vecs,
+    certificate checks (their order L), (S, T) readouts and batch
+    Berlekamp-Massey calls (their length)."""
     from sstwalk import exact
 
-    built, bm = Counter(), []
-    krylov, massey = exact._krylov_moments, exact.berlekamp_massey
+    calls = {"matvec": 0, "certificate": [], "cross": [], "bm": []}
+    z_apply, annihilates = exact.z_apply, exact._annihilates
+    cross, massey = exact._cross_moments, exact.berlekamp_massey
 
-    def counted_krylov(red, s, t):
-        built[(tuple(s), tuple(t))] += 1
-        return krylov(red, s, t)
+    def counted_z_apply(rows, vec):
+        calls["matvec"] += 1
+        return z_apply(rows, vec)
+
+    def counted_annihilates(vecs, conn):
+        calls["certificate"].append(len(conn) - 1)
+        return annihilates(vecs, conn)
+
+    def counted_cross(red, s, t, count):
+        calls["cross"].append((tuple(s), tuple(t), count))
+        return cross(red, s, t, count)
 
     def counted_massey(seq):
-        bm.append(len(seq))
+        calls["bm"].append(len(seq))
         return massey(seq)
 
-    monkeypatch.setattr(exact, "_krylov_moments", counted_krylov)
+    monkeypatch.setattr(exact, "z_apply", counted_z_apply)
+    monkeypatch.setattr(exact, "_annihilates", counted_annihilates)
+    monkeypatch.setattr(exact, "_cross_moments", counted_cross)
     monkeypatch.setattr(exact, "berlekamp_massey", counted_massey)
-    return built, bm
+    return calls
 
 
 def test_resolvent_summary_built_once(monkeypatch):
     """decide_transfer, strong_cospectral_exact, cospectral and
-    decide_periodicity on one reduction build the moments of psi_S, psi_T and
-    psi_{S,T} once each, and run Berlekamp-Massey once each for psi_S, g+ and
-    g-."""
+    decide_periodicity on one reduction grow the Krylov vectors of each start
+    column once, to level L + 1 with L = deg g (the first level with
+    2L + 2 <= 2 level + 1 moments), pass one certificate per column, read the
+    2L moments of psi_{S,T} once, and run batch Berlekamp-Massey only for g+
+    and g-, on 2L terms each."""
     from sstwalk.cospec import cospectral, strong_cospectral_exact
+    from sstwalk.exact import resolvent
 
-    built, bm = _count_kernels(monkeypatch)
+    calls = _count_kernels(monkeypatch)
     g, a, b = circulant_2m(4, 1, 3)
     w = [[1, 0, -1, 0], [0, 1, 0, -1]]
     red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
@@ -358,19 +372,44 @@ def test_resolvent_summary_built_once(monkeypatch):
     assert strong_cospectral_exact(red) is not None
     assert cospectral(red)
     assert decide_periodicity(red).periodic
-    assert dict(built) == {(s, s): 1, (t, t): 1, (s, t): 1}
-    assert len(bm) == 3
+    order = resolvent(red).g.degree
+    assert 2 * order + 2 < 2 * red.size
+    assert calls["matvec"] == (len(s) + len(t)) * (order + 1)
+    assert calls["certificate"] == [order] * (len(s) + len(t))
+    assert calls["cross"] == [(s, t, 2 * order)]
+    assert calls["bm"] == [2 * order, 2 * order]
 
 
 def test_not_cospectral_never_builds_psi_st(monkeypatch):
+    """The not-cospectral exit stops growing at the Krylov level of the first
+    moment where m_S and m_T differ, before Berlekamp-Massey has seen a term
+    of that level: no certificate, no (S, T) readout, no batch
+    Berlekamp-Massey."""
+    from psi_oracle import krylov_moments
     from sstwalk.cospec import cospectral, strong_cospectral_exact
 
-    built, bm = _count_kernels(monkeypatch)
     g = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], 5)  # triangle with a tail
     red = reduction_for(CoinAssignment.all_grover(g), 0, [[1, 1]], 3)
+    m_s, m_t = krylov_moments(red, red.s, red.s), krylov_moments(red, red.t, red.t)
+    first = next(k for k, (x, y) in enumerate(zip(m_s, m_t)) if x != y)
+    level = (first + 1) // 2       # level K yields m_(2K-1) and m_(2K)
+    calls = _count_kernels(monkeypatch)
     assert decide_transfer(red).reason == "not-cospectral"
     assert strong_cospectral_exact(red) is None
     assert not cospectral(red)
-    s, t = tuple(red.s), tuple(red.t)
-    assert dict(built) == {(s, s): 1, (t, t): 1}
-    assert bm == []
+    assert calls["matvec"] == (len(red.s) + len(red.t)) * level
+    assert calls["certificate"] == calls["cross"] == calls["bm"] == []
+    for cols in (red.s, red.t):
+        seq = red.memo[("moments", tuple(cols))]
+        assert len(seq.terms) == 2 * level + 1 and seq.massey.done < 2 * level
+
+
+def test_odd_cycles_reach_odd_tau():
+    """Every marked distance on C5, C7, C9 and C11 with Grover coins ends at
+    NO_TRANSFER stage=odd-tau, and the fidelity sweep to 4 size^3 never
+    reaches 1 - 1e-9."""
+    from sstwalk.families import fidelity_series
+
+    for name, red in odd_cycle_reductions():
+        assert decide_transfer(red).line() == "NO_TRANSFER stage=odd-tau", name
+        assert float(np.max(fidelity_series(red, 4 * red.size ** 3))) < 1 - 1e-9, name

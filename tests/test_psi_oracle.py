@@ -1,10 +1,14 @@
-"""psi from moments + Berlekamp-Massey against the determinant reference.
+"""psi from moments + Berlekamp-Massey against its two references.
 
 ``psi_oracle`` is the determinant algorithm psi used before (charpoly,
 Bareiss minors, Newton interpolation).  The new psi must agree with it on
 (S,S), (T,T) and (S,T), error cases included, and the resolvent summary's
 shortcuts (cospectrality from moments, g+- from Berlekamp-Massey on
 m_S +- m_{S,T}) must agree with the RatFun arithmetic they replace.
+
+``full_kernel_summary`` is the moment route before the certified early stop
+(all 2 size moments of each sequence); the early-stopped kernel must give the
+same psi, cospectrality, g and g+-.
 """
 
 import random
@@ -12,12 +16,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import FAMILY_NAMES, family_reduction
-from psi_oracle import newton_interpolate, psi_oracle
+from conftest import (FAMILY_NAMES, family_reduction, odd_cycle_reductions,
+                      synthetic_reduction)
+from psi_oracle import full_kernel_summary, newton_interpolate, psi_oracle
+from sstwalk import exact
 from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.exact import RatPoly, berlekamp_massey, psi, resolvent
 from sstwalk.families import random_orthogonal_columns
-from sstwalk.graphs import build_graph
+from sstwalk.graphs import build_graph, circulant_2m
 from sstwalk.reduction import reduction_for
 
 
@@ -106,3 +112,99 @@ def test_psi_matches_oracle_on_random_reductions():
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_psi_matches_oracle_on_families(name):
     assert not check_against_oracle(family_reduction(name))
+
+
+# -- the certified early stop against the full 2 size kernel ---------------------
+
+
+def _field_or_error(summary, name):
+    try:
+        return getattr(summary, name)
+    except ValueError:
+        return ValueError
+
+
+def check_kernels_agree(red):
+    """The summary read in the decider's order (cospectral first), then psi on
+    (S,S), (T,T) and (S,T), equal what the full kernel gives."""
+    want = full_kernel_summary(red, red.s, red.t)
+    summary = resolvent(red)
+    assert summary.cospectral == want["cospectral"]
+    assert summary.psi_s == want["psi_s"]
+    assert summary.g == want["psi_s"].den
+    assert _field_or_error(summary, "g_plus") == want["g_plus"]
+    assert _field_or_error(summary, "g_minus") == want["g_minus"]
+    s, t = red.s, red.t
+    got = [_value_or_error(psi, red, a, b) for a, b in ((s, s), (t, t), (s, t))]
+    assert got == [want["psi_s"], want["psi_t"], want["psi_st"]]
+
+
+def test_kernels_agree_on_random_reductions():
+    rng = random.Random(20251106)
+    for _ in range(300):
+        check_kernels_agree(random_reduction(rng))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_kernels_agree_on_families(name):
+    check_kernels_agree(family_reduction(name))
+
+
+def test_kernels_agree_on_circulant_300():
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(300, 1, 299)
+    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
+                        a, w, b)
+    assert red.size == 602
+    check_kernels_agree(red)
+
+
+def test_kernels_agree_on_odd_cycles():
+    for _name, red in odd_cycle_reductions():
+        check_kernels_agree(red)
+
+
+def indefinite_reduction(rng: random.Random):
+    """A synthetic reduction with sym the adjacency matrix of a random graph
+    on 6 - 10 vertices (loops allowed) and delta_sq = +-1 at random, S = [0, 1]
+    and T = [2, 3] paired with equal delta_sq.
+
+    Z stays self-adjoint for the delta_sq-weighted form, so the moments are
+    inner products as before; but the form is indefinite, poles can cancel in
+    m_S and its Hankel matrices can be singular.  Berlekamp-Massey candidates
+    then fail the certificate, or the sequence never certifies and stops at
+    2 size terms, paths a reduction (delta_sq > 0) never takes."""
+    n = rng.randint(6, 10)
+    sym = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if rng.random() < 0.3:
+                sym[i][j] = sym[j][i] = 1
+    dsq = [rng.choice([-1, 1]) for _ in range(n)]
+    dsq[2], dsq[3] = dsq[0], dsq[1]
+    return synthetic_reduction(sym, dsq, [0, 1], [2, 3])
+
+
+def test_kernels_agree_when_candidates_fail(monkeypatch):
+    """On seeded sign-indefinite reductions some Berlekamp-Massey candidate
+    fails the certificate; the kernel keeps growing past it and still agrees
+    with the full kernel."""
+    tried = []
+    annihilates = exact._annihilates
+
+    def recorded(vecs, conn):
+        tried.append(annihilates(vecs, conn))
+        return tried[-1]
+
+    monkeypatch.setattr(exact, "_annihilates", recorded)
+    rng = random.Random(20261018)
+    rejected = 0
+    for _ in range(200):
+        red = indefinite_reduction(rng)
+        check_kernels_agree(red)
+        for key, seq in red.memo.items():
+            if key[0] == "moments" and seq._failed >= 0:
+                rejected += 1
+                assert len(seq.terms) > 2 * seq._failed + 2
+                assert not seq.certified or seq.order > seq._failed
+    assert rejected > 0 and False in tried

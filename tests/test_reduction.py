@@ -1,13 +1,15 @@
 """Coin bases, H = N*RN, the Chebyshev bridge, and the blow-up."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import assembled_instance
+from conftest import assembled_instance, synthetic_reduction
 from sstwalk.coins import (CoinAssignment, grover_coin, negative_identity_coin,
                            reflection_about)
+from sstwalk.exact import InvariantError
 from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
                             generalized_path)
 from sstwalk.reduction import (AdjacentMarkedPair, ReductionError, build_H,
@@ -333,3 +335,20 @@ def test_sparse_numeric_views_match_dense_scan():
         rows = [(tuple(j for j, _ in row), tuple(int(h * scale) for _, h in row))
                 for row in entries]
         assert red.int_view == (rows, scale)
+
+
+def test_reduction_rejects_asymmetric_sym():
+    """A reduction whose nonzeros are not those of a symmetric sym cannot be
+    built (nor one from build_H): the Krylov moments of sstwalk.exact read
+    (Z^(i+j))[s, t] as a delta_sq-weighted inner product, which needs it."""
+    red = synthetic_reduction([[0, 1], [1, 0]], [1, 2], [0], [0])
+    corrupted = [(0, 1, Fraction(1)), (1, 0, Fraction(2))]
+    with pytest.raises(InvariantError):
+        dataclasses.replace(red, nonzeros=corrupted)
+    with pytest.raises(InvariantError):
+        synthetic_reduction([[0, 1], [0, 0]], [1, 1], [0], [0])
+    g, a, b = circulant_2m(3, 1, 2)
+    red = reduction_for(CoinAssignment.all_grover(g), a, [[1, 1, 1, 1]], b)
+    i, j, x = red.nonzeros[0]
+    with pytest.raises(InvariantError):
+        dataclasses.replace(red, nonzeros=[(i, j, 2 * x)] + red.nonzeros[1:])
