@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .coins import CoinAssignment, ReflectionCoin
-from .exact import RatPoly, factor_irreducible, resolvent
+from .exact import RatPoly, resolvent
 from .graphs import Graph
 from .reduction import BlowUp, HermitianReduction, build_blowup
 from .walk import orthonormal_columns
@@ -63,16 +63,9 @@ def strong_cospectral_exact(red: HermitianReduction, s: list[int] | None = None,
     psi_S + psi_{S,T}, minus = poles surviving in psi_S - psi_{S,T}.
     """
     summary = resolvent(red, s, t)
-    if not summary.cospectral:
+    if summary.split is None:
         return None
-    if summary.g_plus * summary.g_minus != summary.g:
-        return None
-    return SupportSplit(
-        support_factors=tuple(factor_irreducible(summary.g)),
-        plus_factors=tuple(factor_irreducible(summary.g_plus)),
-        minus_factors=tuple(factor_irreducible(summary.g_minus)),
-        gamma=1,
-    )
+    return SupportSplit(summary.factors, *summary.split, gamma=1)
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:

@@ -2,10 +2,10 @@
 
 Everything runs over Q end to end.  The eigenvalue support of the clones shows
 up as the reduced denominator g of a resolvent trace, and integer-step
-questions become "is every root of g of the form cos(2 pi k/m)".  The test runs
-on g itself over Z[y]: ``exact.cosine_factor`` divides the primitive integer
-polynomial of 2^deg g(y/2) by the cosine minimal polynomials Psi~_m (monic
-over Z), for every m the totient bound allows.  The degree-doubling transform
+questions become "is every root of g of the form cos(2 pi k/m)".  The deciders
+read the resolvent summary (``exact.resolvent``): the orders of g from its one
+cosine scan over Z[y], the strong-cospectrality test g+ g- = g, and the orders
+of g+-, from trial division by g's Psi~_m only.  The degree-doubling transform
 g -> g#(x) = 2^deg x^deg g((x + 1/x)/2), which sends cos(theta) roots to
 e^{+-i theta}, and the scan of g# for cyclotomic factors (``sharp``,
 ``factor_into_cyclotomics``) answer the same question; the decider no longer
@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .exact import (ONE, InvariantError, RatPoly, cosine_factor, cyclotomic,
-                    default_order_bound, euler_phi, resolvent)
+from .exact import (InvariantError, RatPoly, cyclotomic, default_order_bound,
+                    euler_phi, resolvent)
 
 if TYPE_CHECKING:
     from .reduction import HermitianReduction
@@ -108,35 +108,16 @@ def factor_into_cyclotomics(p: RatPoly, m_bound: int | None = None
     return out if p.is_one() else None
 
 
-def _support_orders(g: RatPoly) -> frozenset[int] | None:
-    """The orders m with g = c * prod Psi_m, each Psi_m once; None when g is
-    not such a product.
-
-    This is the g# criterion: sharp is multiplicative, sharp(x -+ 1) is
-    Phi_1^2 or Phi_2^2 and sharp(Psi_m) = Phi_m for m >= 3, so g# is a product
-    of cyclotomics with Phi_1, Phi_2 squared and the others simple exactly
-    when g is a product of distinct Psi_m.
-    """
-    orders, rest = cosine_factor(g)
-    if not rest.is_one() or any(e != 1 for e in orders.values()):
-        return None
-    return frozenset(orders)
-
-
 def decide_periodicity(red: "HermitianReduction", s: list[int] | None = None
                        ) -> PeriodicityVerdict:
-    """Pointwise W-periodicity at a with integer periods (exact).
-
-    Writes psi_S = p/q reduced, takes g = q/gcd(p, q) (which is q, psi_S being
-    reduced), and checks whether g is a product of distinct cosine minimal
-    polynomials Psi_m; if so the minimum period is the lcm of their orders.
-    With the default clone set it reads the same resolvent summary as
+    """Pointwise W-periodicity at a with integer periods (exact): periodic iff
+    the support g of psi_S is a product of distinct cosine minimal polynomials
+    Psi_m, and then the minimum period is the lcm of their orders.  With the
+    default clone set it reads the same resolvent summary as
     ``decide_transfer``.
     """
     summary = resolvent(red) if s is None else resolvent(red, s, s)
-    if not summary.s:
-        raise ValueError("periodicity needs a nonempty clone set")
-    orders = _support_orders(summary.g)
+    orders = summary.orders
     if orders is None:
         return PeriodicityVerdict(False, reason="support-not-cyclotomic")
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
@@ -154,8 +135,7 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
     summary = resolvent(red, s, t)
     if not summary.cospectral:
         return TransferVerdict(False, reason="not-cospectral")
-    g = summary.g
-    orders = _support_orders(g)
+    orders = summary.orders
     if orders is None:
         return TransferVerdict(False, reason="not-periodic")
     tau = lcm(*orders)
@@ -163,22 +143,12 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
         return TransferVerdict(False, reason="odd-tau")
     l_plus = frozenset(m for m in orders if (tau // m) % 2 == 0)
     l_minus = orders - l_plus
-    g_from_plus, g_from_minus = summary.g_plus, summary.g_minus
-    if g_from_plus * g_from_minus != g:
-        # strong cospectrality fails: some pole survives in both combinations
+    # strong cospectrality fails when some pole survives in both combinations
+    split = summary.split_orders if summary.strong else None
+    if split not in ((l_plus, l_minus), (l_minus, l_plus)):
         return TransferVerdict(False, reason="support-split-fails")
-    plus_orders = _support_orders(g_from_plus)
-    minus_orders = _support_orders(g_from_minus)
-    if plus_orders is None or minus_orders is None:
-        return TransferVerdict(False, reason="support-split-fails")
-    if plus_orders == l_plus and minus_orders == l_minus:
-        gamma = 1
-    elif plus_orders == l_minus and minus_orders == l_plus:
-        gamma = -1
-    else:
-        return TransferVerdict(False, reason="support-split-fails")
-    return TransferVerdict(True, time=tau // 2, gamma=gamma,
-                           orders_plus=plus_orders, orders_minus=minus_orders)
+    return TransferVerdict(True, time=tau // 2, gamma=1 if split[0] == l_plus else -1,
+                           orders_plus=split[0], orders_minus=split[1])
 
 
 # cos^2 values whose arccos is a rational multiple of pi (pure geodetic
@@ -216,10 +186,3 @@ def _special_support_csq(factors: list[RatPoly]) -> Fraction | None:
         if r0 == -r1 and r0 != 0:
             return r0 * r0
     return None
-
-
-def product_of_cyclotomics(orders) -> RatPoly:
-    out = ONE
-    for m in orders:
-        out = out * cyclotomic(m)
-    return out

@@ -14,8 +14,8 @@ until an online Berlekamp-Massey candidate of order L is certified exactly,
 sum_i c_i Z^(L-i) e_c = 0 for every start column (Wiedemann 1986): about
 L + 1 mat-vecs per column, L the support degree, instead of 2 size.  At
 2 size moments the candidate is final without a certificate, since
-deg charpoly(H) = size.  ``Resolvent`` memoises psi_S, the support
-polynomial g and its +-split per (reduction, S, T) for the decider, the
+deg charpoly(H) = size.  ``Resolvent`` memoises psi_S, the support g, its
+cosine scan, factors and +-split per (reduction, S, T) for the decider, the
 cospectrality checks and the CLI.  ``charpoly`` (integer Berkowitz) is kept
 as the reference the tests check psi against.
 
@@ -272,17 +272,17 @@ def squarefree_part(p: RatPoly) -> RatPoly:
 
 
 def factor_irreducible(p: RatPoly) -> list[RatPoly]:
-    """Distinct monic Q-irreducible factors of p, sorted by (degree, coeffs).
+    """Distinct monic Q-irreducible factors of p, sorted by (degree, coeffs)."""
+    return _factors(*cosine_factor(p)) if p.degree > 0 else []
 
-    The square-free part is split into cosine minimal polynomials by the
-    exact scan ``cosine_factor``; a linear remainder is its own factor, a
-    quadratic one is split by its discriminant (``_split_quadratic``), and
-    only a remainder of degree >= 3 goes to sympy's Q[x] factorizer.
-    """
-    if p.degree <= 0:
-        return []
-    orders, rest = cosine_factor(squarefree_part(p))
+
+def _factors(orders: dict[int, int], rest: RatPoly) -> list[RatPoly]:
+    """factor_irreducible of prod_m Psi_m^{e_m} * rest, for the split ({m: e_m},
+    rest) of ``cosine_factor``: the Psi_m, then the factors of the square-free
+    part of rest.  A quadratic one is split by its discriminant, and only one
+    of degree >= 3 goes to sympy's Q[x] factorizer."""
     factors = [cosine_poly(m) for m in orders]
+    rest = squarefree_part(rest)
     if rest.degree == 1:
         factors.append(rest)
     elif rest.degree == 2:
@@ -453,25 +453,26 @@ def _monic_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
     return None if any(rem[:k]) else quo
 
 
+def _scaled_ints(p: RatPoly) -> list[int]:
+    """p~(y), the primitive integer polynomial of 2^deg p(y/2)."""
+    d = p.degree
+    return RatPoly([c * 2 ** (d - i) for i, c in enumerate(p.coeffs)]).primitive_int_coeffs()
+
+
 def cosine_factor(p: RatPoly) -> tuple[dict[int, int], RatPoly]:
     """Split p = c * prod_m Psi_m^{e_m} * rest over Q; returns ({m: e_m}, rest)
     with rest monic and divisible by no Psi_m.
 
-    Works on p~(y), the primitive integer polynomial of 2^deg p(y/2), whose
-    cosine factors are the monic Psi~_m: every m with deg Psi_m <= deg p is
-    tried (the same orders as a cyclotomic scan of the degree-2 deg p
-    polynomial p#), skipping those that no longer fit the remaining degree,
-    and each is divided out exactly as often as it divides.  Monic divisors
-    keep the division in Z[y], so a nonzero remainder proves that Psi~_m does
-    not divide p~ and the split is exact.
+    Works on p~(y) (``_scaled_ints``), whose cosine factors are the monic
+    Psi~_m: every m with deg Psi_m <= deg p that still fits is divided out as
+    often as it divides (the orders of a cyclotomic scan of p#).  Monic
+    divisors keep the division in Z[y], so the split is exact.
     """
     if p.is_zero():
         raise ValueError("cosine_factor of the zero polynomial")
-    d = p.degree
-    scaled = RatPoly([c * 2 ** (d - i) for i, c in enumerate(p.coeffs)])
-    ints = scaled.primitive_int_coeffs()
+    ints = _scaled_ints(p)
     orders: dict[int, int] = {}
-    for m, k in _cosine_orders(d):
+    for m, k in _cosine_orders(p.degree):
         if len(ints) == 1:
             break
         while k < len(ints):
@@ -846,7 +847,8 @@ class Resolvent:
     the (S, T) moments.  m_{S,T} is read from the vectors of S and T; it obeys
     the certified recurrence of S (it is also a readout of the S vectors), and
     so do m_S +- m_{S,T}, so 2 L_S of their terms give psi_{S,T}, g+ and g-
-    by Berlekamp-Massey.
+    by Berlekamp-Massey.  g is scanned for cosine factors once (``_scan``);
+    its orders and factors, and the orders and factors of g+-, read that scan.
     """
 
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
@@ -895,8 +897,7 @@ class Resolvent:
 
     @cached_property
     def g(self) -> RatPoly:
-        """The support polynomial q / gcd(p, q) of psi_S = p/q: psi_S is
-        reduced, so this is its denominator."""
+        """The support polynomial: psi_S = p/q is reduced, so g = q."""
         return self.psi_s.den
 
     @cached_property
@@ -914,6 +915,49 @@ class Resolvent:
         m_s = _self_moments(self.red, self.s)
         seq = [m_s.term(k) + sign * y for k, y in enumerate(self._m_st)]
         return _series_fraction(seq, self.red.int_view[1])[1]
+
+    @cached_property
+    def _scan(self) -> tuple[dict[int, int], RatPoly]:
+        """cosine_factor(g): the one cosine scan of the support."""
+        return cosine_factor(self.g)
+
+    @cached_property
+    def orders(self) -> frozenset[int] | None:
+        """The orders m with g = prod Psi_m, each Psi_m once (the g# criterion),
+        or None when g is no such product: psi_S is then not periodic."""
+        orders, rest = self._scan
+        return frozenset(orders) if rest.is_one() and set(orders.values()) <= {1} else None
+
+    @cached_property
+    def strong(self) -> bool:
+        """Strong cospectrality: S and T are cospectral and g = g+ g-, so
+        every pole of psi_S survives in exactly one of psi_S +- psi_{S,T}."""
+        return self.cospectral and self.g_plus * self.g_minus == self.g
+
+    @cached_property
+    def split_orders(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The cosine orders of g+ and g- (read when ``strong``): g+- divide g,
+        so integer trial division by the Psi~_m of g's orders finds them."""
+        return tuple(frozenset(m for m in self._scan[0]
+                               if _monic_quotient(ints, _cosine_coeffs(m)) is not None)
+                     for ints in map(_scaled_ints, (self.g_plus, self.g_minus)))
+
+    @cached_property
+    def factors(self) -> tuple[RatPoly, ...]:
+        """The distinct monic Q-irreducible factors of g, sorted by (degree,
+        coeffs), read from the one scan."""
+        return tuple(_factors(*self._scan))
+
+    @cached_property
+    def split(self) -> tuple[tuple[RatPoly, ...], tuple[RatPoly, ...]] | None:
+        """(plus, minus): g's factors that divide g+ and g-, or None unless
+        ``strong``; with g = g+ g- these are the irreducible factors of g+-."""
+        if not self.strong:
+            return None
+        cos = {cosine_poly(m): m for m in self._scan[0]}
+        return tuple(tuple(f for f in self.factors
+                           if (cos[f] in orders if f in cos else (h % f).is_zero()))
+                     for h, orders in zip((self.g_plus, self.g_minus), self.split_orders))
 
 
 def resolvent(red: "HermitianReduction", s: list[int] | None = None,

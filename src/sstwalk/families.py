@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .coins import CoinAssignment, ReflectionCoin, grover_coin, reflection_about
 from .decider import TransferVerdict, decide_pretty_good_special, decide_transfer
-from .exact import InvariantError, pole_support, psi
+from .exact import InvariantError, resolvent
 from .graphs import (Graph, circulant_2m, complete_bipartite_k2m,
                      double_cone_cycles, double_cone_over, generalized_path)
 from .reduction import exact_transfer_check, reduction_for
@@ -242,10 +242,10 @@ def case_pretty_good_cone(base: Graph, name: str = "cone", t_max: int = 10 ** 5,
     coin = reflection_about([list(v) for v in kernel])
     assignment = CoinAssignment.grover_with_marked(graph, a, b, coin, coin)
     red = reduction_for(assignment, a, kernel, b)
-    factors = pole_support(psi(red, red.s, red.s))
+    factors = resolvent(red).factors
     accepted = decide_pretty_good_special(factors)
     result = PrettyGoodResult(name=name, accepted=accepted,
-                              support_factors=tuple(factors))
+                              support_factors=factors)
     if not accepted:
         result.status = "REJECTED"
         return result

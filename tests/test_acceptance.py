@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here.
 """
 
+import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -268,3 +270,55 @@ def test_criterion_13_circulant_2002_clones():
     elapsed = time.perf_counter() - start
     report(13, f"circulant(1000,1,999) exact decide + check, 2002 clones ({elapsed:.2f}s)",
            ok and elapsed < 1.0)
+
+
+def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
+    """`transfer --report-split` on GP(3,300), 896 clones (decide_transfer,
+    then strong_cospectral_exact) scans g for cosine factors at most twice
+    and g+- never, calls sympy at most once and forms g+ g- once, and prints
+    the verdict and split it printed when g+- were factored afresh (stdout
+    digest).  Counts only: no wall-time gate."""
+    from sstwalk import cli, exact
+
+    summaries, scanned, sympy_calls, products = [], [], [], []
+    init, scan = exact.Resolvent.__init__, exact.cosine_factor
+    sympy_factor, mul = exact._sympy_factor, exact.RatPoly.__mul__
+
+    def recorded_init(self, *args):
+        summaries.append(self)
+        init(self, *args)
+
+    def recorded_scan(p):
+        scanned.append(p)
+        return scan(p)
+
+    def recorded_sympy(p):
+        sympy_calls.append(p)
+        return sympy_factor(p)
+
+    def recorded_mul(self, other):
+        if isinstance(other, exact.RatPoly):
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(exact.Resolvent, "__init__", recorded_init)
+    for module in list(sys.modules.values()):   # every binding of the scan
+        if module and module.__name__.startswith("sstwalk") and (
+                getattr(module, "cosine_factor", None) is scan):
+            monkeypatch.setattr(module, "cosine_factor", recorded_scan)
+    monkeypatch.setattr(exact, "_sympy_factor", recorded_sympy)
+    monkeypatch.setattr(exact.RatPoly, "__mul__", recorded_mul)
+    rc = cli.main(["transfer", "--family", "gp", "--k", "3", "--n", "300", "--report-split"])
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    (summary,) = summaries
+    g, g_plus, g_minus = summary.g, summary.g_plus, summary.g_minus
+    ok = rc == 0 and out.splitlines()[0] == "TRANSFER time=299 gamma=+1"
+    ok = ok and hashlib.sha256(out.encode()).hexdigest() == (
+        "936d133b36d2ea28cee1991994adf74034322ca69c0aacfa505c2f8864c2283a")
+    ok = ok and g.degree == 300 and sum(p == g for p in scanned) <= 2
+    ok = ok and not any(p in (g_plus, g_minus) for p in scanned)
+    ok = ok and len(sympy_calls) <= 1
+    ok = ok and sum({a, b} == {g_plus, g_minus} for a, b in products) == 1
+    report(14, f"GP(3,300) decide + split: {len(scanned)} cosine scans, "
+               f"{len(sympy_calls)} sympy calls", ok)

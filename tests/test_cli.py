@@ -207,13 +207,14 @@ def test_family_fail_exit_3(capsys, monkeypatch):
 ])
 def test_exit_code_names_the_fault(capsys, monkeypatch, error, code, prefix):
     """A ValueError from a stage is an input error (exit 2); an InvariantError,
-    though also a ValueError, is the program's fault (exit 3)."""
-    from sstwalk import decider
+    though also a ValueError, is the program's fault (exit 3).  The stage is
+    the resolvent summary's one cosine scan of the support."""
+    from sstwalk import exact
 
     def broken(g):
         raise error("stage failed")
 
-    monkeypatch.setattr(decider, "cosine_factor", broken)
+    monkeypatch.setattr(exact, "cosine_factor", broken)
     rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
     assert rc == code and out == ""
     assert err == prefix + "stage failed\n"
@@ -277,6 +278,43 @@ def test_every_family_through_cli(name, tmp_path, capsys, monkeypatch):
         assert (rc, out) == (2, "") and "pretty-good harness" in err
     else:
         assert (rc, out.splitlines()) == (0, cases)
+
+
+# graph, sender, receiver, coin and subspace files of two strongly cospectral
+# random instances whose supports have non-cosine factors, with the stdout of
+# `transfer --report-split` and `psi` pinned from the route that factored g+
+# and g- afresh.  On "quadratic" a rest x^2 - 1/3 is split by its discriminant;
+# on "quadratic+cubic" the split has the irrational quadratics x^2 + x + 1/6
+# and x^2 - 1/6 and a cubic, which only sympy factors.
+SPLIT_GOLDEN = {
+    "quadratic": (
+        "n 5\n0 1\n0 2\n0 3\n1 3\n1 4\n2 3\n", 1, 3,
+        "coin 1 basis 2 1 0 0 0 0 1\ncoin 3 basis 2 1 0 0 0 0 1\n", "1 0 0\n",
+        "NO_TRANSFER stage=not-periodic\n"
+        "SPLIT plus=[-1 1;1 1;-1/3 0 1] minus=[0 1] gamma=+1\n",
+        "PSI 1/6 0 -1 0 1 | 0 1/3 0 -4/3 0 1\n"
+        "POLE_FACTOR -1 1\nPOLE_FACTOR 0 1\nPOLE_FACTOR 1 1\nPOLE_FACTOR -1/3 0 1\n"),
+    "quadratic+cubic": (
+        "n 8\n0 1\n0 2\n0 4\n0 7\n1 2\n1 3\n1 4\n1 6\n2 3\n3 5\n3 6\n4 7\n5 6\n",
+        5, 7, "coin 5 basis 2 5 -12 12 5\ncoin 7 basis 2 5 -12 12 5\n", "5 -12\n",
+        "NO_TRANSFER stage=not-periodic\n"
+        "SPLIT plus=[-1 1;1/6 1 1;1/30 -3/10 0 1] minus=[-1/2 0 1;-1/6 0 1] gamma=+1\n",
+        "PSI 5/36504 733/365040 -695/36504 -419/4680 4001/30420 4972/7605 -488/2535 "
+        "-4999/3380 0 1 | -1/2160 1/540 53/2160 -7/270 -4/15 1/9 49/45 -2/15 -9/5 0 1\n"
+        "POLE_FACTOR -1 1\nPOLE_FACTOR -1/2 0 1\nPOLE_FACTOR -1/6 0 1\n"
+        "POLE_FACTOR 1/6 1 1\nPOLE_FACTOR 1/30 -3/10 0 1\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_GOLDEN))
+def test_split_with_non_cosine_factors(name, tmp_path, capsys):
+    graph, a, b, coins, w, transfer, psi = SPLIT_GOLDEN[name]
+    argv = ["--a", str(a), "--b", str(b)]
+    for flag, text in (("graph", graph), ("coins", coins), ("subspace", w)):
+        (tmp_path / flag).write_text(text)
+        argv += [f"--{flag}", str(tmp_path / flag)]
+    assert run(capsys, "transfer", "--report-split", *argv)[:2] == (0, transfer)
+    assert run(capsys, "psi", *argv)[:2] == (0, psi)
 
 
 @pytest.mark.parametrize("kind, text", [

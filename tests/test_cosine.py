@@ -3,10 +3,10 @@
 ``old_orders`` and ``old_factor_irreducible`` are the algorithms the decider
 and the factorizer used before the scan: the sharp transform g -> g# plus a
 scan for cyclotomic factors with the Phi_{1,2}-squared multiplicity rule, and
-peel-x-then-sympy.  The cosine scan (``decider._support_orders``,
-``exact.factor_irreducible``) must agree with both on the single Psi_m, on
-random products of distinct Psi_m with and without a squared or non-cosine
-factor, and on g, g+ and g- of seeded random reductions.
+peel-x-then-sympy.  The cosine scan (read as the resolvent summary reads it,
+``scan_orders``, and ``exact.factor_irreducible``) must agree with both on the
+single Psi_m, on random products of distinct Psi_m with and without a squared
+or non-cosine factor, and on g, g+ and g- of seeded random reductions.
 """
 
 import os
@@ -18,8 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from sstwalk.decider import (_support_orders, cyclotomic,
-                             factor_into_cyclotomics, sharp)
+from sstwalk.decider import cyclotomic, factor_into_cyclotomics, sharp
 from sstwalk.exact import (X, RatPoly, _split_quadratic, _sympy_factor,
                            cosine_factor, cosine_poly, factor_irreducible,
                            resolvent, squarefree_part)
@@ -33,6 +32,15 @@ ORACLE_BOUND = 200
 # every m <= ORACLE_BOUND.
 ORACLE_SINGLE = 80
 ORACLE_PRODUCT = 30
+
+def scan_orders(g: RatPoly):
+    """The orders ``exact.Resolvent.orders`` reads from the cosine scan: those
+    of g = prod Psi_m with each Psi_m once, else None."""
+    orders, rest = cosine_factor(g)
+    if not rest.is_one() or any(e != 1 for e in orders.values()):
+        return None
+    return frozenset(orders)
+
 
 def old_orders(g: RatPoly, m_bound: int | None = None):
     """The decider's order set before the cosine scan (g# oracle)."""
@@ -86,7 +94,7 @@ def test_every_single_cosine_poly_matches_oracle():
     and the irreducibility of Phi_m."""
     for m in range(1, ORACLE_BOUND + 1):
         psi_m = cosine_poly(m)
-        assert _support_orders(psi_m) == {m}, m
+        assert scan_orders(psi_m) == {m}, m
         assert cosine_factor(psi_m) == ({m: 1}, RatPoly([1]))
         assert factor_irreducible(psi_m) == [psi_m]
         if m <= ORACLE_SINGLE:
@@ -128,7 +136,7 @@ def test_random_products_match_oracle():
             p = p * Fraction(rng.randint(1, 5), rng.randint(1, 5))
             want = old_orders(p, ORACLE_PRODUCT)
             assert want == (frozenset(orders) if label == "periodic" else None)
-            assert _support_orders(p) == want, p
+            assert scan_orders(p) == want, p
             assert factor_irreducible(p) == old_factor_irreducible(p), p
             kinds[label] += 1
     assert kinds["periodic"] == 300 and min(kinds.values()) > 100
@@ -146,9 +154,10 @@ def test_random_reduction_supports_match_oracle():
             polys += [summary.g_plus, summary.g_minus]
         except ValueError:
             pass
+        assert summary.orders == old_orders(summary.g)
         for g in polys:
             want = old_orders(g)
-            assert _support_orders(g) == want, g
+            assert scan_orders(g) == want, g
             assert factor_irreducible(g) == old_factor_irreducible(g), g
             checked += 1
             periodic += want is not None

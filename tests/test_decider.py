@@ -248,10 +248,16 @@ def test_sharp_evaluation_identity():
     check()
 
 
+def product_of_cyclotomics(orders) -> RatPoly:
+    out = RatPoly([1])
+    for m in orders:
+        out = out * cyclotomic(m)
+    return out
+
+
 def test_cyclotomic_product_roundtrip():
     from hypothesis import given, settings
     from hypothesis import strategies as st
-    from sstwalk.decider import product_of_cyclotomics
 
     @given(st.lists(st.integers(1, 24), min_size=1, max_size=5))
     @settings(max_examples=30, deadline=None)

@@ -9,9 +9,14 @@ m_S +- m_{S,T}) must agree with the RatFun arithmetic they replace.
 ``full_kernel_summary`` is the moment route before the certified early stop
 (all 2 size moments of each sequence); the early-stopped kernel must give the
 same psi, cospectrality, g and g+-.
+
+The support split the summary reads from g's one cosine scan is checked
+against the route it replaced: factoring g+ and g- afresh and scanning each in
+full (``check_split_against_oracle``).
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +26,10 @@ from conftest import (FAMILY_NAMES, family_reduction, odd_cycle_reductions,
 from psi_oracle import full_kernel_summary, newton_interpolate, psi_oracle
 from sstwalk import exact
 from sstwalk.coins import CoinAssignment, reflection_about
-from sstwalk.exact import RatPoly, berlekamp_massey, psi, resolvent
+from sstwalk.cospec import strong_cospectral_exact
+from sstwalk.decider import decide_transfer
+from sstwalk.exact import (RatPoly, berlekamp_massey, cosine_factor, factor_irreducible,
+                           psi, resolvent)
 from sstwalk.families import random_orthogonal_columns
 from sstwalk.graphs import build_graph, circulant_2m
 from sstwalk.reduction import reduction_for
@@ -112,6 +120,49 @@ def test_psi_matches_oracle_on_random_reductions():
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_psi_matches_oracle_on_families(name):
     assert not check_against_oracle(family_reduction(name))
+
+
+# -- the support split read from g's one scan, against factoring g+- afresh -------
+
+
+def check_split_against_oracle(red) -> str:
+    """When the summary is strong: its factors are factor_irreducible(g), its
+    plus/minus factors are factor_irreducible(g+-) and its orders of g+- (and
+    the decider's, on a transfer) are those of a full cosine_factor(g+-) scan.
+    Returns what was checked: "transfer", "strong" or "".  A ValueError from
+    g+- (paired clones with different delta_sq) counts as not strong."""
+    summary = resolvent(red)
+    try:
+        strong = summary.strong
+    except ValueError:
+        return ""
+    if not strong:
+        assert strong_cospectral_exact(red) is None
+        return ""
+    g_plus, g_minus = summary.g_plus, summary.g_minus
+    assert summary.factors == tuple(factor_irreducible(summary.g))
+    split = strong_cospectral_exact(red)
+    assert split.support_factors == summary.factors
+    assert split.plus_factors == tuple(factor_irreducible(g_plus))
+    assert split.minus_factors == tuple(factor_irreducible(g_minus))
+    full = (frozenset(cosine_factor(g_plus)[0]), frozenset(cosine_factor(g_minus)[0]))
+    assert summary.split_orders == full
+    verdict = decide_transfer(red)
+    if not verdict.occurs:
+        return "strong"
+    assert (verdict.orders_plus, verdict.orders_minus) == full
+    return "transfer"
+
+
+def test_split_matches_oracle_on_random_reductions():
+    rng = random.Random(20251106)
+    seen = Counter(check_split_against_oracle(random_reduction(rng)) for _ in range(300))
+    assert seen["transfer"] > 0 and seen["strong"] > 0
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_split_matches_oracle_on_families(name):
+    assert check_split_against_oracle(family_reduction(name)) == "transfer"
 
 
 # -- the certified early stop against the full 2 size kernel ---------------------
