@@ -2,13 +2,14 @@
 
 A reflection coin at a degree-d vertex is C_u = 2P_u - I for an exact rational
 symmetric projection P_u on C^{sigma_u}.  Coins are stored by their projection
-plus an exact orthogonal (unnormalized) basis of col(P_u); the basis is what
-the Hermitian reduction consumes.
+plus an exact orthogonal (unnormalized) basis of col(P_u); that basis, as
+primitive integer columns, is what the Hermitian reduction consumes.
 
-Coins are frozen and validated exactly (P^2 = P = P^T, basis fixed and
-orthogonal) once, when built.  The Grover and -I coins are cached per degree,
-so an assignment shares one validated coin per (degree, kind) instead of
-holding a copy per vertex.
+Coins are frozen and validated exactly (P^2 = P = P^T, basis nonzero, fixed
+and orthogonal) once, when built, in integers: on den * P, with den the least
+common denominator of P, and on the basis scaled to integer vectors.  The
+Grover and -I coins are cached per degree, so an assignment shares one
+validated coin per (degree, kind) instead of holding a copy per vertex.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 
 from . import linalg
 from .graphs import Graph
@@ -28,28 +30,50 @@ class CoinError(ValueError):
 
 @dataclass(frozen=True)
 class ReflectionCoin:
-    """Exact rational reflection coin: projection P with P^2 = P = P^T."""
+    """Exact rational reflection coin: projection P with P^2 = P = P^T.
+
+    Validation and ``fixes`` run on the integer form (den, den * P) of the
+    projection; the coin also keeps its basis as primitive integer clone
+    columns, the block a vertex with nothing prescribed gives the reduction.
+    """
 
     degree: int
     projection: tuple[tuple[Fraction, ...], ...]
-    basis: tuple[tuple[Fraction, ...], ...]  # orthogonal basis of col(P), may be empty
+    basis: tuple[tuple[Fraction | int, ...], ...]  # orthogonal basis of col(P)
 
     def __post_init__(self):
-        p = self.p_matrix()
-        if linalg.transpose(p) != p:
+        den, q = self.int_projection
+        if any(q[i][j] != q[j][i] for i in range(self.degree) for j in range(i)):
             raise CoinError("coin projection is not symmetric")
-        if linalg.mat_mul(p, p) != p:
+        # q is symmetric, so (q q)[i][j] is the dot product of rows i and j
+        if any(den * q[i][j] != linalg.dot(q[i], q[j])
+               for i in range(self.degree) for j in range(i + 1)):
             raise CoinError("coin projection is not idempotent")
-        trace = sum(p[i][i] for i in range(self.degree))
+        trace = Fraction(sum(q[i][i] for i in range(self.degree)), den)
         if trace != len(self.basis):
             raise CoinError("coin basis does not span col(P): rank tr(P) = "
                             f"{trace}, basis has {len(self.basis)} columns")
-        for i, u in enumerate(self.basis):
-            if linalg.mat_vec(p, list(u)) != list(u):
+        ints = [linalg.int_vector(u) for u in self.basis]
+        for i, u in enumerate(ints):
+            if not any(u):
+                raise CoinError("coin basis has a zero vector")
+            if not self.fixes(u):
                 raise CoinError("coin basis vector not fixed by the projection")
-            for v in self.basis[i + 1:]:
-                if linalg.dot(list(u), list(v)) != 0:
+            for v in ints[i + 1:]:
+                if linalg.dot(u, v) != 0:
                     raise CoinError("coin basis is not orthogonal")
+
+    @cached_property
+    def int_projection(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * P) with den the least common denominator of P."""
+        den = lcm(1, *(x.denominator for row in self.projection for x in row))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                          for row in self.projection)
+
+    @cached_property
+    def clone_columns(self) -> tuple[tuple[int, ...], ...]:
+        """The basis as primitive integer vectors (it is validated orthogonal)."""
+        return tuple(tuple(linalg.primitive_int_vector(u)) for u in self.basis)
 
     def p_matrix(self) -> Mat:
         return [list(row) for row in self.projection]
@@ -66,8 +90,11 @@ class ReflectionCoin:
         return len(self.basis)
 
     def fixes(self, w: Vec) -> bool:
-        """Exact test that C w = w, i.e. P w = w."""
-        return linalg.mat_vec(self.p_matrix(), w) == list(w)
+        """Exact test that C w = w, i.e. (den P) w = den w on w scaled to ints."""
+        den, q = self.int_projection
+        w = linalg.int_vector(w)
+        return len(w) == self.degree and all(
+            linalg.dot(row, w) == den * x for row, x in zip(q, w))
 
 
 def _freeze(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
@@ -111,7 +138,7 @@ def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
         for i in range(degree):
             if b[i]:
                 for j in range(degree):
-                    p[i][j] += b[i] * b[j] / nb
+                    p[i][j] += Fraction(b[i] * b[j], nb)
     return ReflectionCoin(degree, _freeze(p), _freeze(ortho))
 
 

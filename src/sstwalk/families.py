@@ -79,7 +79,7 @@ def random_rational_vector(rng: random.Random, dim: int) -> list[Fraction]:
 
 
 def random_orthogonal_columns(rng: random.Random, dim: int, count: int
-                              ) -> list[list[Fraction]]:
+                              ) -> list[list[int]]:
     """``count`` pairwise-orthogonal primitive integer vectors in Q^dim.
 
     Built by applying one or two rational Householder reflections (from small

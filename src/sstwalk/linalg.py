@@ -1,16 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and the integers.
 
 Matrices are plain lists of lists of ``fractions.Fraction`` (rows), vectors are
-lists of Fractions.  Everything here is small and dense; the sizes that show up
-in practice are a few dozen rows, so clarity wins over asymptotics.  The
-integer Berkowitz characteristic polynomial and Bareiss determinant back
-``exact.charpoly`` and the determinant reference for psi that the tests use.
+lists of Fractions or ints.  Everything here is small and dense; the sizes that
+show up in practice are a few dozen rows, so clarity wins over asymptotics.
+Gram-Schmidt is fraction-free: it scales its inputs to integer vectors, stays
+in Python ints and returns primitive integer vectors, the columns the coin
+basis and the Hermitian reduction carry.  The integer Berkowitz characteristic
+polynomial and Bareiss determinant back ``exact.charpoly`` and the determinant
+reference for psi that the tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -26,32 +30,8 @@ def zeros(r: int, c: int) -> Mat:
     return [[Fraction(0)] * c for _ in range(r)]
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += x * bk[j]
-    return out
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
-def dot(u: Vec, v: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
+def dot(u, v):
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -62,58 +42,56 @@ def vec_scale(u: Vec, c: Fraction) -> Vec:
     return [c * x for x in u]
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(x == 0 for x in u)
+def int_vector(v) -> list[int]:
+    """A rational vector times the least common denominator of its entries."""
+    den = lcm(1, *(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
 
 
-def primitive_int_vector(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to a primitive integer vector.
+def primitive_int_vector(v) -> list[int]:
+    """Scale a nonzero rational vector to a primitive integer vector whose
+    first nonzero entry is positive (canonical).
 
     Scaling a basis column is harmless everywhere in this package: columns only
     ever need to be pairwise orthogonal, not normalized.
     """
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = int_vector(v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    ints = [x // g for x in ints]
-    # fix the sign so the first nonzero entry is positive (canonical)
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return [Fraction(x) for x in ints]
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
-def gram_schmidt(vectors: list[Vec], against: list[Vec] | None = None,
-                 on_dependent: str = "error") -> list[Vec]:
-    """Exact unnormalized Gram-Schmidt.
+def gram_schmidt(vectors, against=None, on_dependent: str = "error") -> list[list[int]]:
+    """Exact unnormalized Gram-Schmidt, fraction-free over Z.
 
-    Returns pairwise-orthogonal rational vectors spanning the same space as
-    ``vectors`` (orthogonal also to every vector in ``against``).  Each output
-    vector is reduced to a primitive integer vector.  ``on_dependent`` is
-    either "error" (raise on a vector already in the span) or "drop".
+    Returns pairwise-orthogonal primitive integer vectors spanning the same
+    space as the rational ``vectors`` (orthogonal also to every vector in
+    ``against``).  Each input is scaled to an integer vector w and each
+    projection step is w <- <b,b> w - <w,b> b, a positive multiple of the
+    rational step w - (<w,b>/<b,b>) b, so the primitive form of the result is
+    the rational one's.  ``on_dependent`` is either "error" (raise on a vector
+    already in the span) or "drop".
     """
-    fixed = [list(v) for v in (against or [])]
-    out: list[Vec] = []
+    done = [int_vector(b) for b in against or ()]
+    norms = [dot(b, b) for b in done]
+    out: list[list[int]] = []
     for v in vectors:
-        w = list(v)
-        for b in fixed + out:
+        w = int_vector(v)
+        for b, nb in zip(done, norms):
             c = dot(w, b)
             if c:
-                nb = dot(b, b)
-                w = vec_sub(w, vec_scale(b, c / nb))
-        if is_zero_vec(w):
+                w = [nb * x - c * y for x, y in zip(w, b)]
+        if not any(w):
             if on_dependent == "drop":
                 continue
             raise ValueError("linearly dependent vector in Gram-Schmidt input")
-        out.append(primitive_int_vector(w))
+        w = primitive_int_vector(w)
+        out.append(w)
+        done.append(w)
+        norms.append(dot(w, w))
     return out
 
 
@@ -146,8 +124,8 @@ def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
-def kernel_basis(a: Mat) -> list[Vec]:
-    """Exact rational basis of the right kernel of ``a``."""
+def kernel_basis(a: Mat) -> list[list[int]]:
+    """Exact basis of the right kernel of ``a``, as primitive integer vectors."""
     if not a:
         return []
     red, pivots = rref(a)

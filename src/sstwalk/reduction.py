@@ -1,12 +1,15 @@
 """Coin bases, the Hermitian reduction H = N*RN, and the marked-vertex blow-up.
 
-H is never materialized with irrational entries.  A reduction stores the
-nonzeros of the symmetric rational matrix S = M^T R M (M = exact orthogonal
-coin basis) and the diagonal D = M^T M; the true Hermitian matrix is H = D^{-1/2} S D^{-1/2} and
-its rational similar carrier is H_rat = S D^{-1} (so H = Delta^{-1} H_rat Delta
-with Delta = D^{1/2}).  Exact transfer checks and resolvent traces operate on
-H_rat directly whenever the paired clones share delta_sq, through its sparse
-integer view Z = scale * H_rat (sparse integer mat-vecs, no dense products).
+H is never materialized with irrational entries.  The columns of the exact
+orthogonal coin basis M are primitive integer vectors, so a reduction stores
+the integer nonzeros of the symmetric matrix S = M^T R M and the diagonal
+D = M^T M (as the list of Fractions ``delta_sq``); the true Hermitian matrix is
+H = D^{-1/2} S D^{-1/2} and its rational similar carrier is H_rat = S D^{-1}
+(so H = Delta^{-1} H_rat Delta with Delta = D^{1/2}).  Exact transfer checks
+and resolvent traces operate on H_rat directly whenever the paired clones
+share delta_sq, through its sparse integer view Z = scale * H_rat (sparse
+integer mat-vecs, no dense products).  From the coin to Z the arithmetic is in
+Python ints; only the dense views ``sym`` and ``h_rat`` are Fractions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -35,9 +38,10 @@ class AdjacentMarkedPair(ReductionError):
 
 @dataclass(frozen=True)
 class CoinBasis:
-    """Ordered exact orthogonal coin basis: one (vertex, weight vector) per clone."""
+    """Ordered exact orthogonal coin basis: one (vertex, primitive integer
+    weight vector) per clone."""
 
-    columns: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    columns: tuple[tuple[int, tuple[int, ...]], ...]
     s_clones: tuple[int, ...]
     t_clones: tuple[int, ...]
 
@@ -48,8 +52,9 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
     """Exact orthogonal coin basis whose first block at a spans x_a(W) (and at
     b spans x_b(V); V defaults to W under the positional identification).
 
-    Vertices with rk(C_u + I) = 0 contribute no clones.  Per-vertex completion
-    is rational Gram-Schmidt of the coin's column space against the prescribed
+    Vertices with rk(C_u + I) = 0 contribute no clones.  A vertex with
+    nothing prescribed takes its coin's clone columns as they are; at a and b
+    the coin's columns are completed by Gram-Schmidt against the prescribed
     vectors.
     """
     g = assignment.graph
@@ -64,28 +69,30 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
         if len(v_ortho) != len(w_ortho):
             raise ReductionError("dim W != dim V")
 
-    columns: list[tuple[int, tuple[Fraction, ...]]] = []
+    columns: list[tuple[int, tuple[int, ...]]] = []
     s_clones: list[int] = []
     t_clones: list[int] = []
     for u in range(g.n):
         coin = assignment.coin(u)
-        prescribed: list[Vec] = []
         if u == a:
             prescribed = w_ortho
             s_clones.extend(range(len(columns), len(columns) + len(prescribed)))
         elif b is not None and u == b:
             prescribed = v_ortho
             t_clones.extend(range(len(columns), len(columns) + len(prescribed)))
-        columns.extend((u, tuple(v)) for v in prescribed)
-        completion = linalg.gram_schmidt(
-            [list(col) for col in coin.basis], against=prescribed, on_dependent="drop")
-        columns.extend((u, tuple(v)) for v in completion)
+        else:
+            columns += [(u, col) for col in coin.clone_columns]
+            continue
+        completion = linalg.gram_schmidt(coin.clone_columns, against=prescribed,
+                                         on_dependent="drop")
+        columns += [(u, tuple(v)) for v in prescribed + completion]
     if b is None:
         t_clones = list(s_clones)
     return CoinBasis(tuple(columns), tuple(s_clones), tuple(t_clones))
 
 
-def _prepare_subspace(assignment: CoinAssignment, u: int, basis: list[Vec]) -> list[Vec]:
+def _prepare_subspace(assignment: CoinAssignment, u: int, basis: list[Vec]
+                      ) -> list[list[int]]:
     coin = assignment.coin(u)
     vecs = [linalg.frac_vec(v) for v in basis]
     for v in vecs:
@@ -105,12 +112,13 @@ class HermitianReduction:
     """The pair (H_rat, delta_sq) plus clone bookkeeping.
 
     The carrier is ``nonzeros``: the (i, j, sym[i][j]) with sym[i][j] != 0,
-    sorted by (i, j), of the symmetric rational matrix sym.  Invariants
-    (exact): H_rat = sym * diag(delta_sq)^{-1}, so delta_sq[j] * H_rat[i][j]
-    == delta_sq[i] * H_rat[j][i].  Construction (build_H included) checks
-    that the transposed nonzeros sort back to nonzeros and raises
-    ``exact.InvariantError`` otherwise: the Krylov moments of
-    ``sstwalk.exact`` rely on this symmetry.
+    sorted by (i, j), of the symmetric matrix sym; build_H gives int entries
+    (a synthetic reduction may carry Fractions) and ``delta_sq`` is a list of
+    Fractions.  Invariants (exact): H_rat = sym * diag(delta_sq)^{-1}, so
+    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i].  Construction
+    (build_H included) checks that the transposed nonzeros sort back to
+    nonzeros and raises ``exact.InvariantError`` otherwise: the Krylov moments
+    of ``sstwalk.exact`` rely on this symmetry.
 
     A reduction is not mutated after build_H: the lazy views below (dense sym
     and h_rat, the sparse integer and float views) and the moment sequences
@@ -120,7 +128,7 @@ class HermitianReduction:
 
     assignment: CoinAssignment
     basis: CoinBasis
-    nonzeros: list[tuple[int, int, Fraction]]
+    nonzeros: list[tuple[int, int, int]]
     delta_sq: list[Fraction]
     clone_of: list[tuple[int, int]]  # clone index -> (vertex, column id at vertex)
     s: list[int]
@@ -139,10 +147,11 @@ class HermitianReduction:
 
     @cached_property
     def sym(self) -> Mat:
-        """Dense sym, filled from the nonzeros; only h_rat and tests need it."""
+        """Dense sym in Fractions, filled from the nonzeros; only h_rat and
+        tests need it."""
         sym = linalg.zeros(self.size, self.size)
         for i, j, x in self.nonzeros:
-            sym[i][j] = x
+            sym[i][j] = Fraction(x)
         return sym
 
     @cached_property
@@ -154,14 +163,19 @@ class HermitianReduction:
     def int_view(self) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
         """Sparse integer view (rows, scale) of H_rat: Z = scale * H_rat with
         scale the least common denominator of its entries; row i is the pair
-        (column indices, integer values) of the nonzeros of Z[i]."""
-        inv = [1 / d for d in self.delta_sq]
+        (column indices, integer values) of the nonzeros of Z[i].  Each entry
+        H_rat[i][j] = sym[i][j] / delta_sq[j] is kept as a reduced integer pair
+        (numerator, denominator), with no Fraction division."""
+        inv = [(d.denominator, d.numerator) for d in self.delta_sq]
         entries = [[] for _ in range(self.size)]
         for i, j, x in self.nonzeros:
-            entries[i].append((j, x * inv[j]))
-        scale = lcm(1, *(h.denominator for row in entries for _, h in row))
-        rows = [(tuple(j for j, _ in row),
-                 tuple(h.numerator * (scale // h.denominator) for _, h in row))
+            dd, dn = inv[j]
+            num, den = x.numerator * dd, x.denominator * dn
+            g = gcd(num, den)
+            entries[i].append((j, num // g, den // g))
+        scale = lcm(1, *(den for row in entries for _, _, den in row))
+        rows = [(tuple(j for j, _, _ in row),
+                 tuple(num * (scale // den) for _, num, den in row))
                 for row in entries]
         return rows, scale
 
@@ -202,8 +216,8 @@ def z_apply(rows, vec: list[int]) -> list[int]:
 
 
 def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
-    """Assemble the nonzeros of sym = M^T R M and delta_sq = diag(M^T M) from
-    a coin basis.
+    """Assemble the integer nonzeros of sym = M^T R M and delta_sq =
+    diag(M^T M) (as Fractions) from a coin basis.
 
     The (j,k) entry couples clone j at u and clone k at u' ~ u with weight
     v_j[pos_u(u')] * v_k[pos_{u'}(u)]; non-adjacent (and equal) vertices give 0.
@@ -215,7 +229,7 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
         per_vertex.setdefault(u, []).append(j)
     for u, ids in per_vertex.items():
         for i, j in [(i, j) for x, i in enumerate(ids) for j in ids[x + 1:]]:
-            if linalg.dot(list(cols[i][1]), list(cols[j][1])) != 0:
+            if linalg.dot(cols[i][1], cols[j][1]) != 0:
                 raise ReductionError(
                     f"coin basis at vertex {u} is not exactly orthogonal")
     nonzeros = []
@@ -231,7 +245,7 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
                     if x:
                         nonzeros += ((j, k, x), (k, j, x))
     nonzeros.sort()
-    delta_sq = [linalg.dot(list(v), list(v)) for _, v in cols]
+    delta_sq = [Fraction(linalg.dot(v, v)) for _, v in cols]
     clone_ids: dict[int, int] = {}
     clone_of = []
     for u, _ in cols:

@@ -147,8 +147,7 @@ def orthonormal_columns(vectors) -> list[np.ndarray]:
     if all(isinstance(x, (int, Fraction)) for v in vecs for x in v):
         from . import linalg
 
-        ortho = linalg.gram_schmidt([linalg.frac_vec(v) for v in vecs],
-                                    on_dependent="drop")
+        ortho = linalg.gram_schmidt(vecs, on_dependent="drop")
         out = []
         for v in ortho:
             col = np.array([float(x) for x in v])

@@ -68,10 +68,11 @@ def schedule_reduction(rng: random.Random, n: int, rank: int, dim_w: int
 FAMILY_NAMES = ["gp(4,10)", "circulant(20,1,19)", "double_cone([1,2,3])", "k2m(20)"]
 
 
-def family_reduction(name: str) -> HermitianReduction:
-    """One of the four FAMILY_NAMES instances the differential tests share:
-    gp(4,10) and k2m(20) with Grover coins and W = span{1}, circulant(20,1,19)
-    and double_cone([1,2,3]) with the reflection about their canonical W."""
+def family_instance(name: str):
+    """The reduction_for arguments (assignment, a, W, b) of one of the four
+    FAMILY_NAMES instances the differential tests share: gp(4,10) and k2m(20)
+    with Grover coins and W = span{1}, circulant(20,1,19) and
+    double_cone([1,2,3]) with the reflection about their canonical W."""
     if name == "gp(4,10)":
         (g, a, b), coin, w = generalized_path(4, 10), grover_coin(4), [[1] * 4]
     elif name == "circulant(20,1,19)":
@@ -82,7 +83,19 @@ def family_reduction(name: str) -> HermitianReduction:
         coin = reflection_about(w)
     else:
         (g, a, b), coin, w = complete_bipartite_k2m(20), grover_coin(20), [[1] * 20]
-    return reduction_for(CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b)
+    return CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b
+
+
+def family_reduction(name: str) -> HermitianReduction:
+    return reduction_for(*family_instance(name))
+
+
+def odd_cycle_instances():
+    """(name, reduction_for arguments) of ``odd_cycle_reductions``."""
+    for n in (5, 7, 9, 11):
+        assignment = CoinAssignment.all_grover(cycle_graph(n))
+        for d in range(1, n // 2 + 1):
+            yield f"C{n}(d={d})", (assignment, 0, [[1, 1]], d)
 
 
 def odd_cycle_reductions():
@@ -90,10 +103,8 @@ def odd_cycle_reductions():
     Grover coins, W = span{(1, 1)} at vertex 0 and the marked vertex at every
     distance 1 .. (n - 1)/2.  Their support is periodic with odd minimum
     period, so every one ends at NO_TRANSFER stage=odd-tau."""
-    for n in (5, 7, 9, 11):
-        assignment = CoinAssignment.all_grover(cycle_graph(n))
-        for d in range(1, n // 2 + 1):
-            yield f"C{n}(d={d})", reduction_for(assignment, 0, [[1, 1]], d)
+    for name, args in odd_cycle_instances():
+        yield name, reduction_for(*args)
 
 
 def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:

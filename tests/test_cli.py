@@ -306,15 +306,45 @@ SPLIT_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", list(SPLIT_GOLDEN))
-def test_split_with_non_cosine_factors(name, tmp_path, capsys):
-    graph, a, b, coins, w, transfer, psi = SPLIT_GOLDEN[name]
+def _instance_argv(tmp_path, name: str) -> list[str]:
+    """--a/--b and the graph, coin and subspace files of SPLIT_GOLDEN[name]."""
+    graph, a, b, coins, w = SPLIT_GOLDEN[name][:5]
     argv = ["--a", str(a), "--b", str(b)]
     for flag, text in (("graph", graph), ("coins", coins), ("subspace", w)):
         (tmp_path / flag).write_text(text)
         argv += [f"--{flag}", str(tmp_path / flag)]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(SPLIT_GOLDEN))
+def test_split_with_non_cosine_factors(name, tmp_path, capsys):
+    transfer, psi = SPLIT_GOLDEN[name][5:]
+    argv = _instance_argv(tmp_path, name)
     assert run(capsys, "transfer", "--report-split", *argv)[:2] == (0, transfer)
     assert run(capsys, "psi", *argv)[:2] == (0, psi)
+
+
+# the H_rat and delta_sq lines of `psi --dump-H` on the "quadratic+cubic"
+# instance, pinned from the Fraction route: delta_sq 3, 4, 5 and 169 and
+# fractional H_rat entries, printed byte for byte as before
+DUMP_H_GOLDEN = (
+    "H_rat 0 1/5 1/3 0 1/3 0 0 0 5/169 12/169\n"
+    "H_rat 1/4 0 1/3 1/4 1/3 0 0 1/3 0 0\n"
+    "H_rat 1/4 1/5 0 1/4 0 0 0 0 0 0\n"
+    "H_rat 0 1/5 1/3 0 0 5/169 12/169 1/3 0 0\n"
+    "H_rat 1/4 1/5 0 0 0 0 0 0 -12/169 5/169\n"
+    "H_rat 0 0 0 5/4 0 0 0 -4 0 0\n"
+    "H_rat 0 0 0 3 0 0 0 5/3 0 0\n"
+    "H_rat 0 1/5 0 1/4 0 -12/169 5/169 0 0 0\n"
+    "H_rat 5/4 0 0 0 -4 0 0 0 0 0\n"
+    "H_rat 3 0 0 0 5/3 0 0 0 0 0\n"
+    "delta_sq 4 5 3 4 3 169 169 3 169 169\n")
+
+
+def test_dump_h_golden(tmp_path, capsys):
+    psi = SPLIT_GOLDEN["quadratic+cubic"][6]
+    argv = _instance_argv(tmp_path, "quadratic+cubic")
+    assert run(capsys, "psi", "--dump-H", *argv)[:2] == (0, DUMP_H_GOLDEN + psi)
 
 
 @pytest.mark.parametrize("kind, text", [

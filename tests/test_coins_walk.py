@@ -235,6 +235,18 @@ def test_walk_apply_matches_dense_power_on_random_graphs():
         checked += 1
 
 
+def test_zero_basis_vector_rejected():
+    """A zero basis column is fixed by every projection and orthogonal to
+    everything, so it passed validation, and the reduction dropped it: C6
+    with C = I at the marked pair was modelled as a rank-1 coin."""
+    from sstwalk.coins import ReflectionCoin
+
+    identity = ((1, 0), (0, 1))
+    with pytest.raises(CoinError, match="zero vector"):
+        ReflectionCoin(2, identity, ((1, 0), (0, 0)))
+    assert ReflectionCoin(2, identity, ((1, 0), (0, 3))).clone_columns == ((1, 0), (0, 1))
+
+
 def test_all_grover_validates_one_coin(monkeypatch):
     """2000 degree-4 vertices share one Grover coin, validated once; a
     non-idempotent projection and a wrong-size coin are still refused."""

@@ -81,10 +81,11 @@ def check_against_oracle(red):
     return psi_st is ValueError
 
 
-def random_reduction(rng: random.Random):
-    """A connected graph on <= 10 vertices, an equal-degree marked pair with a
-    shared random rank-1 or rank-2 reflection coin (Grover elsewhere), dim W
-    in {1, 2}.  Half the rank-2, dim-1 instances identify W = <c_1> at a with
+def random_reduction_args(rng: random.Random):
+    """The reduction_for arguments (assignment, a, W, b, V) of a connected
+    graph on <= 10 vertices, an equal-degree marked pair with a shared random
+    rank-1 or rank-2 reflection coin (Grover elsewhere), dim W in {1, 2}.
+    Half the rank-2, dim-1 instances identify W = <c_1> at a with
     V = <c_1 + c_2> at b, so the paired clones differ in delta_sq."""
     while True:
         n = rng.randint(3, 10)
@@ -106,7 +107,11 @@ def random_reduction(rng: random.Random):
     v = None
     if rank == 2 and dim_w == 1 and rng.random() < 0.5:
         v = [[x + y for x, y in zip(*cols)]]
-    return reduction_for(asn, a, cols[:dim_w], b, v)
+    return asn, a, cols[:dim_w], b, v
+
+
+def random_reduction(rng: random.Random):
+    return reduction_for(*random_reduction_args(rng))
 
 
 def test_psi_matches_oracle_on_random_reductions():

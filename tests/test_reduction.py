@@ -165,6 +165,29 @@ def test_exact_transfer_octahedron_t4():
     assert not exact_transfer_check(red, 4, 1)
 
 
+def test_gram_schmidt_runs_at_the_marked_vertices_only(monkeypatch):
+    """On circulant(1000,1,999) the coin basis makes a constant number of
+    Gram-Schmidt calls: W and V at the marked pair, their completions and at
+    most one per distinct coin, not one per vertex."""
+    from sstwalk import linalg
+
+    g, a, b = circulant_2m(1000, 1, 999)
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    calls = []
+    gram_schmidt = linalg.gram_schmidt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gram_schmidt(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "gram_schmidt", counting)
+    red = reduction_for(asn, a, w, b)
+    distinct_coins = len({id(asn.coin(u)) for u in range(g.n)})
+    assert red.size == 2002
+    assert len(calls) <= 4 + distinct_coins
+
+
 def test_basis_independence_two_completions():
     """Verdicts agree on two different per-vertex completions (open question)."""
     from sstwalk.decider import decide_transfer
@@ -219,7 +242,7 @@ def test_blowup_twin_blocks_coincide():
 
 
 def test_blowup_kernel_seeds_exact():
-    import sstwalk.linalg as linalg
+    from reduction_oracle import mat_vec
 
     g, a, b = circulant_2m(3, 1, 2)
     w = [[1, 0, -1, 0], [0, 1, 0, -1]]
@@ -229,7 +252,7 @@ def test_blowup_kernel_seeds_exact():
     for j in range(deg):
         seed = [Fraction(0)] * len(bl.delta_sq)
         seed[j], seed[deg + j] = Fraction(1), Fraction(-1)
-        assert all(x == 0 for x in linalg.mat_vec(bl.sym, seed))
+        assert all(x == 0 for x in mat_vec(bl.sym, seed))
 
 
 def test_blowup_gp_is_normalized_path():

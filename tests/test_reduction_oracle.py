@@ -1,0 +1,211 @@
+"""The integer route from coin to Z against the Fraction route it replaced.
+
+``reduction_oracle`` keeps the Fraction Gram-Schmidt, the Fraction coin
+validation and ``fixes``, the per-vertex Gram-Schmidt ``induced_coin_basis``,
+the Fraction ``build_H`` and the dividing ``int_view``.  The integer versions
+must give the same primitive vectors, verdicts, error messages, columns,
+nonzeros, delta_sq and Z, on seeded rational inputs and seeded reductions.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reduction_oracle as oracle
+from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
+                      synthetic_reduction)
+from sstwalk import linalg
+from sstwalk.coins import (CoinError, ReflectionCoin, grover_coin,
+                           negative_identity_coin, reflection_about)
+from sstwalk.reduction import ReductionError, reduction_for
+from test_psi_oracle import random_reduction_args
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+
+def _vector(rng: random.Random, dim: int) -> list[Fraction]:
+    return [_rational(rng) for _ in range(dim)]
+
+
+def _gram_schmidt_case(rng: random.Random):
+    """Rational vectors with mixed denominators and signs, some of them in the
+    span of the others or of ``against`` (or zero), and an ``against`` list of
+    orthogonal vectors rescaled by rationals of either sign."""
+    dim = rng.randint(1, 6)
+    against = []
+    if rng.random() < 0.5:
+        raw = [_vector(rng, dim) for _ in range(rng.randint(1, dim))]
+        for b in oracle.gram_schmidt(raw, on_dependent="drop"):
+            c = _rational(rng) or Fraction(-1, 2)
+            against.append([c * x for x in b])
+    vectors = []
+    for _ in range(rng.randint(1, dim + 1)):
+        pool = vectors + against
+        roll = rng.random()
+        if pool and roll < 0.25:
+            vectors.append([sum(_rational(rng) * v[i] for v in pool) for i in range(dim)])
+        elif roll < 0.3:
+            vectors.append([Fraction(0)] * dim)
+        else:
+            vectors.append(_vector(rng, dim))
+    return vectors, against
+
+
+def _result(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def test_gram_schmidt_matches_fraction_oracle():
+    rng = random.Random(20261018)
+    dependent = 0
+    for _ in range(400):
+        vectors, against = _gram_schmidt_case(rng)
+        for mode in ("error", "drop"):
+            want = _result(oracle.gram_schmidt, vectors, against, on_dependent=mode)
+            got = _result(linalg.gram_schmidt, vectors, against, on_dependent=mode)
+            assert got == want, (vectors, against, mode)
+            if isinstance(got, list):
+                assert all(type(x) is int for v in got for x in v)
+            else:
+                dependent += 1
+    assert dependent > 20      # the dependent-vector error was exercised
+
+
+def _random_coin(rng: random.Random) -> ReflectionCoin:
+    dim = rng.randint(1, 5)
+    kind = rng.random()
+    if kind < 0.15:
+        return grover_coin(dim)
+    if kind < 0.2:
+        return negative_identity_coin(dim)
+    while True:
+        try:
+            return reflection_about([_vector(rng, dim) for _ in range(rng.randint(1, dim))])
+        except CoinError:
+            continue
+
+
+def test_fixes_matches_fraction_oracle():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        coin = _random_coin(rng)
+        fixed = [sum((_rational(rng) * x for x in col), Fraction(0))
+                 for col in zip(*coin.basis)] if coin.basis else [Fraction(0)] * coin.degree
+        for w in (fixed, _vector(rng, coin.degree), fixed[:-1]):
+            want = oracle.fixes(coin, w)
+            assert coin.fixes(w) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def _coin_case(rng: random.Random):
+    """(degree, projection, basis): a valid reflection coin or one with a
+    single fault: asymmetric or non-idempotent P, a basis of the wrong size,
+    a basis vector P does not fix, a non-orthogonal basis or a zero vector."""
+    coin = _random_coin(rng)
+    d, p = coin.degree, [list(row) for row in coin.projection]
+    basis = [[Fraction(x) for x in v] for v in coin.basis]
+    fault = rng.choice(["none", "symmetric", "idempotent", "span", "fixed", "orthogonal",
+                        "zero"])
+    if fault == "symmetric" and d > 1:
+        i, j = rng.sample(range(d), 2)
+        p[i][j] += _rational(rng) or 1
+    elif fault == "idempotent":
+        p = [[2 * x for x in row] for row in p]
+        if not any(map(any, p)):
+            p[0][0] = Fraction(1)
+    elif fault == "span":
+        basis = basis[1:] if basis and rng.random() < 0.5 else basis + [_vector(rng, d)]
+    elif fault == "fixed" and basis:
+        basis[rng.randrange(len(basis))] = _vector(rng, d)
+    elif fault == "orthogonal" and len(basis) > 1:
+        basis[1] = [x + y for x, y in zip(basis[0], basis[1])]
+    elif fault == "zero" and basis:
+        basis[rng.randrange(len(basis))] = [Fraction(0)] * d
+    return d, tuple(map(tuple, p)), tuple(map(tuple, basis))
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except CoinError as e:
+        return str(e)
+    return None
+
+
+def test_coin_validation_matches_fraction_oracle():
+    """Each verdict and CoinError message equals the Fraction validation's,
+    except that a zero basis vector, which the Fraction route let through, is
+    refused."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(600):
+        case = _coin_case(rng)
+        want, got = _verdict(oracle.validate_coin, *case), _verdict(ReflectionCoin, *case)
+        if any(not any(v) for v in case[2]) and want is None:
+            assert got == "coin basis has a zero vector"
+        else:
+            assert got == want, case
+        seen.add(got and got.split(":")[0])
+    assert seen == {None, "coin projection is not symmetric",
+                    "coin projection is not idempotent", "coin basis does not span col(P)",
+                    "coin basis vector not fixed by the projection",
+                    "coin basis is not orthogonal", "coin basis has a zero vector"}
+
+
+def check_reduction_against_oracle(args) -> None:
+    """Clone columns, S and T, nonzeros, delta_sq and Z of reduction_for equal
+    the Fraction route's; the nonzeros are ints and delta_sq Fractions."""
+    try:
+        want = oracle.induced_coin_basis(*args)
+    except ReductionError as e:
+        with pytest.raises(ReductionError, match=str(e)):
+            reduction_for(*args)
+        return
+    red = reduction_for(*args)
+    basis = red.basis
+    assert (basis.columns, basis.s_clones, basis.t_clones) == want
+    nonzeros, delta_sq = oracle.build_H(args[0], want[0])
+    assert red.nonzeros == nonzeros and red.delta_sq == delta_sq
+    assert all(type(x) is int for _, _, x in red.nonzeros)
+    assert all(type(d) is Fraction for d in red.delta_sq)
+    assert red.int_view == oracle.int_view(nonzeros, delta_sq)
+
+
+def test_reductions_match_fraction_oracle_on_random_reductions():
+    rng = random.Random(20251106)
+    for _ in range(300):
+        check_reduction_against_oracle(random_reduction_args(rng))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_reductions_match_fraction_oracle_on_families(name):
+    check_reduction_against_oracle(family_instance(name))
+
+
+def test_reductions_match_fraction_oracle_on_odd_cycles():
+    for _, args in odd_cycle_instances():
+        check_reduction_against_oracle(args)
+
+
+def test_int_view_matches_fraction_oracle_on_synthetic_reductions():
+    """Rational sym entries and delta_sq of either sign give the oracle's Z
+    and scale."""
+    rng = random.Random(5)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        sym = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                if rng.random() < 0.6:
+                    sym[i][j] = sym[j][i] = _rational(rng)
+        delta_sq = [_rational(rng) or Fraction(-3, 2) for _ in range(size)]
+        red = synthetic_reduction(sym, delta_sq, [0], [0])
+        assert red.int_view == oracle.int_view(red.nonzeros, red.delta_sq)
