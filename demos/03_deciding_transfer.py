@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from sstwalk import (CoinAssignment, circulant_2m, complete_bipartite_k2m,
                      decide_periodicity, decide_transfer, exact_transfer_check,
-                     psi, reduction_for, reflection_about, sharp,
-                     transfer_fidelity)
+                     psi, reduction_for, reflection_about, transfer_fidelity)
+from sstwalk.exact import resolvent
 
 print(__doc__)
 
@@ -31,7 +31,9 @@ def walkthrough(title, graph, a, b, assignment, w):
     print("psi_S       =", psi_s.serialize())
     print("psi_{S,T}   =", psi(red, red.s, red.t).serialize())
     g = psi_s.den
-    print("g (support) =", g.serialize(), "   g# =", sharp(g).serialize())
+    orders = resolvent(red).orders
+    print("g (support) =", g.serialize(), "   cosine orders =",
+          "none" if orders is None else sorted(orders))
     print("periodicity :", decide_periodicity(red).line())
     verdict = decide_transfer(red)
     print("transfer    :", verdict.line())

@@ -8,8 +8,8 @@ from .cospec import (IndeterminateClustering, NumericSplit, SupportSplit,
                      strong_cospectral_numeric, twin_transfer_check)
 from .decider import (PeriodicityVerdict, TransferVerdict, cyclotomic,
                       decide_periodicity, decide_pretty_good_special,
-                      decide_transfer, factor_into_cyclotomics, sharp)
-from .exact import RatFun, RatPoly, charpoly, pole_support, poly_gcd, psi
+                      decide_transfer)
+from .exact import RatFun, RatPoly, poly_gcd, psi
 from .graphs import (Graph, GraphError, build_family, build_graph, circulant_2m,
                      complete_bipartite_k2m, cycle_graph, double_cone_cycles,
                      double_cone_over, generalized_path, parse_graph,

@@ -196,7 +196,10 @@ def cmd_simulate(args) -> int:
 def _initial_state(args, graph, a, assignment, w_basis):
     name = args.state or "w1"
     if name.startswith("arc:"):
-        u, v = (int(x) for x in name[4:].split(","))
+        try:
+            u, v = (int(x) for x in name[4:].split(","))
+        except ValueError as e:
+            raise InputError(f"state {name!r}: expected arc:u,v") from e
         if (u, v) not in graph.arc_index:
             raise InputError(f"({u},{v}) is not an arc")
         import numpy as np

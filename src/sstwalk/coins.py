@@ -173,12 +173,11 @@ class CoinAssignment:
 
     @classmethod
     def grover_with_marked(cls, graph: Graph, a: int, b: int,
-                           coin_a: ReflectionCoin,
-                           coin_b: ReflectionCoin | None = None) -> "CoinAssignment":
-        """Grover coins everywhere except the marked pair."""
+                           coin: ReflectionCoin) -> "CoinAssignment":
+        """Grover coins everywhere except the marked pair, which both get
+        ``coin``."""
         coins = _grover_coins(graph)
-        coins[a] = coin_a
-        coins[b] = coin_b if coin_b is not None else coin_a
+        coins[a] = coins[b] = coin
         return cls(graph, coins)
 
     def coin(self, u: int) -> ReflectionCoin:
@@ -206,7 +205,7 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
         if not line:
             continue
         parts = line.split()
-        if parts[0] != "coin" or len(parts) < 3:
+        if parts[0] != "coin" or len(parts) < 3 or (parts[2] != "basis" and len(parts) > 3):
             raise CoinError(f"bad coin line: {line!r}")
         v = int(parts[1])
         if not 0 <= v < graph.n:

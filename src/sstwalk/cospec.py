@@ -36,7 +36,6 @@ class SupportSplit:
     support_factors: tuple[RatPoly, ...]
     plus_factors: tuple[RatPoly, ...]
     minus_factors: tuple[RatPoly, ...]
-    gamma: int
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def strong_cospectral_exact(red: HermitianReduction, s: list[int] | None = None,
     summary = resolvent(red, s, t)
     if summary.split is None:
         return None
-    return SupportSplit(summary.factors, *summary.split, gamma=1)
+    return SupportSplit(summary.factors, *summary.split)
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
@@ -154,11 +153,10 @@ def strong_cospectral_numeric(blowup: BlowUp, w_basis, tol: float = 1e-7
 
 @dataclass(frozen=True)
 class TwinTransferClass:
-    """Verdict of the twin shortcut: strong cospectrality plus, when the
-    support has the closed form {0, +-sqrt(2/delta)}, the congruence class of
-    admissible transfer times."""
+    """Verdict of the twin shortcut on a strongly cospectral pair: whether the
+    exact kernel condition held and, when the support has the closed form
+    {0, +-sqrt(2/delta)}, the congruence class of admissible transfer times."""
 
-    strongly_cospectral: bool
     exact_kernel_condition: bool
     mod4_class: int | None = None
     min_time: int | None = None
@@ -178,7 +176,7 @@ def twin_transfer_check(graph: Graph, a: int, b: int, coin: ReflectionCoin,
     """
     if graph.neighbors[a] != graph.neighbors[b]:
         raise ValueError("twin_transfer_check needs N(a) = N(b)")
-    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin, coin)
+    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     blowup = build_blowup(assignment, a, b)
     w_exact = [linalg.frac_vec(v) for v in w_basis]
     for w in w_exact:
@@ -200,8 +198,7 @@ def twin_transfer_check(graph: Graph, a: int, b: int, coin: ReflectionCoin,
         if len(degs) == 1:
             delta = degs.pop()
             mod4, min_t = {2: (2, 2), 4: (0, 4), 8: (2, 6)}.get(delta, (None, None))
-    return TwinTransferClass(strongly_cospectral=True,
-                             exact_kernel_condition=exact_ok,
+    return TwinTransferClass(exact_kernel_condition=exact_ok,
                              mod4_class=mod4, min_time=min_t)
 
 

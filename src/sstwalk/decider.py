@@ -108,16 +108,13 @@ def factor_into_cyclotomics(p: RatPoly, m_bound: int | None = None
     return out if p.is_one() else None
 
 
-def decide_periodicity(red: "HermitianReduction", s: list[int] | None = None
-                       ) -> PeriodicityVerdict:
+def decide_periodicity(red: "HermitianReduction") -> PeriodicityVerdict:
     """Pointwise W-periodicity at a with integer periods (exact): periodic iff
     the support g of psi_S is a product of distinct cosine minimal polynomials
-    Psi_m, and then the minimum period is the lcm of their orders.  With the
-    default clone set it reads the same resolvent summary as
-    ``decide_transfer``.
+    Psi_m, and then the minimum period is the lcm of their orders.  It reads
+    the same resolvent summary as ``decide_transfer``.
     """
-    summary = resolvent(red) if s is None else resolvent(red, s, s)
-    orders = summary.orders
+    orders = resolvent(red).orders
     if orders is None:
         return PeriodicityVerdict(False, reason="support-not-cyclotomic")
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)

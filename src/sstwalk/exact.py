@@ -970,11 +970,3 @@ def resolvent(red: "HermitianReduction", s: list[int] | None = None,
     if key not in red.memo:
         red.memo[key] = Resolvent(red, s, t)
     return red.memo[key]
-
-
-def pole_support(f: RatFun) -> list[RatPoly]:
-    """Distinct monic Q-irreducible factors of the denominator of ``f``.
-
-    Each factor's root set is one algebraic-conjugate class of poles.
-    """
-    return factor_irreducible(f.den)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -36,10 +36,8 @@ class CaseResult:
     expected_time: int | None
     verdict: TransferVerdict
     fidelity: float
-    gamma_numeric: complex
     dim_w: int
     status: str
-    notes: dict = field(default_factory=dict)
 
     def line(self) -> str:
         got = self.verdict.time if self.verdict.occurs else "none"
@@ -48,23 +46,20 @@ class CaseResult:
 
 
 def run_transfer_case(name: str, graph: Graph, a: int, b: int,
-                      coin: ReflectionCoin, w_basis, expected_time: int,
-                      coin_b: ReflectionCoin | None = None) -> CaseResult:
+                      coin: ReflectionCoin, w_basis, expected_time: int) -> CaseResult:
     """Decide + exact check + simulate one marked-pair instance."""
-    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin, coin_b)
+    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     red = reduction_for(assignment, a, w_basis, b)
     verdict = decide_transfer(red)
     ok = verdict.occurs and verdict.time == expected_time
     fid = 0.0
-    gamma_hat = complex(1.0)
     if verdict.occurs:
         ok = ok and exact_transfer_check(red, verdict.time, verdict.gamma)
         fid, gamma_hat = transfer_fidelity(assignment, a, b, w_basis, verdict.time)
         ok = ok and fid >= 1 - FID_TOL
         ok = ok and abs(gamma_hat - verdict.gamma) < 1e-6
     return CaseResult(name=name, expected_time=expected_time, verdict=verdict,
-                      fidelity=fid, gamma_numeric=gamma_hat,
-                      dim_w=len(red.s), status="PASS" if ok else "FAIL")
+                      fidelity=fid, dim_w=len(red.s), status="PASS" if ok else "FAIL")
 
 
 # -- random rational sampling -------------------------------------------------
@@ -240,7 +235,7 @@ def case_pretty_good_cone(base: Graph, name: str = "cone", t_max: int = 10 ** 5,
         raise ValueError("empty kernel: base adjacency matrix is nonsingular")
     graph, a, b = double_cone_over(base)
     coin = reflection_about([list(v) for v in kernel])
-    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin, coin)
+    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     red = reduction_for(assignment, a, kernel, b)
     factors = resolvent(red).factors
     accepted = decide_pretty_good_special(factors)

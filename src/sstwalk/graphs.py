@@ -41,10 +41,6 @@ class Graph:
         """Position of neighbor v in sigma_u."""
         return self.neighbors[u].index(v)
 
-    def reverse_arc(self, arc_id: int) -> int:
-        u, v = self.arcs[arc_id]
-        return self.arc_index[(v, u)]
-
     @property
     def num_arcs(self) -> int:
         return len(self.arcs)
@@ -93,9 +89,10 @@ def parse_graph(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
-    if not lines or not lines[0].startswith("n "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "n":
         raise GraphError("graph file must start with 'n <count>'")
-    n = int(lines[0].split()[1])
+    n = int(header[1])
     edges = []
     for line in lines[1:]:
         parts = line.split()

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-import numpy as np
-
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
@@ -211,7 +209,3 @@ def common_denominator(a: Mat) -> int:
 
 def scaled_int_matrix(a: Mat, scale: int) -> list[list[int]]:
     return [[int(x * scale) for x in row] for row in a]
-
-
-def to_numpy(a: Mat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in a], dtype=float)

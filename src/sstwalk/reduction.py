@@ -130,7 +130,6 @@ class HermitianReduction:
     basis: CoinBasis
     nonzeros: list[tuple[int, int, int]]
     delta_sq: list[Fraction]
-    clone_of: list[tuple[int, int]]  # clone index -> (vertex, column id at vertex)
     s: list[int]
     t: list[int]
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -246,14 +245,9 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
                         nonzeros += ((j, k, x), (k, j, x))
     nonzeros.sort()
     delta_sq = [Fraction(linalg.dot(v, v)) for _, v in cols]
-    clone_ids: dict[int, int] = {}
-    clone_of = []
-    for u, _ in cols:
-        clone_of.append((u, clone_ids.get(u, 0)))
-        clone_ids[u] = clone_ids.get(u, 0) + 1
     return HermitianReduction(assignment=assignment, basis=basis, nonzeros=nonzeros,
-                              delta_sq=delta_sq, clone_of=clone_of,
-                              s=list(basis.s_clones), t=list(basis.t_clones))
+                              delta_sq=delta_sq, s=list(basis.s_clones),
+                              t=list(basis.t_clones))
 
 
 def reduction_for(assignment: CoinAssignment, a: int, w_basis: list[Vec],
@@ -356,22 +350,9 @@ class BlowUp:
     def rest(self) -> range:
         return range(self.deg_a + self.deg_b, len(self.delta_sq))
 
-    def rest_index(self, v: int) -> int:
-        return self.deg_a + self.deg_b + self.rest_vertices.index(v)
-
     def g_numeric(self) -> np.ndarray:
         d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
-        return linalg.to_numpy(self.sym) / np.outer(d, d)
-
-    def f_numeric(self) -> np.ndarray:
-        """F = Delta^{-1/2} [projection blocks]: maps clones into the rest block."""
-        g = self.g_numeric()
-        return g[np.ix_(list(self.rest), list(range(self.deg_a + self.deg_b)))]
-
-    def b_numeric(self) -> np.ndarray:
-        """B = Delta^{-1/2} A(X minus {a,b}) Delta^{-1/2}."""
-        g = self.g_numeric()
-        return g[np.ix_(list(self.rest), list(self.rest))]
+        return np.array(self.sym, dtype=float) / np.outer(d, d)
 
 
 def build_blowup(assignment: CoinAssignment, a: int, b: int) -> BlowUp:

@@ -34,10 +34,6 @@ def _c_float(coin: ReflectionCoin) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in coin.c_matrix()])
 
 
-def coin_blocks(assignment: CoinAssignment) -> list[np.ndarray]:
-    return [_c_float(assignment.coin(u)) for u in range(assignment.graph.n)]
-
-
 @dataclass(frozen=True)
 class StepPlan:
     """One step of U = RC with equal-degree coin blocks stacked.
@@ -76,35 +72,18 @@ class StepPlan:
 
 
 def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
-    """Dense U = RC over the arc space."""
-    return walk_unitary_from_blocks(assignment.graph, coin_blocks(assignment))
-
-
-def walk_unitary_from_blocks(graph: Graph, blocks: list[np.ndarray]) -> np.ndarray:
-    """U = RC from explicit per-vertex coin blocks (one deg(u) x deg(u) array
-    per vertex).
-
-    This is the simulation-only escape hatch for coins outside the exact
-    pipeline, e.g. complex reflections; blocks must be unitary but are not
-    otherwise validated.
-    """
-    g = graph
-    m = g.num_arcs
-    dtype = complex if any(np.iscomplexobj(b) for b in blocks) else float
-    c = np.zeros((m, m), dtype=dtype)
+    """Dense U = RC over the arc space, assembled from per-vertex coin blocks
+    without ``StepPlan`` (the stepper tests' reference)."""
+    g = assignment.graph
+    c = np.zeros((g.num_arcs, g.num_arcs))
     for u in range(g.n):
-        b = np.asarray(blocks[u])
-        if b.shape != (g.degree(u), g.degree(u)):
-            raise ValueError(f"coin block at vertex {u} has shape {b.shape}, "
-                             f"expected {(g.degree(u), g.degree(u))}")
         sl = out_arc_slice(g, u)
-        c[sl, sl] = b
-    rev = reversal_permutation(g)
-    return c[rev, :]
+        c[sl, sl] = _c_float(assignment.coin(u))
+    return c[reversal_permutation(g), :]
 
 
-def coin_state(assignment: CoinAssignment, a: int, w, normalize: bool = True) -> np.ndarray:
-    """The arc-space coin state x_a(w); requires C_a w = w up to 1e-12."""
+def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
+    """The unit arc-space coin state x_a(w); requires C_a w = w up to 1e-12."""
     g = assignment.graph
     wv = np.asarray([complex(x) for x in w])
     if wv.shape != (g.degree(a),):
@@ -114,12 +93,10 @@ def coin_state(assignment: CoinAssignment, a: int, w, normalize: bool = True) ->
         raise ValueError("weight vector is not fixed by the coin at a")
     state = np.zeros(g.num_arcs, dtype=complex)
     state[out_arc_slice(g, a)] = wv
-    if normalize:
-        nrm = np.linalg.norm(state)
-        if nrm == 0:
-            raise ValueError("zero coin state")
-        state = state / nrm
-    return state
+    nrm = np.linalg.norm(state)
+    if nrm == 0:
+        raise ValueError("zero coin state")
+    return state / nrm
 
 
 def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndarray:

@@ -114,5 +114,4 @@ def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:
                 for j, x in enumerate(row) if x]
     return HermitianReduction(assignment=None, basis=None, nonzeros=nonzeros,
                               delta_sq=[Fraction(x) for x in delta_sq],
-                              clone_of=[(i, 0) for i in range(len(sym_rows))],
                               s=list(s), t=list(t))

@@ -17,7 +17,7 @@ from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
 from sstwalk.cospec import strong_cospectral_exact
 from sstwalk.decider import (cyclotomic, decide_transfer,
                              factor_into_cyclotomics, sharp)
-from sstwalk.exact import RatPoly, pole_support, psi
+from sstwalk.exact import RatPoly, factor_irreducible, psi
 from sstwalk.families import (case_circulant, case_double_cone, case_gp,
                               case_k2m, case_octahedron_grover,
                               case_pretty_good_cone, double_cone_w,
@@ -195,7 +195,7 @@ def test_criterion_9_evsp_agreement():
     for name, g, a, b, coin, w in family_instances():
         asn = CoinAssignment.grover_with_marked(g, a, b, coin)
         red = reduction_for(asn, a, w, b)
-        factors = pole_support(psi(red, red.s, red.s))
+        factors = factor_irreducible(psi(red, red.s, red.s).den)
         exact_roots = sorted(
             r.real for f in factors
             for r in np.roots([float(c) for c in f.coeffs][::-1]))

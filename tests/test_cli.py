@@ -350,6 +350,8 @@ def test_dump_h_golden(tmp_path, capsys):
 @pytest.mark.parametrize("kind, text", [
     ("coins", "coin 0 basis\n"),
     ("coins", "coin 0 basis 1 1/0 0 0\n"),
+    ("coins", "coin 1 grover extra\n"),
+    ("coins", "coin 2 minus_identity 7\n"),
     ("subspace", "1/0 0 0\n"),
 ])
 def test_malformed_file_exit_2(tmp_path, capsys, kind, text):
@@ -358,6 +360,55 @@ def test_malformed_file_exit_2(tmp_path, capsys, kind, text):
     rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3",
                        f"--{kind}", str(path))
     assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("header", ["n 4 5", "n 4 x"])
+def test_graph_header_trailing_token_exit_2(tmp_path, capsys, header):
+    path = tmp_path / "g.txt"
+    path.write_text(header + "\n0 1\n1 2\n2 3\n")
+    rc, out, err = run(capsys, "transfer", "--graph", str(path))
+    assert (rc, out) == (2, "") and "'n <count>'" in err
+
+
+@pytest.mark.parametrize("state", ["arc:0", "arc:0,1,2"])
+def test_simulate_malformed_arc_state_exit_2(capsys, state):
+    rc, out, err = run(capsys, "simulate", "--family", "k2m", "--m", "3", "--state", state)
+    assert (rc, out) == (2, "") and "expected arc:u,v" in err
+
+
+# byte-exact stdout of branches the tests above do not pin: human-format
+# verdicts (periodic, not periodic, no transfer), SPLIT none, an arc start
+# state and a minus_identity coin; KITE and MINUS_I stand for the files below
+KITE = "n 5\n0 1\n0 2\n1 2\n2 3\n3 4\n"
+MINUS_I = "coin 2 minus_identity\n"
+STDOUT_GOLDEN = [
+    (["period", "--family", "k2m", "--m", "3", "--format", "human"],
+     "The walk is pointwise W-periodic at vertex 0; the minimum integer period is 4.\n"
+     "PERIODIC min_period=4 L={1,2,4}\n"),
+    (["period", "--graph", "KITE", "--a", "0", "--b", "1", "--format", "human"],
+     "The walk is not pointwise W-periodic at vertex 0 at any integer step "
+     "(support-not-cyclotomic).\nNOT_PERIODIC reason=support-not-cyclotomic\n"),
+    (["transfer", "--graph", "KITE", "--a", "0", "--b", "3", "--format", "human"],
+     "No pointwise perfect W-transfer from 0 to 3 at any integer step "
+     "(failed at stage: not-cospectral).\nNO_TRANSFER stage=not-cospectral\n"),
+    (["transfer", "--graph", "KITE", "--a", "0", "--b", "3", "--report-split"],
+     "NO_TRANSFER stage=not-cospectral\nSPLIT none\n"),
+    (["simulate", "--family", "k2m", "--m", "3", "--state", "arc:2,0", "--times", "0,2"],
+     "t=0\n  (2,0) +1.0000000000 +0.0000000000\n"
+     "t=2\n  (2,1) -0.3333333333 +0.0000000000\n  (3,1) +0.6666666667 +0.0000000000\n"
+     "  (4,1) +0.6666666667 +0.0000000000\n"),
+    (["transfer", "--family", "k2m", "--m", "3", "--coins", "MINUS_I", "--report-split"],
+     "NO_TRANSFER stage=not-periodic\nSPLIT plus=[-2/3 0 1] minus=[0 1] gamma=+1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", STDOUT_GOLDEN)
+def test_stdout_golden(argv, stdout, tmp_path, capsys):
+    files = {"KITE": KITE, "MINUS_I": MINUS_I}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert run(capsys, *argv)[:2] == (0, stdout)
 
 
 @pytest.mark.parametrize("argv", [

@@ -123,7 +123,7 @@ def test_r_and_c_are_involutions_on_random_states():
     rng = np.random.default_rng(0)
     x = rng.normal(size=g.num_arcs)
     u = walk_unitary(asn)
-    rev = np.array([g.reverse_arc(i) for i in range(g.num_arcs)])
+    rev = np.array([g.arc_index[(v, u)] for u, v in g.arcs])
     assert np.allclose(x[rev][rev], x)          # R^2 = I
     c = u[rev, :]                               # C = R^-1 U (rev is an involution)
     assert np.allclose(c @ (c @ x), x, atol=1e-12)  # C^2 = I
@@ -176,33 +176,15 @@ def test_parse_coins():
     assert asn.coin(2).p_matrix() == grover_coin(2).p_matrix()
     with pytest.raises(CoinError):
         parse_coins("coin 0 basis 1 1", g)  # wrong entry count
-    with pytest.raises(CoinError):
-        parse_coins("coin 9 grover", g)
+    for bad in ("coin 9 grover", "coin 1 grover extra", "coin 1 minus_identity 7"):
+        with pytest.raises(CoinError):
+            parse_coins(bad, g)
 
 
 def test_minus_identity_coin_has_no_clones():
     c = negative_identity_coin(3)
     assert c.rank == 0
     assert c.c_matrix() == [[-1 if i == j else 0 for j in range(3)] for i in range(3)]
-
-
-def test_complex_coin_simulation_only():
-    """Complex (Gaussian-rational) reflections run through the simulator via
-    explicit blocks; they stay outside the exact pipeline."""
-    from sstwalk.walk import walk_unitary_from_blocks
-
-    g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4)
-    grover3 = np.full((3, 3), 2 / 3) - np.eye(3)
-    complex_refl = (2 / 3) * np.array([[1, 1j, 1j], [-1j, 1, 1], [-1j, 1, 1]]) - np.eye(3)
-    assert np.allclose(complex_refl @ complex_refl.conj().T, np.eye(3))  # unitary
-    assert np.allclose(complex_refl @ complex_refl, np.eye(3))           # reflection
-    blocks = [complex_refl] + [grover3] * 3
-    u = walk_unitary_from_blocks(g, blocks)
-    assert np.allclose(u @ u.conj().T, np.eye(g.num_arcs))
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=g.num_arcs) + 1j * rng.normal(size=g.num_arcs)
-    y = np.linalg.matrix_power(u, 5) @ x
-    assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12
 
 
 def test_walk_apply_matches_dense_power_on_random_graphs():

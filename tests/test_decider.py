@@ -318,7 +318,7 @@ def test_adjacent_triangle_odd_tau():
     assert float(np.max(fidelity_series(red, 4 * red.size ** 3))) <= 1 - 1e-4
     # the one-step arc guarantee for adjacent pairs, by direct computation
     u = walk_unitary(asn)
-    c = u[np.array([g.reverse_arc(i) for i in range(g.num_arcs)]), :]
+    c = u[np.array([g.arc_index[(v, w)] for w, v in g.arcs]), :]
     e_ab = np.zeros(g.num_arcs)
     e_ab[g.arc_index[(0, 1)]] = 1.0
     out = u @ (c @ e_ab)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import synthetic_reduction
 from sstwalk.exact import (ONE, RatFun, RatPoly, X, charpoly,
-                           factor_irreducible, pole_support, poly_gcd, psi,
+                           factor_irreducible, poly_gcd, psi,
                            squarefree_part)
 from sstwalk.graphs import build_graph
 from sstwalk.coins import CoinAssignment
@@ -208,9 +208,9 @@ def test_resolvent_identity_numeric():
 
 
 def test_pole_support_examples():
-    assert pole_support(RatFun(ONE, X)) == [X]
+    assert factor_irreducible(RatFun(ONE, X).den) == [X]
     f = RatFun(P(0, 1), P(Fraction(-1, 4), 0, 1))
-    assert pole_support(f) == [P(Fraction(-1, 2), 1), P(Fraction(1, 2), 1)]
+    assert factor_irreducible(f.den) == [P(Fraction(-1, 2), 1), P(Fraction(1, 2), 1)]
 
 
 def test_pole_support_octahedron_contains_half():
@@ -223,7 +223,7 @@ def test_pole_support_octahedron_contains_half():
     w = [[1, 0, -1, 0], [0, 1, 0, -1]]
     asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
     red = reduction_for(asn, a, w, b)
-    factors = pole_support(psi(red, red.s, red.s))
+    factors = factor_irreducible(psi(red, red.s, red.s).den)
     assert P(Fraction(-1, 2), 0, 1) in factors
 
 

@@ -47,8 +47,9 @@ def test_duplicate_edges_dedup():
 
 def test_arc_reverse_involution():
     g = circulant_2m(4, 1, 3)[0]
+    rev = [g.arc_index[(v, u)] for u, v in g.arcs]
     for i in range(g.num_arcs):
-        assert g.reverse_arc(g.reverse_arc(i)) == i
+        assert rev[rev[i]] == i
     assert sorted(g.arc_index.values()) == list(range(g.num_arcs))
 
 
@@ -133,8 +134,9 @@ def test_parse_format_roundtrip():
 def test_parse_comments_and_errors():
     g = parse_graph("# header\nn 3\n0 1\n1 2  # chain\n")
     assert g.n == 3 and len(g.edges) == 2
-    with pytest.raises(GraphError):
-        parse_graph("0 1\n")
+    for text in ("0 1\n", "n 4 5\n0 1\n1 2\n2 3\n", "n 4 x\n0 1\n1 2\n2 3\n"):
+        with pytest.raises(GraphError):
+            parse_graph(text)
 
 
 def test_prism_is_3_regular():

@@ -86,6 +86,15 @@ def test_sweep_matches_dense_across_a_weak_coupling():
     assert_sweeps_agree(red, 4 * n ** 3)
 
 
+def test_sweep_grows_the_krylov_basis():
+    """gp(3,30) with Grover coins: Krylov dimension 30, so the basis outgrows
+    its initial 16 rows and its capacity is doubled."""
+    g, a, b = generalized_path(3, 30)
+    red = reduction_for(CoinAssignment.all_grover(g), a, [[1, 1, 1]], b)
+    assert len(families._marked_spectrum(red)[0]) > 16
+    assert_sweeps_agree(red, 1000)
+
+
 def test_early_exit_is_a_prefix_across_chunks(monkeypatch):
     """With the chunk made small, an early exit after a chunk boundary returns
     exactly the prefix of the full series, up to the first step at or above
