@@ -3,9 +3,7 @@ arc-reversal coined quantum walks with reflection coins."""
 
 from .coins import (CoinAssignment, CoinError, ReflectionCoin, grover_coin,
                     negative_identity_coin, parse_coins, reflection_about)
-from .cospec import (IndeterminateClustering, NumericSplit, SupportSplit,
-                     TwinTransferClass, cospectral, strong_cospectral_exact,
-                     strong_cospectral_numeric, twin_transfer_check)
+from .cospec import SupportSplit, strong_cospectral_exact
 from .decider import (PeriodicityVerdict, TransferVerdict, cyclotomic,
                       decide_periodicity, decide_pretty_good_special,
                       decide_transfer)
@@ -14,9 +12,8 @@ from .graphs import (Graph, GraphError, build_family, build_graph, circulant_2m,
                      complete_bipartite_k2m, cycle_graph, double_cone_cycles,
                      double_cone_over, generalized_path, parse_graph,
                      prism_graph)
-from .reduction import (AdjacentMarkedPair, BlowUp, CoinBasis,
-                        HermitianReduction, ReductionError, build_H,
-                        build_blowup, chebyshev_apply, exact_transfer_check,
+from .reduction import (CoinBasis, HermitianReduction, ReductionError, build_H,
+                        chebyshev_apply, exact_transfer_check,
                         induced_coin_basis, reduction_for)
 from .walk import coin_state, transfer_fidelity, walk_apply, walk_unitary
 

@@ -106,7 +106,10 @@ def _family_params(args, family: families.Family) -> tuple:
 
 def _parse_cycles(text: str) -> list[int]:
     """The m_j of comma-separated cycle lengths 4m_j."""
-    lengths = [int(tok) for tok in text.split(",") if tok]
+    try:
+        lengths = [int(tok) for tok in text.split(",") if tok]
+    except ValueError as e:
+        raise InputError(f"--cycles {text!r}: expected comma-separated integers") from e
     if any(length % 4 for length in lengths):
         raise InputError("double-cone cycle lengths must be divisible by 4")
     return [length // 4 for length in lengths]
@@ -181,7 +184,10 @@ def cmd_transfer(args) -> int:
 def cmd_simulate(args) -> int:
     graph, a, b, assignment, w_basis = _load_instance(args)
     state = _initial_state(args, graph, a, assignment, w_basis)
-    times = [int(tok) for tok in (args.times or "0").split(",")]
+    try:
+        times = [int(tok) for tok in (args.times or "0").split(",")]
+    except ValueError as e:
+        raise InputError(f"--times {args.times!r}: expected comma-separated integers") from e
     vec, now = state, 0
     for t in sorted(set(times)):
         vec, now = walk_apply(assignment, vec, t - now), t
@@ -210,7 +216,10 @@ def _initial_state(args, graph, a, assignment, w_basis):
     if name == "uniform":
         return coin_state(assignment, a, [1.0] * graph.degree(a))
     if name.startswith("w"):
-        j = int(name[1:]) - 1
+        try:
+            j = int(name[1:]) - 1
+        except ValueError as e:
+            raise InputError(f"state {name!r}: expected w<j> with an integer j") from e
         if not 0 <= j < len(w_basis):
             raise InputError(f"state {name}: W has only {len(w_basis)} basis vectors")
         return coin_state(assignment, a, [float(x) for x in w_basis[j]])
@@ -228,7 +237,10 @@ def cmd_psi(args) -> int:
 
 
 def cmd_family(args) -> int:
-    seed = int(os.environ.get("SST_SEED", "0"))
+    try:
+        seed = int(os.environ.get("SST_SEED", "0"))
+    except ValueError as e:
+        raise InputError(f"SST_SEED={os.environ['SST_SEED']!r}: expected an integer") from e
     if args.family is None:
         results = families.standard_battery(seed)
     else:

@@ -207,7 +207,10 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
         parts = line.split()
         if parts[0] != "coin" or len(parts) < 3 or (parts[2] != "basis" and len(parts) > 3):
             raise CoinError(f"bad coin line: {line!r}")
-        v = int(parts[1])
+        try:
+            v = int(parts[1])
+        except ValueError as e:
+            raise CoinError(f"bad coin line: {line!r}") from e
         if not 0 <= v < graph.n:
             raise CoinError(f"coin vertex {v} out of range")
         deg = graph.degree(v)

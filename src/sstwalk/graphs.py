@@ -92,13 +92,17 @@ def parse_graph(text: str) -> Graph:
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "n":
         raise GraphError("graph file must start with 'n <count>'")
-    n = int(header[1])
+    try:
+        n = int(header[1])
+    except ValueError as e:
+        raise GraphError(f"bad header line {lines[0]!r}: the count must be an integer") from e
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, line.split())
+        except ValueError as e:
+            raise GraphError(f"bad edge line: {line!r}") from e
+        edges.append((u, v))
     return build_graph(edges, n)
 
 

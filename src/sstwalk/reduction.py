@@ -1,4 +1,4 @@
-"""Coin bases, the Hermitian reduction H = N*RN, and the marked-vertex blow-up.
+"""Coin bases, the Hermitian reduction H = N*RN, and the exact transfer check.
 
 H is never materialized with irrational entries.  The columns of the exact
 orthogonal coin basis M are primitive integer vectors, so a reduction stores
@@ -29,11 +29,6 @@ from .linalg import Mat, Vec
 
 class ReductionError(ValueError):
     pass
-
-
-class AdjacentMarkedPair(ReductionError):
-    """Raised by the blow-up when a ~ b: perfect subspace state transfer from
-    a to b is then guaranteed at t = 1 and no reduction is needed."""
 
 
 @dataclass(frozen=True)
@@ -309,87 +304,3 @@ def exact_transfer_check(red: HermitianReduction, t: int, gamma: int) -> bool:
             return False
     return True
 
-
-# -- the (C_a, C_b)-blow-up ---------------------------------------------------
-
-
-@dataclass
-class BlowUp:
-    """Basis-free reduction for a Grover walk with marked vertices a != b.
-
-    Indices: cl(a) = 0..deg(a)-1, cl(b) = deg(a)..deg(a)+deg(b)-1, then the
-    vertices of X minus {a,b} in ascending order.  sym holds the inner block
-    matrix (projection blocks and A(X minus {a,b})); delta_sq holds 1 on the
-    clones and deg(v) elsewhere, so G = diag(delta_sq)^{-1/2} sym (same)^{-1/2}.
-    """
-
-    assignment: CoinAssignment
-    a: int
-    b: int
-    sym: Mat
-    delta_sq: list[Fraction]
-    rest_vertices: list[int]
-
-    @property
-    def deg_a(self) -> int:
-        return self.assignment.graph.degree(self.a)
-
-    @property
-    def deg_b(self) -> int:
-        return self.assignment.graph.degree(self.b)
-
-    @property
-    def cl_a(self) -> range:
-        return range(self.deg_a)
-
-    @property
-    def cl_b(self) -> range:
-        return range(self.deg_a, self.deg_a + self.deg_b)
-
-    @property
-    def rest(self) -> range:
-        return range(self.deg_a + self.deg_b, len(self.delta_sq))
-
-    def g_numeric(self) -> np.ndarray:
-        d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
-        return np.array(self.sym, dtype=float) / np.outer(d, d)
-
-
-def build_blowup(assignment: CoinAssignment, a: int, b: int) -> BlowUp:
-    """The (C_a, C_b)-blow-up of the graph; requires a !~ b and Grover coins
-    at every non-marked vertex."""
-    g = assignment.graph
-    if a == b:
-        raise ReductionError("marked vertices must be distinct")
-    if g.adjacent(a, b):
-        raise AdjacentMarkedPair(
-            "a ~ b: perfect subspace state transfer from a to b is guaranteed at t=1")
-    for u in range(g.n):
-        if u in (a, b):
-            continue
-        coin = assignment.coin(u)
-        if coin.p_matrix() != [[Fraction(1, coin.degree)] * coin.degree
-                               for _ in range(coin.degree)]:
-            raise ReductionError(
-                f"blow-up requires the Grover coin at non-marked vertex {u}")
-    rest = [v for v in range(g.n) if v not in (a, b)]
-    ka, kb = g.degree(a), g.degree(b)
-    size = ka + kb + len(rest)
-    sym = linalg.zeros(size, size)
-    rest_pos = {v: ka + kb + i for i, v in enumerate(rest)}
-    for (mark, offset) in ((a, 0), (b, ka)):
-        p = assignment.coin(mark).p_matrix()
-        for i in range(g.degree(mark)):
-            for jpos, v in enumerate(g.sigma(mark)):
-                val = p[i][jpos]
-                if val:
-                    sym[offset + i][rest_pos[v]] = val
-                    sym[rest_pos[v]][offset + i] = val
-    for u, v in g.edges:
-        if u in (a, b) or v in (a, b):
-            continue
-        sym[rest_pos[u]][rest_pos[v]] = Fraction(1)
-        sym[rest_pos[v]][rest_pos[u]] = Fraction(1)
-    delta_sq = [Fraction(1)] * (ka + kb) + [Fraction(g.degree(v)) for v in rest]
-    return BlowUp(assignment=assignment, a=a, b=b, sym=sym,
-                  delta_sq=delta_sq, rest_vertices=rest)

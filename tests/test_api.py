@@ -1,0 +1,40 @@
+"""The public API of ``sstwalk``, pinned: a name enters or leaves it only by a
+deliberate edit of this list."""
+
+import importlib
+
+import sstwalk
+
+PUBLIC = [
+    "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
+    "HermitianReduction", "PeriodicityVerdict", "RatFun", "RatPoly",
+    "ReductionError", "ReflectionCoin", "SupportSplit", "TransferVerdict",
+    "build_H", "build_family", "build_graph", "chebyshev_apply", "circulant_2m",
+    "coin_state", "coins", "complete_bipartite_k2m", "cospec", "cycle_graph",
+    "cyclotomic", "decide_periodicity", "decide_pretty_good_special",
+    "decide_transfer", "decider", "double_cone_cycles", "double_cone_over",
+    "exact", "exact_transfer_check", "generalized_path", "graphs",
+    "grover_coin", "induced_coin_basis", "linalg", "negative_identity_coin",
+    "parse_coins", "parse_graph", "poly_gcd", "prism_graph", "psi", "reduction",
+    "reduction_for", "reflection_about", "strong_cospectral_exact",
+    "transfer_fidelity", "walk", "walk_apply", "walk_unitary",
+]
+
+# the blow-up route lives in tests/blowup_oracle.py; cospectral was a
+# pass-through to resolvent(red, s, t).cospectral
+REMOVED = [
+    "AdjacentMarkedPair", "BlowUp", "build_blowup", "IndeterminateClustering",
+    "NumericSplit", "strong_cospectral_numeric", "TwinTransferClass",
+    "twin_transfer_check", "cospectral",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(sstwalk.__all__) == PUBLIC
+
+
+def test_removed_names_not_importable():
+    for module in ("sstwalk", "sstwalk.cospec", "sstwalk.reduction"):
+        present = [name for name in REMOVED
+                   if hasattr(importlib.import_module(module), name)]
+        assert present == [], module

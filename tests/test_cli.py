@@ -376,6 +376,34 @@ def test_simulate_malformed_arc_state_exit_2(capsys, state):
     assert (rc, out) == (2, "") and "expected arc:u,v" in err
 
 
+K2M3 = ["--family", "k2m", "--m", "3"]
+
+
+@pytest.mark.parametrize("text, argv, env, message", [
+    ("n x\n0 1\n", ["transfer", "--graph", "{path}"], "0",
+     "bad header line 'n x'"),
+    ("n 3\n0 y\n1 2\n", ["transfer", "--graph", "{path}"], "0",
+     "bad edge line: '0 y'"),
+    ("coin x grover\n", ["transfer", *K2M3, "--coins", "{path}"], "0",
+     "bad coin line: 'coin x grover'"),
+    (None, ["simulate", *K2M3, "--times", "1,x"], "0", "--times '1,x'"),
+    (None, ["transfer", "--family", "double-cone", "--cycles", "4,x"], "0",
+     "--cycles '4,x'"),
+    (None, ["simulate", *K2M3, "--state", "wx"], "0", "state 'wx'"),
+    (None, ["family", *K2M3], "x", "SST_SEED='x'"),
+], ids=["graph-header", "graph-edge", "coin-vertex", "times", "cycles", "state",
+        "seed"])
+def test_non_integer_token_named_exit_2(text, argv, env, message, tmp_path,
+                                        capsys, monkeypatch):
+    """A non-integer token names the line, flag or variable it came from."""
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setenv("SST_SEED", env)
+    rc, out, err = run(capsys, *(arg.replace("{path}", str(path)) for arg in argv))
+    assert (rc, out) == (2, "") and err.startswith(f"error: {message}")
+
+
 # byte-exact stdout of branches the tests above do not pin: human-format
 # verdicts (periodic, not periodic, no transfer), SPLIT none, an arc start
 # state and a minus_identity coin; KITE and MINUS_I stand for the files below

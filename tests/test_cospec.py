@@ -1,19 +1,21 @@
-"""Cospectrality checkers: exact, numeric, and the twin shortcut."""
+"""Cospectrality and the support split on the exact route; the numeric split
+and twin shortcut of ``blowup_oracle.py``, and their agreement with it."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from blowup_oracle import (IndeterminateClustering, build_blowup,
+                           strong_cospectral_numeric, twin_transfer_check)
 from conftest import assembled_instance
 from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
-from sstwalk.cospec import (cospectral, strong_cospectral_exact,
-                            strong_cospectral_numeric, twin_transfer_check)
+from sstwalk.cospec import strong_cospectral_exact
 from sstwalk.decider import decide_transfer
-from sstwalk.exact import RatPoly
+from sstwalk.exact import RatPoly, resolvent
 from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
                             double_cone_cycles)
-from sstwalk.reduction import build_blowup, reduction_for
+from sstwalk.reduction import reduction_for
 
 
 def P(*coeffs):
@@ -22,14 +24,14 @@ def P(*coeffs):
 
 def test_cospectral_s_equals_t():
     red = assembled_instance(4)[5]
-    assert cospectral(red, red.s, red.s)
+    assert resolvent(red, red.s, red.s).cospectral
 
 
 def test_cospectral_twins():
     g, a, b = complete_bipartite_k2m(4)
     asn = CoinAssignment.all_grover(g)
     red = reduction_for(asn, a, [[1, 1, 1, 1]], b)
-    assert cospectral(red)
+    assert resolvent(red).cospectral
 
 
 def test_cospectral_false_on_asymmetric_pair():
@@ -37,7 +39,7 @@ def test_cospectral_false_on_asymmetric_pair():
     g = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], 5)
     asn = CoinAssignment.all_grover(g)
     red = reduction_for(asn, 0, [[1, 1]], 3)
-    assert not cospectral(red)
+    assert not resolvent(red).cospectral
     assert strong_cospectral_exact(red) is None
 
 
@@ -217,8 +219,6 @@ def test_clustering_ambiguity_guard():
     """With the guard band 10*tol covering the (unit) spectral gap between
     classes of different sign, the checker refuses rather than guessing; a
     tighter tolerance on the same instance resolves normally."""
-    from sstwalk.cospec import IndeterminateClustering
-
     g, a, b = complete_bipartite_k2m(3)
     asn = CoinAssignment.all_grover(g)
     bl = build_blowup(asn, a, b)

@@ -359,13 +359,13 @@ def _count_kernels(monkeypatch):
 
 
 def test_resolvent_summary_built_once(monkeypatch):
-    """decide_transfer, strong_cospectral_exact, cospectral and
+    """decide_transfer, strong_cospectral_exact, the summary's cospectral and
     decide_periodicity on one reduction grow the Krylov vectors of each start
     column once, to level L + 1 with L = deg g (the first level with
     2L + 2 <= 2 level + 1 moments), pass one certificate per column, read the
     2L moments of psi_{S,T} once, and run batch Berlekamp-Massey only for g+
     and g-, on 2L terms each."""
-    from sstwalk.cospec import cospectral, strong_cospectral_exact
+    from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
 
     calls = _count_kernels(monkeypatch)
@@ -376,7 +376,7 @@ def test_resolvent_summary_built_once(monkeypatch):
     s, t = tuple(red.s), tuple(red.t)
     assert decide_transfer(red).occurs
     assert strong_cospectral_exact(red) is not None
-    assert cospectral(red)
+    assert resolvent(red).cospectral
     assert decide_periodicity(red).periodic
     order = resolvent(red).g.degree
     assert 2 * order + 2 < 2 * red.size
@@ -392,7 +392,8 @@ def test_not_cospectral_never_builds_psi_st(monkeypatch):
     of that level: no certificate, no (S, T) readout, no batch
     Berlekamp-Massey."""
     from psi_oracle import krylov_moments
-    from sstwalk.cospec import cospectral, strong_cospectral_exact
+    from sstwalk.cospec import strong_cospectral_exact
+    from sstwalk.exact import resolvent
 
     g = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], 5)  # triangle with a tail
     red = reduction_for(CoinAssignment.all_grover(g), 0, [[1, 1]], 3)
@@ -402,7 +403,7 @@ def test_not_cospectral_never_builds_psi_st(monkeypatch):
     calls = _count_kernels(monkeypatch)
     assert decide_transfer(red).reason == "not-cospectral"
     assert strong_cospectral_exact(red) is None
-    assert not cospectral(red)
+    assert not resolvent(red).cospectral
     assert calls["matvec"] == (len(red.s) + len(red.t)) * level
     assert calls["certificate"] == calls["cross"] == calls["bm"] == []
     for cols in (red.s, red.t):

@@ -1,4 +1,5 @@
-"""Coin bases, H = N*RN, the Chebyshev bridge, and the blow-up."""
+"""Coin bases, H = N*RN, the Chebyshev bridge, and the blow-up of
+``blowup_oracle.py`` checked against H."""
 
 import dataclasses
 from fractions import Fraction
@@ -6,14 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blowup_oracle import AdjacentMarkedPair, build_blowup
 from conftest import assembled_instance, synthetic_reduction
 from sstwalk.coins import (CoinAssignment, grover_coin, negative_identity_coin,
                            reflection_about)
 from sstwalk.exact import InvariantError
 from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
                             generalized_path)
-from sstwalk.reduction import (AdjacentMarkedPair, ReductionError, build_H,
-                               build_blowup, chebyshev_apply,
+from sstwalk.reduction import (ReductionError, build_H, chebyshev_apply,
                                exact_transfer_check, induced_coin_basis,
                                reduction_for)
 from sstwalk.walk import walk_unitary
@@ -206,7 +207,7 @@ def test_basis_independence_two_completions():
     assert verdicts[0].gamma == verdicts[1].gamma == -1
 
 
-# -- blow-up -------------------------------------------------------------------
+# -- the blow-up oracle ------------------------------------------------------
 
 
 def test_blowup_adjacent_pair_refused():
