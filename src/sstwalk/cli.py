@@ -188,6 +188,8 @@ def cmd_simulate(args) -> int:
         times = [int(tok) for tok in (args.times or "0").split(",")]
     except ValueError as e:
         raise InputError(f"--times {args.times!r}: expected comma-separated integers") from e
+    if min(times) < 0:
+        raise InputError(f"--times {args.times!r}: step counts must be nonnegative")
     vec, now = state, 0
     for t in sorted(set(times)):
         vec, now = walk_apply(assignment, vec, t - now), t
@@ -221,7 +223,7 @@ def _initial_state(args, graph, a, assignment, w_basis):
         except ValueError as e:
             raise InputError(f"state {name!r}: expected w<j> with an integer j") from e
         if not 0 <= j < len(w_basis):
-            raise InputError(f"state {name}: W has only {len(w_basis)} basis vectors")
+            raise InputError(f"state {name}: expected w1..w{len(w_basis)}")
         return coin_state(assignment, a, [float(x) for x in w_basis[j]])
     raise InputError(f"unknown state {name!r} (use w<j>, uniform, or arc:u,v)")
 

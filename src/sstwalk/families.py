@@ -4,7 +4,9 @@ Each case builds the graph, the marked coins and the subspace W, runs the
 exact decider, the exact Chebyshev check and the double-precision simulation,
 and reports the three next to the expected transfer time.  The pretty-good
 case runs the special-form decision plus a numeric fidelity sweep.
-``FAMILIES`` is the table of the families the ``sst`` command line offers.
+``FAMILIES`` is the table of the families the ``sst`` command line offers;
+the module imports numpy only inside the numeric functions, so the command
+line reads the table without loading it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .coins import CoinAssignment, ReflectionCoin, grover_coin, reflection_about
@@ -26,6 +27,9 @@ from .graphs import (Graph, circulant_2m, complete_bipartite_k2m,
 from .reduction import exact_transfer_check, reduction_for
 from .walk import (_fidelity_score, orthonormal_columns, transfer_fidelity,
                    walk_unitary)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FID_TOL = 1e-9
 
@@ -225,6 +229,8 @@ def case_pretty_good_cone(base: Graph, name: str = "cone", t_max: int = 10 ** 5,
     Runs the exact pipeline to extract the support, applies the special-form
     geodetic decision, and (when accepted) sweeps fidelity up to ``t_max``.
     """
+    import numpy as np
+
     degs = {base.degree(u) for u in range(base.n)}
     if len(degs) != 1:
         raise ValueError("pretty-good cone needs a regular base graph")
@@ -260,6 +266,8 @@ def pointwise_fidelity_power(assignment: CoinAssignment, a: int, b: int,
                              w_basis, t: int) -> tuple[float, complex]:
     """Same score as transfer_fidelity but through a dense power of U, so a
     single large t costs log(t) matrix products instead of t steps."""
+    import numpy as np
+
     u_t = np.linalg.matrix_power(walk_unitary(assignment).astype(complex), t)
     return _fidelity_score(assignment, a, b, orthonormal_columns(w_basis),
                            lambda x: u_t @ x)
@@ -292,6 +300,8 @@ def _marked_spectrum(red) -> tuple[np.ndarray, np.ndarray]:
     H-invariant and holds every e_s and e_t, so Rayleigh-Ritz on it
     reproduces the marked spectral weights of H up to rounding.
     """
+    import numpy as np
+
     rows, cols, vals = red.h_sparse
     n = red.size
     marked = sorted(set(red.s) | set(red.t))
@@ -348,6 +358,8 @@ def _cos_sums(theta: np.ndarray, weights: np.ndarray, start: int,
     sin(t0 theta) sin(s theta): (length / B + B) cos and sin per angle and
     two matrix products, in place of length cosines.
     """
+    import numpy as np
+
     step = isqrt(length - 1) + 1
     coarse = np.outer(start + np.arange(0, length, step), theta)   # (length/B, k)
     fine = np.outer(np.arange(step), theta)                        # (B, k)
@@ -372,6 +384,8 @@ def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndar
     first step whose fidelity reaches the threshold, and returns that prefix
     of the full series.
     """
+    import numpy as np
+
     lam, weights = _marked_spectrum(red)
     theta = np.arccos(np.clip(lam, -1.0, 1.0))
     out = np.zeros(t_max + 1)

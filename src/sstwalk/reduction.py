@@ -9,7 +9,9 @@ H = D^{-1/2} S D^{-1/2} and its rational similar carrier is H_rat = S D^{-1}
 and resolvent traces operate on H_rat directly whenever the paired clones
 share delta_sq, through its sparse integer view Z = scale * H_rat (sparse
 integer mat-vecs, no dense products).  From the coin to Z the arithmetic is in
-Python ints; only the dense views ``sym`` and ``h_rat`` are Fractions.
+Python ints; only the dense views ``sym`` and ``h_rat`` are Fractions.  The
+float views ``h_sparse``, ``h_numeric`` and ``n_numeric`` import numpy on
+first use, so the exact path never loads it.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .coins import CoinAssignment
 from .linalg import Mat, Vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ReductionError(ValueError):
@@ -178,6 +182,8 @@ class HermitianReduction:
         """Sparse float view (rows, cols, vals) of H = D^{-1/2} sym D^{-1/2},
         read from the nonzeros in O(nnz): vals = sym[i][j] / (d_i d_j) with
         d = sqrt(delta_sq), at (i, j) = (rows, cols)."""
+        import numpy as np
+
         d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
         rows = np.array([i for i, _, _ in self.nonzeros], dtype=int)
         cols = np.array([j for _, j, _ in self.nonzeros], dtype=int)
@@ -186,6 +192,8 @@ class HermitianReduction:
 
     def h_numeric(self) -> np.ndarray:
         """Dense H in doubles, scattered from ``h_sparse``."""
+        import numpy as np
+
         rows, cols, vals = self.h_sparse
         h = np.zeros((self.size, self.size))
         h[rows, cols] = vals
@@ -193,6 +201,8 @@ class HermitianReduction:
 
     def n_numeric(self) -> np.ndarray:
         """Arc-space matrix N with orthonormal columns (doubles only)."""
+        import numpy as np
+
         from .walk import out_arc_slice
 
         g = self.assignment.graph

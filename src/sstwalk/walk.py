@@ -7,18 +7,22 @@ Blocks of equal degree are stacked: a ``StepPlan``, built once per coin
 assignment, holds for each degree d an (n_d x d) array of arc indices and the
 (n_d x d x d) stack of float coin blocks (each distinct coin converted once),
 so one step is one ``einsum`` per degree class plus one gather.  No
-renormalization is performed: norm drift is itself a diagnostic.
+renormalization is performed: norm drift is itself a diagnostic.  numpy is
+imported by each entry point on first use, so the exact layers that import
+this module never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coins import CoinAssignment, ReflectionCoin
 from .graphs import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def out_arc_slice(graph: Graph, u: int) -> slice:
@@ -27,11 +31,13 @@ def out_arc_slice(graph: Graph, u: int) -> slice:
 
 
 def reversal_permutation(graph: Graph) -> np.ndarray:
+    import numpy as np
+
     return np.array([graph.arc_index[(v, u)] for u, v in graph.arcs], dtype=int)
 
 
-def _c_float(coin: ReflectionCoin) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in coin.c_matrix()])
+def _c_float(coin: ReflectionCoin) -> list[list[float]]:
+    return [[float(x) for x in row] for row in coin.c_matrix()]
 
 
 @dataclass(frozen=True)
@@ -48,13 +54,15 @@ class StepPlan:
 
     @classmethod
     def build(cls, assignment: CoinAssignment) -> "StepPlan":
+        import numpy as np
+
         g = assignment.graph
         floats: dict[int, np.ndarray] = {}  # id(coin) -> C as floats
         by_degree: dict[int, list[int]] = {}
         for u in range(g.n):
             coin = assignment.coin(u)
             if id(coin) not in floats:
-                floats[id(coin)] = _c_float(coin)
+                floats[id(coin)] = np.array(_c_float(coin))
             by_degree.setdefault(g.degree(u), []).append(u)
         start = np.array(g.arc_start[:-1], dtype=int)
         classes = []
@@ -64,16 +72,24 @@ class StepPlan:
             classes.append((arcs, blocks))
         return cls(tuple(classes), reversal_permutation(g))
 
-    def step(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        for arcs, blocks in self.classes:
-            y[arcs] = np.einsum("vij,vj->vi", blocks, x[arcs])
-        return y[self.rev]
+    def apply(self, x: np.ndarray, t: int) -> np.ndarray:
+        """U^t x by t steps, each one ``einsum`` per degree class plus one
+        gather."""
+        import numpy as np
+
+        for _ in range(t):
+            y = np.empty_like(x)
+            for arcs, blocks in self.classes:
+                y[arcs] = np.einsum("vij,vj->vi", blocks, x[arcs])
+            x = y[self.rev]
+        return x
 
 
 def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
     """Dense U = RC over the arc space, assembled from per-vertex coin blocks
     without ``StepPlan`` (the stepper tests' reference)."""
+    import numpy as np
+
     g = assignment.graph
     c = np.zeros((g.num_arcs, g.num_arcs))
     for u in range(g.n):
@@ -84,6 +100,8 @@ def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
 
 def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
     """The unit arc-space coin state x_a(w); requires C_a w = w up to 1e-12."""
+    import numpy as np
+
     g = assignment.graph
     wv = np.asarray([complex(x) for x in w])
     if wv.shape != (g.degree(a),):
@@ -102,15 +120,15 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
 def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndarray:
     """U^t applied by t stacked-block applications of C then R; the
     assignment's step plan is built on the first step and then reused."""
+    import numpy as np
+
     g = assignment.graph
     x = np.asarray(state, dtype=complex)
     if x.shape != (g.num_arcs,):
         raise ValueError(f"state must have length {g.num_arcs}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    for _ in range(t):
-        x = assignment.step_plan.step(x)
-    return x
+    return assignment.step_plan.apply(x, t) if t else x
 
 
 def orthonormal_columns(vectors) -> list[np.ndarray]:
@@ -120,6 +138,8 @@ def orthonormal_columns(vectors) -> list[np.ndarray]:
     so the output stays inside exact subspaces to machine precision; anything
     else falls back to QR.
     """
+    import numpy as np
+
     vecs = list(vectors)
     if all(isinstance(x, (int, Fraction)) for v in vecs for x in v):
         from . import linalg
@@ -162,6 +182,8 @@ def _fidelity_score(assignment: CoinAssignment, a: int, b: int, ws, evolve
     vectors ``ws``, clamped to [0, 1], with gamma the phase of the first
     overlap.  ``evolve`` applies U^t: by stepping here, by a dense power in
     ``families.pointwise_fidelity_power``."""
+    import numpy as np
+
     gamma = complex(1.0)
     worst = 1.0
     for j, w in enumerate(ws):

@@ -1,5 +1,10 @@
 """CLI subcommands, file formats, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -379,6 +384,19 @@ def test_simulate_malformed_arc_state_exit_2(capsys, state):
 K2M3 = ["--family", "k2m", "--m", "3"]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--state", "w0", "state w0: expected w1..w1"),
+    ("--state", "w2", "state w2: expected w1..w1"),
+    ("--times", "2,-2", "--times '2,-2': step counts must be nonnegative"),
+    ("--times", "-1", "--times '-1': step counts must be nonnegative"),
+])
+def test_simulate_out_of_range_exit_2(capsys, flag, value, message):
+    """A w<j> outside W's basis names the valid range, and a negative step
+    count names --times before any step is taken."""
+    rc, out, err = run(capsys, "simulate", *K2M3, flag, value)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text, argv, env, message", [
     ("n x\n0 1\n", ["transfer", "--graph", "{path}"], "0",
      "bad header line 'n x'"),
@@ -406,7 +424,8 @@ def test_non_integer_token_named_exit_2(text, argv, env, message, tmp_path,
 
 # byte-exact stdout of branches the tests above do not pin: human-format
 # verdicts (periodic, not periodic, no transfer), SPLIT none, an arc start
-# state and a minus_identity coin; KITE and MINUS_I stand for the files below
+# state, a minus_identity coin, and the full psi and machine period output;
+# KITE and MINUS_I stand for the files below
 KITE = "n 5\n0 1\n0 2\n1 2\n2 3\n3 4\n"
 MINUS_I = "coin 2 minus_identity\n"
 STDOUT_GOLDEN = [
@@ -427,16 +446,53 @@ STDOUT_GOLDEN = [
      "  (4,1) +0.6666666667 +0.0000000000\n"),
     (["transfer", "--family", "k2m", "--m", "3", "--coins", "MINUS_I", "--report-split"],
      "NO_TRANSFER stage=not-periodic\nSPLIT plus=[-2/3 0 1] minus=[0 1] gamma=+1\n"),
+    (["psi", *K2M3],
+     "PSI -1/2 0 1 | 0 -1 0 1\nPOLE_FACTOR -1 1\nPOLE_FACTOR 0 1\nPOLE_FACTOR 1 1\n"),
+    (["period", *K2M3], "PERIODIC min_period=4 L={1,2,4}\n"),
 ]
+
+
+def golden_argv(argv, tmp_path):
+    """``argv`` with KITE and MINUS_I written under tmp_path and replaced by
+    their paths."""
+    files = {"KITE": KITE, "MINUS_I": MINUS_I}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a) if a in files else a for a in argv]
 
 
 @pytest.mark.parametrize("argv, stdout", STDOUT_GOLDEN)
 def test_stdout_golden(argv, stdout, tmp_path, capsys):
-    files = {"KITE": KITE, "MINUS_I": MINUS_I}
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
-    assert run(capsys, *argv)[:2] == (0, stdout)
+    assert run(capsys, *golden_argv(argv, tmp_path))[:2] == (0, stdout)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+COLD_MAIN = ("import sys\n"
+             "from sstwalk.cli import main\n"
+             "rc = main(sys.argv[1:])\n"
+             "print('numpy', 'numpy' in sys.modules, file=sys.stderr)\n"
+             "sys.exit(rc)\n")
+
+
+def cold_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a fresh interpreter on this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, stdout", STDOUT_GOLDEN)
+def test_cold_process_loads_numpy_only_for_floats(argv, stdout, tmp_path):
+    """A fresh process prints the golden stdout, and of these commands only
+    simulate loads numpy; the exact ones never do."""
+    proc = cold_python(COLD_MAIN, *golden_argv(argv, tmp_path))
+    assert (proc.returncode, proc.stdout) == (0, stdout)
+    assert proc.stderr.splitlines()[-1] == f"numpy {argv[0] == 'simulate'}"
+
+
+def test_cold_import_leaves_numpy_out():
+    proc = cold_python("import sys, sstwalk; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize("argv", [
