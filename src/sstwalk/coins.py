@@ -185,7 +185,7 @@ class CoinAssignment:
 
     @cached_property
     def step_plan(self):
-        """The simulator's stacked coin blocks and arc reversal
+        """The simulator's coin blocks and arc reversal in plan order
         (``sstwalk.walk.StepPlan``), built on first use and then reused."""
         from .walk import StepPlan
 

@@ -3,17 +3,20 @@
 States live on arcs in the graph's canonical order; the outgoing arcs of a
 vertex form a contiguous slice, found in O(1) from ``Graph.arc_start``.  The
 step applies the block-diagonal coin followed by the arc-reversal permutation.
-Blocks of equal degree are stacked: a ``StepPlan``, built once per coin
-assignment, holds for each degree d an (n_d x d) array of arc indices and the
-(n_d x d x d) stack of float coin blocks (each distinct coin converted once),
-so one step is one ``einsum`` per degree class plus one gather.  No
-renormalization is performed: norm drift is itself a diagnostic.  numpy is
-imported by each entry point on first use, so the exact layers that import
-this module never load it.
+A ``StepPlan``, built once per coin assignment, keeps the state in a fixed
+plan order: degree class by degree class, the vertices with the class's most
+common coin first (one shared complex (d x d) block), then the others (a stack
+of float blocks, each distinct coin converted once).  A step is one complex
+GEMM plus at most one batched real ``matmul`` per degree class, then one
+gather that is the arc reversal composed with plan order; the state enters
+plan order once per ``walk_apply`` and leaves it once.  No renormalization is
+performed: norm drift is itself a diagnostic.  numpy is imported by each entry
+point on first use, so the exact layers that import this module never load it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -42,15 +45,20 @@ def _c_float(coin: ReflectionCoin) -> list[list[float]]:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One step of U = RC with equal-degree coin blocks stacked.
+    """One step of U = RC as a few kernel calls on the state in plan order.
 
-    ``classes`` holds, per degree d, the (n_d x d) outgoing-arc indices of the
-    degree-d vertices and their (n_d x d x d) float coin blocks; ``rev`` is
-    the arc-reversal permutation.
+    Plan order lists the arcs degree class by degree class.  Within the class
+    of degree d, the n0 vertices that carry the class's most common coin come
+    first, and the other vertices follow.  ``order[i]`` is the arc at plan
+    position i.  ``classes`` holds, per degree d, (n0, C^T as a complex
+    (d x d) array, the (m x d x d) float coin blocks of the m other
+    vertices).  ``nxt`` is the arc reversal composed with plan order: after
+    the coin, the state at plan position i is read from position nxt[i].
     """
 
-    classes: tuple[tuple[np.ndarray, np.ndarray], ...]
-    rev: np.ndarray
+    order: np.ndarray
+    nxt: np.ndarray
+    classes: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
     @classmethod
     def build(cls, assignment: CoinAssignment) -> "StepPlan":
@@ -65,24 +73,43 @@ class StepPlan:
                 floats[id(coin)] = np.array(_c_float(coin))
             by_degree.setdefault(g.degree(u), []).append(u)
         start = np.array(g.arc_start[:-1], dtype=int)
-        classes = []
+        order, classes = [], []
         for d, us in sorted(by_degree.items()):
-            arcs = start[us][:, None] + np.arange(d)
-            blocks = np.stack([floats[id(assignment.coin(u))] for u in us])
-            classes.append((arcs, blocks))
-        return cls(tuple(classes), reversal_permutation(g))
+            ids = [id(assignment.coin(u)) for u in us]
+            common = Counter(ids).most_common(1)[0][0]
+            rest = [u for u, i in zip(us, ids) if i != common]
+            head = [u for u, i in zip(us, ids) if i == common]
+            order.append((start[head + rest][:, None] + np.arange(d)).ravel())
+            blocks = np.array([floats[id(assignment.coin(u))] for u in rest]).reshape(-1, d, d)
+            classes.append((len(head), floats[common].T.astype(complex), blocks))
+        order = np.concatenate(order)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order))
+        return cls(order, pos[reversal_permutation(g)][order], tuple(classes))
 
     def apply(self, x: np.ndarray, t: int) -> np.ndarray:
-        """U^t x by t steps, each one ``einsum`` per degree class plus one
-        gather."""
+        """U^t x by t steps.  A step is, per degree class, one complex GEMM
+        over the common-coin vertices and one batched real ``matmul`` over
+        the float view of the others, then one gather."""
         import numpy as np
 
+        z = x[self.order]
+        y = np.empty_like(z)
         for _ in range(t):
-            y = np.empty_like(x)
-            for arcs, blocks in self.classes:
-                y[arcs] = np.einsum("vij,vj->vi", blocks, x[arcs])
-            x = y[self.rev]
-        return x
+            s = 0
+            for n0, ct, blocks in self.classes:
+                d = len(ct)
+                m = s + n0 * d
+                e = m + len(blocks) * d
+                np.matmul(z[s:m].reshape(n0, d), ct, out=y[s:m].reshape(n0, d))
+                if len(blocks):
+                    np.matmul(blocks, z[m:e].view(float).reshape(-1, d, 2),
+                              out=y[m:e].view(float).reshape(-1, d, 2))
+                s = e
+            np.take(y, self.nxt, out=z)
+        out = np.empty_like(z)
+        out[self.order] = z
+        return out
 
 
 def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
@@ -118,8 +145,10 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
 
 
 def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndarray:
-    """U^t applied by t stacked-block applications of C then R; the
-    assignment's step plan is built on the first step and then reused."""
+    """U^t applied to a copy of ``state`` by t applications of C then R.
+
+    The assignment's step plan is built on the first call with t > 0 and
+    then reused; t = 0 returns a fresh copy without building it."""
     import numpy as np
 
     g = assignment.graph
@@ -128,7 +157,7 @@ def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndar
         raise ValueError(f"state must have length {g.num_arcs}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return assignment.step_plan.apply(x, t) if t else x
+    return assignment.step_plan.apply(x, t) if t else x.copy()
 
 
 def orthonormal_columns(vectors) -> list[np.ndarray]:

@@ -17,3 +17,14 @@ def test_traced_exact_ladder_self_check():
     assert proc.returncode == 0, proc.stderr
     assert "trace self-check verdicts=match" in proc.stdout
     assert '"failed": 0' in proc.stdout
+
+
+def test_traced_numeric_large_self_check():
+    """The same for numeric-large, whose traced pass runs the tracer's
+    walk_apply wrapper (the t = 0 set-up probe, then the timed steps)."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "numeric-large",
+                           "--seed", "3", "--seconds", "0.05", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "trace self-check verdicts=match" in proc.stdout
+    assert '"failed": 0' in proc.stdout

@@ -91,6 +91,21 @@ def test_walk_t0_identity():
     assert np.allclose(walk_apply(asn, x, 0), x)
 
 
+def test_walk_apply_returns_a_fresh_array():
+    """walk_apply never hands back or writes to the caller's array, and t = 0
+    does not build the step plan."""
+    g, a, b = circulant_2m(4, 1, 3)
+    asn = CoinAssignment.all_grover(g)
+    x = coin_state(asn, a, [1, 1, 1, 1])
+    keep = x.copy()
+    out = walk_apply(asn, x, 0)
+    assert out is not x and np.array_equal(out, keep)
+    assert "step_plan" not in vars(asn)
+    for t in (1, 5):
+        assert walk_apply(asn, x, t) is not x
+        assert np.array_equal(x, keep)
+
+
 def test_k2_arc_swap():
     g = build_graph([(0, 1)], 2)
     asn = CoinAssignment.all_grover(g)
