@@ -8,8 +8,7 @@ the outgoing arcs of each vertex, then reverses every arc.
 
 import numpy as np
 
-from sstwalk import (CoinAssignment, build_graph, coin_state, walk_apply,
-                     walk_unitary)
+from sstwalk import CoinAssignment, build_graph, coin_state, walk_apply
 
 print(__doc__)
 
@@ -22,7 +21,8 @@ print("\nGrover coin at the degree-3 vertex 2 (entries 2/3 - [i=j]):")
 for row in asn.coin(2).c_matrix():
     print("  ", [str(x) for x in row])
 
-u = walk_unitary(asn)
+# the columns of U are the images of the arc basis states after one step
+u = np.column_stack([walk_apply(asn, e, 1) for e in np.eye(g.num_arcs)]).real
 print("\nU is unitary:", np.allclose(u @ u.T.conj(), np.eye(g.num_arcs)))
 
 # a coin state at vertex 0: weights fixed by the coin, living on outgoing arcs

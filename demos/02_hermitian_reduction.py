@@ -12,7 +12,8 @@ transfer questions become exact linear algebra over Q.
 import numpy as np
 
 from sstwalk import (CoinAssignment, build_graph, chebyshev_apply,
-                     reduction_for, walk_unitary)
+                     reduction_for, walk_apply)
+from sstwalk.walk import out_arc_slice
 
 print(__doc__)
 
@@ -23,14 +24,19 @@ spokes = [(i, i + 5) for i in range(5)]
 petersen = build_graph(outer + inner + spokes, 10)
 asn = CoinAssignment.all_grover(petersen)
 red = reduction_for(asn, 0, [[1, 1, 1]])
+# H_rat[u][v] = sym[u][v] / delta_sq[v], read from the integer nonzeros of sym
+h_rat = {(u, v): x / red.delta_sq[v] for u, v, x in red.nonzeros}
 print("Petersen, all Grover: H_rat = A/3?",
-      all(red.h_rat[u][v] * 3 == (1 if petersen.adjacent(u, v) else 0)
+      all(h_rat.get((u, v), 0) * 3 == (1 if petersen.adjacent(u, v) else 0)
           for u in range(10) for v in range(10)))
 print("delta_sq (clone norms squared):", [str(x) for x in red.delta_sq[:5]], "...")
 
-# the spectral bridge, numerically
-u = walk_unitary(asn)
-n = red.n_numeric()
+# the spectral bridge, numerically: U column by column from single steps, and
+# N with one normalized coin-basis column per clone on its vertex's arcs
+u = np.column_stack([walk_apply(asn, e, 1) for e in np.eye(petersen.num_arcs)]).real
+n = np.zeros((petersen.num_arcs, red.size))
+for j, (v, vec) in enumerate(red.basis.columns):
+    n[out_arc_slice(petersen, v), j] = np.array(vec) / np.linalg.norm(vec)
 lam, vecs = np.linalg.eigh(red.h_numeric())
 for t in (1, 3, 6):
     ft = vecs @ np.diag(np.cos(t * np.arccos(np.clip(lam, -1, 1)))) @ vecs.T

@@ -15,7 +15,7 @@ from .graphs import (Graph, GraphError, build_family, build_graph, circulant_2m,
 from .reduction import (CoinBasis, HermitianReduction, ReductionError, build_H,
                         chebyshev_apply, exact_transfer_check,
                         induced_coin_basis, reduction_for)
-from .walk import coin_state, transfer_fidelity, walk_apply, walk_unitary
+from .walk import coin_state, transfer_fidelity, walk_apply
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -136,8 +136,12 @@ def _parse_subspace(text: str, degree: int) -> list[list[Fraction]]:
 def _reduction(args, graph, a, b, assignment, w_basis):
     red = reduction_for(assignment, a, w_basis, b)
     if args.dump_H:
-        for row in red.h_rat:
-            print("H_rat", " ".join(str(x) for x in row))
+        # H_rat[i][j] = sym[i][j] / delta_sq[j], read from the sparse carrier
+        rows = [["0"] * red.size for _ in range(red.size)]
+        for i, j, x in red.nonzeros:
+            rows[i][j] = str(x / red.delta_sq[j])
+        for row in rows:
+            print("H_rat", " ".join(row))
         print("delta_sq", " ".join(str(x) for x in red.delta_sq))
     return red
 

@@ -3,7 +3,8 @@
 Each case builds the graph, the marked coins and the subspace W, runs the
 exact decider, the exact Chebyshev check and the double-precision simulation,
 and reports the three next to the expected transfer time.  The pretty-good
-case runs the special-form decision plus a numeric fidelity sweep.
+case runs the special-form decision plus a numeric fidelity sweep, whose
+best step is checked against the stepped walk.
 ``FAMILIES`` is the table of the families the ``sst`` command line offers;
 the module imports numpy only inside the numeric functions, so the command
 line reads the table without loading it.
@@ -25,8 +26,7 @@ from .exact import InvariantError, resolvent
 from .graphs import (Graph, circulant_2m, complete_bipartite_k2m,
                      double_cone_cycles, double_cone_over, generalized_path)
 from .reduction import exact_transfer_check, reduction_for
-from .walk import (_fidelity_score, orthonormal_columns, transfer_fidelity,
-                   walk_unitary)
+from .walk import transfer_fidelity
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,7 +144,7 @@ def case_circulant(m: int, c: int, d: int,
         rng = rng or random.Random(0)
         while True:
             extra = random_rational_vector(rng, 4)
-            if linalg.rank([list(v) for v in w] + [extra]) == 3:
+            if len(linalg.gram_schmidt(w + [extra], on_dependent="drop")) == 3:
                 break
         coin = reflection_about([list(v) for v in w] + [extra])
     else:
@@ -221,13 +221,22 @@ class PrettyGoodResult:
     status: str = "FAIL"
 
 
-def case_pretty_good_cone(base: Graph, name: str = "cone", t_max: int = 10 ** 5,
-                          early_exit: float = 1 - 1e-6) -> PrettyGoodResult:
+PRETTY_GOOD_T_MAX = 10 ** 5
+"""Last step of the fidelity sweep of an accepted pretty-good cone."""
+
+PRETTY_GOOD_EARLY_EXIT = 1 - 1e-6
+"""The sweep of an accepted pretty-good cone stops at the first step whose
+fidelity reaches this."""
+
+
+def case_pretty_good_cone(base: Graph, name: str = "cone") -> PrettyGoodResult:
     """Double cone over a k-regular base with singular adjacency: pretty-good
     W-transfer for W = ker A(base) iff k is outside {0, 2, 6}.
 
     Runs the exact pipeline to extract the support, applies the special-form
-    geodetic decision, and (when accepted) sweeps fidelity up to ``t_max``.
+    geodetic decision, and (when accepted) sweeps fidelity up to
+    PRETTY_GOOD_T_MAX, then checks the best step of the sweep against the
+    stepped walk (``exact.InvariantError`` if they disagree).
     """
     import numpy as np
 
@@ -250,27 +259,16 @@ def case_pretty_good_cone(base: Graph, name: str = "cone", t_max: int = 10 ** 5,
     if not accepted:
         result.status = "REJECTED"
         return result
-    fid = fidelity_series(red, t_max, early_exit=early_exit)
+    fid = fidelity_series(red, PRETTY_GOOD_T_MAX, early_exit=PRETTY_GOOD_EARLY_EXIT)
     best_t = int(np.argmax(fid))
     result.best_time = best_t
     result.best_fidelity = float(fid[best_t])
     # cross-check the best sweep point against the walk itself
-    direct = pointwise_fidelity_power(assignment, a, b, kernel, best_t)[0]
+    direct = transfer_fidelity(assignment, a, b, kernel, best_t)[0]
     if abs(direct - result.best_fidelity) > 1e-7:
-        raise RuntimeError("spectral sweep disagrees with direct simulation")
+        raise InvariantError("spectral sweep disagrees with direct simulation")
     result.status = "PASS" if result.best_fidelity >= 0.999 else "FAIL"
     return result
-
-
-def pointwise_fidelity_power(assignment: CoinAssignment, a: int, b: int,
-                             w_basis, t: int) -> tuple[float, complex]:
-    """Same score as transfer_fidelity but through a dense power of U, so a
-    single large t costs log(t) matrix products instead of t steps."""
-    import numpy as np
-
-    u_t = np.linalg.matrix_power(walk_unitary(assignment).astype(complex), t)
-    return _fidelity_score(assignment, a, b, orthonormal_columns(w_basis),
-                           lambda x: u_t @ x)
 
 
 SWEEP_CHUNK = 20000

@@ -5,9 +5,11 @@ lists of Fractions or ints.  Everything here is small and dense; the sizes that
 show up in practice are a few dozen rows, so clarity wins over asymptotics.
 Gram-Schmidt is fraction-free: it scales its inputs to integer vectors, stays
 in Python ints and returns primitive integer vectors, the columns the coin
-basis and the Hermitian reduction carry.  The integer Berkowitz characteristic
-polynomial and Bareiss determinant back ``exact.charpoly`` and the determinant
-reference for psi that the tests use.
+basis and the Hermitian reduction carry.  It is also the one route to kernels
+and ranks: a kernel is the orthogonal complement of the row space, and a rank
+is the number of vectors a dropping Gram-Schmidt keeps.  The integer Berkowitz
+characteristic polynomial and Bareiss determinant back ``exact.charpoly`` and
+the determinant reference for psi that the tests use.
 """
 
 from __future__ import annotations
@@ -93,50 +95,16 @@ def gram_schmidt(vectors, against=None, on_dependent: str = "error") -> list[lis
     return out
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot-column list (exact)."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
-
-
 def kernel_basis(a: Mat) -> list[list[int]]:
-    """Exact basis of the right kernel of ``a``, as primitive integer vectors."""
+    """Exact basis of the right kernel of ``a``, as pairwise-orthogonal
+    primitive integer vectors: the orthogonal complement of the row space,
+    Gram-Schmidt of the unit vectors against an orthogonal basis of the rows."""
     if not a:
         return []
-    red, pivots = rref(a)
-    cols = len(a[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(primitive_int_vector(v))
-    return basis
+    n = len(a[0])
+    rows = gram_schmidt(a, on_dependent="drop")
+    units = ([int(i == j) for j in range(n)] for i in range(n))
+    return gram_schmidt(units, against=rows, on_dependent="drop")
 
 
 def bareiss_det(a: list[list[int]]) -> int:

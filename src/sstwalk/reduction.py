@@ -9,9 +9,9 @@ H = D^{-1/2} S D^{-1/2} and its rational similar carrier is H_rat = S D^{-1}
 and resolvent traces operate on H_rat directly whenever the paired clones
 share delta_sq, through its sparse integer view Z = scale * H_rat (sparse
 integer mat-vecs, no dense products).  From the coin to Z the arithmetic is in
-Python ints; only the dense views ``sym`` and ``h_rat`` are Fractions.  The
-float views ``h_sparse``, ``h_numeric`` and ``n_numeric`` import numpy on
-first use, so the exact path never loads it.
+Python ints; only the dense view ``sym`` is Fractions.  The float views
+``h_sparse`` and ``h_numeric`` import numpy on first use, so the exact path
+never loads it.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ class CoinBasis:
 
 
 def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
-                       b: int | None = None, v_basis: list[Vec] | None = None
-                       ) -> CoinBasis:
+                       b: int | None = None) -> CoinBasis:
     """Exact orthogonal coin basis whose first block at a spans x_a(W) (and at
-    b spans x_b(V); V defaults to W under the positional identification).
+    b spans x_b(W), under the positional identification).
 
     Vertices with rk(C_u + I) = 0 contribute no clones.  A vertex with
     nothing prescribed takes its coin's clone columns as they are; at a and b
@@ -63,10 +62,7 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
     else:
         if b == a:
             raise ReductionError("marked vertices must be distinct")
-        vb = v_basis if v_basis is not None else w_basis
-        v_ortho = _prepare_subspace(assignment, b, vb)
-        if len(v_ortho) != len(w_ortho):
-            raise ReductionError("dim W != dim V")
+        v_ortho = _prepare_subspace(assignment, b, w_basis)
 
     columns: list[tuple[int, tuple[int, ...]]] = []
     s_clones: list[int] = []
@@ -119,8 +115,8 @@ class HermitianReduction:
     nonzeros and raises ``exact.InvariantError`` otherwise: the Krylov moments
     of ``sstwalk.exact`` rely on this symmetry.
 
-    A reduction is not mutated after build_H: the lazy views below (dense sym
-    and h_rat, the sparse integer and float views) and the moment sequences
+    A reduction is not mutated after build_H: the lazy views below (dense sym,
+    the sparse integer and float views) and the moment sequences
     and resolvent summaries that ``sstwalk.exact`` memoises in ``memo`` are
     computed once from nonzeros and delta_sq and never invalidated.
     """
@@ -145,17 +141,12 @@ class HermitianReduction:
 
     @cached_property
     def sym(self) -> Mat:
-        """Dense sym in Fractions, filled from the nonzeros; only h_rat and
-        tests need it."""
+        """Dense sym in Fractions, filled from the nonzeros; only the
+        benchmark's tracer and tests read it."""
         sym = linalg.zeros(self.size, self.size)
         for i, j, x in self.nonzeros:
             sym[i][j] = Fraction(x)
         return sym
-
-    @cached_property
-    def h_rat(self) -> Mat:
-        """Dense H_rat; only --dump-H and tests need it."""
-        return [[x / d for x, d in zip(row, self.delta_sq)] for row in self.sym]
 
     @cached_property
     def int_view(self) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
@@ -198,20 +189,6 @@ class HermitianReduction:
         h = np.zeros((self.size, self.size))
         h[rows, cols] = vals
         return h
-
-    def n_numeric(self) -> np.ndarray:
-        """Arc-space matrix N with orthonormal columns (doubles only)."""
-        import numpy as np
-
-        from .walk import out_arc_slice
-
-        g = self.assignment.graph
-        n = np.zeros((g.num_arcs, self.size))
-        for j, (u, vec) in enumerate(self.basis.columns):
-            sl = out_arc_slice(g, u)
-            col = np.array([float(x) for x in vec])
-            n[sl, j] = col / np.linalg.norm(col)
-        return n
 
 
 def z_apply(rows, vec: list[int]) -> list[int]:
@@ -256,10 +233,9 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
 
 
 def reduction_for(assignment: CoinAssignment, a: int, w_basis: list[Vec],
-                  b: int | None = None, v_basis: list[Vec] | None = None
-                  ) -> HermitianReduction:
+                  b: int | None = None) -> HermitianReduction:
     """Convenience: induced coin basis + build_H in one call."""
-    return build_H(assignment, induced_coin_basis(assignment, a, w_basis, b, v_basis))
+    return build_H(assignment, induced_coin_basis(assignment, a, w_basis, b))
 
 
 def _chebyshev_columns(red: HermitianReduction, t: int, cols: list[int]) -> list[list[int]]:

@@ -9,18 +9,21 @@ common coin first (one shared complex (d x d) block), then the others (a stack
 of float blocks, each distinct coin converted once).  A step is one complex
 GEMM plus at most one batched real ``matmul`` per degree class, then one
 gather that is the arc reversal composed with plan order; the state enters
-plan order once per ``walk_apply`` and leaves it once.  No renormalization is
-performed: norm drift is itself a diagnostic.  numpy is imported by each entry
-point on first use, so the exact layers that import this module never load it.
+plan order once per ``walk_apply`` and leaves it once.  The plan is the only
+way U is applied; no dense U is built.  No renormalization is performed: norm
+drift is itself a diagnostic.  Subspaces W enter as rational vectors, floats
+converted exactly, and are orthonormalized by exact Gram-Schmidt before the
+one conversion to doubles.  numpy is imported by each entry point on first
+use, so the exact layers that import this module never load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import linalg
 from .coins import CoinAssignment, ReflectionCoin
 from .graphs import Graph
 
@@ -112,19 +115,6 @@ class StepPlan:
         return out
 
 
-def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
-    """Dense U = RC over the arc space, assembled from per-vertex coin blocks
-    without ``StepPlan`` (the stepper tests' reference)."""
-    import numpy as np
-
-    g = assignment.graph
-    c = np.zeros((g.num_arcs, g.num_arcs))
-    for u in range(g.n):
-        sl = out_arc_slice(g, u)
-        c[sl, sl] = _c_float(assignment.coin(u))
-    return c[reversal_permutation(g), :]
-
-
 def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
     """The unit arc-space coin state x_a(w); requires C_a w = w up to 1e-12."""
     import numpy as np
@@ -163,62 +153,44 @@ def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndar
 def orthonormal_columns(vectors) -> list[np.ndarray]:
     """Numeric orthonormal basis for the span of the given vectors.
 
-    Rational inputs are orthogonalized exactly first (no cancellation error),
-    so the output stays inside exact subspaces to machine precision; anything
-    else falls back to QR.
+    The inputs are rational; floats are converted to Fractions exactly.  They
+    are orthogonalized exactly first (no cancellation error, no rank cut), so
+    the output stays inside exact subspaces to machine precision.
     """
     import numpy as np
 
-    vecs = list(vectors)
-    if all(isinstance(x, (int, Fraction)) for v in vecs for x in v):
-        from . import linalg
-
-        ortho = linalg.gram_schmidt(vecs, on_dependent="drop")
-        out = []
-        for v in ortho:
-            col = np.array([float(x) for x in v])
-            out.append(col / np.linalg.norm(col))
-        return out
-    mat = np.array([[float(x) for x in v] for v in vecs], dtype=float).T
-    q, r = np.linalg.qr(mat)
-    keep = [j for j in range(r.shape[0]) if abs(r[j, j]) > 1e-12]
-    return [q[:, j] for j in keep]
+    out = []
+    for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors], on_dependent="drop"):
+        col = np.array([float(x) for x in v])
+        out.append(col / np.linalg.norm(col))
+    return out
 
 
 def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: int
                       ) -> tuple[float, complex]:
     """Pointwise W-transfer fidelity at step t, plus the estimated phase.
 
-    ``w_basis`` spans W as rational/float vectors over sigma_a; the same
-    coordinates are reused over sigma_b (positional identification, the
-    identity on the shared neighbor set for twins).  Returns
-    min_j Re(conj(gamma) <x_b(w_j), U^t x_a(w_j)>) with gamma estimated from
-    the first basis vector, clamped to [0, 1].  A value of 1 means pointwise
-    transfer numerically; subspace transfer with mismatched phases scores
-    strictly below 1.
+    ``w_basis`` spans W as rational vectors over sigma_a (floats are converted
+    to Fractions exactly); the same coordinates are reused over sigma_b
+    (positional identification, the identity on the shared neighbor set for
+    twins).  Returns min_j Re(conj(gamma) <x_b(w_j), U^t x_a(w_j)>) over an
+    orthonormal basis w_j of W, with gamma the phase of the first overlap,
+    clamped to [0, 1].  A value of 1 means pointwise transfer numerically;
+    subspace transfer with mismatched phases scores strictly below 1.
     """
+    import numpy as np
+
     ws = orthonormal_columns(w_basis)
     if not ws:
         raise ValueError("empty subspace")
     if assignment.graph.degree(a) != assignment.graph.degree(b):
         raise ValueError("positional identification needs deg(a) = deg(b)")
-    return _fidelity_score(assignment, a, b, ws, lambda x: walk_apply(assignment, x, t))
-
-
-def _fidelity_score(assignment: CoinAssignment, a: int, b: int, ws, evolve
-                    ) -> tuple[float, complex]:
-    """min_j Re(conj(gamma) <x_b(w_j), evolve(x_a(w_j))>) over the orthonormal
-    vectors ``ws``, clamped to [0, 1], with gamma the phase of the first
-    overlap.  ``evolve`` applies U^t: by stepping here, by a dense power in
-    ``families.pointwise_fidelity_power``."""
-    import numpy as np
-
     gamma = complex(1.0)
     worst = 1.0
     for j, w in enumerate(ws):
         x = coin_state(assignment, a, w)
         y = coin_state(assignment, b, w)
-        overlap = np.vdot(y, evolve(x))
+        overlap = np.vdot(y, walk_apply(assignment, x, t))
         if j == 0:
             gamma = overlap / abs(overlap) if abs(overlap) > 1e-12 else complex(1.0)
         worst = min(worst, float((np.conj(gamma) * overlap).real))

@@ -10,6 +10,9 @@ and only fit for the small instances the differential tests use.
 ``full_kernel_summary`` is the moment route before its certified early stop:
 ``krylov_moments`` takes all 2 size moments of each sequence, one entry per
 mat-vec, and Berlekamp-Massey runs on the full sequences.
+
+``h_rat`` is the dense H_rat that ``psi_oracle`` starts from; the
+package itself keeps only the sparse carrier.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ from fractions import Fraction
 from sstwalk import linalg
 from sstwalk.exact import ONE, RatFun, RatPoly, _series_fraction, charpoly
 from sstwalk.reduction import z_apply
+
+
+def h_rat(red) -> linalg.Mat:
+    """Dense H_rat = sym * diag(delta_sq)^{-1} in Fractions."""
+    return [[x / d for x, d in zip(row, red.delta_sq)] for row in red.sym]
 
 
 def _submatrix(m: linalg.Mat, drop_rows: set[int], drop_cols: set[int]) -> linalg.Mat:
@@ -76,7 +84,7 @@ def psi_oracle(red, s: list[int], t: list[int]) -> RatFun:
         if red.delta_sq[a] != red.delta_sq[b]:
             raise ValueError(
                 f"clones {a},{b} carry different delta_sq; psi would be irrational")
-    h = red.h_rat
+    h = h_rat(red)
     den = charpoly(h)
     num = RatPoly()
     for a, b in zip(s, t):

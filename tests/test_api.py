@@ -17,7 +17,7 @@ PUBLIC = [
     "grover_coin", "induced_coin_basis", "linalg", "negative_identity_coin",
     "parse_coins", "parse_graph", "poly_gcd", "prism_graph", "psi", "reduction",
     "reduction_for", "reflection_about", "strong_cospectral_exact",
-    "transfer_fidelity", "walk", "walk_apply", "walk_unitary",
+    "transfer_fidelity", "walk", "walk_apply",
 ]
 
 # the blow-up route lives in tests/blowup_oracle.py; cospectral was a

@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, and exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import FAMILY_NAMES, family_reduction, schedule_reduction
 from sstwalk.cli import main
 from sstwalk.exact import InvariantError
 from sstwalk.families import FAMILIES
@@ -350,6 +352,58 @@ def test_dump_h_golden(tmp_path, capsys):
     psi = SPLIT_GOLDEN["quadratic+cubic"][6]
     argv = _instance_argv(tmp_path, "quadratic+cubic")
     assert run(capsys, "psi", "--dump-H", *argv)[:2] == (0, DUMP_H_GOLDEN + psi)
+
+
+FAMILY_ARGV = {
+    "gp(4,10)": ["--family", "gp", "--k", "4", "--n", "10"],
+    "circulant(20,1,19)": ["--family", "circulant", "--m", "20", "--c", "1", "--d", "19"],
+    "double_cone([1,2,3])": ["--family", "double-cone", "--cycles", "4,8,12"],
+    "k2m(20)": ["--family", "k2m", "--m", "20"],
+}
+
+
+def _reduction_argv(tmp_path, red) -> list[str]:
+    """--a/--b and the graph, coin and subspace files that rebuild ``red``: its
+    graph, the marked coin at a and b (Grover elsewhere) and its W-clones."""
+    a, b = red.basis.columns[red.s[0]][0], red.basis.columns[red.t[0]][0]
+    coin = red.assignment.coin(a)
+    entries = " ".join(str(x) for v in coin.basis for x in v)
+    files = {"graph": format_graph(red.assignment.graph),
+             "coins": "".join(f"coin {u} basis {len(coin.basis)} {entries}\n" for u in (a, b)),
+             "subspace": "".join(" ".join(map(str, red.basis.columns[j][1])) + "\n"
+                                 for j in red.s)}
+    argv = ["--a", str(a), "--b", str(b)]
+    for kind, text in files.items():
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(text)
+        argv += [f"--{kind}", str(path)]
+    return argv
+
+
+def _dump_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith(("H_rat ", "delta_sq "))]
+
+
+def test_dump_h_rows_match_dense_sym(tmp_path, capsys):
+    """--dump-H prints H_rat[i][j] = sym[i][j] / delta_sq[j] from the sparse
+    carrier, the same lines under psi, period and transfer: on 12 seeded
+    random-small shaped reductions and the FAMILY_NAMES instances."""
+    cases = [(family_reduction(name), FAMILY_ARGV[name]) for name in FAMILY_NAMES]
+    rng = random.Random(16)
+    for i in range(12):
+        red = schedule_reduction(rng, 4 + i % 9, *((1, 1), (2, 1), (2, 2))[i % 3])
+        (tmp_path / str(i)).mkdir()
+        cases.append((red, _reduction_argv(tmp_path / str(i), red)))
+    for red, argv in cases:
+        want = [f"H_rat {' '.join(str(x / d) for x, d in zip(row, red.delta_sq))}"
+                for row in red.sym]
+        want.append(f"delta_sq {' '.join(str(d) for d in red.delta_sq)}")
+        rc, out, _ = run(capsys, "psi", "--dump-H", *argv)
+        assert rc == 0 and _dump_lines(out) == want, argv
+        assert out.startswith("\n".join(want) + "\nPSI ")
+        for cmd in ("period", "transfer"):
+            rc, out, _ = run(capsys, cmd, "--dump-H", *argv)
+            assert rc == 0 and _dump_lines(out) == want, (cmd, argv)
 
 
 @pytest.mark.parametrize("kind, text", [

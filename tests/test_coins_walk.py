@@ -10,8 +10,8 @@ from sstwalk.coins import (CoinAssignment, CoinError, grover_coin,
                            negative_identity_coin, parse_coins,
                            reflection_about)
 from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m
-from sstwalk.walk import (coin_state, transfer_fidelity, walk_apply,
-                          walk_unitary)
+from sstwalk.walk import coin_state, transfer_fidelity, walk_apply
+from walk_oracle import walk_unitary
 
 
 def test_grover_degree_1():
@@ -203,11 +203,20 @@ def test_minus_identity_coin_has_no_clones():
 
 
 def test_walk_apply_matches_dense_power_on_random_graphs():
-    """The stacked-block stepper against U^t from the dense walk_unitary: 50
-    seeded connected graphs of mixed degree, n <= 12, every vertex a random
-    rational reflection or a (shared) Grover coin, complex states, t <= 6."""
+    """The stacked-block stepper against U^t from the dense walk_unitary: the
+    all-Grover K_{2,2} from a coin state at t in {0, 3, 17}, then 50 seeded
+    connected graphs of mixed degree, n <= 12, every vertex a random rational
+    reflection or a (shared) Grover coin, complex states, t <= 6."""
     from sstwalk.families import random_coin_and_subspace
     from sstwalk.graphs import GraphError
+
+    g, a, b = complete_bipartite_k2m(2)
+    asn = CoinAssignment.all_grover(g)
+    u = walk_unitary(asn)
+    x = coin_state(asn, a, [1, 1])
+    for t in (0, 3, 17):
+        want = np.linalg.matrix_power(u, t) @ x
+        assert np.allclose(walk_apply(asn, x, t), want, rtol=0, atol=1e-12)
 
     rng = random.Random(2024)
     nrng = np.random.default_rng(2024)

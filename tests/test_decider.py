@@ -308,7 +308,7 @@ def test_adjacent_triangle_odd_tau():
     minimum period 3 is odd), even though the single arc state C e_{(a,b)}
     trivially crosses in one step."""
     from sstwalk.families import fidelity_series
-    from sstwalk.walk import walk_unitary
+    from walk_oracle import walk_unitary
 
     g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
     asn = CoinAssignment.all_grover(g)

@@ -7,10 +7,11 @@ import pytest
 from sstwalk.families import (case_circulant, case_double_cone, case_gp,
                               case_k2m, case_octahedron_grover,
                               case_pretty_good_cone, fidelity_series,
-                              pointwise_fidelity_power, standard_battery)
+                              standard_battery)
 from sstwalk.graphs import (complete_multipartite, cycle_graph,
                             complete_bipartite_k2m, prism_graph)
 from sstwalk.coins import CoinAssignment
+from sstwalk.exact import InvariantError
 from sstwalk.reduction import reduction_for
 from sstwalk.walk import transfer_fidelity
 
@@ -101,6 +102,20 @@ def test_pretty_good_rejections():
     assert not case_pretty_good_cone(complete_multipartite([3, 3, 3]), name="k333").accepted
 
 
+def test_pretty_good_sweep_simulation_disagreement_is_invariant_error(monkeypatch):
+    """A best sweep step that the stepped walk misses by 1e-6 (above the 1e-7
+    margin) is a fault of the program, not of the input."""
+    import sstwalk.families as families
+
+    def off(*args):
+        fid, gamma = transfer_fidelity(*args)
+        return fid - 1e-6, gamma
+
+    monkeypatch.setattr(families, "transfer_fidelity", off)
+    with pytest.raises(InvariantError, match="disagrees"):
+        case_pretty_good_cone(prism_graph(), name="prism")
+
+
 def test_pretty_good_empty_kernel():
     from sstwalk.graphs import build_graph
 
@@ -118,16 +133,6 @@ def test_fidelity_series_matches_direct():
     for t in (0, 1, 2, 5, 12):
         direct, _ = transfer_fidelity(asn, a, b, w, t)
         assert abs(series[t] - direct) < 1e-10
-
-
-def test_pointwise_fidelity_power_matches_stepwise():
-    g, a, b = complete_bipartite_k2m(2)
-    asn = CoinAssignment.all_grover(g)
-    w = [[1, 1]]
-    for t in (0, 3, 17):
-        fast = pointwise_fidelity_power(asn, a, b, w, t)[0]
-        slow = transfer_fidelity(asn, a, b, w, t)[0]
-        assert abs(fast - slow) < 1e-10
 
 
 def test_gp1n_paths_all_lengths():

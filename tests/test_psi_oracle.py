@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+import reduction_oracle
 from conftest import (FAMILY_NAMES, family_reduction, odd_cycle_reductions,
                       synthetic_reduction)
 from psi_oracle import full_kernel_summary, newton_interpolate, psi_oracle
@@ -32,7 +33,7 @@ from sstwalk.exact import (RatPoly, berlekamp_massey, cosine_factor, factor_irre
                            psi, resolvent)
 from sstwalk.families import random_orthogonal_columns
 from sstwalk.graphs import build_graph, circulant_2m
-from sstwalk.reduction import reduction_for
+from sstwalk.reduction import CoinBasis, build_H, reduction_for
 
 
 def test_newton_interpolation():
@@ -110,8 +111,19 @@ def random_reduction_args(rng: random.Random):
     return asn, a, cols[:dim_w], b, v
 
 
+def reduction_from_args(assignment, a, w_basis, b, v_basis=None):
+    """reduction_for(assignment, a, W, b); with a V at b, build_H on the coin
+    basis of ``reduction_oracle.induced_coin_basis``, which still takes V (the
+    package always identifies V with W)."""
+    if v_basis is None:
+        return reduction_for(assignment, a, w_basis, b)
+    columns, s, t = reduction_oracle.induced_coin_basis(assignment, a, w_basis, b, v_basis)
+    columns = tuple((u, tuple(int(x) for x in vec)) for u, vec in columns)
+    return build_H(assignment, CoinBasis(columns, s, t))
+
+
 def random_reduction(rng: random.Random):
-    return reduction_for(*random_reduction_args(rng))
+    return reduction_from_args(*random_reduction_args(rng))
 
 
 def test_psi_matches_oracle_on_random_reductions():

@@ -18,8 +18,8 @@ from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
 from sstwalk import linalg
 from sstwalk.coins import (CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
-from sstwalk.reduction import ReductionError, reduction_for
-from test_psi_oracle import random_reduction_args
+from sstwalk.reduction import ReductionError
+from test_psi_oracle import random_reduction_args, reduction_from_args
 
 
 def _rational(rng: random.Random) -> Fraction:
@@ -162,14 +162,16 @@ def test_coin_validation_matches_fraction_oracle():
 
 def check_reduction_against_oracle(args) -> None:
     """Clone columns, S and T, nonzeros, delta_sq and Z of reduction_for equal
-    the Fraction route's; the nonzeros are ints and delta_sq Fractions."""
+    the Fraction route's; the nonzeros are ints and delta_sq Fractions.  With a
+    V at b (a fifth argument) the columns come from the oracle, so only
+    build_H and Z are compared."""
     try:
         want = oracle.induced_coin_basis(*args)
     except ReductionError as e:
         with pytest.raises(ReductionError, match=str(e)):
-            reduction_for(*args)
+            reduction_from_args(*args)
         return
-    red = reduction_for(*args)
+    red = reduction_from_args(*args)
     basis = red.basis
     assert (basis.columns, basis.s_clones, basis.t_clones) == want
     nonzeros, delta_sq = oracle.build_H(args[0], want[0])

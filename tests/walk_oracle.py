@@ -1,11 +1,18 @@
-"""The per-degree ``einsum`` stepper, kept as a test oracle of ``walk.StepPlan``.
+"""Dense and per-degree references for the walk, kept as test oracles.
 
-Before the package stepped the walk with one complex GEMM per degree class in
-a fixed plan order, it stacked the coin blocks of each degree class in the
-graph's arc order and applied them with one ``einsum`` per class, scattering
-into the arc positions and then gathering the arc reversal.  That stepper
-lives on here, unchanged, for the differential tests in
-``test_walk_oracle.py``, on graphs too large for the dense ``walk_unitary``.
+``walk_unitary`` is the dense U = RC over the arc space, assembled from
+per-vertex coin blocks without ``walk.StepPlan``; ``n_numeric`` is the dense
+arc-space matrix N of a reduction's coin basis, with orthonormal columns.
+Both once were package API; the spectral-bridge and stepper tests compare
+against them.
+
+``StepPlan`` is the per-degree ``einsum`` stepper.  Before the package stepped
+the walk with one complex GEMM per degree class in a fixed plan order, it
+stacked the coin blocks of each degree class in the graph's arc order and
+applied them with one ``einsum`` per class, scattering into the arc positions
+and then gathering the arc reversal.  That stepper lives on here, unchanged,
+for the differential tests in ``test_walk_oracle.py``, on graphs too large for
+the dense ``walk_unitary``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from sstwalk.coins import CoinAssignment
-from sstwalk.walk import _c_float, reversal_permutation
+from sstwalk.reduction import HermitianReduction
+from sstwalk.walk import _c_float, out_arc_slice, reversal_permutation
+
+
+def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
+    """Dense U = RC over the arc space, assembled from per-vertex coin blocks
+    without ``StepPlan`` (the stepper tests' reference)."""
+    g = assignment.graph
+    c = np.zeros((g.num_arcs, g.num_arcs))
+    for u in range(g.n):
+        sl = out_arc_slice(g, u)
+        c[sl, sl] = _c_float(assignment.coin(u))
+    return c[reversal_permutation(g), :]
+
+
+def n_numeric(red: HermitianReduction) -> np.ndarray:
+    """Arc-space matrix N with orthonormal columns (doubles only)."""
+    g = red.assignment.graph
+    n = np.zeros((g.num_arcs, red.size))
+    for j, (u, vec) in enumerate(red.basis.columns):
+        sl = out_arc_slice(g, u)
+        col = np.array([float(x) for x in vec])
+        n[sl, j] = col / np.linalg.norm(col)
+    return n
 
 
 @dataclass(frozen=True)
