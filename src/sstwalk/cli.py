@@ -216,7 +216,7 @@ def _initial_state(args, graph, a, assignment, w_basis):
             raise InputError(f"({u},{v}) is not an arc")
         import numpy as np
 
-        state = np.zeros(graph.num_arcs, dtype=complex)
+        state = np.zeros(graph.num_arcs)
         state[graph.arc_index[(u, v)]] = 1.0
         return state
     if name == "uniform":

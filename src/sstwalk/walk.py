@@ -3,22 +3,29 @@
 States live on arcs in the graph's canonical order; the outgoing arcs of a
 vertex form a contiguous slice, found in O(1) from ``Graph.arc_start``.  The
 step applies the block-diagonal coin followed by the arc-reversal permutation.
-A ``StepPlan``, built once per coin assignment, keeps the state in a fixed
-plan order: degree class by degree class, the vertices with the class's most
-common coin first (one shared complex (d x d) block), then the others (a stack
-of float blocks, each distinct coin converted once).  A step is one complex
-GEMM plus at most one batched real ``matmul`` per degree class, then one
-gather that is the arc reversal composed with plan order; the state enters
-plan order once per ``walk_apply`` and leaves it once.  The plan is the only
-way U is applied; no dense U is built.  No renormalization is performed: norm
-drift is itself a diagnostic.  Subspaces W enter as rational vectors, floats
-converted exactly, and are orthonormalized by exact Gram-Schmidt before the
-one conversion to doubles.  numpy is imported by each entry point on first
-use, so the exact layers that import this module never load it.
+U is real orthogonal (C is built from reflections over Q), so states step in
+float64: the states of one call are the columns of one (arcs x k) block, a
+complex state giving its real part and, only when it is nonzero, its imaginary
+part, and the orthonormal basis of a subspace W steps as one block.  A
+``StepPlan``, built once per coin assignment, keeps the block in a fixed plan
+order: degree class by degree class, the arcs of the vertices with the class's
+most common coin first, grouped by arc index at the vertex so that the shared
+coin multiplies all of them and all states as one matrix, then the arcs of the
+other vertices (a stack of coin blocks, each distinct coin converted once).  A
+step is one real GEMM plus at most one batched ``matmul`` per degree class,
+whatever the number of states, then one gather of whole rows that is the arc
+reversal composed with plan order; the block enters plan order once per
+``walk_apply`` and leaves it once.  The plan is the only way U is applied; no
+dense U is built.  No renormalization is performed: norm drift is itself a
+diagnostic.  Subspaces W enter as rational vectors, floats converted exactly,
+and are orthonormalized by exact Gram-Schmidt before the one conversion to
+doubles.  numpy is imported by each entry point on first use, so the exact
+layers that import this module never load it.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -48,18 +55,26 @@ def _c_float(coin: ReflectionCoin) -> list[list[float]]:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One step of U = RC as a few kernel calls on the state in plan order.
+    """One step of U = RC as a few real kernel calls on a block of states.
 
     Plan order lists the arcs degree class by degree class.  Within the class
-    of degree d, the n0 vertices that carry the class's most common coin come
-    first, and the other vertices follow.  ``order[i]`` is the arc at plan
-    position i.  ``classes`` holds, per degree d, (n0, C^T as a complex
-    (d x d) array, the (m x d x d) float coin blocks of the m other
-    vertices).  ``nxt`` is the arc reversal composed with plan order: after
-    the coin, the state at plan position i is read from position nxt[i].
+    of degree d, the arcs of the n0 vertices that carry the class's most
+    common coin come first, by arc index at the vertex and then by vertex;
+    the arcs of the other vertices follow, vertex by vertex.  ``order[i]`` is
+    the arc at plan position i and ``pos`` its inverse.  ``classes`` holds,
+    per degree d, (n0, C as a float (d x d) array, the (m x d x d) float coin
+    blocks of the m other vertices).  ``nxt`` is the arc reversal composed
+    with plan order: after the coin, the state at plan position i is read
+    from position nxt[i].
+
+    U is real, so k states step as the columns of one float64 (arcs x k)
+    block, kept in plan order: the common-coin rows of a class form one
+    (d x n0 k) matrix for C (a reflection, so C = C^T), and the rows of each
+    other vertex a (d x k) matrix for its own coin.
     """
 
     order: np.ndarray
+    pos: np.ndarray
     nxt: np.ndarray
     classes: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
@@ -82,72 +97,106 @@ class StepPlan:
             common = Counter(ids).most_common(1)[0][0]
             rest = [u for u, i in zip(us, ids) if i != common]
             head = [u for u, i in zip(us, ids) if i == common]
-            order.append((start[head + rest][:, None] + np.arange(d)).ravel())
+            order.append((np.arange(d)[:, None] + start[head]).ravel())
+            order.append((start[rest][:, None] + np.arange(d)).ravel())
             blocks = np.array([floats[id(assignment.coin(u))] for u in rest]).reshape(-1, d, d)
-            classes.append((len(head), floats[common].T.astype(complex), blocks))
+            classes.append((len(head), floats[common], blocks))
         order = np.concatenate(order)
         pos = np.empty_like(order)
         pos[order] = np.arange(len(order))
-        return cls(order, pos[reversal_permutation(g)][order], tuple(classes))
+        return cls(order, pos, pos[reversal_permutation(g)][order], tuple(classes))
 
     def apply(self, x: np.ndarray, t: int) -> np.ndarray:
-        """U^t x by t steps.  A step is, per degree class, one complex GEMM
-        over the common-coin vertices and one batched real ``matmul`` over
-        the float view of the others, then one gather."""
+        """U^t on each column of the float (arcs x k) block x, by t steps.  A
+        step is, per degree class, one GEMM over the common-coin arcs and one
+        batched ``matmul`` over the others, then one gather of whole rows."""
         import numpy as np
 
-        z = x[self.order]
+        k = x.shape[1]
+        z = np.take(x, self.order, axis=0)
         y = np.empty_like(z)
         for _ in range(t):
             s = 0
-            for n0, ct, blocks in self.classes:
-                d = len(ct)
+            for n0, c, blocks in self.classes:
+                d = len(c)
                 m = s + n0 * d
                 e = m + len(blocks) * d
-                np.matmul(z[s:m].reshape(n0, d), ct, out=y[s:m].reshape(n0, d))
+                np.matmul(c, z[s:m].reshape(d, -1), out=y[s:m].reshape(d, -1))
                 if len(blocks):
-                    np.matmul(blocks, z[m:e].view(float).reshape(-1, d, 2),
-                              out=y[m:e].view(float).reshape(-1, d, 2))
+                    np.matmul(blocks, z[m:e].reshape(-1, d, k), out=y[m:e].reshape(-1, d, k))
                 s = e
-            np.take(y, self.nxt, out=z)
-        out = np.empty_like(z)
-        out[self.order] = z
-        return out
+            # every index is in range; a mode other than "raise" lets take
+            # write into z without buffering
+            np.take(y, self.nxt, axis=0, out=z, mode="clip")
+        return np.take(z, self.pos, axis=0)
+
+
+def _coin_weights(assignment: CoinAssignment, a: int, ws) -> np.ndarray:
+    """The weights over sigma_a of the unit coin states x_a(w), one row per
+    w in ``ws``; requires C_a w = w up to 1e-12, with the coin at a converted
+    to floats once."""
+    import numpy as np
+
+    d = assignment.graph.degree(a)
+    wv = np.array([[float(x) for x in w] for w in ws])
+    if wv.shape[1] != d:
+        raise ValueError(f"weight vector must have length deg({a}) = {d}")
+    p = np.array([[float(x) for x in row] for row in assignment.coin(a).p_matrix()])
+    for w in wv:
+        if np.linalg.norm(p @ w - w) > 1e-12 * max(np.linalg.norm(w), 1e-30):
+            raise ValueError(f"weight vector is not fixed by the coin at vertex {a}")
+    nrm = np.linalg.norm(wv, axis=1)
+    if not nrm.all():
+        raise ValueError("zero coin state")
+    return wv / nrm[:, None]
 
 
 def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
-    """The unit arc-space coin state x_a(w); requires C_a w = w up to 1e-12."""
+    """The unit arc-space coin state x_a(w), real for the real (rational or
+    float) weights w; requires C_a w = w up to 1e-12."""
     import numpy as np
 
     g = assignment.graph
-    wv = np.asarray([complex(x) for x in w])
-    if wv.shape != (g.degree(a),):
-        raise ValueError(f"weight vector must have length deg({a}) = {g.degree(a)}")
-    p = np.array([[float(x) for x in row] for row in assignment.coin(a).p_matrix()])
-    if np.linalg.norm(p @ wv - wv) > 1e-12 * max(np.linalg.norm(wv), 1e-30):
-        raise ValueError("weight vector is not fixed by the coin at a")
-    state = np.zeros(g.num_arcs, dtype=complex)
-    state[out_arc_slice(g, a)] = wv
-    nrm = np.linalg.norm(state)
-    if nrm == 0:
-        raise ValueError("zero coin state")
-    return state / nrm
+    state = np.zeros(g.num_arcs)
+    state[out_arc_slice(g, a)] = _coin_weights(assignment, a, [w])[0]
+    return state
 
 
 def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndarray:
-    """U^t applied to a copy of ``state`` by t applications of C then R.
+    """U^t applied to a copy of ``state``, a vector over the arcs or a stack
+    of such rows, by t applications of C then R; the result is complex.
 
-    The assignment's step plan is built on the first call with t > 0 and
-    then reused; t = 0 returns a fresh copy without building it."""
+    U is real: all rows step together as the columns of one float block, a
+    real row as it is and a complex row as its real part plus, only when it
+    is nonzero, its imaginary part.  The assignment's step plan is built on
+    the first call with t > 0 and then reused; t = 0 returns a fresh copy
+    without building it."""
     import numpy as np
 
     g = assignment.graph
-    x = np.asarray(state, dtype=complex)
-    if x.shape != (g.num_arcs,):
-        raise ValueError(f"state must have length {g.num_arcs}")
+    x = np.asarray(state)
+    if x.ndim not in (1, 2) or x.shape[-1] != g.num_arcs:
+        raise ValueError(f"state must have length {g.num_arcs}, or be a stack of such rows")
+    try:
+        t = operator.index(t)
+    except TypeError:
+        raise ValueError(f"t must be an integer, got t={t!r}") from None
     if t < 0:
-        raise ValueError("t must be nonnegative")
-    return assignment.step_plan.apply(x, t) if t else x.copy()
+        raise ValueError(f"t must be nonnegative, got t={t}")
+    if x.dtype.kind not in "fc":
+        x = x.astype(complex)
+    if not t:
+        return x.astype(complex)
+    rows = x.reshape(-1, g.num_arcs)
+    k = len(rows)
+    im = np.flatnonzero(rows.imag.any(axis=1)) if x.dtype.kind == "c" else []
+    block = np.empty((g.num_arcs, k + len(im)))
+    block[:, :k] = rows.real.T
+    block[:, k:] = rows[im].imag.T
+    stepped = assignment.step_plan.apply(block, t)
+    out = stepped[:, :k].T.astype(complex, order="C")
+    out.imag[im] = stepped[:, k:].T
+    return out.reshape(x.shape)
 
 
 def orthonormal_columns(vectors) -> list[np.ndarray]:
@@ -176,22 +225,22 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     twins).  Returns min_j Re(conj(gamma) <x_b(w_j), U^t x_a(w_j)>) over an
     orthonormal basis w_j of W, with gamma the phase of the first overlap,
     clamped to [0, 1].  A value of 1 means pointwise transfer numerically;
-    subspace transfer with mismatched phases scores strictly below 1.
+    subspace transfer with mismatched phases scores strictly below 1.  The
+    states x_a(w_j) step together as one block, in one ``walk_apply`` call.
     """
     import numpy as np
 
     ws = orthonormal_columns(w_basis)
     if not ws:
         raise ValueError("empty subspace")
-    if assignment.graph.degree(a) != assignment.graph.degree(b):
+    g = assignment.graph
+    if g.degree(a) != g.degree(b):
         raise ValueError("positional identification needs deg(a) = deg(b)")
-    gamma = complex(1.0)
-    worst = 1.0
-    for j, w in enumerate(ws):
-        x = coin_state(assignment, a, w)
-        y = coin_state(assignment, b, w)
-        overlap = np.vdot(y, walk_apply(assignment, x, t))
-        if j == 0:
-            gamma = overlap / abs(overlap) if abs(overlap) > 1e-12 else complex(1.0)
-        worst = min(worst, float((np.conj(gamma) * overlap).real))
-    return max(0.0, min(1.0, worst)), gamma
+    x = np.zeros((len(ws), g.num_arcs))
+    x[:, out_arc_slice(g, a)] = _coin_weights(assignment, a, ws)
+    y = _coin_weights(assignment, b, ws)  # x_b(w_j) lives on the arcs of b
+    overlaps = (y * walk_apply(assignment, x, t)[:, out_arc_slice(g, b)]).sum(axis=1)
+    first = overlaps[0]
+    gamma = first / abs(first) if abs(first) > 1e-12 else complex(1.0)
+    worst = min(1.0, float((np.conj(gamma) * overlaps).real.min()))
+    return max(0.0, worst), gamma

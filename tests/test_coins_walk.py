@@ -172,6 +172,33 @@ def test_coin_state_requires_fixed_vector():
         coin_state(asn, a, [1, -1])  # not fixed by the Grover coin
 
 
+def test_coin_state_error_names_the_vertex_whose_coin_moves_w():
+    """W fixed by the reflection at a but not by the Grover coin at b: the
+    error names b, and with the coins swapped it names a."""
+    g, a, b = circulant_2m(3, 1, 2)
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    coins = {u: grover_coin(4) for u in range(g.n)}
+    for marked, other in ((a, b), (b, a)):
+        asn = CoinAssignment(g, {**coins, marked: reflection_about(w)})
+        with pytest.raises(ValueError, match=f"not fixed by the coin at vertex {other}$"):
+            transfer_fidelity(asn, a, b, w, 4)
+        with pytest.raises(ValueError, match=f"coin at vertex {other}$"):
+            coin_state(asn, other, w[0])
+
+
+def test_walk_apply_refuses_a_step_count_that_is_not_an_integer():
+    g, a, b = circulant_2m(3, 1, 2)
+    asn = CoinAssignment.all_grover(g)
+    x = coin_state(asn, a, [1, 1, 1, 1])
+    for bad in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match=f"t={bad!r}"):
+            walk_apply(asn, x, bad)
+    with pytest.raises(ValueError, match="t=-1"):
+        walk_apply(asn, x, -1)
+    for t in (np.int64(3), np.int32(0), np.uint8(6)):
+        assert np.array_equal(walk_apply(asn, x, t), walk_apply(asn, x, int(t)))
+
+
 def test_dimension_mismatch():
     g, a, b = complete_bipartite_k2m(2)
     asn = CoinAssignment.all_grover(g)

@@ -1,7 +1,8 @@
 """The plan-order stepper ``walk.StepPlan`` against the per-degree ``einsum``
 stepper it replaced (``walk_oracle.StepPlan``), on graphs too large for the
-dense ``walk_unitary``, and the plan's per-step work pinned through its
-structure."""
+dense ``walk_unitary``; the plan's per-step work pinned through its
+structure; and the block ``walk.transfer_fidelity`` against the per-vector
+loop it replaced (``walk_oracle.transfer_fidelity``)."""
 
 import random
 from collections import Counter
@@ -9,12 +10,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import FAMILY_NAMES, family_instance, random_instance
+from sstwalk import linalg
 from sstwalk.coins import (CoinAssignment, grover_coin, negative_identity_coin,
                            reflection_about)
 from sstwalk.families import random_coin_and_subspace
-from sstwalk.graphs import build_graph, circulant_2m, generalized_path
-from sstwalk.walk import StepPlan, walk_apply
+from sstwalk.graphs import (build_graph, circulant_2m, complete_multipartite,
+                            double_cone_over, generalized_path)
+from sstwalk.walk import StepPlan, transfer_fidelity, walk_apply
 from walk_oracle import StepPlan as EinsumPlan
+from walk_oracle import transfer_fidelity as per_vector_fidelity
 
 CIRCULANT_W = [[1, 0, -1, 0], [0, 1, 0, -1]]
 TIMES = (1, 2, 5, 31, 100)
@@ -77,10 +82,10 @@ def test_mixed_degree_instance_has_the_cases_it_names():
     assert len({id(asn.coin(u)) for u in range(g.n) if g.degree(u) == 1}) == 2
     plan = StepPlan.build(asn)
     d = shared.degree
-    n0, ct, blocks = plan.classes[sorted(degrees).index(d)]
+    n0, c, blocks = plan.classes[sorted(degrees).index(d)]
     assert n0 == sum(asn.coin(u) is shared for u in range(g.n)) and len(blocks) > 0
-    assert np.array_equal(ct, np.array(shared.c_matrix(), dtype=float).T)
-    assert not np.array_equal(ct, np.array(grover_coin(d).c_matrix(), dtype=float).T)
+    assert np.array_equal(c, np.array(shared.c_matrix(), dtype=float))
+    assert not np.array_equal(c, np.array(grover_coin(d).c_matrix(), dtype=float))
 
 
 @pytest.mark.parametrize("build", [circulant_marked, circulant_distinct, gp_marked,
@@ -88,31 +93,103 @@ def test_mixed_degree_instance_has_the_cases_it_names():
                          ids=["circulant-marked", "circulant-distinct", "gp(4,50)",
                               "mixed-degree"])
 def test_plan_stepper_matches_einsum_oracle(build):
+    """A complex state with a nonzero imaginary part, a stack of three
+    complex rows (one of them real-valued), and a real-valued complex state,
+    whose stepped imaginary part must be exactly +0.0."""
     asn = build()
     oracle = EinsumPlan.build(asn)
     nrng = np.random.default_rng(2025)
     m = asn.graph.num_arcs
     x = nrng.normal(size=m) + 1j * nrng.normal(size=m)
+    stack = nrng.normal(size=(3, m)) + 1j * nrng.normal(size=(3, m))
+    stack[1].imag = 0.0
+    real = nrng.normal(size=m) + 0j
     for t in TIMES:
         assert np.allclose(walk_apply(asn, x, t), oracle.apply(x, t), rtol=0, atol=1e-12)
+        got = walk_apply(asn, stack, t)
+        assert got.shape == (3, m) and got.dtype == complex
+        for row, want in zip(got, stack):
+            assert np.allclose(row, oracle.apply(want, t), rtol=0, atol=1e-12)
+        got = walk_apply(asn, real, t)
+        assert np.allclose(got, oracle.apply(real, t), rtol=0, atol=1e-12)
+        assert not got.imag.any() and not np.signbit(got.imag).any()
 
 
 def test_per_step_work_does_not_grow_with_distinct_coins(monkeypatch):
     """A distinct coin at every vertex of circulant(1000,1,999) still gives
     one class per distinct degree, one shared block plus one block stack per
-    class, and two kernel calls per class per step."""
+    class, and two kernel calls per class per step, whatever the number of
+    states stepped together."""
     asn = circulant_distinct()
     g = asn.graph
     plan = asn.step_plan
     assert len(plan.classes) == len({g.degree(u) for u in range(g.n)}) == 1
-    n0, ct, blocks = plan.classes[0]
-    assert (n0, ct.shape, blocks.shape) == (1, (4, 4), (g.n - 1, 4, 4))
+    n0, c, blocks = plan.classes[0]
+    assert (n0, c.shape, blocks.shape) == (1, (4, 4), (g.n - 1, 4, 4))
     assert sorted(plan.order) == list(range(g.num_arcs))
     assert sorted(plan.nxt) == list(range(g.num_arcs))
 
     calls = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
-    x = np.ones(g.num_arcs, dtype=complex)
-    plan.apply(x, 3)
+    x = np.ones((5, g.num_arcs), dtype=complex)
+    x[1:] *= 1j
+    walk_apply(asn, x, 3)
     assert len(calls) == 3 * 2 * len(plan.classes)
+
+
+def test_imaginary_part_steps_only_when_nonzero(monkeypatch):
+    """U is real: a real-valued complex row steps as one float column, a
+    complex row as two, a real row as one."""
+    asn = gp_marked()
+    widths = []
+    apply = StepPlan.apply
+    monkeypatch.setattr(StepPlan, "apply",
+                        lambda self, x, t: widths.append(x.shape[1]) or apply(self, x, t))
+    m = asn.graph.num_arcs
+    stack = np.ones((3, m), dtype=complex)
+    stack[0] += 1j
+    for state, width in ((np.ones(m) + 0j, 1), (np.ones(m) + 1j, 2), (np.ones(m), 1),
+                         (stack, 4), (stack.real, 3)):
+        widths.clear()
+        walk_apply(asn, state, 2)
+        assert widths == [width]
+
+
+def k555_cone():
+    """The double cone over K_{5,5,5}, W = ker A(K_{5,5,5}) (dim 12), and
+    the reflection about W at both apexes."""
+    base = complete_multipartite([5, 5, 5])
+    kernel = linalg.kernel_basis([[int(base.adjacent(u, v)) for v in range(base.n)]
+                                  for u in range(base.n)])
+    g, a, b = double_cone_over(base)
+    return CoinAssignment.grover_with_marked(g, a, b, reflection_about(kernel)), a, kernel, b
+
+
+def fidelity_cases():
+    """(id, (assignment, a, W, b), steps): seeded random instances, the
+    family instances the exact-ladder benchmark runs, and the K_{5,5,5} cone
+    at its best sweep step."""
+    for seed in range(40):
+        g, a, b, coin, w = random_instance(seed)
+        yield (f"random{seed}", (CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b),
+               random.Random(seed).sample(range(40), 4))
+    for name in FAMILY_NAMES:
+        yield name, family_instance(name), (0, 1, 2, 4, 9, 17)
+    yield "k555-cone", k555_cone(), (1, 3922)
+
+
+FIDELITY_CASES = list(fidelity_cases())
+
+
+def test_fidelity_cases_cover_dim_w_one_two_and_twelve():
+    assert {1, 2, 12} <= {len(args[2]) for _, args, _ in FIDELITY_CASES}
+
+
+@pytest.mark.parametrize("name,args,steps", FIDELITY_CASES, ids=[c[0] for c in FIDELITY_CASES])
+def test_block_fidelity_matches_per_vector_oracle(name, args, steps):
+    asn, a, w, b = args
+    for t in steps:
+        fid, gamma = transfer_fidelity(asn, a, b, w, t)
+        want_fid, want_gamma = per_vector_fidelity(asn, a, b, w, t)
+        assert abs(fid - want_fid) <= 1e-12 and abs(gamma - want_gamma) <= 1e-12

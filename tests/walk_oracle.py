@@ -7,12 +7,17 @@ Both once were package API; the spectral-bridge and stepper tests compare
 against them.
 
 ``StepPlan`` is the per-degree ``einsum`` stepper.  Before the package stepped
-the walk with one complex GEMM per degree class in a fixed plan order, it
-stacked the coin blocks of each degree class in the graph's arc order and
-applied them with one ``einsum`` per class, scattering into the arc positions
-and then gathering the arc reversal.  That stepper lives on here, unchanged,
-for the differential tests in ``test_walk_oracle.py``, on graphs too large for
-the dense ``walk_unitary``.
+the walk in a fixed plan order, one GEMM per degree class, it stacked the coin
+blocks of each degree class in the graph's arc order and applied them with one
+``einsum`` per class, scattering into the arc positions and then gathering the
+arc reversal.  That stepper lives on here, unchanged, for the differential
+tests in ``test_walk_oracle.py``, on graphs too large for the dense
+``walk_unitary``.
+
+``transfer_fidelity`` is the per-vector fidelity loop: before the package
+stepped W's orthonormal basis as one block, it built the coin states at a and
+b and stepped the walk once per basis vector.  It lives on here, unchanged,
+for the differential test of ``walk.transfer_fidelity``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 
 from sstwalk.coins import CoinAssignment
 from sstwalk.reduction import HermitianReduction
-from sstwalk.walk import _c_float, out_arc_slice, reversal_permutation
+from sstwalk.walk import (_c_float, coin_state, orthonormal_columns, out_arc_slice,
+                          reversal_permutation, walk_apply)
 
 
 def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
@@ -87,3 +93,25 @@ class StepPlan:
                 y[arcs] = np.einsum("vij,vj->vi", blocks, x[arcs])
             x = y[self.rev]
         return x
+
+
+def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: int
+                      ) -> tuple[float, complex]:
+    """min_j Re(conj(gamma) <x_b(w_j), U^t x_a(w_j)>) over an orthonormal
+    basis w_j of W, clamped to [0, 1], with gamma the phase of the first
+    overlap: one ``walk_apply`` call per basis vector."""
+    ws = orthonormal_columns(w_basis)
+    if not ws:
+        raise ValueError("empty subspace")
+    if assignment.graph.degree(a) != assignment.graph.degree(b):
+        raise ValueError("positional identification needs deg(a) = deg(b)")
+    gamma = complex(1.0)
+    worst = 1.0
+    for j, w in enumerate(ws):
+        x = coin_state(assignment, a, w)
+        y = coin_state(assignment, b, w)
+        overlap = np.vdot(y, walk_apply(assignment, x, t))
+        if j == 0:
+            gamma = overlap / abs(overlap) if abs(overlap) > 1e-12 else complex(1.0)
+        worst = min(worst, float((np.conj(gamma) * overlap).real))
+    return max(0.0, min(1.0, worst)), gamma
