@@ -10,6 +10,7 @@ and simulation disagree (status=FAIL).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -186,6 +187,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise InputError(f"--tol {args.tol!r}: expected a finite nonnegative number")
     graph, a, b, assignment, w_basis = _load_instance(args)
     state = _initial_state(args, graph, a, assignment, w_basis)
     try:

@@ -1,15 +1,17 @@
 """Reflection coins and per-vertex coin assignments.
 
 A reflection coin at a degree-d vertex is C_u = 2P_u - I for an exact rational
-symmetric projection P_u on C^{sigma_u}.  Coins are stored by their projection
-plus an exact orthogonal (unnormalized) basis of col(P_u); that basis, as
-primitive integer columns, is what the Hermitian reduction consumes.
+symmetric projection P_u on C^{sigma_u}.  A coin is an orthogonal basis of
+col(P_u); that basis, as primitive integer columns, is what the Hermitian
+reduction consumes, and P_u = sum of b b^T/<b,b> is derived on first use by
+the float walk only, so the exact pipeline never forms a d x d matrix.
 
-Coins are frozen and validated exactly (P^2 = P = P^T, basis nonzero, fixed
-and orthogonal) once, when built, in integers: on den * P, with den the least
-common denominator of P, and on the basis scaled to integer vectors.  The
-Grover and -I coins are cached per degree, so an assignment shares one
-validated coin per (degree, kind) instead of holding a copy per vertex.
+Coins are frozen and validated exactly once, when built, in integers: each
+basis vector has length d, is nonzero and is orthogonal to the others, in
+O(r^2 d) for rank r; P derived from such a basis is a symmetric projection of
+trace r fixing the basis by construction.  The Grover and -I coins are cached
+per degree, so an assignment shares one validated coin per (degree, kind)
+instead of holding a copy per vertex.
 """
 
 from __future__ import annotations
@@ -30,50 +32,42 @@ class CoinError(ValueError):
 
 @dataclass(frozen=True)
 class ReflectionCoin:
-    """Exact rational reflection coin: projection P with P^2 = P = P^T.
-
-    Validation and ``fixes`` run on the integer form (den, den * P) of the
-    projection; the coin also keeps its basis as primitive integer clone
-    columns, the block a vertex with nothing prescribed gives the reduction.
-    """
+    """Exact rational reflection coin C = 2P - I about the span of ``basis``,
+    kept also as primitive integer clone columns, the block a vertex with
+    nothing prescribed gives the reduction; P and C are derived views."""
 
     degree: int
-    projection: tuple[tuple[Fraction, ...], ...]
     basis: tuple[tuple[Fraction | int, ...], ...]  # orthogonal basis of col(P)
 
     def __post_init__(self):
-        den, q = self.int_projection
-        if any(q[i][j] != q[j][i] for i in range(self.degree) for j in range(i)):
-            raise CoinError("coin projection is not symmetric")
-        # q is symmetric, so (q q)[i][j] is the dot product of rows i and j
-        if any(den * q[i][j] != linalg.dot(q[i], q[j])
-               for i in range(self.degree) for j in range(i + 1)):
-            raise CoinError("coin projection is not idempotent")
-        trace = Fraction(sum(q[i][i] for i in range(self.degree)), den)
-        if trace != len(self.basis):
-            raise CoinError("coin basis does not span col(P): rank tr(P) = "
-                            f"{trace}, basis has {len(self.basis)} columns")
         ints = [linalg.int_vector(u) for u in self.basis]
         for i, u in enumerate(ints):
+            if len(u) != self.degree:
+                raise CoinError(f"coin basis vector has length {len(u)}, "
+                                f"degree is {self.degree}")
             if not any(u):
                 raise CoinError("coin basis has a zero vector")
-            if not self.fixes(u):
-                raise CoinError("coin basis vector not fixed by the projection")
-            for v in ints[i + 1:]:
-                if linalg.dot(u, v) != 0:
-                    raise CoinError("coin basis is not orthogonal")
-
-    @cached_property
-    def int_projection(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(den, den * P) with den the least common denominator of P."""
-        den = lcm(1, *(x.denominator for row in self.projection for x in row))
-        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                          for row in self.projection)
+            if any(linalg.dot(u, v) for v in ints[:i]):
+                raise CoinError("coin basis is not orthogonal")
 
     @cached_property
     def clone_columns(self) -> tuple[tuple[int, ...], ...]:
         """The basis as primitive integer vectors (it is validated orthogonal)."""
         return tuple(tuple(linalg.primitive_int_vector(u)) for u in self.basis)
+
+    @cached_property
+    def projection(self) -> tuple[tuple[Fraction, ...], ...]:
+        """P = sum of b b^T/<b,b>, exact, summed in ints over lcm <b,b>."""
+        norms = [linalg.dot(b, b) for b in self.clone_columns]
+        den = lcm(1, *norms)
+        q = [[0] * self.degree for _ in range(self.degree)]
+        for b, nb in zip(self.clone_columns, norms):
+            for x, row in zip(b, q):
+                if x:
+                    s = den // nb * x
+                    for j, y in enumerate(b):
+                        row[j] += s * y
+        return tuple(tuple(Fraction(x, den) for x in row) for row in q)
 
     def p_matrix(self) -> Mat:
         return [list(row) for row in self.projection]
@@ -89,16 +83,11 @@ class ReflectionCoin:
     def rank(self) -> int:
         return len(self.basis)
 
-    def fixes(self, w: Vec) -> bool:
-        """Exact test that C w = w, i.e. (den P) w = den w on w scaled to ints."""
-        den, q = self.int_projection
-        w = linalg.int_vector(w)
-        return len(w) == self.degree and all(
-            linalg.dot(row, w) == den * x for row, x in zip(q, w))
-
-
-def _freeze(m: Mat) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row) for row in m)
+    def fixes(self, *ws: Vec) -> bool:
+        """Exact test that C w = w for each w: a dropping Gram-Schmidt of the
+        ws against the basis keeps none of them."""
+        return all(len(w) == self.degree for w in ws) and not linalg.gram_schmidt(
+            ws, against=self.clone_columns, on_dependent="drop")
 
 
 @cache
@@ -106,15 +95,13 @@ def grover_coin(degree: int) -> ReflectionCoin:
     """The Grover coin (2/d)J - I: reflection about the all-ones vector."""
     if degree < 1:
         raise CoinError("Grover coin needs degree >= 1")
-    p = [[Fraction(1, degree)] * degree for _ in range(degree)]
-    ones = tuple(Fraction(1) for _ in range(degree))
-    return ReflectionCoin(degree, _freeze(p), (ones,))
+    return ReflectionCoin(degree, ((1,) * degree,))
 
 
 @cache
 def negative_identity_coin(degree: int) -> ReflectionCoin:
     """C = -I: the rank-0 reflection (no clones)."""
-    return ReflectionCoin(degree, _freeze(linalg.zeros(degree, degree)), ())
+    return ReflectionCoin(degree, ())
 
 
 def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
@@ -132,14 +119,7 @@ def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
         ortho = linalg.gram_schmidt([linalg.frac_vec(v) for v in basis_vectors])
     except ValueError as e:
         raise CoinError(f"rank-deficient coin basis: {e}") from e
-    p = linalg.zeros(degree, degree)
-    for b in ortho:
-        nb = linalg.dot(b, b)
-        for i in range(degree):
-            if b[i]:
-                for j in range(degree):
-                    p[i][j] += Fraction(b[i] * b[j], nb)
-    return ReflectionCoin(degree, _freeze(p), _freeze(ortho))
+    return ReflectionCoin(degree, tuple(map(tuple, ortho)))
 
 
 def _grover_coins(graph: Graph) -> dict[int, ReflectionCoin]:
@@ -196,10 +176,12 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
     """Parse the coin spec format.
 
     One line per non-default vertex: ``coin <v> grover`` or
-    ``coin <v> basis <r> <r*deg rationals>`` (row-major basis vectors).
-    Vertices not mentioned get the Grover coin.
+    ``coin <v> basis <r> <r*deg rationals>`` (row-major basis vectors, 1 <= r
+    <= deg), each vertex on one line at most.  Vertices not mentioned get the
+    Grover coin.
     """
     coins = _grover_coins(graph)
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -213,6 +195,9 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
             raise CoinError(f"bad coin line: {line!r}") from e
         if not 0 <= v < graph.n:
             raise CoinError(f"coin vertex {v} out of range")
+        if v in seen:
+            raise CoinError(f"coin line {line!r}: vertex {v} already has a coin")
+        seen.add(v)
         deg = graph.degree(v)
         if parts[2] == "grover":
             coins[v] = grover_coin(deg)
@@ -224,11 +209,17 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
                 entries = [Fraction(tok) for tok in parts[4:]]
             except (IndexError, ValueError, ZeroDivisionError) as e:
                 raise CoinError(f"bad coin line: {line!r}") from e
+            if not 1 <= r <= deg:
+                raise CoinError(f"coin line {line!r}: basis rank {r} is not in "
+                                f"1..deg({v}) = {deg}")
             if len(entries) != r * deg:
                 raise CoinError(
                     f"coin at {v}: expected {r * deg} entries, got {len(entries)}")
-            rows = [entries[i * deg:(i + 1) * deg] for i in range(r)]
-            coins[v] = reflection_about(rows)
+            try:
+                coins[v] = reflection_about([entries[i * deg:(i + 1) * deg]
+                                             for i in range(r)])
+            except CoinError as e:
+                raise CoinError(f"coin line {line!r}: {e}") from e
         else:
             raise CoinError(f"unknown coin kind {parts[2]!r}")
     return CoinAssignment(graph, coins)

@@ -94,8 +94,8 @@ def _prepare_subspace(assignment: CoinAssignment, u: int, basis: list[Vec]
         if len(v) != coin.degree:
             raise ReductionError(
                 f"subspace vector at vertex {u} has wrong length {len(v)}")
-        if not coin.fixes(v):
-            raise ReductionError(f"subspace at vertex {u} is not fixed by its coin")
+    if not coin.fixes(*vecs):
+        raise ReductionError(f"subspace at vertex {u} is not fixed by its coin")
     try:
         return linalg.gram_schmidt(vecs)
     except ValueError as e:

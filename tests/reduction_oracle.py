@@ -2,7 +2,8 @@
 
 Before the reduction was carried in Python ints, ``linalg.gram_schmidt`` ran
 in ``fractions.Fraction`` (w <- w - (<w,b>/<b,b>) b), ``ReflectionCoin``
-validated its projection and tested ``fixes`` with dense Fraction products,
+stored its projection, validated it and tested ``fixes`` with dense Fraction
+products, ``reflection_about`` assembled that projection entry by entry,
 ``induced_coin_basis`` re-ran Gram-Schmidt on the coin basis at every vertex,
 ``build_H`` assembled Fraction nonzeros and ``int_view`` divided each of them
 by its Fraction delta_sq.  Those routines live on here, unchanged, for the
@@ -102,8 +103,8 @@ def gram_schmidt(vectors: list[Vec], against: list[Vec] | None = None,
 
 
 def validate_coin(degree: int, projection, basis) -> None:
-    """``ReflectionCoin.__post_init__`` in Fractions: raise CoinError unless
-    P^2 = P = P^T and the basis is fixed by P, orthogonal and of size tr(P)."""
+    """The validation of a coin that stored its projection, in Fractions:
+    raise CoinError unless P^2 = P = P^T and the basis is fixed by P, orthogonal and of size tr(P)."""
     p = [list(row) for row in projection]
     if transpose(p) != p:
         raise CoinError("coin projection is not symmetric")
@@ -121,9 +122,23 @@ def validate_coin(degree: int, projection, basis) -> None:
                 raise CoinError("coin basis is not orthogonal")
 
 
+def assemble_projection(degree: int, basis) -> Mat:
+    """P = sum of b b^T/<b,b> over an orthogonal basis, entry by entry in
+    Fractions, as ``reflection_about`` assembled it when the coin stored P
+    (a zero vector adds nothing)."""
+    p = linalg.zeros(degree, degree)
+    for b in basis:
+        nb = dot(b, b)
+        for i in range(degree):
+            if b[i]:
+                for j in range(degree):
+                    p[i][j] += Fraction(b[i] * b[j], nb)
+    return p
+
+
 def fixes(coin, w: Vec) -> bool:
     """Exact test that P w = w by a dense Fraction mat-vec."""
-    return mat_vec(coin.p_matrix(), w) == list(w)
+    return mat_vec(assemble_projection(coin.degree, coin.basis), w) == list(w)
 
 
 def _prepare_subspace(assignment, u: int, basis: list[Vec]) -> list[Vec]:

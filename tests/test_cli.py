@@ -14,6 +14,7 @@ from sstwalk.cli import main
 from sstwalk.exact import InvariantError
 from sstwalk.families import FAMILIES
 from sstwalk.graphs import format_graph, prism_graph
+from sstwalk.reduction import reduction_for
 
 
 def run(capsys, *argv):
@@ -474,6 +475,56 @@ def test_non_integer_token_named_exit_2(text, argv, env, message, tmp_path,
     monkeypatch.setenv("SST_SEED", env)
     rc, out, err = run(capsys, *(arg.replace("{path}", str(path)) for arg in argv))
     assert (rc, out) == (2, "") and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("coin 1 grover\ncoin 1 minus_identity\n",
+     "coin line 'coin 1 minus_identity': vertex 1 already has a coin"),
+    ("coin 0 basis 0\n", "coin line 'coin 0 basis 0': basis rank 0 is not in 1..deg(0) = 3"),
+    ("coin 0 basis -1\n",
+     "coin line 'coin 0 basis -1': basis rank -1 is not in 1..deg(0) = 3"),
+    ("coin 0 basis 4" + " 1" * 12 + "\n", "basis rank 4 is not in 1..deg(0) = 3"),
+    ("coin 0 basis 2 1 0 0 0 0 0\n",
+     "coin line 'coin 0 basis 2 1 0 0 0 0 0': rank-deficient coin basis"),
+    ("coin 0 basis 2 1 1 0 1/2 1/2 0\n",
+     "coin line 'coin 0 basis 2 1 1 0 1/2 1/2 0': rank-deficient coin basis"),
+], ids=["vertex-twice", "rank-0", "rank-negative", "rank-above-degree", "zero-vector",
+        "dependent"])
+def test_coin_file_error_names_the_line(text, message, tmp_path, capsys):
+    """A vertex given twice, a basis rank outside 1..deg(v) and a zero or
+    dependent basis are refused with the coin line named."""
+    path = tmp_path / "coins.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, "transfer", *K2M3, "--coins", str(path))
+    assert (rc, out) == (2, "") and message in err and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-9", "nan", "inf"])
+def test_simulate_bad_tol_exit_2(tol, capsys):
+    rc, out, err = run(capsys, "simulate", *K2M3, f"--tol={tol}")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --tol {float(tol)!r}: expected a finite nonnegative number\n"
+
+
+def test_exact_transfer_forms_no_projection(capsys, monkeypatch):
+    """The exact transfer path reads only the integer bases of its coins: on
+    K_{2,400} neither the degree-400 nor the degree-2 Grover coin derives its
+    d x d projection."""
+    from sstwalk import cli, coins
+
+    assignments = []
+
+    def recording(assignment, *args):
+        assignments.append(assignment)
+        return reduction_for(assignment, *args)
+
+    monkeypatch.setattr(cli, "reduction_for", recording)
+    coins.grover_coin.cache_clear()
+    rc, out, _ = run(capsys, "transfer", "--family", "k2m", "--m", "400")
+    assert (rc, out) == (0, "TRANSFER time=2 gamma=+1\n")
+    used = set(assignments[0].coins.values())
+    assert sorted(coin.degree for coin in used) == [2, 400]
+    assert not any("projection" in vars(coin) for coin in used)
 
 
 # byte-exact stdout of branches the tests above do not pin: human-format

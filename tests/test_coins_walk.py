@@ -269,20 +269,20 @@ def test_walk_apply_matches_dense_power_on_random_graphs():
 
 
 def test_zero_basis_vector_rejected():
-    """A zero basis column is fixed by every projection and orthogonal to
-    everything, so it passed validation, and the reduction dropped it: C6
-    with C = I at the marked pair was modelled as a rank-1 coin."""
+    """A zero basis column is orthogonal to everything, so it passed the
+    orthogonality check, and the reduction dropped it: C6 with C = I at the
+    marked pair was modelled as a rank-1 coin."""
     from sstwalk.coins import ReflectionCoin
 
-    identity = ((1, 0), (0, 1))
     with pytest.raises(CoinError, match="zero vector"):
-        ReflectionCoin(2, identity, ((1, 0), (0, 0)))
-    assert ReflectionCoin(2, identity, ((1, 0), (0, 3))).clone_columns == ((1, 0), (0, 1))
+        ReflectionCoin(2, ((1, 0), (0, 0)))
+    assert ReflectionCoin(2, ((1, 0), (0, 3))).clone_columns == ((1, 0), (0, 1))
 
 
 def test_all_grover_validates_one_coin(monkeypatch):
     """2000 degree-4 vertices share one Grover coin, validated once; a
-    non-idempotent projection and a wrong-size coin are still refused."""
+    non-orthogonal basis, a basis vector of the wrong length and a wrong-size
+    coin are still refused."""
     from sstwalk.coins import ReflectionCoin
 
     validations = []
@@ -299,9 +299,10 @@ def test_all_grover_validates_one_coin(monkeypatch):
     assert validations == [4]
     assert all(asn.coin(u) is asn.coin(0) for u in range(g.n))
 
-    one = Fraction(1)
-    with pytest.raises(CoinError, match="idempotent"):
-        ReflectionCoin(2, ((one, one), (one, one)), ((one, one),))
+    with pytest.raises(CoinError, match="not orthogonal"):
+        ReflectionCoin(2, ((1, 1), (1, 0)))
+    with pytest.raises(CoinError, match="length 2, degree is 3"):
+        ReflectionCoin(3, ((1, 1),))
     coins = {u: grover_coin(4) for u in range(g.n)}
     coins[7] = grover_coin(3)
     with pytest.raises(CoinError, match="degree is 4"):

@@ -18,6 +18,7 @@ from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
 from sstwalk import linalg
 from sstwalk.coins import (CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
+from sstwalk.families import random_coin_and_subspace
 from sstwalk.reduction import ReductionError
 from test_psi_oracle import random_reduction_args, reduction_from_args
 
@@ -98,38 +99,34 @@ def test_fixes_matches_fraction_oracle():
         coin = _random_coin(rng)
         fixed = [sum((_rational(rng) * x for x in col), Fraction(0))
                  for col in zip(*coin.basis)] if coin.basis else [Fraction(0)] * coin.degree
-        for w in (fixed, _vector(rng, coin.degree), fixed[:-1]):
+        cases = (fixed, _vector(rng, coin.degree), fixed[:-1])
+        for w in cases:
             want = oracle.fixes(coin, w)
             assert coin.fixes(w) == want
             seen.add(want)
+        for ws in ((fixed, fixed), (fixed, cases[1]), cases):
+            assert coin.fixes(*ws) == all(oracle.fixes(coin, w) for w in ws)
     assert seen == {True, False}
 
 
 def _coin_case(rng: random.Random):
-    """(degree, projection, basis): a valid reflection coin or one with a
-    single fault: asymmetric or non-idempotent P, a basis of the wrong size,
-    a basis vector P does not fix, a non-orthogonal basis or a zero vector."""
+    """(degree, basis, fault): the basis of a valid reflection coin or one
+    with a single fault: two basis vectors not orthogonal, a zero vector or a
+    vector of the wrong length."""
     coin = _random_coin(rng)
-    d, p = coin.degree, [list(row) for row in coin.projection]
+    d = coin.degree
     basis = [[Fraction(x) for x in v] for v in coin.basis]
-    fault = rng.choice(["none", "symmetric", "idempotent", "span", "fixed", "orthogonal",
-                        "zero"])
-    if fault == "symmetric" and d > 1:
-        i, j = rng.sample(range(d), 2)
-        p[i][j] += _rational(rng) or 1
-    elif fault == "idempotent":
-        p = [[2 * x for x in row] for row in p]
-        if not any(map(any, p)):
-            p[0][0] = Fraction(1)
-    elif fault == "span":
-        basis = basis[1:] if basis and rng.random() < 0.5 else basis + [_vector(rng, d)]
-    elif fault == "fixed" and basis:
-        basis[rng.randrange(len(basis))] = _vector(rng, d)
-    elif fault == "orthogonal" and len(basis) > 1:
+    fault = rng.choice(["none", "orthogonal", "zero", "length"])
+    if fault == "orthogonal" and len(basis) > 1:
         basis[1] = [x + y for x, y in zip(basis[0], basis[1])]
     elif fault == "zero" and basis:
         basis[rng.randrange(len(basis))] = [Fraction(0)] * d
-    return d, tuple(map(tuple, p)), tuple(map(tuple, basis))
+    elif fault == "length" and basis:
+        i = rng.randrange(len(basis))
+        basis[i] = basis[i][:-1] if rng.random() < 0.5 else basis[i] + [_rational(rng)]
+    else:
+        fault = "none"
+    return d, tuple(map(tuple, basis)), fault
 
 
 def _verdict(fn, *args):
@@ -141,23 +138,45 @@ def _verdict(fn, *args):
 
 
 def test_coin_validation_matches_fraction_oracle():
-    """Each verdict and CoinError message equals the Fraction validation's,
-    except that a zero basis vector, which the Fraction route let through, is
-    refused."""
+    """A basis of the right length is accepted exactly when the Fraction
+    validation accepts it together with the projection assembled from it;
+    each fault is refused with its own message."""
     rng = random.Random(11)
+    messages = {"none": None, "orthogonal": "coin basis is not orthogonal",
+                "zero": "coin basis has a zero vector",
+                "length": "coin basis vector has length"}
     seen = set()
     for _ in range(600):
-        case = _coin_case(rng)
-        want, got = _verdict(oracle.validate_coin, *case), _verdict(ReflectionCoin, *case)
-        if any(not any(v) for v in case[2]) and want is None:
-            assert got == "coin basis has a zero vector"
-        else:
-            assert got == want, case
-        seen.add(got and got.split(":")[0])
-    assert seen == {None, "coin projection is not symmetric",
-                    "coin projection is not idempotent", "coin basis does not span col(P)",
-                    "coin basis vector not fixed by the projection",
-                    "coin basis is not orthogonal", "coin basis has a zero vector"}
+        d, basis, fault = _coin_case(rng)
+        got, want = _verdict(ReflectionCoin, d, basis), messages[fault]
+        assert got is None if want is None else (got or "").startswith(want), (d, basis)
+        if fault != "length":
+            want = _verdict(oracle.validate_coin, d,
+                            oracle.assemble_projection(d, basis), basis)
+            assert (got is None) == (want is None), (d, basis)
+        seen.add(fault)
+    assert seen == set(messages)
+
+
+def test_derived_projection_keeps_the_dropped_invariants():
+    """The checks a coin ran on a stored projection hold by construction for
+    the derived one: on seeded random coins of degree 1-8 and on the Grover
+    and -I coins, P equals the Fraction assembly of sum b b^T/<b,b>, P = P^T =
+    P^2, tr P = rank, P b = b on the basis and C = 2P - I, exactly."""
+    coins = [coin for seed in range(6) for coin in
+             (random_coin_and_subspace(random.Random(seed), d)[0] for d in range(1, 9))]
+    coins += [make(d) for make in (grover_coin, negative_identity_coin) for d in range(1, 9)]
+    for coin in coins:
+        d, p = coin.degree, coin.p_matrix()
+        assert p == oracle.assemble_projection(d, coin.basis)
+        assert p == oracle.transpose(p) == oracle.mat_mul(p, p)
+        assert sum(p[i][i] for i in range(d)) == coin.rank
+        assert all(oracle.mat_vec(p, list(b)) == list(b) for b in coin.basis)
+        assert coin.c_matrix() == [[2 * x - (i == j) for j, x in enumerate(row)]
+                                   for i, row in enumerate(p)]
+    for d in range(1, 9):
+        assert grover_coin(d).p_matrix() == [[Fraction(1, d)] * d for _ in range(d)]
+        assert negative_identity_coin(d).p_matrix() == linalg.zeros(d, d)
 
 
 def check_reduction_against_oracle(args) -> None:
