@@ -6,6 +6,8 @@ a connected simple graph.  One step applies a per-vertex reflection coin to
 the outgoing arcs of each vertex, then reverses every arc.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from sstwalk import CoinAssignment, build_graph, coin_state, walk_apply
@@ -17,8 +19,13 @@ print(f"graph: {g.n} vertices, {len(g.edges)} edges, {g.num_arcs} arcs")
 print("arc order:", g.arcs)
 
 asn = CoinAssignment.all_grover(g)
+# a coin is an orthogonal integer basis b of col(P); C = 2P - I with
+# P = sum of b b^T / <b,b>, assembled here in exact rationals
+coin = asn.coin(2)
 print("\nGrover coin at the degree-3 vertex 2 (entries 2/3 - [i=j]):")
-for row in asn.coin(2).c_matrix():
+for i in range(coin.degree):
+    row = [2 * sum(Fraction(b[i] * b[j], sum(x * x for x in b)) for b in coin.clone_columns)
+           - (i == j) for j in range(coin.degree)]
     print("  ", [str(x) for x in row])
 
 # the columns of U are the images of the arc basis states after one step
@@ -42,6 +49,6 @@ for t in range(4):
 # the edge graph K_2 has period 2 exactly: U = R there
 k2 = build_graph([(0, 1)], 2)
 asn2 = CoinAssignment.all_grover(k2)
-e01 = np.array([1.0, 0.0], dtype=complex)
+e01 = np.array([1.0, 0.0])
 print("\nK_2: U e_(0,1) =", walk_apply(asn2, e01, 1),
       " and U^2 e_(0,1) =", walk_apply(asn2, e01, 2))

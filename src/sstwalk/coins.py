@@ -1,17 +1,17 @@
 """Reflection coins and per-vertex coin assignments.
 
 A reflection coin at a degree-d vertex is C_u = 2P_u - I for an exact rational
-symmetric projection P_u on C^{sigma_u}.  A coin is an orthogonal basis of
-col(P_u); that basis, as primitive integer columns, is what the Hermitian
-reduction consumes, and P_u = sum of b b^T/<b,b> is derived on first use by
-the float walk only, so the exact pipeline never forms a d x d matrix.
+orthogonal projector P_u on C^{sigma_u}.  A coin is an orthogonal basis of
+col(P_u), kept as primitive integer columns: the Hermitian reduction consumes
+them as they are, and the float walk (``sstwalk.walk``) builds C from them, so
+this module never forms P or any d x d matrix.
 
 Coins are frozen and validated exactly once, when built, in integers: each
 basis vector has length d, is nonzero and is orthogonal to the others, in
-O(r^2 d) for rank r; P derived from such a basis is a symmetric projection of
-trace r fixing the basis by construction.  The Grover and -I coins are cached
-per degree, so an assignment shares one validated coin per (degree, kind)
-instead of holding a copy per vertex.
+O(r^2 d) for rank r; the projector onto the span of such a basis is
+symmetric, idempotent, of trace r and fixes the basis by construction.  The
+Grover and -I coins are cached per degree, so an assignment shares one
+validated coin per (degree, kind) instead of holding a copy per vertex.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 
 from . import linalg
 from .graphs import Graph
-from .linalg import Mat, Vec
+from .linalg import Vec
 
 
 class CoinError(ValueError):
@@ -34,7 +33,7 @@ class CoinError(ValueError):
 class ReflectionCoin:
     """Exact rational reflection coin C = 2P - I about the span of ``basis``,
     kept also as primitive integer clone columns, the block a vertex with
-    nothing prescribed gives the reduction; P and C are derived views."""
+    nothing prescribed gives the reduction."""
 
     degree: int
     basis: tuple[tuple[Fraction | int, ...], ...]  # orthogonal basis of col(P)
@@ -54,30 +53,6 @@ class ReflectionCoin:
     def clone_columns(self) -> tuple[tuple[int, ...], ...]:
         """The basis as primitive integer vectors (it is validated orthogonal)."""
         return tuple(tuple(linalg.primitive_int_vector(u)) for u in self.basis)
-
-    @cached_property
-    def projection(self) -> tuple[tuple[Fraction, ...], ...]:
-        """P = sum of b b^T/<b,b>, exact, summed in ints over lcm <b,b>."""
-        norms = [linalg.dot(b, b) for b in self.clone_columns]
-        den = lcm(1, *norms)
-        q = [[0] * self.degree for _ in range(self.degree)]
-        for b, nb in zip(self.clone_columns, norms):
-            for x, row in zip(b, q):
-                if x:
-                    s = den // nb * x
-                    for j, y in enumerate(b):
-                        row[j] += s * y
-        return tuple(tuple(Fraction(x, den) for x in row) for row in q)
-
-    def p_matrix(self) -> Mat:
-        return [list(row) for row in self.projection]
-
-    def c_matrix(self) -> Mat:
-        """The reflection C = 2P - I, exact."""
-        c = [[2 * x for x in row] for row in self.projection]
-        for i in range(self.degree):
-            c[i][i] -= 1
-        return c
 
     @property
     def rank(self) -> int:

@@ -69,31 +69,25 @@ def run_transfer_case(name: str, graph: Graph, a: int, b: int,
 # -- random rational sampling -------------------------------------------------
 
 
-def random_rational_vector(rng: random.Random, dim: int) -> list[Fraction]:
-    """Small-denominator rational vector (numerators/denominators <= 7)."""
-    while True:
-        v = [Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(dim)]
-        if any(v):
-            return v
-
-
 def random_orthogonal_columns(rng: random.Random, dim: int, count: int
                               ) -> list[list[int]]:
     """``count`` pairwise-orthogonal primitive integer vectors in Q^dim.
 
-    Built by applying one or two rational Householder reflections (from small
-    integer vectors) to the standard basis; keeps every downstream exact
-    computation's coefficients small.
+    Built by applying two Householder reflections about small integer
+    vectors v to the standard basis, in integers: w <- <v,v> w - 2 <v,w> v is
+    a positive multiple of the reflected w, so the primitive forms are the
+    rational ones; keeps every downstream exact computation's coefficients
+    small.
     """
     if not 1 <= count <= dim:
         raise ValueError("count must be between 1 and dim")
-    cols = [[Fraction(1 if i == j else 0) for i in range(dim)] for j in range(dim)]
+    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
     for _ in range(2):
-        v = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+        v = [rng.randint(-3, 3) for _ in range(dim)]
         if not any(v):
-            v[rng.randrange(dim)] = Fraction(1)
+            v[rng.randrange(dim)] = 1
         nv = linalg.dot(v, v)
-        cols = [linalg.vec_sub(col, linalg.vec_scale(v, 2 * linalg.dot(v, col) / nv))
+        cols = [[nv * x - 2 * linalg.dot(v, col) * y for x, y in zip(col, v)]
                 for col in cols]
     picks = rng.sample(range(dim), count)
     return [linalg.primitive_int_vector(cols[j]) for j in picks]
@@ -130,27 +124,13 @@ CIRCULANT_W = ([Fraction(1), Fraction(0), Fraction(-1), Fraction(0)],
                [Fraction(0), Fraction(1), Fraction(0), Fraction(-1)])
 
 
-def case_circulant(m: int, c: int, d: int,
-                   extend_coin: bool = False,
-                   rng: random.Random | None = None) -> CaseResult:
-    """X(2m, +-{c,d}) with c + d = m: dim-2 W-transfer between antipodes at t=4.
-
-    The coin reflects about W (over neighbors c, d, -d, -c) or, with
-    ``extend_coin``, about a random rational subspace containing W.
-    """
+def case_circulant(m: int, c: int, d: int) -> CaseResult:
+    """X(2m, +-{c,d}) with c + d = m: dim-2 W-transfer between antipodes at t=4,
+    with the coin reflecting about W (over neighbors c, d, -d, -c)."""
     graph, a, b = circulant_2m(m, c, d)
     w = [list(v) for v in CIRCULANT_W]
-    if extend_coin:
-        rng = rng or random.Random(0)
-        while True:
-            extra = random_rational_vector(rng, 4)
-            if len(linalg.gram_schmidt(w + [extra], on_dependent="drop")) == 3:
-                break
-        coin = reflection_about([list(v) for v in w] + [extra])
-    else:
-        coin = reflection_about([list(v) for v in w])
     return run_transfer_case(f"circulant(m={m},c={c},d={d})", graph, a, b,
-                             coin, w, expected_time=4)
+                             reflection_about(w), w, expected_time=4)
 
 
 def double_cone_w(ms: list[int]) -> list[list[Fraction]]:
@@ -283,7 +263,7 @@ columns are unit vectors, so the bound is absolute."""
 
 _FLUSH = 1e-20
 """Entries of a unit basis vector below this are set to 0: they lie far below
-rounding in every inner product, and left alone the repeated projections
+rounding in every inner product, and left alone the repeated orthogonalisations
 drive them into subnormal numbers, which slow BLAS and LAPACK several-fold."""
 
 

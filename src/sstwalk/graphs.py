@@ -58,6 +58,8 @@ def build_graph(edges, n: int) -> Graph:
         if u == v:
             raise GraphError(f"loop at vertex {u} not allowed")
         canon.add((min(u, v), max(u, v)))
+    if n > len(canon) + 1:  # too few edges to connect n vertices
+        raise GraphError("graph is disconnected")
     nbrs = [set() for _ in range(n)]
     for u, v in canon:
         nbrs[u].add(v)

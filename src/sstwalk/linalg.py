@@ -34,14 +34,6 @@ def dot(u, v):
     return sum(map(mul, u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(u: Vec, c: Fraction) -> Vec:
-    return [c * x for x in u]
-
-
 def int_vector(v) -> list[int]:
     """A rational vector times the least common denominator of its entries."""
     den = lcm(1, *(x.denominator for x in v))
@@ -70,7 +62,7 @@ def gram_schmidt(vectors, against=None, on_dependent: str = "error") -> list[lis
     Returns pairwise-orthogonal primitive integer vectors spanning the same
     space as the rational ``vectors`` (orthogonal also to every vector in
     ``against``).  Each input is scaled to an integer vector w and each
-    projection step is w <- <b,b> w - <w,b> b, a positive multiple of the
+    step against a b is w <- <b,b> w - <w,b> b, a positive multiple of the
     rational step w - (<w,b>/<b,b>) b, so the primitive form of the result is
     the rational one's.  ``on_dependent`` is either "error" (raise on a vector
     already in the span) or "drop".

@@ -3,19 +3,20 @@
 States live on arcs in the graph's canonical order; the outgoing arcs of a
 vertex form a contiguous slice, found in O(1) from ``Graph.arc_start``.  The
 step applies the block-diagonal coin followed by the arc-reversal permutation.
-U is real orthogonal (C is built from reflections over Q), so states step in
-float64: the states of one call are the columns of one (arcs x k) block, a
-complex state giving its real part and, only when it is nonzero, its imaginary
-part, and the orthonormal basis of a subspace W steps as one block.  A
-``StepPlan``, built once per coin assignment, keeps the block in a fixed plan
-order: degree class by degree class, the arcs of the vertices with the class's
-most common coin first, grouped by arc index at the vertex so that the shared
-coin multiplies all of them and all states as one matrix, then the arcs of the
-other vertices (a stack of coin blocks, each distinct coin converted once).  A
-step is one real GEMM plus at most one batched ``matmul`` per degree class,
-whatever the number of states, then one gather of whole rows that is the arc
-reversal composed with plan order; the block enters plan order once per
-``walk_apply`` and leaves it once.  The plan is the only way U is applied; no
+U is real orthogonal (C is built from reflections over Q), so the walk is real:
+states are float64, the states of one call step as the columns of one
+(arcs x k) block, and the orthonormal basis of a subspace W steps as one block.
+Each coin's C = 2P - I is built from its primitive integer clone columns and
+rounded to doubles once per entry.  A ``StepPlan``, built once per coin
+assignment, keeps the block in a fixed plan order: degree class by degree
+class, the arcs of the vertices with the class's most common coin first,
+grouped by arc index at the vertex so that the shared coin multiplies all of
+them and all states as one matrix, then the arcs of the other vertices (a
+stack of coin blocks, each distinct coin converted once).  A step is one real
+GEMM plus at most one batched ``matmul`` per degree class, whatever the number
+of states, then one gather of whole rows that is the arc reversal composed
+with plan order; the block enters plan order once per ``walk_apply`` and
+leaves it once.  The plan is the only way U is applied; no
 dense U is built.  No renormalization is performed: norm drift is itself a
 diagnostic.  Subspaces W enter as rational vectors, floats converted exactly,
 and are orthonormalized by exact Gram-Schmidt before the one conversion to
@@ -28,6 +29,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from math import inf, lcm
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -50,7 +52,22 @@ def reversal_permutation(graph: Graph) -> np.ndarray:
 
 
 def _c_float(coin: ReflectionCoin) -> list[list[float]]:
-    return [[float(x) for x in row] for row in coin.c_matrix()]
+    """C = 2P - I as doubles, each entry rounded once.  P = sum of b b^T/<b,b>
+    over the clone columns is summed in Python ints q over L = lcm <b,b>, and
+    C_ij = (2 q_ij - [i = j] L) / L is an int true division, which Python
+    rounds correctly: the double nearest the exact rational entry."""
+    cols = coin.clone_columns
+    norms = [linalg.dot(b, b) for b in cols]
+    den = lcm(1, *norms)
+    q = [[0] * coin.degree for _ in range(coin.degree)]
+    for b, nb in zip(cols, norms):
+        for x, row in zip(b, q):
+            if x:
+                s = den // nb * x
+                for j, y in enumerate(b):
+                    row[j] += s * y
+    return [[(2 * x - den * (i == j)) / den for j, x in enumerate(row)]
+            for i, row in enumerate(q)]
 
 
 @dataclass(frozen=True)
@@ -131,19 +148,29 @@ class StepPlan:
         return np.take(z, self.pos, axis=0)
 
 
+def _refuse_non_finite(ws, a: int) -> None:
+    """A NaN or infinite weight would give a NaN state (NaN passes the
+    fixed-vector test, as every comparison with it is false)."""
+    if not all(-inf < x < inf for w in ws for x in w):
+        raise ValueError(f"weight vector at vertex {a} is not finite")
+
+
 def _coin_weights(assignment: CoinAssignment, a: int, ws) -> np.ndarray:
     """The weights over sigma_a of the unit coin states x_a(w), one row per
-    w in ``ws``; requires C_a w = w up to 1e-12, with the coin at a converted
-    to floats once."""
+    w in ``ws``; requires C_a w = w up to 1e-12, that is P w = w, tested in
+    O(r d) as P w = B^T ((B w) / <b,b>) from the r clone columns B."""
     import numpy as np
 
     d = assignment.graph.degree(a)
     wv = np.array([[float(x) for x in w] for w in ws])
     if wv.shape[1] != d:
         raise ValueError(f"weight vector must have length deg({a}) = {d}")
-    p = np.array([[float(x) for x in row] for row in assignment.coin(a).p_matrix()])
-    for w in wv:
-        if np.linalg.norm(p @ w - w) > 1e-12 * max(np.linalg.norm(w), 1e-30):
+    cols = assignment.coin(a).clone_columns
+    b = np.array(cols, dtype=float).reshape(-1, d)
+    norms = np.array([float(linalg.dot(c, c)) for c in cols])
+    pw = (wv @ b.T / norms) @ b
+    for w, p in zip(wv, pw):
+        if np.linalg.norm(p - w) > 1e-12 * max(np.linalg.norm(w), 1e-30):
             raise ValueError(f"weight vector is not fixed by the coin at vertex {a}")
     nrm = np.linalg.norm(wv, axis=1)
     if not nrm.all():
@@ -156,6 +183,7 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
     float) weights w; requires C_a w = w up to 1e-12."""
     import numpy as np
 
+    _refuse_non_finite([w], a)
     g = assignment.graph
     state = np.zeros(g.num_arcs)
     state[out_arc_slice(g, a)] = _coin_weights(assignment, a, [w])[0]
@@ -163,40 +191,34 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
 
 
 def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndarray:
-    """U^t applied to a copy of ``state``, a vector over the arcs or a stack
-    of such rows, by t applications of C then R; the result is complex.
+    """U^t applied to a copy of ``state``, a real vector over the arcs or a
+    stack of such rows, by t applications of C then R; the result is a fresh
+    float64 array of the same shape.
 
-    U is real: all rows step together as the columns of one float block, a
-    real row as it is and a complex row as its real part plus, only when it
-    is nonzero, its imaginary part.  The assignment's step plan is built on
-    the first call with t > 0 and then reused; t = 0 returns a fresh copy
-    without building it."""
+    U is real, so the walk is real: all rows step together as the columns of
+    one float block.  A complex state is refused (step its real and imaginary
+    parts as two rows).  The assignment's step plan is built on the first
+    call with t > 0 and then reused; t = 0 returns a fresh copy without
+    building it."""
     import numpy as np
 
     g = assignment.graph
     x = np.asarray(state)
     if x.ndim not in (1, 2) or x.shape[-1] != g.num_arcs:
         raise ValueError(f"state must have length {g.num_arcs}, or be a stack of such rows")
+    if x.dtype.kind == "c":
+        raise ValueError("the walk is real: step the real and imaginary parts of a "
+                         "complex state as two rows")
     try:
         t = operator.index(t)
     except TypeError:
         raise ValueError(f"t must be an integer, got t={t!r}") from None
     if t < 0:
         raise ValueError(f"t must be nonnegative, got t={t}")
-    if x.dtype.kind not in "fc":
-        x = x.astype(complex)
     if not t:
-        return x.astype(complex)
-    rows = x.reshape(-1, g.num_arcs)
-    k = len(rows)
-    im = np.flatnonzero(rows.imag.any(axis=1)) if x.dtype.kind == "c" else []
-    block = np.empty((g.num_arcs, k + len(im)))
-    block[:, :k] = rows.real.T
-    block[:, k:] = rows[im].imag.T
-    stepped = assignment.step_plan.apply(block, t)
-    out = stepped[:, :k].T.astype(complex, order="C")
-    out.imag[im] = stepped[:, k:].T
-    return out.reshape(x.shape)
+        return x.astype(float)
+    rows = x.astype(float, copy=False).reshape(-1, g.num_arcs)
+    return assignment.step_plan.apply(rows.T, t).T.reshape(x.shape)
 
 
 def orthonormal_columns(vectors) -> list[np.ndarray]:
@@ -216,20 +238,22 @@ def orthonormal_columns(vectors) -> list[np.ndarray]:
 
 
 def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: int
-                      ) -> tuple[float, complex]:
+                      ) -> tuple[float, float]:
     """Pointwise W-transfer fidelity at step t, plus the estimated phase.
 
     ``w_basis`` spans W as rational vectors over sigma_a (floats are converted
     to Fractions exactly); the same coordinates are reused over sigma_b
     (positional identification, the identity on the shared neighbor set for
-    twins).  Returns min_j Re(conj(gamma) <x_b(w_j), U^t x_a(w_j)>) over an
-    orthonormal basis w_j of W, with gamma the phase of the first overlap,
-    clamped to [0, 1].  A value of 1 means pointwise transfer numerically;
+    twins).  Returns min_j gamma <x_b(w_j), U^t x_a(w_j)> over an orthonormal
+    basis w_j of W, clamped to [0, 1], and the phase gamma: the walk is real,
+    so gamma is the float sign of the first overlap, 1.0 when that overlap is
+    within 1e-12 of 0.  A value of 1 means pointwise transfer numerically;
     subspace transfer with mismatched phases scores strictly below 1.  The
     states x_a(w_j) step together as one block, in one ``walk_apply`` call.
     """
     import numpy as np
 
+    _refuse_non_finite(w_basis, a)
     ws = orthonormal_columns(w_basis)
     if not ws:
         raise ValueError("empty subspace")
@@ -240,7 +264,6 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     x[:, out_arc_slice(g, a)] = _coin_weights(assignment, a, ws)
     y = _coin_weights(assignment, b, ws)  # x_b(w_j) lives on the arcs of b
     overlaps = (y * walk_apply(assignment, x, t)[:, out_arc_slice(g, b)]).sum(axis=1)
-    first = overlaps[0]
-    gamma = first / abs(first) if abs(first) > 1e-12 else complex(1.0)
-    worst = min(1.0, float((np.conj(gamma) * overlaps).real.min()))
+    gamma = -1.0 if overlaps[0] < -1e-12 else 1.0
+    worst = min(1.0, float((gamma * overlaps).min()))
     return max(0.0, worst), gamma

@@ -7,7 +7,8 @@ marked coins against A(X minus {a,b})), a numeric strong-cospectrality split
 from a dense ``eigh`` of it, and the twin-vertex shortcut that reads the
 transfer-time class from the degree of supp(W).  Those routines live on here,
 unchanged, for the differential tests in ``test_blowup_oracle.py``,
-``test_cospec.py`` and ``test_reduction.py``.
+``test_cospec.py`` and ``test_reduction.py``; the coins' P blocks come from
+the Fraction assembly ``reduction_oracle.assemble_projection``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from reduction_oracle import assemble_projection
 from sstwalk import linalg
 from sstwalk.coins import CoinAssignment, ReflectionCoin
 from sstwalk.graphs import Graph
@@ -85,7 +87,7 @@ def build_blowup(assignment: CoinAssignment, a: int, b: int) -> BlowUp:
         if u in (a, b):
             continue
         coin = assignment.coin(u)
-        if coin.p_matrix() != [[Fraction(1, coin.degree)] * coin.degree
+        if assemble_projection(coin.degree, coin.basis) != [[Fraction(1, coin.degree)] * coin.degree
                                for _ in range(coin.degree)]:
             raise ReductionError(
                 f"blow-up requires the Grover coin at non-marked vertex {u}")
@@ -95,7 +97,8 @@ def build_blowup(assignment: CoinAssignment, a: int, b: int) -> BlowUp:
     sym = linalg.zeros(size, size)
     rest_pos = {v: ka + kb + i for i, v in enumerate(rest)}
     for (mark, offset) in ((a, 0), (b, ka)):
-        p = assignment.coin(mark).p_matrix()
+        coin = assignment.coin(mark)
+        p = assemble_projection(coin.degree, coin.basis)
         for i in range(g.degree(mark)):
             for jpos, v in enumerate(g.sigma(mark)):
                 val = p[i][jpos]

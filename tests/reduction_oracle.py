@@ -7,11 +7,16 @@ products, ``reflection_about`` assembled that projection entry by entry,
 ``induced_coin_basis`` re-ran Gram-Schmidt on the coin basis at every vertex,
 ``build_H`` assembled Fraction nonzeros and ``int_view`` divided each of them
 by its Fraction delta_sq.  Those routines live on here, unchanged, for the
-differential tests in ``test_reduction_oracle.py``.
+differential tests in ``test_reduction_oracle.py``, and so does the Fraction
+Householder route of ``families.random_orthogonal_columns``, which now runs
+in Python ints.  ``assemble_projection`` is also where the tests, the walk
+oracle and the blow-up oracle read a coin's P and C = 2P - I: the package no
+longer forms either.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -100,6 +105,23 @@ def gram_schmidt(vectors: list[Vec], against: list[Vec] | None = None,
             raise ValueError("linearly dependent vector in Gram-Schmidt input")
         out.append(primitive_int_vector(w))
     return out
+
+
+def random_orthogonal_columns(rng: random.Random, dim: int, count: int) -> list[list[int]]:
+    """``count`` pairwise-orthogonal primitive integer vectors: two rational
+    Householder reflections about small integer vectors applied to the
+    standard basis in Fractions, with the package's random draws."""
+    if not 1 <= count <= dim:
+        raise ValueError("count must be between 1 and dim")
+    cols = [[Fraction(1 if i == j else 0) for i in range(dim)] for j in range(dim)]
+    for _ in range(2):
+        v = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
+        if not any(v):
+            v[rng.randrange(dim)] = Fraction(1)
+        nv = dot(v, v)
+        cols = [vec_sub(col, vec_scale(v, 2 * dot(v, col) / nv)) for col in cols]
+    picks = rng.sample(range(dim), count)
+    return [linalg.primitive_int_vector(cols[j]) for j in picks]
 
 
 def validate_coin(degree: int, projection, basis) -> None:

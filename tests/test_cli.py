@@ -508,8 +508,8 @@ def test_simulate_bad_tol_exit_2(tol, capsys):
 
 def test_exact_transfer_forms_no_projection(capsys, monkeypatch):
     """The exact transfer path reads only the integer bases of its coins: on
-    K_{2,400} neither the degree-400 nor the degree-2 Grover coin derives its
-    d x d projection."""
+    K_{2,400} neither the degree-400 nor the degree-2 Grover coin caches more
+    than its clone columns, so no d x d matrix is formed."""
     from sstwalk import cli, coins
 
     assignments = []
@@ -524,7 +524,7 @@ def test_exact_transfer_forms_no_projection(capsys, monkeypatch):
     assert (rc, out) == (0, "TRANSFER time=2 gamma=+1\n")
     used = set(assignments[0].coins.values())
     assert sorted(coin.degree for coin in used) == [2, 400]
-    assert not any("projection" in vars(coin) for coin in used)
+    assert all(set(vars(coin)) <= {"degree", "basis", "clone_columns"} for coin in used)
 
 
 # byte-exact stdout of branches the tests above do not pin: human-format

@@ -10,28 +10,37 @@ from sstwalk.coins import (CoinAssignment, CoinError, grover_coin,
                            negative_identity_coin, parse_coins,
                            reflection_about)
 from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m
-from sstwalk.walk import coin_state, transfer_fidelity, walk_apply
+from sstwalk.walk import _c_float, coin_state, transfer_fidelity, walk_apply
+from reduction_oracle import assemble_projection
 from walk_oracle import walk_unitary
+
+
+def reflection(coin):
+    """C = 2P - I in Fractions, with P assembled from the coin's basis."""
+    p = assemble_projection(coin.degree, coin.basis)
+    return [[2 * x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(p)]
 
 
 def test_grover_degree_1():
     c = grover_coin(1)
-    assert c.p_matrix() == [[Fraction(1)]]
-    assert c.c_matrix() == [[Fraction(1)]]
+    assert c.clone_columns == ((1,),)
+    assert reflection(c) == [[Fraction(1)]]
+    assert _c_float(c) == [[1.0]]
 
 
 def test_grover_degree_3():
-    c = grover_coin(3).c_matrix()
+    c = reflection(grover_coin(3))
     for i in range(3):
         for j in range(3):
             want = Fraction(2, 3) - (1 if i == j else 0)
             assert c[i][j] == want
+    assert _c_float(grover_coin(3)) == [[float(x) for x in row] for row in c]
 
 
 def test_grover_degree_4():
-    c = grover_coin(4).c_matrix()
-    assert c[0][0] == Fraction(-1, 2)
-    assert c[0][1] == Fraction(1, 2)
+    c = _c_float(grover_coin(4))
+    assert c[0][0] == -0.5
+    assert c[0][1] == 0.5
 
 
 def test_grover_zero_degree_rejected():
@@ -41,15 +50,17 @@ def test_grover_zero_degree_rejected():
 
 def test_reflection_single_axis():
     c = reflection_about([[1, 0, 0]])
-    assert c.p_matrix() == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert c.clone_columns == ((1, 0, 0),)
+    assert _c_float(c) == [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
 
 
 def test_reflection_circulant_w():
     c = reflection_about([[1, 0, -1, 0], [0, 1, 0, -1]])
-    p = c.p_matrix()
+    p = assemble_projection(c.degree, c.clone_columns)
     assert p[0][0] == Fraction(1, 2)
     assert p[0][2] == Fraction(-1, 2)
     assert c.rank == 2
+    assert c.fixes([1, 1, -1, -1]) and not c.fixes([1, 0, 1, 0])
 
 
 def test_reflection_dependent_rejected():
@@ -66,7 +77,7 @@ def test_coin_is_involution_exact():
             c = reflection_about(vecs)
         except CoinError:
             continue
-        cm = c.c_matrix()
+        cm = reflection(c)
         sq = [[sum(cm[i][k] * cm[k][j] for k in range(deg)) for j in range(deg)]
               for i in range(deg)]
         assert sq == [[1 if i == j else 0 for j in range(deg)] for i in range(deg)]
@@ -74,7 +85,7 @@ def test_coin_is_involution_exact():
 
 def test_coin_eigenvalues_pm1():
     c = reflection_about([[1, 2, 0], [0, 1, -1]])
-    lam = np.linalg.eigvalsh(np.array([[float(x) for x in r] for r in c.c_matrix()]))
+    lam = np.linalg.eigvalsh(np.array(_c_float(c)))
     assert np.max(np.abs(np.abs(lam) - 1)) < 1e-10
 
 
@@ -109,7 +120,7 @@ def test_walk_apply_returns_a_fresh_array():
 def test_k2_arc_swap():
     g = build_graph([(0, 1)], 2)
     asn = CoinAssignment.all_grover(g)
-    e01 = np.zeros(2, dtype=complex)
+    e01 = np.zeros(2)
     e01[g.arc_index[(0, 1)]] = 1.0
     out = walk_apply(asn, e01, 1)
     assert abs(out[g.arc_index[(1, 0)]] - 1.0) < 1e-15
@@ -118,15 +129,15 @@ def test_k2_arc_swap():
 def test_k2_period_2_exact():
     g = build_graph([(0, 1)], 2)
     asn = CoinAssignment.all_grover(g)
-    state = np.array([0.6, 0.8j])
-    assert np.allclose(walk_apply(asn, state, 2), state)
+    state = np.array([[0.6, 0.0], [0.0, 0.8]])  # 0.6 e_0 + 0.8i e_1 as real, imaginary rows
+    assert np.array_equal(walk_apply(asn, state, 2), state)
 
 
 def test_unitarity_norm_drift():
     rng = np.random.default_rng(3)
     g, a, b = circulant_2m(4, 1, 3)
     asn = CoinAssignment.all_grover(g)
-    x = rng.normal(size=g.num_arcs) + 1j * rng.normal(size=g.num_arcs)
+    x = rng.normal(size=(2, g.num_arcs))  # a complex state as real, imaginary rows
     for t in (1, 5, 20):
         y = walk_apply(asn, x, t)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-10 * max(t, 1)
@@ -163,6 +174,19 @@ def test_circulant_walk_t4_and_t2():
     fid2, _ = transfer_fidelity(asn, a, b, w, 2)
     assert abs(fid2 - 0.5) < 1e-9
     assert fid2 < 1 - 1e-4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_weights_are_refused(bad):
+    """A NaN weight passed the fixed-vector test (every comparison with NaN
+    is false) and gave a NaN state; NaN and +-inf are refused by vertex."""
+    g, a, b = circulant_2m(3, 1, 2)
+    asn = CoinAssignment.all_grover(g)
+    for w in ([bad] * 4, [1, 1, bad, 1]):
+        with pytest.raises(ValueError, match=f"weight vector at vertex {a} is not finite"):
+            coin_state(asn, a, w)
+        with pytest.raises(ValueError, match=f"weight vector at vertex {a} is not finite"):
+            transfer_fidelity(asn, a, b, [[1, 1, 1, 1], w], 6)
 
 
 def test_coin_state_requires_fixed_vector():
@@ -215,7 +239,7 @@ def test_parse_coins():
     """
     asn = parse_coins(text, g)
     assert asn.coin(0).rank == 1
-    assert asn.coin(2).p_matrix() == grover_coin(2).p_matrix()
+    assert asn.coin(2) is grover_coin(2)
     with pytest.raises(CoinError):
         parse_coins("coin 0 basis 1 1", g)  # wrong entry count
     for bad in ("coin 9 grover", "coin 1 grover extra", "coin 1 minus_identity 7"):
@@ -226,14 +250,15 @@ def test_parse_coins():
 def test_minus_identity_coin_has_no_clones():
     c = negative_identity_coin(3)
     assert c.rank == 0
-    assert c.c_matrix() == [[-1 if i == j else 0 for j in range(3)] for i in range(3)]
+    assert c.clone_columns == ()
+    assert _c_float(c) == [[-1 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
 def test_walk_apply_matches_dense_power_on_random_graphs():
     """The stacked-block stepper against U^t from the dense walk_unitary: the
     all-Grover K_{2,2} from a coin state at t in {0, 3, 17}, then 50 seeded
     connected graphs of mixed degree, n <= 12, every vertex a random rational
-    reflection or a (shared) Grover coin, complex states, t <= 6."""
+    reflection or a (shared) Grover coin, a stack of two real rows, t <= 6."""
     from sstwalk.families import random_coin_and_subspace
     from sstwalk.graphs import GraphError
 
@@ -261,9 +286,9 @@ def test_walk_apply_matches_dense_power_on_random_graphs():
                  else random_coin_and_subspace(rng, g.degree(u))[0] for u in range(n)}
         asn = CoinAssignment(g, coins)
         u = walk_unitary(asn)
-        x = nrng.normal(size=g.num_arcs) + 1j * nrng.normal(size=g.num_arcs)
+        x = nrng.normal(size=(2, g.num_arcs))
         for t in range(7):
-            want = np.linalg.matrix_power(u, t) @ x
+            want = (np.linalg.matrix_power(u, t) @ x.T).T
             assert np.allclose(walk_apply(asn, x, t), want, rtol=0, atol=1e-12)
         checked += 1
 

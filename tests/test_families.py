@@ -1,16 +1,18 @@
 """Family harness: every theorem instance decided, checked exactly, simulated."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from sstwalk.families import (case_circulant, case_double_cone, case_gp,
+from sstwalk import linalg
+from sstwalk.families import (CIRCULANT_W, case_circulant, case_double_cone, case_gp,
                               case_k2m, case_octahedron_grover,
                               case_pretty_good_cone, fidelity_series,
-                              standard_battery)
-from sstwalk.graphs import (complete_multipartite, cycle_graph,
+                              run_transfer_case, standard_battery)
+from sstwalk.graphs import (circulant_2m, complete_multipartite, cycle_graph,
                             complete_bipartite_k2m, prism_graph)
-from sstwalk.coins import CoinAssignment
+from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.exact import InvariantError
 from sstwalk.reduction import reduction_for
 from sstwalk.walk import transfer_fidelity
@@ -39,7 +41,18 @@ def test_circulant_cases():
 
 
 def test_circulant_extended_coin():
-    res = case_circulant(4, 1, 3, extend_coin=True, rng=random.Random(3))
+    """The circulant case with the marked coin reflecting about W plus one
+    seeded random rational vector (numerators in -7..7, denominators 1..7)
+    outside W."""
+    graph, a, b = circulant_2m(4, 1, 3)
+    w = [list(v) for v in CIRCULANT_W]
+    rng = random.Random(3)
+    while True:
+        extra = [Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(4)]
+        if any(extra) and len(linalg.gram_schmidt(w + [extra], on_dependent="drop")) == 3:
+            break
+    res = run_transfer_case("circulant(m=4,c=1,d=3)", graph, a, b,
+                            reflection_about(w + [extra]), w, expected_time=4)
     assert res.status == "PASS", res.line()
 
 

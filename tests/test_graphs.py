@@ -30,6 +30,28 @@ def test_disconnected_rejected():
         build_graph([(0, 1), (2, 3)], 4)
 
 
+def test_too_few_edges_refused_before_allocating():
+    """A graph with fewer than n - 1 distinct edges cannot be connected: the
+    two-line file ``n 200000`` / ``0 1`` is refused with the usual message
+    and a peak under 1 MB, not after n neighbour sets.  Enough edges that
+    still leave a vertex out go through the traversal and get the same
+    message."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for build in (lambda: build_graph([(0, 1), (1, 0), (0, 1)], 200_000),
+                      lambda: parse_graph("n 200000\n0 1\n")):
+            with pytest.raises(GraphError, match="^graph is disconnected$"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(GraphError, match="^graph is disconnected$"):
+        build_graph([(0, 1), (1, 2), (0, 2)], 4)
+
+
 def test_loop_rejected():
     with pytest.raises(GraphError):
         build_graph([(0, 0)], 1)

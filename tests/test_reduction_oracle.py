@@ -2,9 +2,10 @@
 
 ``reduction_oracle`` keeps the Fraction Gram-Schmidt, the Fraction coin
 validation and ``fixes``, the per-vertex Gram-Schmidt ``induced_coin_basis``,
-the Fraction ``build_H`` and the dividing ``int_view``.  The integer versions
-must give the same primitive vectors, verdicts, error messages, columns,
-nonzeros, delta_sq and Z, on seeded rational inputs and seeded reductions.
+the Fraction ``build_H``, the dividing ``int_view`` and the Fraction
+Householder ``random_orthogonal_columns``.  The integer versions must give the
+same primitive vectors, verdicts, error messages, columns, nonzeros, delta_sq
+and Z, on seeded rational inputs and seeded reductions.
 """
 
 import random
@@ -18,7 +19,7 @@ from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
 from sstwalk import linalg
 from sstwalk.coins import (CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
-from sstwalk.families import random_coin_and_subspace
+from sstwalk.families import random_coin_and_subspace, random_orthogonal_columns
 from sstwalk.reduction import ReductionError
 from test_psi_oracle import random_reduction_args, reduction_from_args
 
@@ -159,24 +160,40 @@ def test_coin_validation_matches_fraction_oracle():
 
 
 def test_derived_projection_keeps_the_dropped_invariants():
-    """The checks a coin ran on a stored projection hold by construction for
-    the derived one: on seeded random coins of degree 1-8 and on the Grover
-    and -I coins, P equals the Fraction assembly of sum b b^T/<b,b>, P = P^T =
-    P^2, tr P = rank, P b = b on the basis and C = 2P - I, exactly."""
+    """The checks a coin ran on a stored P hold by construction for the P
+    its basis spans: on seeded random coins of degree 1-8 and on the Grover
+    and -I coins, the Fraction assembly of sum b b^T/<b,b> from the basis and
+    from the clone columns agree, P = P^T = P^2, tr P = rank and P b = b on
+    the basis, exactly."""
     coins = [coin for seed in range(6) for coin in
              (random_coin_and_subspace(random.Random(seed), d)[0] for d in range(1, 9))]
     coins += [make(d) for make in (grover_coin, negative_identity_coin) for d in range(1, 9)]
     for coin in coins:
-        d, p = coin.degree, coin.p_matrix()
-        assert p == oracle.assemble_projection(d, coin.basis)
+        d, p = coin.degree, oracle.assemble_projection(coin.degree, coin.basis)
+        assert p == oracle.assemble_projection(d, coin.clone_columns)
         assert p == oracle.transpose(p) == oracle.mat_mul(p, p)
         assert sum(p[i][i] for i in range(d)) == coin.rank
         assert all(oracle.mat_vec(p, list(b)) == list(b) for b in coin.basis)
-        assert coin.c_matrix() == [[2 * x - (i == j) for j, x in enumerate(row)]
-                                   for i, row in enumerate(p)]
     for d in range(1, 9):
-        assert grover_coin(d).p_matrix() == [[Fraction(1, d)] * d for _ in range(d)]
-        assert negative_identity_coin(d).p_matrix() == linalg.zeros(d, d)
+        assert oracle.assemble_projection(d, grover_coin(d).basis) == [
+            [Fraction(1, d)] * d for _ in range(d)]
+        assert oracle.assemble_projection(d, negative_identity_coin(d).basis) == linalg.zeros(d, d)
+
+
+def test_integer_householder_matches_fraction_oracle():
+    """families.random_orthogonal_columns, in Python ints, returns the
+    Fraction Householder route's columns and leaves the generator in the same
+    state, on 360 (seed, dim, count) cases."""
+    cases = 0
+    for seed in range(24):
+        for dim in range(1, 7):
+            for count in sorted({1, (dim + 1) // 2, dim}):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert (random_orthogonal_columns(rng, dim, count)
+                        == oracle.random_orthogonal_columns(ref, dim, count)), (seed, dim, count)
+                assert rng.random() == ref.random()
+                cases += 1
+    assert cases == 360
 
 
 def check_reduction_against_oracle(args) -> None:

@@ -1,8 +1,10 @@
 """The plan-order stepper ``walk.StepPlan`` against the per-degree ``einsum``
 stepper it replaced (``walk_oracle.StepPlan``), on graphs too large for the
 dense ``walk_unitary``; the plan's per-step work pinned through its
-structure; and the block ``walk.transfer_fidelity`` against the per-vector
-loop it replaced (``walk_oracle.transfer_fidelity``)."""
+structure; the integer ``walk._c_float`` against float(2P - I) from the
+Fraction assembly of P (``walk_oracle.c_float``); and the block
+``walk.transfer_fidelity`` against the per-vector loop it replaced
+(``walk_oracle.transfer_fidelity``)."""
 
 import random
 from collections import Counter
@@ -17,8 +19,9 @@ from sstwalk.coins import (CoinAssignment, grover_coin, negative_identity_coin,
 from sstwalk.families import random_coin_and_subspace
 from sstwalk.graphs import (build_graph, circulant_2m, complete_multipartite,
                             double_cone_over, generalized_path)
-from sstwalk.walk import StepPlan, transfer_fidelity, walk_apply
+from sstwalk.walk import StepPlan, _c_float, transfer_fidelity, walk_apply
 from walk_oracle import StepPlan as EinsumPlan
+from walk_oracle import c_float
 from walk_oracle import transfer_fidelity as per_vector_fidelity
 
 CIRCULANT_W = [[1, 0, -1, 0], [0, 1, 0, -1]]
@@ -84,8 +87,22 @@ def test_mixed_degree_instance_has_the_cases_it_names():
     d = shared.degree
     n0, c, blocks = plan.classes[sorted(degrees).index(d)]
     assert n0 == sum(asn.coin(u) is shared for u in range(g.n)) and len(blocks) > 0
-    assert np.array_equal(c, np.array(shared.c_matrix(), dtype=float))
-    assert not np.array_equal(c, np.array(grover_coin(d).c_matrix(), dtype=float))
+    assert np.array_equal(c, c_float(shared))
+    assert not np.array_equal(c, c_float(grover_coin(d)))
+
+
+def test_c_float_equals_fraction_oracle():
+    """_c_float rounds each entry of C = 2P - I once, from integers: it
+    equals float(2 P - I) with P assembled in Fractions, entry by entry with
+    ==, on 240 seeded random coins of degree 1-12, the Grover coins of degree
+    1-12 and -I."""
+    rng = random.Random(19)
+    coins = [random_coin_and_subspace(rng, 1 + i % 12)[0] for i in range(240)]
+    coins += [grover_coin(d) for d in range(1, 13)]
+    coins += [negative_identity_coin(d) for d in range(1, 13)]
+    assert {coin.rank for coin in coins} >= set(range(13))
+    for coin in coins:
+        assert _c_float(coin) == c_float(coin).tolist(), coin
 
 
 @pytest.mark.parametrize("build", [circulant_marked, circulant_distinct, gp_marked,
@@ -93,26 +110,24 @@ def test_mixed_degree_instance_has_the_cases_it_names():
                          ids=["circulant-marked", "circulant-distinct", "gp(4,50)",
                               "mixed-degree"])
 def test_plan_stepper_matches_einsum_oracle(build):
-    """A complex state with a nonzero imaginary part, a stack of three
-    complex rows (one of them real-valued), and a real-valued complex state,
-    whose stepped imaginary part must be exactly +0.0."""
+    """A real state, and a stack of three real rows (one of them zero), each
+    stepped to a float64 array of its own shape."""
     asn = build()
     oracle = EinsumPlan.build(asn)
     nrng = np.random.default_rng(2025)
     m = asn.graph.num_arcs
-    x = nrng.normal(size=m) + 1j * nrng.normal(size=m)
-    stack = nrng.normal(size=(3, m)) + 1j * nrng.normal(size=(3, m))
-    stack[1].imag = 0.0
-    real = nrng.normal(size=m) + 0j
+    x = nrng.normal(size=m)
+    stack = nrng.normal(size=(3, m))
+    stack[1] = 0.0
     for t in TIMES:
-        assert np.allclose(walk_apply(asn, x, t), oracle.apply(x, t), rtol=0, atol=1e-12)
+        got = walk_apply(asn, x, t)
+        assert got.shape == (m,) and got.dtype == np.float64
+        assert np.allclose(got, oracle.apply(x, t), rtol=0, atol=1e-12)
         got = walk_apply(asn, stack, t)
-        assert got.shape == (3, m) and got.dtype == complex
+        assert got.shape == (3, m) and got.dtype == np.float64
         for row, want in zip(got, stack):
             assert np.allclose(row, oracle.apply(want, t), rtol=0, atol=1e-12)
-        got = walk_apply(asn, real, t)
-        assert np.allclose(got, oracle.apply(real, t), rtol=0, atol=1e-12)
-        assert not got.imag.any() and not np.signbit(got.imag).any()
+        assert not got[1].any()
 
 
 def test_per_step_work_does_not_grow_with_distinct_coins(monkeypatch):
@@ -132,28 +147,32 @@ def test_per_step_work_does_not_grow_with_distinct_coins(monkeypatch):
     calls = []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
-    x = np.ones((5, g.num_arcs), dtype=complex)
-    x[1:] *= 1j
+    x = np.ones((9, g.num_arcs))
+    x[1::2] *= -1
     walk_apply(asn, x, 3)
     assert len(calls) == 3 * 2 * len(plan.classes)
 
 
-def test_imaginary_part_steps_only_when_nonzero(monkeypatch):
-    """U is real: a real-valued complex row steps as one float column, a
-    complex row as two, a real row as one."""
+def test_each_real_row_steps_as_one_column_and_complex_is_refused(monkeypatch):
+    """U is real: a state steps as one float column and a stack of k rows as
+    k, integer entries included; a complex state, even one with a zero
+    imaginary part, is refused before any step, never cut to its real part."""
     asn = gp_marked()
     widths = []
     apply = StepPlan.apply
     monkeypatch.setattr(StepPlan, "apply",
                         lambda self, x, t: widths.append(x.shape[1]) or apply(self, x, t))
     m = asn.graph.num_arcs
-    stack = np.ones((3, m), dtype=complex)
-    stack[0] += 1j
-    for state, width in ((np.ones(m) + 0j, 1), (np.ones(m) + 1j, 2), (np.ones(m), 1),
-                         (stack, 4), (stack.real, 3)):
+    for state, width in ((np.ones(m), 1), (np.ones((3, m)), 3), (np.ones(m, dtype=int), 1)):
         widths.clear()
-        walk_apply(asn, state, 2)
-        assert widths == [width]
+        out = walk_apply(asn, state, 2)
+        assert widths == [width] and out.dtype == np.float64 and out.shape == state.shape
+    widths.clear()
+    for state in (np.ones(m) + 1j, np.ones((3, m)) + 0j):
+        for t in (0, 2):
+            with pytest.raises(ValueError, match="real and imaginary parts .* as two rows"):
+                walk_apply(asn, state, t)
+    assert widths == []
 
 
 def k555_cone():

@@ -1,5 +1,10 @@
 """Dense and per-degree references for the walk, kept as test oracles.
 
+``c_float`` is a coin's C = 2P - I with P assembled entry by entry in
+Fractions (``reduction_oracle.assemble_projection``), each entry then rounded
+to a double; every reference here builds its coin blocks from it, not from
+the package's integer ``walk._c_float``.
+
 ``walk_unitary`` is the dense U = RC over the arc space, assembled from
 per-vertex coin blocks without ``walk.StepPlan``; ``n_numeric`` is the dense
 arc-space matrix N of a reduction's coin basis, with orthonormal columns.
@@ -26,10 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sstwalk.coins import CoinAssignment
+from reduction_oracle import assemble_projection
+from sstwalk.coins import CoinAssignment, ReflectionCoin
 from sstwalk.reduction import HermitianReduction
-from sstwalk.walk import (_c_float, coin_state, orthonormal_columns, out_arc_slice,
+from sstwalk.walk import (coin_state, orthonormal_columns, out_arc_slice,
                           reversal_permutation, walk_apply)
+
+
+def c_float(coin: ReflectionCoin) -> np.ndarray:
+    """float(2P - I) entry by entry, with P the Fraction assembly of the
+    coin's basis."""
+    p = assemble_projection(coin.degree, coin.basis)
+    return np.array([[float(2 * x - (i == j)) for j, x in enumerate(row)]
+                     for i, row in enumerate(p)])
 
 
 def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
@@ -39,7 +53,7 @@ def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
     c = np.zeros((g.num_arcs, g.num_arcs))
     for u in range(g.n):
         sl = out_arc_slice(g, u)
-        c[sl, sl] = _c_float(assignment.coin(u))
+        c[sl, sl] = c_float(assignment.coin(u))
     return c[reversal_permutation(g), :]
 
 
@@ -74,7 +88,7 @@ class StepPlan:
         for u in range(g.n):
             coin = assignment.coin(u)
             if id(coin) not in floats:
-                floats[id(coin)] = np.array(_c_float(coin))
+                floats[id(coin)] = c_float(coin)
             by_degree.setdefault(g.degree(u), []).append(u)
         start = np.array(g.arc_start[:-1], dtype=int)
         classes = []
