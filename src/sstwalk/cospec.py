@@ -3,9 +3,9 @@
 S and T are cospectral iff psi_S = psi_T, and strongly cospectral iff
 additionally every support factor drops out of exactly one of
 psi_S -+ psi_{S,T}.  Both tests, and the partition of the support into the
-factors that survive in psi_S + psi_{S,T} and in psi_S - psi_{S,T}, are read
-from the one resolvent summary of the reduction; this module only packages
-the split for its readers.
+factors of g+ and of g- (the supports of psi_S +- psi_{S,T}), are read from
+the one resolvent summary of the reduction; this module only packages the
+split for its readers.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ def strong_cospectral_exact(red: HermitianReduction, s: list[int] | None = None,
     """Exact strong cospectrality; returns the support split or None.
 
     With the rational carrier the unimodular factor is forced to +-1; the
-    split is reported with gamma = +1, plus = poles surviving in
-    psi_S + psi_{S,T}, minus = poles surviving in psi_S - psi_{S,T}.
+    split is reported with gamma = +1, plus = the factors of g+, minus = the
+    factors of g-, and the support is their sorted union.
     """
-    summary = resolvent(red, s, t)
-    if summary.split is None:
+    split = resolvent(red, s, t).split
+    if split is None:
         return None
-    return SupportSplit(summary.factors, *summary.split)
+    plus, minus = split
+    return SupportSplit(tuple(sorted(plus + minus, key=lambda f: (f.degree, f.coeffs))),
+                        plus, minus)

@@ -3,18 +3,15 @@
 Everything runs over Q end to end.  The eigenvalue support of the clones shows
 up as the reduced denominator g of a resolvent trace, and integer-step
 questions become "is every root of g of the form cos(2 pi k/m)".  The deciders
-read the resolvent summary (``exact.resolvent``): the orders of g from its one
-cosine scan over Z[y], the strong-cospectrality test g+ g- = g, and the orders
-of g+-, from trial division by g's Psi~_m only.  The degree-doubling transform
-g -> g#(x) = 2^deg x^deg g((x + 1/x)/2), which sends cos(theta) roots to
-e^{+-i theta}, and the scan of g# for cyclotomic factors (``sharp``,
-``factor_into_cyclotomics``) answer the same question; the decider no longer
-calls them, and the tests keep them as the oracle.
+read the resolvent summary (``exact.resolvent``): periodicity the cosine scan
+of g, transfer only the sequences of e_s +- e_t, whose supports g+- are
+scanned once each over Z[y].  ``sharp`` (g -> g#, which sends cos(theta) roots
+to e^{+-i theta}) and ``factor_into_cyclotomics`` answer the same question on
+g#; the tests keep them as the oracle.
 
-Phase bookkeeping: the reduced denominator of psi_S - psi_{S,T} carries the
-poles where E B_S = -E B_T, and that of psi_S + psi_{S,T} the poles where
-E B_S = +E B_T.  Transfer occurs with gamma = +1 exactly when the +1 class has
-orders L+ = {m : tau/m even}; the swapped match gives gamma = -1.
+Phase bookkeeping: g+ carries the poles where E B_S = +E B_T and g- those
+where E B_S = -E B_T.  Transfer occurs with gamma = +1 exactly when the +1
+class has orders L+ = {m : tau/m even}; the swapped match gives gamma = -1.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .exact import (InvariantError, RatPoly, cyclotomic, default_order_bound,
+from .exact import (X, InvariantError, RatPoly, cyclotomic, default_order_bound,
                     euler_phi, resolvent)
 
 if TYPE_CHECKING:
@@ -66,8 +63,7 @@ def sharp(h: RatPoly) -> RatPoly:
 
     With h = sum c_k y^k this is sum c_k (x^2+1)^k (2x)^(d-k), evaluated by
     Horner's rule in the pair (x^2+1, 2x); the result has degree 2 deg(h) and
-    is palindromic up to sign.  The decider no longer calls it; it is the
-    tests' oracle for the cosine scan.
+    is palindromic up to sign.
     """
     if h.is_zero():
         raise InvariantError("sharp of the zero polynomial")
@@ -84,9 +80,7 @@ def factor_into_cyclotomics(p: RatPoly, m_bound: int | None = None
                             ) -> dict[int, int] | None:
     """If p = prod Phi_m^{e_m} exactly, return the multiset {m: e_m}; else None.
 
-    Absence of such a factorization is a normal outcome, not an error.  The
-    decider no longer calls it; with ``sharp`` it is the tests' oracle for the
-    cosine scan.
+    Absence of such a factorization is a normal outcome, not an error.
     """
     if p.is_zero():
         return None
@@ -124,24 +118,25 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
                     t: list[int] | None = None) -> TransferVerdict:
     """Pointwise perfect W-transfer from a to b at integer steps (exact).
 
-    The six stages: cospectrality, periodicity, even minimum period tau, the
-    L+/L- order split by parity of tau/m, and the matching of the split
-    against the denominators of psi_S -+ psi_{S,T}.  On success the minimum
-    time is tau/2 and gamma records the transfer phase.
+    The stages: cospectrality, periodicity, even minimum period tau, and the
+    match of the L+/L- split by parity of tau/m against the orders O+- of
+    g+-.  For cospectral S and T, g = lcm(g+, g-): g is periodic iff both
+    are products of distinct Psi_m, with orders O+ | O-, and a match makes
+    O+ and O- disjoint, which is strong cospectrality.  On success the
+    minimum time is tau/2 and gamma records the transfer phase.
     """
     summary = resolvent(red, s, t)
     if not summary.cospectral:
         return TransferVerdict(False, reason="not-cospectral")
-    orders = summary.orders
-    if orders is None:
+    split = summary.split_orders
+    if split is None:
         return TransferVerdict(False, reason="not-periodic")
+    orders = split[0] | split[1]
     tau = lcm(*orders)
     if tau % 2:
         return TransferVerdict(False, reason="odd-tau")
     l_plus = frozenset(m for m in orders if (tau // m) % 2 == 0)
     l_minus = orders - l_plus
-    # strong cospectrality fails when some pole survives in both combinations
-    split = summary.split_orders if summary.strong else None
     if split not in ((l_plus, l_minus), (l_minus, l_plus)):
         return TransferVerdict(False, reason="support-split-fails")
     return TransferVerdict(True, time=tau // 2, gamma=1 if split[0] == l_plus else -1,
@@ -171,10 +166,9 @@ def decide_pretty_good_special(support_factors: list[RatPoly]) -> bool:
 
 
 def _special_support_csq(factors: list[RatPoly]) -> Fraction | None:
-    x = RatPoly([0, 1])
-    if x not in factors:
+    if X not in factors:
         return None
-    rest = [f for f in factors if f != x]
+    rest = [f for f in factors if f != X]
     if len(rest) == 1 and rest[0].degree == 2 and rest[0].coeffs[1] == 0:
         c_sq = -rest[0].coeffs[0]
         return c_sq if 0 < c_sq <= 1 else None

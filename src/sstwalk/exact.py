@@ -5,19 +5,18 @@
 carry every exact object in the pipeline: the resolvent traces psi_{S,T},
 their denominators, and cyclotomic factors.
 
-psi_{S,T} is computed from moments, never from determinants: with the
-reduction's sparse integer view Z = scale * H_rat, the integers
-m_k = sum_j (Z^k)[s_j, t_j] are inner products of the Krylov vectors Z^i e_c
-of the start columns (two moments per sparse mat-vec), and Berlekamp-Massey
-turns them into the reduced fraction directly.  The vectors are grown only
-until an online Berlekamp-Massey candidate of order L is certified exactly,
-sum_i c_i Z^(L-i) e_c = 0 for every start column (Wiedemann 1986): about
-L + 1 mat-vecs per column, L the support degree, instead of 2 size.  At
-2 size moments the candidate is final without a certificate, since
-deg charpoly(H) = size.  ``Resolvent`` memoises psi_S, the support g, its
-cosine scan, factors and +-split per (reduction, S, T) for the decider, the
-cospectrality checks and the CLI.  ``charpoly`` (integer Berkowitz) is kept
-as the reference the tests check psi against.
+psi is computed from moments, never from determinants.  With the reduction's
+sparse integer view Z = scale * H_rat, the moments of integer start vectors x
+are inner products of their Krylov vectors Z^i x (two moments per sparse
+mat-vec), and Berlekamp-Massey turns them into the reduced fraction.  The
+vectors are grown only until an online Berlekamp-Massey candidate of order L
+is certified exactly, sum_i c_i Z^(L-i) x = 0 for every start (Wiedemann
+1986): about L + 1 mat-vecs per start, L the support degree, instead of
+2 size.  ``Resolvent`` memoises per (reduction, S, T) what the decider, the
+cospectrality checks and the CLI read: psi_S and its support g from the unit
+columns of S, and the transfer fields (cospectrality, psi_{S,T}, g+- and
+their split) from the start vectors e_(s_j) +- e_(t_j).  ``charpoly``
+(integer Berkowitz) is kept as the reference the tests check psi against.
 
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
@@ -195,17 +194,8 @@ class RatPoly:
         """Coefficients scaled to a primitive integer vector (positive lead)."""
         if self.is_zero():
             return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = int_gcd(g, c)
-        ints = [c // g for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return ints
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return _primitive([int(c * den) for c in self.coeffs])
 
     def serialize(self) -> str:
         """Space-separated rational coefficients, constant term first."""
@@ -253,15 +243,13 @@ def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
         rem.pop()
     while rem and rem[-1] == 0:
         rem.pop()
-    if not rem:
-        return []
-    g = 0
-    for c in rem:
-        g = int_gcd(g, c)
-    rem = [c // g for c in rem]
-    if rem[-1] < 0:
-        rem = [-c for c in rem]
-    return rem
+    return _primitive(rem) if rem else []
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by their content, with a positive last entry."""
+    g = int_gcd(*ints)
+    return [c // g for c in ints] if ints[-1] > 0 else [-(c // g) for c in ints]
 
 
 def squarefree_part(p: RatPoly) -> RatPoly:
@@ -461,18 +449,22 @@ def _scaled_ints(p: RatPoly) -> list[int]:
 
 def cosine_factor(p: RatPoly) -> tuple[dict[int, int], RatPoly]:
     """Split p = c * prod_m Psi_m^{e_m} * rest over Q; returns ({m: e_m}, rest)
-    with rest monic and divisible by no Psi_m.
-
-    Works on p~(y) (``_scaled_ints``), whose cosine factors are the monic
-    Psi~_m: every m with deg Psi_m <= deg p that still fits is divided out as
-    often as it divides (the orders of a cyclotomic scan of p#).  Monic
-    divisors keep the division in Z[y], so the split is exact.
-    """
+    with rest monic and divisible by no Psi_m (``_cosine_split`` of
+    ``_scaled_ints(p)``)."""
     if p.is_zero():
         raise ValueError("cosine_factor of the zero polynomial")
-    ints = _scaled_ints(p)
+    orders, rest = _cosine_split(_scaled_ints(p))
+    return orders, _from_scaled(rest)
+
+
+def _cosine_split(ints: list[int]) -> tuple[dict[int, int], list[int]]:
+    """({m: e_m}, rest) with ints = prod_m Psi~_m^{e_m} * rest in Z[y], for a
+    primitive ints with positive lead: every monic Psi~_m with deg Psi_m <=
+    deg ints that still fits is divided out as often as it divides (the
+    orders of a cyclotomic scan of p#), so the split is exact in Z[y].
+    """
     orders: dict[int, int] = {}
-    for m, k in _cosine_orders(p.degree):
+    for m, k in _cosine_orders(len(ints) - 1):
         if len(ints) == 1:
             break
         while k < len(ints):
@@ -481,7 +473,7 @@ def cosine_factor(p: RatPoly) -> tuple[dict[int, int], RatPoly]:
                 break
             ints = quo
             orders[m] = orders.get(m, 0) + 1
-    return orders, _from_scaled(ints)
+    return orders, ints
 
 
 class RatFun:
@@ -569,34 +561,33 @@ def _check_pairs(red: "HermitianReduction", s: list[int], t: list[int]) -> None:
 
 
 class _Krylov:
-    """The Krylov vectors Z^k e_c of the start columns of one reduction, with
-    Z = scale * H_rat its sparse integer view; obtain it through ``_krylov``.
+    """The Krylov vectors Z^k x of the integer start vectors x of one
+    reduction; obtain it through ``_krylov``.  A start is a tuple of (row,
+    coefficient) pairs: ((c, 1),) is e_c and ((s, 1), (t, -1)) is e_s - e_t.
 
     Z is self-adjoint for <x, y> = sum_r x_r y_r / delta_sq[r] (sym is
     symmetric, which every HermitianReduction checks), so
     (Z^(i+j))[s, t] = delta_sq[s] <Z^i e_s, Z^j e_t>: every new vector yields
     two moments.  ``weights`` clears the delta_sq denominators,
-    weights[r] = big / delta_sq[r] with big the lcm of their numerators, so
-    the inner products stay in integers.  Vectors are grown on demand and
-    dropped by ``release`` once their readouts are taken; a released column is
-    regrown from e_c if it is asked for again.
+    weights[r] = big / delta_sq[r] with big the lcm of their numerators.
+    Vectors are grown on demand and dropped by ``release`` once their
+    readouts are taken; a released start is regrown if asked for again.
     """
 
     def __init__(self, red: "HermitianReduction"):
-        self.rows = red.int_view[0]
-        self.size = red.size
-        self.delta_sq = red.delta_sq
+        self.rows, self.size, self.delta_sq = red.int_view[0], red.size, red.delta_sq
         self.big = lcm(*(d.numerator for d in red.delta_sq))
         self.weights = [d.denominator * (self.big // d.numerator) for d in red.delta_sq]
-        self.vectors: dict[int, list[list[int]]] = {}
+        self.vectors: dict[tuple, list[list[int]]] = {}
 
-    def levels(self, c: int, k: int) -> list[list[int]]:
-        """[Z^0 e_c, ..., Z^k e_c] (at least), grown by sparse mat-vecs."""
-        vecs = self.vectors.get(c)
+    def levels(self, start: tuple, k: int) -> list[list[int]]:
+        """[Z^0 x, ..., Z^k x] (at least) for x = start, grown by sparse mat-vecs."""
+        vecs = self.vectors.get(start)
         if vecs is None:
-            unit = [0] * self.size
-            unit[c] = 1
-            vecs = self.vectors[c] = [unit]
+            x = [0] * self.size
+            for r, c in start:
+                x[r] += c
+            vecs = self.vectors[start] = [x]
         while len(vecs) <= k:
             vecs.append(z_apply(self.rows, vecs[-1]))
         return vecs
@@ -604,18 +595,19 @@ class _Krylov:
     def weighted(self, x: list[int]) -> list[int]:
         return list(map(mul, self.weights, x))
 
-    def moment(self, s: int, wx: list[int], y: list[int]) -> int:
-        """delta_sq[s] <x, y> for wx = weighted(x): an integer entry of a power
-        of Z; a remainder means Z is not self-adjoint."""
-        d = self.delta_sq[s]
+    def moment(self, start: tuple, wx: list[int], y: list[int]) -> int:
+        """delta_sq[r] <x, y> for wx = weighted(x), r the first row of start
+        (whose rows share delta_sq): integer entries of a power of Z; a
+        remainder means Z is not self-adjoint."""
+        d = self.delta_sq[start[0][0]]
         q, r = divmod(sum(map(mul, wx, y)) * d.numerator, d.denominator * self.big)
         if r:
             raise InvariantError("Krylov moment is not an integer: Z is not self-adjoint")
         return q
 
-    def release(self, cols: Iterable[int]) -> None:
-        for c in cols:
-            self.vectors.pop(c, None)
+    def release(self, starts: Iterable[tuple]) -> None:
+        for x in starts:
+            self.vectors.pop(x, None)
 
 
 def _krylov(red: "HermitianReduction") -> _Krylov:
@@ -625,7 +617,7 @@ def _krylov(red: "HermitianReduction") -> _Krylov:
 
 
 def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
-    """The certificate sum_i c_i Z^(L-i) e_c = 0, for vecs = [Z^k e_c] with
+    """The certificate sum_i c_i Z^(L-i) x = 0, for vecs = [Z^k x] with
     k <= L at least and conn = c_0 .. c_L."""
     acc = [0] * len(vecs[0])
     for ci, vec in zip(conn, vecs[len(conn) - 1::-1]):
@@ -635,28 +627,27 @@ def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
 
 
 class _SelfMoments:
-    """m_k = sum_j (Z^k)[x_j, x_j] for one start column set X, grown two
-    terms per Krylov level and certified online; obtain it through
-    ``_self_moments``.
+    """m_k = sum_x delta_sq <Z^i x, Z^(k-i) x> over the starts x of one
+    sequence (sum_j (Z^k)[c_j, c_j] for unit columns), grown two terms per
+    Krylov level and certified online; obtain it through ``_self_moments``.
 
     Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
     Berlekamp-Massey.  When its candidate c of order L has 2L + 2 <= terms,
     and L has changed since the last failed try, the certificate
-    sum_i c_i Z^(L-i) e_x = 0 is checked exactly for every x in X; once it
+    sum_i c_i Z^(L-i) x = 0 is checked exactly for every start x; once it
     holds, every later moment obeys c, and so does every readout of the same
-    vectors.  The residues of psi_X are sum_j ||E e_(x_j)||^2 >= 0, so no pole
-    cancels and the minimal recurrence of m is the annihilator of X.  The
-    same positivity makes the Hankel matrices of m positive definite, so BM's
-    order grows by one every two terms until it reaches the annihilator, and
-    on a reduction (delta_sq > 0) the first candidate tried passes; a
-    sign-indefinite delta_sq can make candidates fail or never certify.  At
-    2 size terms the candidate is final without a certificate (``certified``
-    stays False).  ``poly`` is the final connection polynomial; later terms
-    come from it.
+    vectors.  The residues sum_x ||E x||^2 are >= 0, so no pole cancels and
+    the minimal recurrence of m is the annihilator of the starts; the Hankel
+    matrices of m are positive definite, so BM's order grows by one every two
+    terms until it gets there, and on a reduction (delta_sq > 0) the first
+    candidate tried passes.  A sign-indefinite delta_sq can make candidates
+    fail or never certify: at 2 size terms the candidate is final without a
+    certificate (``certified`` stays False).  ``poly`` is the final
+    connection polynomial; later terms come from it.
     """
 
-    def __init__(self, red: "HermitianReduction", cols: tuple[int, ...]):
-        self.krylov, self.cols, self.cap = _krylov(red), cols, 2 * red.size
+    def __init__(self, red: "HermitianReduction", starts: tuple[tuple, ...]):
+        self.krylov, self.starts, self.cap = _krylov(red), starts, 2 * red.size
         self.terms: list[int] = []
         self.massey = _Massey(self.terms)
         self.poly: list[int] | None = None
@@ -681,8 +672,10 @@ class _SelfMoments:
         return self.terms[k]
 
     def certify(self) -> "_SelfMoments":
+        """Grow until final; the vectors go, later terms come from ``poly``."""
         while not self.settle():
             self._grow()
+        self.krylov.release(self.starts)
         return self
 
     def settle(self) -> bool:
@@ -694,7 +687,7 @@ class _SelfMoments:
             if n >= self.cap:
                 self.poly = conn
             elif 2 * length + 2 <= n and length != self._failed:
-                if all(_annihilates(self.krylov.levels(c, length), conn) for c in self.cols):
+                if all(_annihilates(self.krylov.levels(x, length), conn) for x in self.starts):
                     self.poly, self.certified = conn, True
                 else:
                     self._failed = length
@@ -704,39 +697,22 @@ class _SelfMoments:
         """The next Krylov level K: m_(2K-1) and m_(2K) (m_0 for K = 0)."""
         kr, level = self.krylov, (len(self.terms) + 1) // 2
         odd = even = 0
-        for c in self.cols:
-            vecs = kr.levels(c, level)
+        for x in self.starts:
+            vecs = kr.levels(x, level)
             wv = kr.weighted(vecs[level])
-            even += kr.moment(c, wv, vecs[level])
-            if level:
-                odd += kr.moment(c, wv, vecs[level - 1])
+            even += kr.moment(x, wv, vecs[level])
+            odd += kr.moment(x, wv, vecs[level - 1]) if level else 0
         if level:
             self.terms.append(odd)
         self.terms.append(even)
 
 
-def _self_moments(red: "HermitianReduction", cols: list[int]) -> _SelfMoments:
-    """The memoised self-moment sequence of the start columns ``cols``."""
-    if not cols:
-        raise ValueError("psi needs nonempty clone sets")
-    key = ("moments", tuple(cols))
+def _self_moments(red: "HermitianReduction", starts: tuple[tuple, ...]) -> _SelfMoments:
+    """The memoised self-moment sequence of the start vectors ``starts``."""
+    key = ("moments", starts)
     if key not in red.memo:
-        red.memo[key] = _SelfMoments(red, tuple(cols))
+        red.memo[key] = _SelfMoments(red, starts)
     return red.memo[key]
-
-
-def _cross_moments(red: "HermitianReduction", s: list[int], t: list[int],
-                   count: int) -> list[int]:
-    """m_k = sum_j (Z^k)[s_j, t_j] for k < count, read as
-    delta_sq[s_j] <Z^i e_(s_j), Z^(k-i) e_(t_j)> with i = ceil(k/2) from the
-    vectors the self sequences grew (more are grown if needed)."""
-    kr = _krylov(red)
-    out = []
-    for k in range(count):
-        i, j = (k + 1) // 2, k // 2
-        out.append(sum(kr.moment(a, kr.weighted(kr.levels(a, i)[i]), kr.levels(b, j)[j])
-                       for a, b in zip(s, t)))
-    return out
 
 
 class _Massey:
@@ -807,9 +783,21 @@ def _fraction(conn: list[int], seq: list[int], scale: int) -> tuple[RatPoly, Rat
     p = [sum(q[j] * seq[j - i - 1] for j in range(i + 1, length + 1))
          for i in range(length)]
     lead = q[-1] * scale ** length
-    den = RatPoly([Fraction(x * scale ** i, lead) for i, x in enumerate(q)])
     num = RatPoly([Fraction(x * scale ** (i + 1), lead) for i, x in enumerate(p)])
-    return num, den
+    return num, _denominator(conn, scale)
+
+
+def _denominator(conn: list[int], scale: int) -> RatPoly:
+    """The den of ``_fraction``: Q(scale x) / (c_0 scale^L)."""
+    lead = conn[0] * scale ** (len(conn) - 1)
+    return RatPoly([Fraction(x * scale ** i, lead) for i, x in enumerate(reversed(conn))])
+
+
+def _scaled_conn(conn: list[int], scale: int) -> list[int]:
+    """``_scaled_ints(_denominator(conn, scale))`` with no Fractions:
+    2^L Q(scale y/2) is proportional to sum_j c_(L-j) scale^j 2^(L-j) y^j."""
+    length = len(conn) - 1
+    return _primitive([(c * scale ** j) << (length - j) for j, c in enumerate(reversed(conn))])
 
 
 def _series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
@@ -824,7 +812,7 @@ def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
     psi_{S,T} = sum_k m_k x^(-k-1) with m_k = sum_j (H^k)[s_j, t_j].  For
     S = T the certified self sequence of S gives the reduced fraction from
     2L + O(1) moments, L = deg of its denominator; otherwise the summary of
-    (S, T) reads psi_{S,T} off the same Krylov vectors.  Computed on the
+    (S, T) reads it off the sequences of e_(s_j) +- e_(t_j).  Computed on the
     rational similar matrix H_rat; valid whenever the paired clones carry
     equal squared scaling (checked), in which case the diagonal similarity
     cancels entrywise.
@@ -832,8 +820,7 @@ def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
     _check_pairs(red, s, t)
     if list(s) != list(t):
         return resolvent(red, s, t).psi_st
-    seq = _self_moments(red, s).certify()
-    _krylov(red).release(s)
+    seq = _self_moments(red, tuple(((c, 1),) for c in s)).certify()
     return RatFun(*_fraction(seq.poly, seq.terms, red.int_view[1]))
 
 
@@ -842,49 +829,52 @@ class Resolvent:
     field is computed at most once, because a reduction is not mutated after
     build_H.  Obtain it through ``resolvent``.
 
-    ``cospectral`` compares the self moments of S and T as they are grown and
-    stops at the first difference, so a not-cospectral instance never reads
-    the (S, T) moments.  m_{S,T} is read from the vectors of S and T; it obeys
-    the certified recurrence of S (it is also a readout of the S vectors), and
-    so do m_S +- m_{S,T}, so 2 L_S of their terms give psi_{S,T}, g+ and g-
-    by Berlekamp-Massey.  g is scanned for cosine factors once (``_scan``);
-    its orders and factors, and the orders and factors of g+-, read that scan.
+    psi_S, g and g's scan (``orders``, ``factors``) come from the unit
+    columns of S; the transfer fields from u_j, v_j = e_(s_j) +- e_(t_j),
+    which refuse unpaired S and T before any mat-vec.  m_u,v = m_S + m_T +-
+    2 m_{S,T}, so their certified recurrences are the supports g+- of
+    psi_S + psi_T +- 2 psi_{S,T}, which is 2 (psi_S +- psi_{S,T}) for
+    cospectral S and T; the residues sum_j ||E u_j||^2, sum_j ||E v_j||^2
+    >= 0 add up to 4 sum_j ||E e_(s_j)||^2, so g+- are square-free and
+    g = lcm(g+, g-).
     """
 
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
         self.red, self.s, self.t = red, s, t
 
     @cached_property
-    def cospectral(self) -> bool:
-        """psi_S = psi_T, exactly: False at the first moment where m_S and
-        m_T differ; True once both recurrences are final and equal, since the
-        sequences then agree on more than their first L terms."""
-        m_s, m_t = _self_moments(self.red, self.s), _self_moments(self.red, self.t)
-        try:
-            k = 0
-            while True:
-                if m_s.term(k) != m_t.term(k):
-                    return False
-                k += 1
-                if k == len(m_s.terms) == len(m_t.terms):
-                    final_s, final_t = m_s.settle(), m_t.settle()
-                    if final_s and final_t:
-                        if m_s.poly != m_t.poly:
-                            return False
-                        self._m_st     # read while the vectors are still there
-                        return True
-        finally:
-            _krylov(self.red).release(self.s + self.t)
+    def _sides(self) -> tuple[_SelfMoments, _SelfMoments]:
+        _check_pairs(self.red, self.s, self.t)
+        return tuple(_self_moments(self.red, tuple(((a, 1), (b, sign))
+                                                   for a, b in zip(self.s, self.t)))
+                     for sign in (1, -1))
 
     @cached_property
-    def _m_st(self) -> list[int]:
-        """The first 2 L_S moments of psi_{S,T}, or 2 size of them when the
-        recurrence of S was not certified."""
-        m_s = _self_moments(self.red, self.s).certify()
-        count = 2 * (m_s.order if m_s.certified else self.red.size)
-        out = _cross_moments(self.red, self.s, self.t, count)
-        _krylov(self.red).release(self.s + self.t)
-        return out
+    def cospectral(self) -> bool:
+        """psi_S = psi_T, exactly: the cross terms c_k = m_S(k) - m_T(k) =
+        sum_j delta_sq <Z^i v_j, Z^(k-i) u_j>, read two per level off the
+        vectors u and v grow in step, are all 0.  The first nonzero one gives
+        False; c is a readout of either side's vectors, so once one side is
+        final, L zero terms (size, uncertified) give True."""
+        sides, kr, level = self._sides, _krylov(self.red), 0
+        while True:
+            for seq in sides:
+                if seq.poly is None and len(seq.terms) <= 2 * level:
+                    seq._grow()
+            odd = even = 0
+            for u, v in zip(sides[0].starts, sides[1].starts):
+                us, wv = kr.levels(u, level), kr.weighted(kr.levels(v, level)[level])
+                even += kr.moment(v, wv, us[level])
+                odd += kr.moment(v, wv, us[level - 1]) if level else 0
+            if odd or even:
+                kr.release(x for seq in sides for x in seq.starts)
+                return False
+            final = [seq.settle() and 2 * level + 1 >= (
+                seq.order if seq.certified else self.red.size) for seq in sides]
+            if any(final):
+                kr.release(x for seq, f in zip(sides, final) if f for x in seq.starts)
+                return True
+            level += 1
 
     @cached_property
     def psi_s(self) -> RatFun:
@@ -892,8 +882,14 @@ class Resolvent:
 
     @cached_property
     def psi_st(self) -> RatFun:
-        _check_pairs(self.red, self.s, self.t)
-        return RatFun(*_series_fraction(self._m_st, self.red.int_view[1]))
+        """m_{S,T} obeys the lcm of both recurrences, so 2 min(L+ + L-, size)
+        of its terms give psi_{S,T}."""
+        plus, minus = (seq.certify() for seq in self._sides)
+        count = 2 * min(plus.order + minus.order, self.red.size)
+        diffs = [plus.term(k) - minus.term(k) for k in range(count)]
+        if any(d % 4 for d in diffs):
+            raise InvariantError("m_u - m_v is not divisible by 4")
+        return RatFun(*_series_fraction([d // 4 for d in diffs], self.red.int_view[1]))
 
     @cached_property
     def g(self) -> RatPoly:
@@ -902,19 +898,13 @@ class Resolvent:
 
     @cached_property
     def g_plus(self) -> RatPoly:
-        """Reduced denominator of psi_S + psi_{S,T}: poles where E B_S = +E B_T."""
-        return self._combined_den(1)
+        """For cospectral S and T: the poles where E B_S = +E B_T."""
+        return _denominator(self._sides[0].certify().poly, self.red.int_view[1])
 
     @cached_property
     def g_minus(self) -> RatPoly:
-        """Reduced denominator of psi_S - psi_{S,T}: poles where E B_S = -E B_T."""
-        return self._combined_den(-1)
-
-    def _combined_den(self, sign: int) -> RatPoly:
-        _check_pairs(self.red, self.s, self.t)
-        m_s = _self_moments(self.red, self.s)
-        seq = [m_s.term(k) + sign * y for k, y in enumerate(self._m_st)]
-        return _series_fraction(seq, self.red.int_view[1])[1]
+        """For cospectral S and T: the poles where E B_S = -E B_T."""
+        return _denominator(self._sides[1].certify().poly, self.red.int_view[1])
 
     @cached_property
     def _scan(self) -> tuple[dict[int, int], RatPoly]:
@@ -929,35 +919,45 @@ class Resolvent:
         return frozenset(orders) if rest.is_one() and set(orders.values()) <= {1} else None
 
     @cached_property
-    def strong(self) -> bool:
-        """Strong cospectrality: S and T are cospectral and g = g+ g-, so
-        every pole of psi_S survives in exactly one of psi_S +- psi_{S,T}."""
-        return self.cospectral and self.g_plus * self.g_minus == self.g
-
-    @cached_property
-    def split_orders(self) -> tuple[frozenset[int], frozenset[int]]:
-        """The cosine orders of g+ and g- (read when ``strong``): g+- divide g,
-        so integer trial division by the Psi~_m of g's orders finds them."""
-        return tuple(frozenset(m for m in self._scan[0]
-                               if _monic_quotient(ints, _cosine_coeffs(m)) is not None)
-                     for ints in map(_scaled_ints, (self.g_plus, self.g_minus)))
-
-    @cached_property
     def factors(self) -> tuple[RatPoly, ...]:
         """The distinct monic Q-irreducible factors of g, sorted by (degree,
         coeffs), read from the one scan."""
         return tuple(_factors(*self._scan))
 
     @cached_property
+    def _side_scans(self) -> tuple[tuple[dict[int, int], list[int]], ...]:
+        """The cosine splits of g+ and g- in Z[y], from their recurrences."""
+        return tuple(_cosine_split(_scaled_conn(seq.certify().poly, self.red.int_view[1]))
+                     for seq in self._sides)
+
+    @cached_property
+    def split_orders(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        """(O+, O-), the orders of g+ and g- when both are products of
+        distinct Psi_m (for cospectral S and T: when g is), else None."""
+        if any(len(rest) > 1 or max(orders.values(), default=1) > 1
+               for orders, rest in self._side_scans):
+            return None
+        return tuple(frozenset(orders) for orders, _ in self._side_scans)
+
+    @cached_property
+    def strong(self) -> bool:
+        """Strong cospectrality: S and T are cospectral and g+, g- are coprime
+        (disjoint orders, or a gcd when either is not a cosine product), so
+        every pole of psi_S survives in exactly one of psi_S +- psi_{S,T}."""
+        if not self.cospectral:
+            return False
+        if self.split_orders is not None:
+            return not self.split_orders[0] & self.split_orders[1]
+        return poly_gcd(self.g_plus, self.g_minus).degree == 0
+
+    @cached_property
     def split(self) -> tuple[tuple[RatPoly, ...], tuple[RatPoly, ...]] | None:
-        """(plus, minus): g's factors that divide g+ and g-, or None unless
-        ``strong``; with g = g+ g- these are the irreducible factors of g+-."""
+        """(plus, minus): the irreducible factors of g+ and g-, or None
+        unless ``strong``."""
         if not self.strong:
             return None
-        cos = {cosine_poly(m): m for m in self._scan[0]}
-        return tuple(tuple(f for f in self.factors
-                           if (cos[f] in orders if f in cos else (h % f).is_zero()))
-                     for h, orders in zip((self.g_plus, self.g_minus), self.split_orders))
+        return tuple(tuple(_factors(orders, _from_scaled(rest)))
+                     for orders, rest in self._side_scans)
 
 
 def resolvent(red: "HermitianReduction", s: list[int] | None = None,

@@ -38,8 +38,11 @@ class Graph:
         return self.neighbors[u]
 
     def sigma_pos(self, u: int, v: int) -> int:
-        """Position of neighbor v in sigma_u."""
-        return self.neighbors[u].index(v)
+        """Position of neighbor v in sigma_u, read from the arc index in O(1)."""
+        arc = self.arc_index.get((u, v))
+        if arc is None:
+            raise ValueError(f"{v} is not a neighbor of {u}")
+        return arc - self.arc_start[u]
 
     @property
     def num_arcs(self) -> int:

@@ -112,8 +112,9 @@ def krylov_moments(red, s: list[int], t: list[int]) -> list[int]:
 
 
 def full_kernel_summary(red, s: list[int], t: list[int]) -> dict:
-    """psi_S, psi_T, psi_{S,T}, cospectrality, g+ and g- from the full
-    sequences of ``krylov_moments``; psi_{S,T} and g+- are ValueError when
+    """psi_S, psi_T, psi_{S,T}, cospectrality, g+ and g- (the denominators
+    of psi_S + psi_T +- 2 psi_{S,T}) from the full sequences of
+    ``krylov_moments``; psi_{S,T}, cospectrality and g+- are ValueError when
     paired clones carry different delta_sq."""
     scale = red.int_view[1]
     m_s, m_t = krylov_moments(red, s, s), krylov_moments(red, t, t)
@@ -121,10 +122,11 @@ def full_kernel_summary(red, s: list[int], t: list[int]) -> dict:
            "psi_t": RatFun(*_series_fraction(m_t, scale)),
            "cospectral": m_s == m_t}
     if any(red.delta_sq[a] != red.delta_sq[b] for a, b in zip(s, t)):
-        out["psi_st"] = out["g_plus"] = out["g_minus"] = ValueError
+        out["psi_st"] = out["g_plus"] = out["g_minus"] = out["cospectral"] = ValueError
         return out
     m_st = krylov_moments(red, s, t)
     out["psi_st"] = RatFun(*_series_fraction(m_st, scale))
-    out["g_plus"] = _series_fraction([x + y for x, y in zip(m_s, m_st)], scale)[1]
-    out["g_minus"] = _series_fraction([x - y for x, y in zip(m_s, m_st)], scale)[1]
+    for name, sign in (("g_plus", 2), ("g_minus", -2)):
+        seq = [x + y + sign * z for x, y, z in zip(m_s, m_t, m_st)]
+        out[name] = _series_fraction(seq, scale)[1]
     return out

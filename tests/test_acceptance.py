@@ -275,14 +275,14 @@ def test_criterion_13_circulant_2002_clones():
 
 def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
     """`transfer --report-split` on GP(3,300), 896 clones (decide_transfer,
-    then strong_cospectral_exact) scans g for cosine factors at most twice
-    and g+- never, calls sympy at most once and forms g+ g- once, and prints
-    the verdict and split it printed when g+- were factored afresh (stdout
-    digest).  Counts only: no wall-time gate."""
+    then strong_cospectral_exact) never scans g, scans each of g+ and g- at
+    most once as an integer polynomial, calls sympy at most once and forms no
+    RatPoly product, and prints the verdict and split it printed when g+- were
+    factored afresh (stdout digest).  Counts only: no wall-time gate."""
     from sstwalk import cli, exact
 
-    summaries, scanned, sympy_calls, products = [], [], [], []
-    init, scan = exact.Resolvent.__init__, exact.cosine_factor
+    summaries, scanned, split_ints, sympy_calls, products = [], [], [], [], []
+    init, scan, split = exact.Resolvent.__init__, exact.cosine_factor, exact._cosine_split
     sympy_factor, mul = exact._sympy_factor, exact.RatPoly.__mul__
 
     def recorded_init(self, *args):
@@ -292,6 +292,10 @@ def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
     def recorded_scan(p):
         scanned.append(p)
         return scan(p)
+
+    def recorded_split(ints):
+        split_ints.append(tuple(ints))
+        return split(ints)
 
     def recorded_sympy(p):
         sympy_calls.append(p)
@@ -307,19 +311,19 @@ def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
         if module and module.__name__.startswith("sstwalk") and (
                 getattr(module, "cosine_factor", None) is scan):
             monkeypatch.setattr(module, "cosine_factor", recorded_scan)
+    monkeypatch.setattr(exact, "_cosine_split", recorded_split)
     monkeypatch.setattr(exact, "_sympy_factor", recorded_sympy)
     monkeypatch.setattr(exact.RatPoly, "__mul__", recorded_mul)
     rc = cli.main(["transfer", "--family", "gp", "--k", "3", "--n", "300", "--report-split"])
     out = capsys.readouterr().out
     monkeypatch.undo()
     (summary,) = summaries
-    g, g_plus, g_minus = summary.g, summary.g_plus, summary.g_minus
+    sides = tuple(tuple(exact._scaled_ints(p)) for p in (summary.g_plus, summary.g_minus))
     ok = rc == 0 and out.splitlines()[0] == "TRANSFER time=299 gamma=+1"
     ok = ok and hashlib.sha256(out.encode()).hexdigest() == (
         "936d133b36d2ea28cee1991994adf74034322ca69c0aacfa505c2f8864c2283a")
-    ok = ok and g.degree == 300 and sum(p == g for p in scanned) <= 2
-    ok = ok and not any(p in (g_plus, g_minus) for p in scanned)
-    ok = ok and len(sympy_calls) <= 1
-    ok = ok and sum({a, b} == {g_plus, g_minus} for a, b in products) == 1
-    report(14, f"GP(3,300) decide + split: {len(scanned)} cosine scans, "
+    ok = ok and summary.g_plus.degree + summary.g_minus.degree == 300
+    ok = ok and scanned == [] and sorted(split_ints) == sorted(sides)
+    ok = ok and len(sympy_calls) <= 1 and products == []
+    report(14, f"GP(3,300) decide + split: {len(split_ints)} integer scans of g+-, "
                f"{len(sympy_calls)} sympy calls", ok)

@@ -216,13 +216,13 @@ def test_family_fail_exit_3(capsys, monkeypatch):
 def test_exit_code_names_the_fault(capsys, monkeypatch, error, code, prefix):
     """A ValueError from a stage is an input error (exit 2); an InvariantError,
     though also a ValueError, is the program's fault (exit 3).  The stage is
-    the resolvent summary's one cosine scan of the support."""
+    the resolvent summary's integer cosine scan of g+ and g-."""
     from sstwalk import exact
 
-    def broken(g):
+    def broken(ints):
         raise error("stage failed")
 
-    monkeypatch.setattr(exact, "cosine_factor", broken)
+    monkeypatch.setattr(exact, "_cosine_split", broken)
     rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
     assert rc == code and out == ""
     assert err == prefix + "stage failed\n"

@@ -327,13 +327,12 @@ def test_adjacent_triangle_odd_tau():
 
 def _count_kernels(monkeypatch):
     """Wrap the kernels of sstwalk.exact with recorders: sparse mat-vecs,
-    certificate checks (their order L), (S, T) readouts and batch
-    Berlekamp-Massey calls (their length)."""
+    certificate checks (their order L) and batch Berlekamp-Massey calls
+    (their length)."""
     from sstwalk import exact
 
-    calls = {"matvec": 0, "certificate": [], "cross": [], "bm": []}
-    z_apply, annihilates = exact.z_apply, exact._annihilates
-    cross, massey = exact._cross_moments, exact.berlekamp_massey
+    calls = {"matvec": 0, "certificate": [], "bm": []}
+    z_apply, annihilates, massey = exact.z_apply, exact._annihilates, exact.berlekamp_massey
 
     def counted_z_apply(rows, vec):
         calls["matvec"] += 1
@@ -343,28 +342,26 @@ def _count_kernels(monkeypatch):
         calls["certificate"].append(len(conn) - 1)
         return annihilates(vecs, conn)
 
-    def counted_cross(red, s, t, count):
-        calls["cross"].append((tuple(s), tuple(t), count))
-        return cross(red, s, t, count)
-
     def counted_massey(seq):
         calls["bm"].append(len(seq))
         return massey(seq)
 
     monkeypatch.setattr(exact, "z_apply", counted_z_apply)
     monkeypatch.setattr(exact, "_annihilates", counted_annihilates)
-    monkeypatch.setattr(exact, "_cross_moments", counted_cross)
     monkeypatch.setattr(exact, "berlekamp_massey", counted_massey)
     return calls
 
 
 def test_resolvent_summary_built_once(monkeypatch):
-    """decide_transfer, strong_cospectral_exact, the summary's cospectral and
-    decide_periodicity on one reduction grow the Krylov vectors of each start
-    column once, to level L + 1 with L = deg g (the first level with
-    2L + 2 <= 2 level + 1 moments), pass one certificate per column, read the
-    2L moments of psi_{S,T} once, and run batch Berlekamp-Massey only for g+
-    and g-, on 2L terms each."""
+    """decide_transfer, strong_cospectral_exact and the summary's cospectral
+    on one reduction grow the Krylov vectors of each u_j = e_(s_j) + e_(t_j)
+    once, to level L+ + 1 with L+ = deg g+, and of each v_j = e_(s_j) - e_(t_j)
+    to level L- + 1 (the first level with 2L + 2 <= 2 level + 1 moments),
+    pass one certificate per start and run no batch Berlekamp-Massey: g+-
+    are the certified recurrences.  That is |S| (L + 2) mat-vecs for
+    L = deg g = L+ + L-, against (|S| + |T|)(L + 1) for the unit columns of S
+    and T.  decide_periodicity then grows the unit columns of S once, to
+    level L + 1, for psi_S."""
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
 
@@ -373,24 +370,30 @@ def test_resolvent_summary_built_once(monkeypatch):
     w = [[1, 0, -1, 0], [0, 1, 0, -1]]
     red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
                         a, w, b)
-    s, t = tuple(red.s), tuple(red.t)
+    pairs = len(red.s)
     assert decide_transfer(red).occurs
     assert strong_cospectral_exact(red) is not None
     assert resolvent(red).cospectral
+    summary = resolvent(red)
+    plus, minus = summary.g_plus.degree, summary.g_minus.degree
+    assert (plus, minus) == (2, 1)
+    assert calls["matvec"] == pairs * (plus + minus + 2) == 10
+    assert sorted(calls["certificate"]) == sorted([plus] * pairs + [minus] * pairs)
+    assert calls["bm"] == []
     assert decide_periodicity(red).periodic
-    order = resolvent(red).g.degree
-    assert 2 * order + 2 < 2 * red.size
-    assert calls["matvec"] == (len(s) + len(t)) * (order + 1)
-    assert calls["certificate"] == [order] * (len(s) + len(t))
-    assert calls["cross"] == [(s, t, 2 * order)]
-    assert calls["bm"] == [2 * order, 2 * order]
+    order = summary.g.degree
+    assert order == plus + minus and 2 * order + 2 < 2 * red.size
+    assert calls["matvec"] == pairs * (plus + minus + 2) + pairs * (order + 1)
+    assert calls["certificate"][-pairs:] == [order] * pairs
+    assert calls["bm"] == []
 
 
 def test_not_cospectral_never_builds_psi_st(monkeypatch):
     """The not-cospectral exit stops growing at the Krylov level of the first
-    moment where m_S and m_T differ, before Berlekamp-Massey has seen a term
-    of that level: no certificate, no (S, T) readout, no batch
-    Berlekamp-Massey."""
+    cross term c_k = m_S(k) - m_T(k) that is nonzero, before Berlekamp-Massey
+    has seen a term of that level: no certificate and no batch
+    Berlekamp-Massey, and u_j and v_j take the mat-vecs e_(s_j) and e_(t_j)
+    took."""
     from psi_oracle import krylov_moments
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
@@ -399,16 +402,39 @@ def test_not_cospectral_never_builds_psi_st(monkeypatch):
     red = reduction_for(CoinAssignment.all_grover(g), 0, [[1, 1]], 3)
     m_s, m_t = krylov_moments(red, red.s, red.s), krylov_moments(red, red.t, red.t)
     first = next(k for k, (x, y) in enumerate(zip(m_s, m_t)) if x != y)
-    level = (first + 1) // 2       # level K yields m_(2K-1) and m_(2K)
+    level = (first + 1) // 2       # level K yields c_(2K-1) and c_(2K)
     calls = _count_kernels(monkeypatch)
     assert decide_transfer(red).reason == "not-cospectral"
     assert strong_cospectral_exact(red) is None
     assert not resolvent(red).cospectral
     assert calls["matvec"] == (len(red.s) + len(red.t)) * level
-    assert calls["certificate"] == calls["cross"] == calls["bm"] == []
-    for cols in (red.s, red.t):
-        seq = red.memo[("moments", tuple(cols))]
+    assert calls["certificate"] == calls["bm"] == []
+    for seq in resolvent(red)._sides:
         assert len(seq.terms) == 2 * level + 1 and seq.massey.done < 2 * level
+
+
+def test_unpaired_clones_refused_before_any_matvec(monkeypatch):
+    """|S| != |T|, or a pair of clones with different delta_sq, is refused
+    with psi's ValueError by cospectral, decide_transfer and
+    strong_cospectral_exact before any mat-vec."""
+    from sstwalk.cospec import strong_cospectral_exact
+    from sstwalk.exact import resolvent
+
+    g, a, b = circulant_2m(4, 1, 3)
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
+                        a, w, b)
+    calls = _count_kernels(monkeypatch)
+    unequal = next(c for c in range(red.size) if red.delta_sq[c] != red.delta_sq[red.s[0]])
+    for s, t, message in ((red.s, red.t[:1], "|S| = |T|"),
+                          (red.s[:1], [unequal], "different delta_sq")):
+        with pytest.raises(ValueError, match=message):
+            resolvent(red, s, t).cospectral
+        with pytest.raises(ValueError, match=message):
+            decide_transfer(red, s, t)
+        with pytest.raises(ValueError, match=message):
+            strong_cospectral_exact(red, s, t)
+    assert calls["matvec"] == 0
 
 
 def test_odd_cycles_reach_odd_tau():

@@ -199,3 +199,16 @@ def test_arc_start_offsets():
             span = g.arcs[g.arc_start[u]:g.arc_start[u + 1]]
             assert span == tuple((u, v) for v in g.neighbors[u])
         assert g.arc_start[g.n] == g.num_arcs
+
+
+def test_sigma_pos_reads_the_arc_index():
+    """sigma_pos(u, v) is v's position in sigma_u, read from arc_index and
+    arc_start; a non-neighbour (or u itself) is a ValueError."""
+    graphs = [build_graph(FIGURE_OCTAHEDRON, 6), generalized_path(3, 5)[0],
+              complete_bipartite_k2m(4)[0], double_cone_cycles([1, 2])[0]]
+    for g in graphs:
+        for u in range(g.n):
+            assert [g.sigma_pos(u, v) for v in g.sigma(u)] == list(range(g.degree(u)))
+            for v in set(range(g.n)) - set(g.sigma(u)):
+                with pytest.raises(ValueError, match="not a neighbor"):
+                    g.sigma_pos(u, v)

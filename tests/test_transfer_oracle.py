@@ -1,0 +1,107 @@
+"""decide_transfer and the support split from the sequences of e_s +- e_t,
+against the S/T path they replaced (``transfer_oracle``).
+
+The verdict (stage, time, gamma and the orders of g+-), cospectrality, g+-,
+strong cospectrality and the split must agree on seeded random reductions,
+the shared families, the odd cycles and reductions with S = T.  Unpaired S
+and T (|S| != |T|, or paired clones with different delta_sq) are refused
+with psi's ValueError exactly where the oracle's psi_{S,T} is one.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from conftest import (FAMILY_NAMES, family_instance, family_reduction, odd_cycle_reductions,
+                      random_instance, schedule_reduction)
+from psi_oracle import krylov_moments
+from sstwalk.coins import CoinAssignment
+from sstwalk.cospec import SupportSplit, strong_cospectral_exact
+from sstwalk.decider import decide_transfer
+from sstwalk.exact import _series_fraction, resolvent
+from sstwalk.reduction import reduction_for
+from test_psi_oracle import random_reduction
+from transfer_oracle import OracleResolvent, decide_transfer_oracle
+
+
+def check_transfer_against_oracle(red) -> str:
+    """The verdict, cospectrality, g+-, strong and the split of ``red`` equal
+    the oracle's; returns the verdict's stage, or "refused"."""
+    old = OracleResolvent(red)
+    try:
+        old.m_st
+    except ValueError:
+        for read in (lambda: resolvent(red).cospectral, lambda: decide_transfer(red),
+                     lambda: strong_cospectral_exact(red)):
+            with pytest.raises(ValueError):
+                read()
+        return "refused"
+    summary = resolvent(red)
+    verdict = decide_transfer(red)
+    split = strong_cospectral_exact(red)
+    assert verdict == decide_transfer_oracle(old)
+    assert summary.cospectral == old.cospectral
+    assert summary.strong == old.strong
+    if old.cospectral:
+        assert (summary.g_plus, summary.g_minus) == (old.g_plus, old.g_minus)
+    else:       # the supports of psi_S + psi_T +- 2 psi_{S,T}, from all 2 size moments
+        m_s, m_t, m_st = (krylov_moments(red, a, b)
+                          for a, b in ((red.s, red.s), (red.t, red.t), (red.s, red.t)))
+        scale = red.int_view[1]
+        for got, sign in ((summary.g_plus, 2), (summary.g_minus, -2)):
+            seq = [x + y + sign * z for x, y, z in zip(m_s, m_t, m_st)]
+            assert got == _series_fraction(seq, scale)[1]
+    if old.strong:
+        assert split == SupportSplit(old.factors, *old.split)
+        if summary.split_orders is not None:
+            assert summary.split_orders == old.split_orders
+    else:
+        assert split is None
+    return verdict.reason or "transfer"
+
+
+def test_transfer_matches_oracle_on_random_instances():
+    seen = Counter(check_transfer_against_oracle(reduction_for(
+        CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b))
+        for g, a, b, coin, w in map(random_instance, range(600)))
+    assert seen["transfer"] > 0 and seen["not-cospectral"] > 0
+
+
+def test_transfer_matches_oracle_on_schedule_reductions():
+    rng = random.Random(20261019)
+    shapes = ((1, 1), (2, 1), (2, 2))
+    seen = Counter(check_transfer_against_oracle(
+        schedule_reduction(rng, 4 + i % 9, *shapes[i % 3])) for i in range(300))
+    assert seen["transfer"] > 0 and seen["not-cospectral"] > 0
+
+
+def test_transfer_refuses_unpaired_as_the_oracle_does():
+    """Every one of the 300 random_reduction_args instances is checked; the
+    ones whose oracle psi_{S,T} is a ValueError are refused, none dropped."""
+    rng = random.Random(20251106)
+    seen = Counter(check_transfer_against_oracle(random_reduction(rng)) for _ in range(300))
+    assert sum(seen.values()) == 300
+    assert seen["refused"] > 0 and seen["transfer"] > 0
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_transfer_matches_oracle_on_families(name):
+    assert check_transfer_against_oracle(family_reduction(name)) == "transfer"
+
+
+def test_transfer_matches_oracle_on_odd_cycles():
+    for _name, red in odd_cycle_reductions():
+        assert check_transfer_against_oracle(red) == "odd-tau"
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_transfer_matches_oracle_when_s_is_t(name):
+    """reduction_for(..., b=None) marks S = T: every v_j is 0, g- = 1 and
+    g+ = g."""
+    assignment, a, w, _b = family_instance(name)
+    red = reduction_for(assignment, a, w)
+    assert red.s == red.t
+    check_transfer_against_oracle(red)
+    summary = resolvent(red)
+    assert summary.g_minus.is_one() and summary.g_plus == summary.g

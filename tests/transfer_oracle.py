@@ -1,0 +1,147 @@
+"""The S/T transfer path of the resolvent summary before it read the
+sequences of e_s +- e_t, kept as the oracle of the differential tests.
+
+It grows the Krylov vectors of the unit columns of S and of T and compares
+their self moments for cospectrality, reads the 2 L_S moments of psi_{S,T}
+from the same vectors (``cross_moments``), runs Berlekamp-Massey on
+m_S +- m_{S,T} for g+ and g-, tests strong cospectrality by the Fraction
+product g+ g- == g, finds the orders of g+- by trial division by the Psi~_m
+of g's one cosine scan, and partitions g's factors between g+ and g- by
+remainder.  ``decide_transfer_oracle`` is the decider on top of it.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from math import lcm
+
+from sstwalk.decider import TransferVerdict
+from sstwalk.exact import (RatFun, _check_pairs, _cosine_coeffs, _krylov, _monic_quotient,
+                           _scaled_ints, _self_moments, _series_fraction, cosine_factor,
+                           cosine_poly, factor_irreducible, psi)
+
+
+def _units(cols: list[int]) -> tuple:
+    return tuple(((c, 1),) for c in cols)
+
+
+def cross_moments(red, s: list[int], t: list[int], count: int) -> list[int]:
+    """m_k = sum_j (Z^k)[s_j, t_j] for k < count, read as
+    delta_sq[s_j] <Z^i e_(s_j), Z^(k-i) e_(t_j)> with i = ceil(k/2)."""
+    kr = _krylov(red)
+    out = []
+    for k in range(count):
+        i, j = (k + 1) // 2, k // 2
+        out.append(sum(kr.moment(((a, 1),), kr.weighted(kr.levels(((a, 1),), i)[i]),
+                                 kr.levels(((b, 1),), j)[j])
+                       for a, b in zip(s, t)))
+    return out
+
+
+class OracleResolvent:
+    """The old summary of a reduction and its clone sets S, T: the same fields
+    as ``sstwalk.exact.Resolvent``, with g+- the denominators of
+    psi_S +- psi_{S,T}."""
+
+    def __init__(self, red):
+        self.red, self.s, self.t = red, list(red.s), list(red.t)
+
+    @cached_property
+    def cospectral(self) -> bool:
+        """The self moments of S and T agree up to the end of both final
+        recurrences, and the recurrences are equal."""
+        m_s = _self_moments(self.red, _units(self.s))
+        m_t = _self_moments(self.red, _units(self.t))
+        k = 0
+        while True:
+            if m_s.term(k) != m_t.term(k):
+                return False
+            k += 1
+            if k == len(m_s.terms) == len(m_t.terms):
+                final_s, final_t = m_s.settle(), m_t.settle()
+                if final_s and final_t:
+                    return m_s.poly == m_t.poly
+
+    @cached_property
+    def m_st(self) -> list[int]:
+        """The first 2 L_S moments of psi_{S,T} (2 size uncertified)."""
+        _check_pairs(self.red, self.s, self.t)
+        m_s = _self_moments(self.red, _units(self.s)).certify()
+        count = 2 * (m_s.order if m_s.certified else self.red.size)
+        return cross_moments(self.red, self.s, self.t, count)
+
+    @cached_property
+    def psi_s(self):
+        return psi(self.red, self.s, self.s)
+
+    @cached_property
+    def psi_st(self):
+        return RatFun(*_series_fraction(self.m_st, self.red.int_view[1]))
+
+    @property
+    def g(self):
+        return self.psi_s.den
+
+    def _combined_den(self, sign: int):
+        m_s = _self_moments(self.red, _units(self.s))
+        seq = [m_s.term(k) + sign * y for k, y in enumerate(self.m_st)]
+        return _series_fraction(seq, self.red.int_view[1])[1]
+
+    @cached_property
+    def g_plus(self):
+        return self._combined_den(1)
+
+    @cached_property
+    def g_minus(self):
+        return self._combined_den(-1)
+
+    @cached_property
+    def scan(self):
+        return cosine_factor(self.g)
+
+    @cached_property
+    def orders(self) -> frozenset[int] | None:
+        orders, rest = self.scan
+        return frozenset(orders) if rest.is_one() and set(orders.values()) <= {1} else None
+
+    @cached_property
+    def strong(self) -> bool:
+        return self.cospectral and self.g_plus * self.g_minus == self.g
+
+    @cached_property
+    def split_orders(self) -> tuple[frozenset[int], frozenset[int]]:
+        return tuple(frozenset(m for m in self.scan[0]
+                               if _monic_quotient(ints, _cosine_coeffs(m)) is not None)
+                     for ints in map(_scaled_ints, (self.g_plus, self.g_minus)))
+
+    @cached_property
+    def factors(self):
+        return tuple(factor_irreducible(self.g))
+
+    @cached_property
+    def split(self):
+        if not self.strong:
+            return None
+        cos = {cosine_poly(m): m for m in self.scan[0]}
+        return tuple(tuple(f for f in self.factors
+                           if (cos[f] in orders if f in cos else (h % f).is_zero()))
+                     for h, orders in zip((self.g_plus, self.g_minus), self.split_orders))
+
+
+def decide_transfer_oracle(summary: OracleResolvent) -> TransferVerdict:
+    """The six decider stages on the old summary."""
+    if not summary.cospectral:
+        return TransferVerdict(False, reason="not-cospectral")
+    orders = summary.orders
+    if orders is None:
+        return TransferVerdict(False, reason="not-periodic")
+    tau = lcm(*orders)
+    if tau % 2:
+        return TransferVerdict(False, reason="odd-tau")
+    l_plus = frozenset(m for m in orders if (tau // m) % 2 == 0)
+    l_minus = orders - l_plus
+    split = summary.split_orders if summary.strong else None
+    if split not in ((l_plus, l_minus), (l_minus, l_plus)):
+        return TransferVerdict(False, reason="support-split-fails")
+    return TransferVerdict(True, time=tau // 2, gamma=1 if split[0] == l_plus else -1,
+                           orders_plus=split[0], orders_minus=split[1])
