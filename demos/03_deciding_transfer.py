@@ -5,11 +5,12 @@ Whether a subspace W of coin states moves perfectly from a to b at some
 integer step is decided entirely over Q:
 
   1. resolvent traces psi_S, psi_T, psi_{S,T} of the reduction (exact),
+     read from the moments of the start vectors e_s + e_t and e_s - e_t,
   2. the reduced denominator g carries the eigenvalue support,
-  3. the degree-doubling transform g# moves cos(theta) roots to e^{+-i theta},
-  4. g# factors into cyclotomics  <=>  the walk is pointwise W-periodic,
-     with minimum period tau = lcm of the orders,
-  5. the denominators of psi_S -+ psi_{S,T} split the support into the classes
+  3. g is a product of distinct Psi_m, the minimal polynomials of
+     cos(2 pi/m),  <=>  the walk is pointwise W-periodic, with minimum
+     period tau = lcm of the orders m,
+  4. the denominators of psi_S -+ psi_{S,T} split the support into the classes
      E B_S = +-E B_T; matching their orders against the parity split of tau
      fixes the transfer phase gamma.
 """
@@ -19,7 +20,6 @@ from fractions import Fraction
 from sstwalk import (CoinAssignment, circulant_2m, complete_bipartite_k2m,
                      decide_periodicity, decide_transfer, exact_transfer_check,
                      psi, reduction_for, reflection_about, transfer_fidelity)
-from sstwalk.exact import resolvent
 
 print(__doc__)
 
@@ -31,10 +31,11 @@ def walkthrough(title, graph, a, b, assignment, w):
     print("psi_S       =", psi_s.serialize())
     print("psi_{S,T}   =", psi(red, red.s, red.t).serialize())
     g = psi_s.den
-    orders = resolvent(red).orders
+    periodicity = decide_periodicity(red)
+    orders = periodicity.orders
     print("g (support) =", g.serialize(), "   cosine orders =",
           "none" if orders is None else sorted(orders))
-    print("periodicity :", decide_periodicity(red).line())
+    print("periodicity :", periodicity.line())
     verdict = decide_transfer(red)
     print("transfer    :", verdict.line())
     if verdict.occurs:

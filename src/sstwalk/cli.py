@@ -21,7 +21,7 @@ from . import families
 from .coins import CoinAssignment, CoinError, parse_coins, reflection_about
 from .cospec import strong_cospectral_exact
 from .decider import decide_periodicity, decide_transfer
-from .exact import InvariantError, resolvent
+from .exact import InvariantError, psi
 from .graphs import GraphError, build_family, parse_graph
 from .reduction import ReductionError, reduction_for
 from .walk import coin_state, walk_apply
@@ -238,9 +238,8 @@ def _initial_state(args, graph, a, assignment, w_basis):
 def cmd_psi(args) -> int:
     graph, a, b, assignment, w_basis = _load_instance(args)
     red = _reduction(args, graph, a, b, assignment, w_basis)
-    summary = resolvent(red)
-    print("PSI", summary.psi_s.serialize())
-    for factor in summary.factors:
+    print("PSI", psi(red, red.s, red.s).serialize())
+    for factor in strong_cospectral_exact(red, red.s, red.s).support_factors:
         print("POLE_FACTOR", factor.serialize())
     return 0
 

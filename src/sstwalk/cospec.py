@@ -32,7 +32,8 @@ def strong_cospectral_exact(red: HermitianReduction, s: list[int] | None = None,
 
     With the rational carrier the unimodular factor is forced to +-1; the
     split is reported with gamma = +1, plus = the factors of g+, minus = the
-    factors of g-, and the support is their sorted union.
+    factors of g-, and the support is their sorted union.  For S = T, g- = 1,
+    so the support is the factors of g = den psi_S.
     """
     split = resolvent(red, s, t).split
     if split is None:

@@ -3,11 +3,12 @@
 Everything runs over Q end to end.  The eigenvalue support of the clones shows
 up as the reduced denominator g of a resolvent trace, and integer-step
 questions become "is every root of g of the form cos(2 pi k/m)".  The deciders
-read the resolvent summary (``exact.resolvent``): periodicity the cosine scan
-of g, transfer only the sequences of e_s +- e_t, whose supports g+- are
-scanned once each over Z[y].  ``sharp`` (g -> g#, which sends cos(theta) roots
-to e^{+-i theta}) and ``factor_into_cyclotomics`` answer the same question on
-g#; the tests keep them as the oracle.
+read the resolvent summary (``exact.resolvent``), that is the sequences of
+e_s +- e_t, whose supports g+- are scanned once each over Z[y]: transfer the
+summary of (S, T), periodicity that of (S, S), where g- = 1 and g+ = g.
+``sharp`` (g -> g#, which sends cos(theta) roots to e^{+-i theta}) and
+``factor_into_cyclotomics`` answer the same question on g#; the tests keep
+them as the oracle.
 
 Phase bookkeeping: g+ carries the poles where E B_S = +E B_T and g- those
 where E B_S = -E B_T.  Transfer occurs with gamma = +1 exactly when the +1
@@ -106,11 +107,13 @@ def decide_periodicity(red: "HermitianReduction") -> PeriodicityVerdict:
     """Pointwise W-periodicity at a with integer periods (exact): periodic iff
     the support g of psi_S is a product of distinct cosine minimal polynomials
     Psi_m, and then the minimum period is the lcm of their orders.  It reads
-    the same resolvent summary as ``decide_transfer``.
+    the summary of (S, S), whose starts are 2 e_(s_j) and 0: g+ = g and
+    g- = 1, so g's orders are O+, and no psi_S is built.
     """
-    orders = resolvent(red).orders
-    if orders is None:
+    split = resolvent(red, red.s, red.s).split_orders
+    if split is None:
         return PeriodicityVerdict(False, reason="support-not-cyclotomic")
+    orders = split[0]
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
 
 

@@ -13,10 +13,11 @@ vectors are grown only until an online Berlekamp-Massey candidate of order L
 is certified exactly, sum_i c_i Z^(L-i) x = 0 for every start (Wiedemann
 1986): about L + 1 mat-vecs per start, L the support degree, instead of
 2 size.  ``Resolvent`` memoises per (reduction, S, T) what the decider, the
-cospectrality checks and the CLI read: psi_S and its support g from the unit
-columns of S, and the transfer fields (cospectrality, psi_{S,T}, g+- and
-their split) from the start vectors e_(s_j) +- e_(t_j).  ``charpoly``
-(integer Berkowitz) is kept as the reference the tests check psi against.
+cospectrality checks and the CLI read, all from one start family, the vectors
+e_(s_j) +- e_(t_j): cospectrality, psi_{S,T}, g+- and their split.  psi_S,
+its support g and periodicity are the (S, S) question, where the starts are
+2 e_(s_j) and 0.  ``charpoly`` (integer Berkowitz) is kept as the reference
+the tests check psi against.
 
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
@@ -563,7 +564,7 @@ def _check_pairs(red: "HermitianReduction", s: list[int], t: list[int]) -> None:
 class _Krylov:
     """The Krylov vectors Z^k x of the integer start vectors x of one
     reduction; obtain it through ``_krylov``.  A start is a tuple of (row,
-    coefficient) pairs: ((c, 1),) is e_c and ((s, 1), (t, -1)) is e_s - e_t.
+    coefficient) pairs: ((s, 1), (t, -1)) is e_s - e_t.
 
     Z is self-adjoint for <x, y> = sum_r x_r y_r / delta_sq[r] (sym is
     symmetric, which every HermitianReduction checks), so
@@ -628,8 +629,9 @@ def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
 
 class _SelfMoments:
     """m_k = sum_x delta_sq <Z^i x, Z^(k-i) x> over the starts x of one
-    sequence (sum_j (Z^k)[c_j, c_j] for unit columns), grown two terms per
-    Krylov level and certified online; obtain it through ``_self_moments``.
+    sequence (the u_j or the v_j = e_(s_j) -+ e_(t_j) of a ``Resolvent``; a
+    zero start adds nothing), grown two terms per Krylov level and certified
+    online; obtain it through ``_self_moments``.
 
     Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
     Berlekamp-Massey.  When its candidate c of order L has 2L + 2 <= terms,
@@ -762,21 +764,14 @@ class _Massey:
         return self.c + [0] * (self.length + 1 - len(self.c))
 
 
-def berlekamp_massey(seq: list[int]) -> list[int]:
-    """Shortest linear recurrence of an integer sequence: the connection
-    polynomial of ``_Massey`` after all of ``seq``."""
-    bm = _Massey(seq)
-    bm.update()
-    return bm.connection
-
-
 def _fraction(conn: list[int], seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
-    """(num, den) with den monic and coprime to num, such that
-    num/den = sum_k seq[k] scale^-k x^(-k-1), for the minimal connection
-    polynomial ``conn`` of seq.
+    """(num, den) with den monic, such that num/den = sum_k seq[k] scale^-k
+    x^(-k-1), for a connection polynomial ``conn`` = c_0 .. c_L (c_0 != 0)
+    that seq obeys from term L on; only seq[:L] is read.  num and den are
+    coprime when conn is the minimal one.
 
-    It gives the reduced fraction P(y)/Q(y) in y = scale x of the moments of
-    Z; the function of x is scale P(scale x)/Q(scale x).
+    It gives the fraction P(y)/Q(y) in y = scale x of the moments of Z; the
+    function of x is scale P(scale x)/Q(scale x).
     """
     length = len(conn) - 1
     q = conn[::-1]                   # Q(y) = sum_i c_i y^(L-i), lead c_0
@@ -800,28 +795,26 @@ def _scaled_conn(conn: list[int], scale: int) -> list[int]:
     return _primitive([(c * scale ** j) << (length - j) for j, c in enumerate(reversed(conn))])
 
 
-def _series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
-    """``_fraction`` with the connection polynomial from Berlekamp-Massey on
-    seq, which must hold 2 deg(den) terms or more."""
-    return _fraction(berlekamp_massey(seq), seq, scale)
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """The coefficients of the product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def psi(red: "HermitianReduction", s: list[int], t: list[int]) -> RatFun:
     """The resolvent trace psi_{S,T}(x) = tr((xI - H)^{-1}_{S,T}), exact over Q.
 
-    psi_{S,T} = sum_k m_k x^(-k-1) with m_k = sum_j (H^k)[s_j, t_j].  For
-    S = T the certified self sequence of S gives the reduced fraction from
-    2L + O(1) moments, L = deg of its denominator; otherwise the summary of
-    (S, T) reads it off the sequences of e_(s_j) +- e_(t_j).  Computed on the
+    psi_{S,T} = sum_k m_k x^(-k-1) with m_k = sum_j (H^k)[s_j, t_j], read
+    off the certified sequences of e_(s_j) +- e_(t_j) by the summary of
+    (S, T) (``Resolvent.psi_st``), for S = T as well.  Computed on the
     rational similar matrix H_rat; valid whenever the paired clones carry
     equal squared scaling (checked), in which case the diagonal similarity
     cancels entrywise.
     """
-    _check_pairs(red, s, t)
-    if list(s) != list(t):
-        return resolvent(red, s, t).psi_st
-    seq = _self_moments(red, tuple(((c, 1),) for c in s)).certify()
-    return RatFun(*_fraction(seq.poly, seq.terms, red.int_view[1]))
+    return resolvent(red, s, t).psi_st
 
 
 class Resolvent:
@@ -829,14 +822,16 @@ class Resolvent:
     field is computed at most once, because a reduction is not mutated after
     build_H.  Obtain it through ``resolvent``.
 
-    psi_S, g and g's scan (``orders``, ``factors``) come from the unit
-    columns of S; the transfer fields from u_j, v_j = e_(s_j) +- e_(t_j),
-    which refuse unpaired S and T before any mat-vec.  m_u,v = m_S + m_T +-
-    2 m_{S,T}, so their certified recurrences are the supports g+- of
-    psi_S + psi_T +- 2 psi_{S,T}, which is 2 (psi_S +- psi_{S,T}) for
-    cospectral S and T; the residues sum_j ||E u_j||^2, sum_j ||E v_j||^2
-    >= 0 add up to 4 sum_j ||E e_(s_j)||^2, so g+- are square-free and
-    g = lcm(g+, g-).
+    Every field is read from the certified sequences of one start family,
+    u_j, v_j = e_(s_j) +- e_(t_j), which refuse unpaired S and T before any
+    mat-vec.  m_u,v = m_S + m_T +- 2 m_{S,T}, so their certified recurrences
+    are the supports g+- of psi_S + psi_T +- 2 psi_{S,T}, which is
+    2 (psi_S +- psi_{S,T}) for cospectral S and T; the residues
+    sum_j ||E u_j||^2, sum_j ||E v_j||^2 >= 0 add up to
+    4 sum_j ||E e_(s_j)||^2, so g+- are square-free and g = lcm(g+, g-).
+    psi_S and its support are the (S, S) summary: there u_j = 2 e_(s_j) and
+    v_j = 0, so psi_st is psi_S, g- = 1, g+ = g and ``split_orders`` holds
+    g's orders.
     """
 
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
@@ -877,24 +872,17 @@ class Resolvent:
             level += 1
 
     @cached_property
-    def psi_s(self) -> RatFun:
-        return psi(self.red, self.s, self.s)
-
-    @cached_property
     def psi_st(self) -> RatFun:
-        """m_{S,T} obeys the lcm of both recurrences, so 2 min(L+ + L-, size)
-        of its terms give psi_{S,T}."""
+        """psi_{S,T} from m_{S,T} = (m_u - m_v)/4: both sequences obey the
+        product of their certified recurrences, of order L+ + L-, so that
+        many terms give the fraction over it, which RatFun reduces.  For
+        S = T the product is u's own recurrence."""
         plus, minus = (seq.certify() for seq in self._sides)
-        count = 2 * min(plus.order + minus.order, self.red.size)
-        diffs = [plus.term(k) - minus.term(k) for k in range(count)]
+        conn = _product(plus.poly, minus.poly)
+        diffs = [plus.term(k) - minus.term(k) for k in range(len(conn) - 1)]
         if any(d % 4 for d in diffs):
             raise InvariantError("m_u - m_v is not divisible by 4")
-        return RatFun(*_series_fraction([d // 4 for d in diffs], self.red.int_view[1]))
-
-    @cached_property
-    def g(self) -> RatPoly:
-        """The support polynomial: psi_S = p/q is reduced, so g = q."""
-        return self.psi_s.den
+        return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.red.int_view[1]))
 
     @cached_property
     def g_plus(self) -> RatPoly:
@@ -905,24 +893,6 @@ class Resolvent:
     def g_minus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = -E B_T."""
         return _denominator(self._sides[1].certify().poly, self.red.int_view[1])
-
-    @cached_property
-    def _scan(self) -> tuple[dict[int, int], RatPoly]:
-        """cosine_factor(g): the one cosine scan of the support."""
-        return cosine_factor(self.g)
-
-    @cached_property
-    def orders(self) -> frozenset[int] | None:
-        """The orders m with g = prod Psi_m, each Psi_m once (the g# criterion),
-        or None when g is no such product: psi_S is then not periodic."""
-        orders, rest = self._scan
-        return frozenset(orders) if rest.is_one() and set(orders.values()) <= {1} else None
-
-    @cached_property
-    def factors(self) -> tuple[RatPoly, ...]:
-        """The distinct monic Q-irreducible factors of g, sorted by (degree,
-        coeffs), read from the one scan."""
-        return tuple(_factors(*self._scan))
 
     @cached_property
     def _side_scans(self) -> tuple[tuple[dict[int, int], list[int]], ...]:

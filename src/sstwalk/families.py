@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING
 from . import linalg
 from .coins import CoinAssignment, ReflectionCoin, grover_coin, reflection_about
 from .decider import TransferVerdict, decide_pretty_good_special, decide_transfer
-from .exact import InvariantError, resolvent
+from .cospec import strong_cospectral_exact
+from .exact import InvariantError
 from .graphs import (Graph, circulant_2m, complete_bipartite_k2m,
                      double_cone_cycles, double_cone_over, generalized_path)
 from .reduction import exact_transfer_check, reduction_for
@@ -232,7 +233,7 @@ def case_pretty_good_cone(base: Graph, name: str = "cone") -> PrettyGoodResult:
     coin = reflection_about([list(v) for v in kernel])
     assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     red = reduction_for(assignment, a, kernel, b)
-    factors = resolvent(red).factors
+    factors = strong_cospectral_exact(red, red.s, red.s).support_factors
     accepted = decide_pretty_good_special(factors)
     result = PrettyGoodResult(name=name, accepted=accepted,
                               support_factors=factors)

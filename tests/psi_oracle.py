@@ -9,7 +9,8 @@ and only fit for the small instances the differential tests use.
 
 ``full_kernel_summary`` is the moment route before its certified early stop:
 ``krylov_moments`` takes all 2 size moments of each sequence, one entry per
-mat-vec, and Berlekamp-Massey runs on the full sequences.
+mat-vec, and Berlekamp-Massey (``berlekamp_massey``, the package's online
+``_Massey`` fed a whole sequence at once) runs on the full sequences.
 
 ``h_rat`` is the dense H_rat that ``psi_oracle`` starts from; the
 package itself keeps only the sparse carrier.
@@ -20,8 +21,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from sstwalk import linalg
-from sstwalk.exact import ONE, RatFun, RatPoly, _series_fraction, charpoly
+from sstwalk.exact import ONE, RatFun, RatPoly, _fraction, _Massey, charpoly
 from sstwalk.reduction import z_apply
+
+
+def berlekamp_massey(seq: list[int]) -> list[int]:
+    """Shortest linear recurrence of an integer sequence: the connection
+    polynomial of ``_Massey`` after all of ``seq``."""
+    bm = _Massey(seq)
+    bm.update()
+    return bm.connection
+
+
+def series_fraction(seq: list[int], scale: int) -> tuple[RatPoly, RatPoly]:
+    """``_fraction`` with the connection polynomial from Berlekamp-Massey on
+    seq, which must hold 2 deg(den) terms or more."""
+    return _fraction(berlekamp_massey(seq), seq, scale)
 
 
 def h_rat(red) -> linalg.Mat:
@@ -118,15 +133,15 @@ def full_kernel_summary(red, s: list[int], t: list[int]) -> dict:
     paired clones carry different delta_sq."""
     scale = red.int_view[1]
     m_s, m_t = krylov_moments(red, s, s), krylov_moments(red, t, t)
-    out = {"psi_s": RatFun(*_series_fraction(m_s, scale)),
-           "psi_t": RatFun(*_series_fraction(m_t, scale)),
+    out = {"psi_s": RatFun(*series_fraction(m_s, scale)),
+           "psi_t": RatFun(*series_fraction(m_t, scale)),
            "cospectral": m_s == m_t}
     if any(red.delta_sq[a] != red.delta_sq[b] for a, b in zip(s, t)):
         out["psi_st"] = out["g_plus"] = out["g_minus"] = out["cospectral"] = ValueError
         return out
     m_st = krylov_moments(red, s, t)
-    out["psi_st"] = RatFun(*_series_fraction(m_st, scale))
+    out["psi_st"] = RatFun(*series_fraction(m_st, scale))
     for name, sign in (("g_plus", 2), ("g_minus", -2)):
         seq = [x + y + sign * z for x, y, z in zip(m_s, m_t, m_st)]
-        out[name] = _series_fraction(seq, scale)[1]
+        out[name] = series_fraction(seq, scale)[1]
     return out

@@ -4,6 +4,7 @@ deliberate edit of this list."""
 import importlib
 
 import sstwalk
+from sstwalk import exact
 
 PUBLIC = [
     "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
@@ -38,3 +39,14 @@ def test_removed_names_not_importable():
         present = [name for name in REMOVED
                    if hasattr(importlib.import_module(module), name)]
         assert present == [], module
+
+
+# psi_S, g and g's scan from the unit columns live in tests/transfer_oracle.py,
+# the batch Berlekamp-Massey in tests/psi_oracle.py
+REMOVED_FROM_EXACT = ["berlekamp_massey", "_series_fraction"]
+REMOVED_FROM_RESOLVENT = ["psi_s", "g", "orders", "factors", "_scan"]
+
+
+def test_unit_column_route_removed():
+    assert [name for name in REMOVED_FROM_EXACT if hasattr(exact, name)] == []
+    assert [name for name in REMOVED_FROM_RESOLVENT if hasattr(exact.Resolvent, name)] == []

@@ -18,11 +18,12 @@ from pathlib import Path
 
 import pytest
 
-from sstwalk.decider import cyclotomic, factor_into_cyclotomics, sharp
+from sstwalk.decider import cyclotomic, decide_periodicity, factor_into_cyclotomics, sharp
 from sstwalk.exact import (X, RatPoly, _split_quadratic, _sympy_factor,
                            cosine_factor, cosine_poly, factor_irreducible,
                            resolvent, squarefree_part)
 from test_psi_oracle import random_reduction
+from transfer_oracle import unit_psi
 
 ORACLE_BOUND = 200
 # The g# oracle divides a degree-2D Fraction polynomial by every Phi_m in
@@ -34,8 +35,8 @@ ORACLE_SINGLE = 80
 ORACLE_PRODUCT = 30
 
 def scan_orders(g: RatPoly):
-    """The orders ``exact.Resolvent.orders`` reads from the cosine scan: those
-    of g = prod Psi_m with each Psi_m once, else None."""
+    """The orders ``exact.Resolvent.split_orders`` reads from the cosine scan
+    of g+-: those of g = prod Psi_m with each Psi_m once, else None."""
     orders, rest = cosine_factor(g)
     if not rest.is_one() or any(e != 1 for e in orders.values()):
         return None
@@ -144,17 +145,22 @@ def test_random_products_match_oracle():
 
 def test_random_reduction_supports_match_oracle():
     """g, g+ and g- of 100 seeded random reductions (those that exist: g+- need
-    equal delta_sq along the pairing), with the default totient bound."""
+    equal delta_sq along the pairing), with the default totient bound; g is
+    den psi_S from the unit columns (``transfer_oracle.unit_psi``), and
+    decide_periodicity's orders, read from g+ of the (S, S) summary, are its
+    orders."""
     rng = random.Random(4)
     checked, periodic = 0, 0
     for _ in range(100):
-        summary = resolvent(random_reduction(rng))
-        polys = [summary.g]
+        red = random_reduction(rng)
+        summary = resolvent(red)
+        g = unit_psi(red, red.s).den
+        polys = [g]
         try:
             polys += [summary.g_plus, summary.g_minus]
         except ValueError:
             pass
-        assert summary.orders == old_orders(summary.g)
+        assert decide_periodicity(red).orders == old_orders(g)
         for g in polys:
             want = old_orders(g)
             assert scan_orders(g) == want, g

@@ -327,12 +327,12 @@ def test_adjacent_triangle_odd_tau():
 
 def _count_kernels(monkeypatch):
     """Wrap the kernels of sstwalk.exact with recorders: sparse mat-vecs,
-    certificate checks (their order L) and batch Berlekamp-Massey calls
-    (their length)."""
+    certificate checks (their order L) and the online Berlekamp-Massey
+    instances (one per moment sequence)."""
     from sstwalk import exact
 
-    calls = {"matvec": 0, "certificate": [], "bm": []}
-    z_apply, annihilates, massey = exact.z_apply, exact._annihilates, exact.berlekamp_massey
+    calls = {"matvec": 0, "certificate": [], "massey": 0}
+    z_apply, annihilates, massey = exact.z_apply, exact._annihilates, exact._Massey
 
     def counted_z_apply(rows, vec):
         calls["matvec"] += 1
@@ -342,13 +342,14 @@ def _count_kernels(monkeypatch):
         calls["certificate"].append(len(conn) - 1)
         return annihilates(vecs, conn)
 
-    def counted_massey(seq):
-        calls["bm"].append(len(seq))
-        return massey(seq)
+    class CountedMassey(massey):
+        def __init__(self, seq):
+            calls["massey"] += 1
+            super().__init__(seq)
 
     monkeypatch.setattr(exact, "z_apply", counted_z_apply)
     monkeypatch.setattr(exact, "_annihilates", counted_annihilates)
-    monkeypatch.setattr(exact, "berlekamp_massey", counted_massey)
+    monkeypatch.setattr(exact, "_Massey", CountedMassey)
     return calls
 
 
@@ -357,11 +358,12 @@ def test_resolvent_summary_built_once(monkeypatch):
     on one reduction grow the Krylov vectors of each u_j = e_(s_j) + e_(t_j)
     once, to level L+ + 1 with L+ = deg g+, and of each v_j = e_(s_j) - e_(t_j)
     to level L- + 1 (the first level with 2L + 2 <= 2 level + 1 moments),
-    pass one certificate per start and run no batch Berlekamp-Massey: g+-
-    are the certified recurrences.  That is |S| (L + 2) mat-vecs for
-    L = deg g = L+ + L-, against (|S| + |T|)(L + 1) for the unit columns of S
-    and T.  decide_periodicity then grows the unit columns of S once, to
-    level L + 1, for psi_S."""
+    pass one certificate per start and run one online Berlekamp-Massey per
+    sequence: g+- are the certified recurrences.  That is |S| (L + 2)
+    mat-vecs for L = deg g = L+ + L-, against (|S| + |T|)(L + 1) for the unit
+    columns of S and T.  decide_periodicity then reads the (S, S) summary:
+    it grows each u_j = 2 e_(s_j) to level L + 1 and each v_j = 0 to level 1,
+    one mat-vec per clone of S, and certifies both sequences."""
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
 
@@ -379,21 +381,49 @@ def test_resolvent_summary_built_once(monkeypatch):
     assert (plus, minus) == (2, 1)
     assert calls["matvec"] == pairs * (plus + minus + 2) == 10
     assert sorted(calls["certificate"]) == sorted([plus] * pairs + [minus] * pairs)
-    assert calls["bm"] == []
+    assert calls["massey"] == 2
     assert decide_periodicity(red).periodic
-    order = summary.g.degree
+    order = resolvent(red, red.s, red.s).g_plus.degree
     assert order == plus + minus and 2 * order + 2 < 2 * red.size
-    assert calls["matvec"] == pairs * (plus + minus + 2) + pairs * (order + 1)
-    assert calls["certificate"][-pairs:] == [order] * pairs
-    assert calls["bm"] == []
+    assert calls["matvec"] == pairs * (plus + minus + 2) + pairs * (order + 1) + pairs
+    assert calls["certificate"][-2 * pairs:] == [order] * pairs + [0] * pairs
+    assert calls["massey"] == 4
+
+
+def test_periodicity_builds_no_psi_s(monkeypatch):
+    """decide_periodicity reads the orders of g+ of the (S, S) summary: it
+    forms no fraction, no RatFun and no gcd, and its verdicts (periodic and
+    not) are those of the scan of g = den psi_S from the unit columns."""
+    from sstwalk import exact
+    from transfer_oracle import OracleResolvent, decide_periodicity_oracle
+
+    rng = random.Random(20261019)
+    cases = [red for _name, red in odd_cycle_reductions()]
+    cases += [schedule_reduction(rng, 4 + i % 9, 1, 1) for i in range(20)]
+    calls = []
+
+    def recorder(name, fn):
+        def recorded(*args):
+            calls.append(name)
+            return fn(*args)
+        return recorded
+
+    for name in ("_fraction", "poly_gcd"):
+        monkeypatch.setattr(exact, name, recorder(name, getattr(exact, name)))
+    monkeypatch.setattr(exact.RatFun, "__init__", recorder("RatFun", exact.RatFun.__init__))
+    verdicts = [decide_periodicity(red) for red in cases]
+    assert calls == []
+    monkeypatch.undo()
+    assert verdicts == [decide_periodicity_oracle(OracleResolvent(red)) for red in cases]
+    assert {v.periodic for v in verdicts} == {True, False}
 
 
 def test_not_cospectral_never_builds_psi_st(monkeypatch):
     """The not-cospectral exit stops growing at the Krylov level of the first
     cross term c_k = m_S(k) - m_T(k) that is nonzero, before Berlekamp-Massey
-    has seen a term of that level: no certificate and no batch
-    Berlekamp-Massey, and u_j and v_j take the mat-vecs e_(s_j) and e_(t_j)
-    took."""
+    has seen a term of that level: no certificate, one online
+    Berlekamp-Massey per sequence, and u_j and v_j take the mat-vecs e_(s_j)
+    and e_(t_j) took."""
     from psi_oracle import krylov_moments
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
@@ -408,7 +438,7 @@ def test_not_cospectral_never_builds_psi_st(monkeypatch):
     assert strong_cospectral_exact(red) is None
     assert not resolvent(red).cospectral
     assert calls["matvec"] == (len(red.s) + len(red.t)) * level
-    assert calls["certificate"] == calls["bm"] == []
+    assert calls["certificate"] == [] and calls["massey"] == 2
     for seq in resolvent(red)._sides:
         assert len(seq.terms) == 2 * level + 1 and seq.massey.done < 2 * level
 

@@ -25,16 +25,16 @@ import pytest
 import reduction_oracle
 from conftest import (FAMILY_NAMES, family_reduction, odd_cycle_reductions,
                       synthetic_reduction)
-from psi_oracle import full_kernel_summary, newton_interpolate, psi_oracle
+from psi_oracle import berlekamp_massey, full_kernel_summary, newton_interpolate, psi_oracle
 from sstwalk import exact
 from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.cospec import strong_cospectral_exact
-from sstwalk.decider import decide_transfer
-from sstwalk.exact import (RatPoly, berlekamp_massey, cosine_factor, factor_irreducible,
-                           psi, resolvent)
+from sstwalk.decider import decide_periodicity, decide_transfer
+from sstwalk.exact import RatPoly, cosine_factor, factor_irreducible, psi, resolvent
 from sstwalk.families import random_orthogonal_columns
 from sstwalk.graphs import build_graph, circulant_2m
 from sstwalk.reduction import CoinBasis, build_H, reduction_for
+from transfer_oracle import unit_psi
 
 
 def test_newton_interpolation():
@@ -71,9 +71,8 @@ def check_against_oracle(red):
     pairs = ((s, s), (t, t), (s, t))
     psi_s, psi_t, psi_st = (_value_or_error(psi_oracle, red, a, b) for a, b in pairs)
     assert [_value_or_error(psi, red, a, b) for a, b in pairs] == [psi_s, psi_t, psi_st]
+    check_self_summary(red, psi_s)
     summary = resolvent(red)
-    assert summary.psi_s == psi_s
-    assert summary.g == psi_s.den
     if psi_st is ValueError:
         for name in ("cospectral", "g_plus", "g_minus"):
             assert _field_or_error(summary, name) is ValueError
@@ -85,6 +84,15 @@ def check_against_oracle(red):
         assert summary.g_plus == (psi_s + psi_st).den
         assert summary.g_minus == (psi_s - psi_st).den
     return False
+
+
+def check_self_summary(red, psi_s):
+    """The summary of (S, S) reads psi_S as its psi_st, with g+ = g and
+    g- = 1 (u_j = 2 e_(s_j), v_j = 0)."""
+    self_summary = resolvent(red, red.s, red.s)
+    assert self_summary.psi_st == psi_s
+    assert self_summary.g_plus == psi_s.den
+    assert self_summary.g_minus.is_one()
 
 
 def random_reduction_args(rng: random.Random):
@@ -148,10 +156,11 @@ def test_psi_matches_oracle_on_families(name):
 
 
 def check_split_against_oracle(red) -> str:
-    """When the summary is strong: its factors are factor_irreducible(g), its
-    plus/minus factors are factor_irreducible(g+-) and, when g is periodic,
-    its orders of g+- (and the decider's, on a transfer) are those of a full
-    cosine_factor(g+-) scan.
+    """When the summary is strong: the support factors of the (S, T) split
+    and of the (S, S) split (the POLE_FACTOR lines) are factor_irreducible(g)
+    for g = den psi_S from the unit columns, its plus/minus factors are factor_irreducible(g+-)
+    and, when g is periodic, its orders of g+- (and the decider's, on a
+    transfer) are those of a full cosine_factor(g+-) scan.
     Returns what was checked: "transfer", "strong" or "".  A refusal of
     unpaired S and T (paired clones with different delta_sq) counts as not
     strong."""
@@ -164,13 +173,16 @@ def check_split_against_oracle(red) -> str:
         assert strong_cospectral_exact(red) is None
         return ""
     g_plus, g_minus = summary.g_plus, summary.g_minus
-    assert summary.factors == tuple(factor_irreducible(summary.g))
+    g = unit_psi(red, red.s).den
+    factors = strong_cospectral_exact(red, red.s, red.s).support_factors
+    assert factors == tuple(factor_irreducible(g))
     split = strong_cospectral_exact(red)
-    assert split.support_factors == summary.factors
+    assert split.support_factors == factors
     assert split.plus_factors == tuple(factor_irreducible(g_plus))
     assert split.minus_factors == tuple(factor_irreducible(g_minus))
     full = (frozenset(cosine_factor(g_plus)[0]), frozenset(cosine_factor(g_minus)[0]))
-    assert summary.split_orders == (None if summary.orders is None else full)
+    periodic = decide_periodicity(red).periodic
+    assert summary.split_orders == (full if periodic else None)
     verdict = decide_transfer(red)
     if not verdict.occurs:
         return "strong"
@@ -205,8 +217,7 @@ def check_kernels_agree(red):
     want = full_kernel_summary(red, red.s, red.t)
     summary = resolvent(red)
     assert _field_or_error(summary, "cospectral") == want["cospectral"]
-    assert summary.psi_s == want["psi_s"]
-    assert summary.g == want["psi_s"].den
+    check_self_summary(red, want["psi_s"])
     assert _field_or_error(summary, "g_plus") == want["g_plus"]
     assert _field_or_error(summary, "g_minus") == want["g_minus"]
     s, t = red.s, red.t

@@ -1,11 +1,18 @@
-"""decide_transfer and the support split from the sequences of e_s +- e_t,
-against the S/T path they replaced (``transfer_oracle``).
+"""The resolvent summary from the sequences of e_s +- e_t, against the
+unit-column route it replaced (``transfer_oracle``).
 
-The verdict (stage, time, gamma and the orders of g+-), cospectrality, g+-,
-strong cospectrality and the split must agree on seeded random reductions,
-the shared families, the odd cycles and reductions with S = T.  Unpaired S
-and T (|S| != |T|, or paired clones with different delta_sq) are refused
-with psi's ValueError exactly where the oracle's psi_{S,T} is one.
+The transfer verdict (stage, time, gamma and the orders of g+-),
+cospectrality, g+-, strong cospectrality and the split must agree on seeded
+random reductions, the shared families, the odd cycles and reductions with
+S = T.  Unpaired S and T (|S| != |T|, or paired clones with different
+delta_sq) are refused with psi's ValueError exactly where the oracle's
+psi_{S,T} is one.
+
+psi on (S,S), (T,T) and (S,T), the periodicity verdict and the POLE_FACTOR
+factors, all read from the (S, S) and (S, T) summaries, must agree with psi_S
+from the unit columns and the scan of its denominator g, on the families, on
+seeded random-small shaped reductions, on the odd cycles and on seeded
+sign-indefinite reductions.
 """
 
 import random
@@ -15,14 +22,15 @@ import pytest
 
 from conftest import (FAMILY_NAMES, family_instance, family_reduction, odd_cycle_reductions,
                       random_instance, schedule_reduction)
-from psi_oracle import krylov_moments
+from psi_oracle import krylov_moments, series_fraction
 from sstwalk.coins import CoinAssignment
 from sstwalk.cospec import SupportSplit, strong_cospectral_exact
-from sstwalk.decider import decide_transfer
-from sstwalk.exact import _series_fraction, resolvent
+from sstwalk.decider import decide_periodicity, decide_transfer
+from sstwalk.exact import psi, resolvent
 from sstwalk.reduction import reduction_for
-from test_psi_oracle import random_reduction
-from transfer_oracle import OracleResolvent, decide_transfer_oracle
+from test_psi_oracle import indefinite_reduction, random_reduction
+from transfer_oracle import (OracleResolvent, decide_periodicity_oracle,
+                             decide_transfer_oracle, unit_psi)
 
 
 def check_transfer_against_oracle(red) -> str:
@@ -51,7 +59,7 @@ def check_transfer_against_oracle(red) -> str:
         scale = red.int_view[1]
         for got, sign in ((summary.g_plus, 2), (summary.g_minus, -2)):
             seq = [x + y + sign * z for x, y, z in zip(m_s, m_t, m_st)]
-            assert got == _series_fraction(seq, scale)[1]
+            assert got == series_fraction(seq, scale)[1]
     if old.strong:
         assert split == SupportSplit(old.factors, *old.split)
         if summary.split_orders is not None:
@@ -104,4 +112,58 @@ def test_transfer_matches_oracle_when_s_is_t(name):
     assert red.s == red.t
     check_transfer_against_oracle(red)
     summary = resolvent(red)
-    assert summary.g_minus.is_one() and summary.g_plus == summary.g
+    assert summary.g_minus.is_one() and summary.g_plus == OracleResolvent(red).g
+    check_self_route_against_oracle(red)
+
+
+# -- psi_S, periodicity and the pole factors from the (S, S) summary -------------
+
+
+def check_self_route_against_oracle(red) -> bool:
+    """psi on (S,S), (T,T) and (S,T), decide_periodicity and the POLE_FACTOR
+    factors (the support factors of the (S, S) split) equal the unit-column
+    oracle's; psi_{S,T} is refused where the oracle's is.  Returns whether
+    g = den psi_S is periodic."""
+    old = OracleResolvent(red)
+    assert psi(red, red.s, red.s) == old.psi_s
+    assert psi(red, red.t, red.t) == unit_psi(red, red.t)
+    try:
+        want = old.psi_st
+    except ValueError:
+        with pytest.raises(ValueError):
+            psi(red, red.s, red.t)
+    else:
+        assert psi(red, red.s, red.t) == want
+    assert decide_periodicity(red) == decide_periodicity_oracle(old)
+    assert strong_cospectral_exact(red, red.s, red.s).support_factors == old.factors
+    return old.orders is not None
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_self_route_matches_oracle_on_families(name):
+    assert check_self_route_against_oracle(family_reduction(name))
+
+
+def test_self_route_matches_oracle_on_schedule_reductions():
+    shapes = ((1, 1), (2, 1), (2, 2))
+    seen = Counter(check_self_route_against_oracle(
+        schedule_reduction(random.Random(seed), 4 + seed % 9, *shapes[seed % 3]))
+        for seed in range(60))
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_self_route_matches_oracle_on_odd_cycles():
+    for _name, red in odd_cycle_reductions():
+        assert check_self_route_against_oracle(red)
+
+
+def test_self_route_matches_oracle_on_indefinite_reductions():
+    """Sign-indefinite delta_sq: some u = 2 e_(s_j) sequence of an (S, S)
+    summary fails a certificate candidate, and many never certify."""
+    rng = random.Random(20261018)
+    seen, rejected = Counter(), 0
+    for _ in range(200):
+        red = indefinite_reduction(rng)
+        seen[check_self_route_against_oracle(red)] += 1
+        rejected += resolvent(red, red.s, red.s)._sides[0]._failed >= 0
+    assert seen[True] > 0 and seen[False] > 0 and rejected > 0

@@ -1,13 +1,17 @@
-"""The S/T transfer path of the resolvent summary before it read the
-sequences of e_s +- e_t, kept as the oracle of the differential tests.
+"""The unit-column route of the resolvent summary, before every field was
+read from the sequences of e_s +- e_t, kept as the oracle of the
+differential tests.
 
-It grows the Krylov vectors of the unit columns of S and of T and compares
-their self moments for cospectrality, reads the 2 L_S moments of psi_{S,T}
-from the same vectors (``cross_moments``), runs Berlekamp-Massey on
-m_S +- m_{S,T} for g+ and g-, tests strong cospectrality by the Fraction
+``unit_psi`` is psi_S from the certified self moments of the unit columns
+e_(s_j).  ``OracleResolvent`` grows the Krylov vectors of the unit columns
+of S and of T and compares their self moments for cospectrality, reads the
+2 L_S moments of psi_{S,T} from the same vectors (``cross_moments``), runs
+Berlekamp-Massey on m_S +- m_{S,T} for g+ and g-, scans g = den psi_S once
+for its orders and factors, tests strong cospectrality by the Fraction
 product g+ g- == g, finds the orders of g+- by trial division by the Psi~_m
-of g's one cosine scan, and partitions g's factors between g+ and g- by
-remainder.  ``decide_transfer_oracle`` is the decider on top of it.
+of g's scan, and partitions g's factors between g+ and g- by remainder.
+``decide_transfer_oracle`` and ``decide_periodicity_oracle`` are the
+deciders on top of it.
 """
 
 from __future__ import annotations
@@ -15,14 +19,22 @@ from __future__ import annotations
 from functools import cached_property
 from math import lcm
 
-from sstwalk.decider import TransferVerdict
-from sstwalk.exact import (RatFun, _check_pairs, _cosine_coeffs, _krylov, _monic_quotient,
-                           _scaled_ints, _self_moments, _series_fraction, cosine_factor,
-                           cosine_poly, factor_irreducible, psi)
+from psi_oracle import series_fraction
+from sstwalk.decider import PeriodicityVerdict, TransferVerdict
+from sstwalk.exact import (RatFun, _check_pairs, _cosine_coeffs, _fraction, _krylov,
+                           _monic_quotient, _scaled_ints, _self_moments, cosine_factor,
+                           cosine_poly, factor_irreducible)
 
 
 def _units(cols: list[int]) -> tuple:
     return tuple(((c, 1),) for c in cols)
+
+
+def unit_psi(red, cols: list[int]) -> RatFun:
+    """psi_S for S = cols from the certified self moments of its unit columns
+    (2 L + O(1) moments, L = deg of the reduced denominator)."""
+    seq = _self_moments(red, _units(cols)).certify()
+    return RatFun(*_fraction(seq.poly, seq.terms, red.int_view[1]))
 
 
 def cross_moments(red, s: list[int], t: list[int], count: int) -> list[int]:
@@ -72,11 +84,11 @@ class OracleResolvent:
 
     @cached_property
     def psi_s(self):
-        return psi(self.red, self.s, self.s)
+        return unit_psi(self.red, self.s)
 
     @cached_property
     def psi_st(self):
-        return RatFun(*_series_fraction(self.m_st, self.red.int_view[1]))
+        return RatFun(*series_fraction(self.m_st, self.red.int_view[1]))
 
     @property
     def g(self):
@@ -85,7 +97,7 @@ class OracleResolvent:
     def _combined_den(self, sign: int):
         m_s = _self_moments(self.red, _units(self.s))
         seq = [m_s.term(k) + sign * y for k, y in enumerate(self.m_st)]
-        return _series_fraction(seq, self.red.int_view[1])[1]
+        return series_fraction(seq, self.red.int_view[1])[1]
 
     @cached_property
     def g_plus(self):
@@ -145,3 +157,11 @@ def decide_transfer_oracle(summary: OracleResolvent) -> TransferVerdict:
         return TransferVerdict(False, reason="support-split-fails")
     return TransferVerdict(True, time=tau // 2, gamma=1 if split[0] == l_plus else -1,
                            orders_plus=split[0], orders_minus=split[1])
+
+
+def decide_periodicity_oracle(summary: OracleResolvent) -> PeriodicityVerdict:
+    """Periodicity from the scan of g = den psi_S."""
+    orders = summary.orders
+    if orders is None:
+        return PeriodicityVerdict(False, reason="support-not-cyclotomic")
+    return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
