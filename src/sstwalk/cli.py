@@ -73,8 +73,8 @@ def _load_instance(args):
         raise InputError("a graph source is required (--graph or --family)")
     a = a if args.a is None else args.a
     b = b if args.b is None else args.b
-    if a == b or not (0 <= a < graph.n and 0 <= b < graph.n):
-        raise InputError("marked vertices must be distinct and in range")
+    if not (0 <= a < graph.n and 0 <= b < graph.n):
+        raise InputError("marked vertices must be in range")
 
     if args.coins:
         assignment = parse_coins(_read(args.coins, "coin"), graph)
@@ -134,7 +134,9 @@ def _parse_subspace(text: str, degree: int) -> list[list[Fraction]]:
     return rows
 
 
-def _reduction(args, graph, a, b, assignment, w_basis):
+def _reduction(args, assignment, a, w_basis, b=None):
+    """The reduction the command reads (b = None: the question is about a
+    alone), printed first under --dump-H."""
     red = reduction_for(assignment, a, w_basis, b)
     if args.dump_H:
         # H_rat[i][j] = sym[i][j] / delta_sq[j], read from the sparse carrier
@@ -148,8 +150,8 @@ def _reduction(args, graph, a, b, assignment, w_basis):
 
 
 def cmd_period(args) -> int:
-    graph, a, b, assignment, w_basis = _load_instance(args)
-    red = _reduction(args, graph, a, b, assignment, w_basis)
+    _graph, a, _b, assignment, w_basis = _load_instance(args)
+    red = _reduction(args, assignment, a, w_basis)
     verdict = decide_periodicity(red)
     if args.format == "human":
         if verdict.periodic:
@@ -163,8 +165,8 @@ def cmd_period(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    graph, a, b, assignment, w_basis = _load_instance(args)
-    red = _reduction(args, graph, a, b, assignment, w_basis)
+    _graph, a, b, assignment, w_basis = _load_instance(args)
+    red = _reduction(args, assignment, a, w_basis, b)
     verdict = decide_transfer(red)
     if args.format == "human":
         if verdict.occurs:
@@ -236,8 +238,8 @@ def _initial_state(args, graph, a, assignment, w_basis):
 
 
 def cmd_psi(args) -> int:
-    graph, a, b, assignment, w_basis = _load_instance(args)
-    red = _reduction(args, graph, a, b, assignment, w_basis)
+    _graph, a, _b, assignment, w_basis = _load_instance(args)
+    red = _reduction(args, assignment, a, w_basis)
     print("PSI", psi(red, red.s, red.s).serialize())
     for factor in strong_cospectral_exact(red, red.s, red.s).support_factors:
         print("POLE_FACTOR", factor.serialize())

@@ -16,16 +16,20 @@ is certified exactly, sum_i c_i Z^(L-i) x = 0 for every start (Wiedemann
 cospectrality checks and the CLI read, all from one start family, the vectors
 e_(s_j) +- e_(t_j): cospectrality, psi_{S,T}, g+- and their split.  psi_S,
 its support g and periodicity are the (S, S) question, where the starts are
-2 e_(s_j) and 0.  ``charpoly`` (integer Berkowitz) is kept as the reference
-the tests check psi against.
+2 e_(s_j) and 0.  A Resolvent is the only value a reduction's ``memo``
+holds: it owns the two moment sequences of its starts, and each sequence
+owns the Krylov vectors of its starts.  ``charpoly`` (integer Berkowitz) is
+kept as the reference the tests check psi against.
 
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
-``cosine_factor`` divides the primitive integer polynomial of 2^deg p(y/2) by
-every Psi~_m that fits.  That scan decides periodicity and splits the support
-into the cosine minimal polynomials Psi_m(x) = 2^-deg Psi~_m(2x); a quadratic
-rest is split by an exact discriminant test, and sympy only factors a rest of
-degree >= 3.
+``_cosine_split`` divides the primitive integer polynomial of each certified
+recurrence (``_scaled_conn``) by every Psi~_m that fits.  That split decides
+periodicity and transfer and splits the support into the cosine minimal
+polynomials Psi_m(x) = 2^-deg Psi~_m(2x); a quadratic rest is split by an
+exact discriminant test, and sympy only factors a rest of degree >= 3.
+``cosine_factor``, the same split of a RatPoly, only serves
+``factor_irreducible``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from operator import mul
 from typing import Iterable, TYPE_CHECKING
 
 from . import linalg
-from .reduction import z_apply
+from .reduction import check_pairs, z_apply
 
 if TYPE_CHECKING:
     from .reduction import HermitianReduction
@@ -547,51 +551,21 @@ def charpoly(m: linalg.Mat) -> RatPoly:
                     for k, c in enumerate(int_coeffs)])
 
 
-def _check_pairs(red: "HermitianReduction", s: list[int], t: list[int]) -> None:
-    """Raise ValueError unless S and T pair up into clones of equal delta_sq:
-    only then does the diagonal similarity H = Delta^{-1} H_rat Delta cancel
-    entrywise, so that the moments of Z are those of scale * H."""
-    if len(s) != len(t):
-        raise ValueError("psi needs |S| = |T|")
-    if not s:
-        raise ValueError("psi needs nonempty clone sets")
-    for a, b in zip(s, t):
-        if red.delta_sq[a] != red.delta_sq[b]:
-            raise ValueError(
-                f"clones {a},{b} carry different delta_sq; psi would be irrational")
-
-
 class _Krylov:
-    """The Krylov vectors Z^k x of the integer start vectors x of one
-    reduction; obtain it through ``_krylov``.  A start is a tuple of (row,
-    coefficient) pairs: ((s, 1), (t, -1)) is e_s - e_t.
+    """The integer matrix Z = scale * H_rat of one reduction and its inner
+    product, shared by the two sequences of a ``Resolvent``.
 
     Z is self-adjoint for <x, y> = sum_r x_r y_r / delta_sq[r] (sym is
     symmetric, which every HermitianReduction checks), so
-    (Z^(i+j))[s, t] = delta_sq[s] <Z^i e_s, Z^j e_t>: every new vector yields
-    two moments.  ``weights`` clears the delta_sq denominators,
+    (Z^(i+j))[s, t] = delta_sq[s] <Z^i e_s, Z^j e_t>: every new Krylov vector
+    yields two moments.  ``weights`` clears the delta_sq denominators,
     weights[r] = big / delta_sq[r] with big the lcm of their numerators.
-    Vectors are grown on demand and dropped by ``release`` once their
-    readouts are taken; a released start is regrown if asked for again.
     """
 
     def __init__(self, red: "HermitianReduction"):
         self.rows, self.size, self.delta_sq = red.int_view[0], red.size, red.delta_sq
         self.big = lcm(*(d.numerator for d in red.delta_sq))
         self.weights = [d.denominator * (self.big // d.numerator) for d in red.delta_sq]
-        self.vectors: dict[tuple, list[list[int]]] = {}
-
-    def levels(self, start: tuple, k: int) -> list[list[int]]:
-        """[Z^0 x, ..., Z^k x] (at least) for x = start, grown by sparse mat-vecs."""
-        vecs = self.vectors.get(start)
-        if vecs is None:
-            x = [0] * self.size
-            for r, c in start:
-                x[r] += c
-            vecs = self.vectors[start] = [x]
-        while len(vecs) <= k:
-            vecs.append(z_apply(self.rows, vecs[-1]))
-        return vecs
 
     def weighted(self, x: list[int]) -> list[int]:
         return list(map(mul, self.weights, x))
@@ -605,16 +579,6 @@ class _Krylov:
         if r:
             raise InvariantError("Krylov moment is not an integer: Z is not self-adjoint")
         return q
-
-    def release(self, starts: Iterable[tuple]) -> None:
-        for x in starts:
-            self.vectors.pop(x, None)
-
-
-def _krylov(red: "HermitianReduction") -> _Krylov:
-    if "krylov" not in red.memo:
-        red.memo["krylov"] = _Krylov(red)
-    return red.memo["krylov"]
 
 
 def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
@@ -631,7 +595,10 @@ class _SelfMoments:
     """m_k = sum_x delta_sq <Z^i x, Z^(k-i) x> over the starts x of one
     sequence (the u_j or the v_j = e_(s_j) -+ e_(t_j) of a ``Resolvent``; a
     zero start adds nothing), grown two terms per Krylov level and certified
-    online; obtain it through ``_self_moments``.
+    online.  A start is a tuple of (row, coefficient) pairs: ((s, 1), (t, -1))
+    is e_s - e_t.  The sequence owns the Krylov vectors Z^k x of its starts:
+    ``levels`` grows them on demand, ``certify`` drops them, and a dropped
+    start is regrown if read again.
 
     Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
     Berlekamp-Massey.  When its candidate c of order L has 2L + 2 <= terms,
@@ -648,8 +615,9 @@ class _SelfMoments:
     connection polynomial; later terms come from it.
     """
 
-    def __init__(self, red: "HermitianReduction", starts: tuple[tuple, ...]):
-        self.krylov, self.starts, self.cap = _krylov(red), starts, 2 * red.size
+    def __init__(self, krylov: _Krylov, starts: tuple[tuple, ...]):
+        self.krylov, self.starts, self.cap = krylov, starts, 2 * krylov.size
+        self.vectors: dict[int, list[list[int]]] = {}
         self.terms: list[int] = []
         self.massey = _Massey(self.terms)
         self.poly: list[int] | None = None
@@ -659,6 +627,19 @@ class _SelfMoments:
     @property
     def order(self) -> int:
         return len(self.poly) - 1
+
+    def levels(self, j: int, k: int) -> list[list[int]]:
+        """[Z^0 x, ..., Z^k x] (at least) for the j-th start x, grown by
+        sparse mat-vecs."""
+        vecs = self.vectors.get(j)
+        if vecs is None:
+            x = [0] * self.krylov.size
+            for r, c in self.starts[j]:
+                x[r] += c
+            vecs = self.vectors[j] = [x]
+        while len(vecs) <= k:
+            vecs.append(z_apply(self.krylov.rows, vecs[-1]))
+        return vecs
 
     def term(self, k: int) -> int:
         """m_k: grown level by level until final, then from the recurrence."""
@@ -677,7 +658,7 @@ class _SelfMoments:
         """Grow until final; the vectors go, later terms come from ``poly``."""
         while not self.settle():
             self._grow()
-        self.krylov.release(self.starts)
+        self.vectors.clear()
         return self
 
     def settle(self) -> bool:
@@ -689,7 +670,8 @@ class _SelfMoments:
             if n >= self.cap:
                 self.poly = conn
             elif 2 * length + 2 <= n and length != self._failed:
-                if all(_annihilates(self.krylov.levels(x, length), conn) for x in self.starts):
+                if all(_annihilates(self.levels(j, length), conn)
+                       for j in range(len(self.starts))):
                     self.poly, self.certified = conn, True
                 else:
                     self._failed = length
@@ -699,22 +681,14 @@ class _SelfMoments:
         """The next Krylov level K: m_(2K-1) and m_(2K) (m_0 for K = 0)."""
         kr, level = self.krylov, (len(self.terms) + 1) // 2
         odd = even = 0
-        for x in self.starts:
-            vecs = kr.levels(x, level)
+        for j, x in enumerate(self.starts):
+            vecs = self.levels(j, level)
             wv = kr.weighted(vecs[level])
             even += kr.moment(x, wv, vecs[level])
             odd += kr.moment(x, wv, vecs[level - 1]) if level else 0
         if level:
             self.terms.append(odd)
         self.terms.append(even)
-
-
-def _self_moments(red: "HermitianReduction", starts: tuple[tuple, ...]) -> _SelfMoments:
-    """The memoised self-moment sequence of the start vectors ``starts``."""
-    key = ("moments", starts)
-    if key not in red.memo:
-        red.memo[key] = _SelfMoments(red, starts)
-    return red.memo[key]
 
 
 class _Massey:
@@ -839,9 +813,10 @@ class Resolvent:
 
     @cached_property
     def _sides(self) -> tuple[_SelfMoments, _SelfMoments]:
-        _check_pairs(self.red, self.s, self.t)
-        return tuple(_self_moments(self.red, tuple(((a, 1), (b, sign))
-                                                   for a, b in zip(self.s, self.t)))
+        check_pairs(self.red, self.s, self.t)
+        krylov = _Krylov(self.red)
+        return tuple(_SelfMoments(krylov, tuple(((a, 1), (b, sign))
+                                                for a, b in zip(self.s, self.t)))
                      for sign in (1, -1))
 
     @cached_property
@@ -851,23 +826,27 @@ class Resolvent:
         vectors u and v grow in step, are all 0.  The first nonzero one gives
         False; c is a readout of either side's vectors, so once one side is
         final, L zero terms (size, uncertified) give True."""
-        sides, kr, level = self._sides, _krylov(self.red), 0
+        sides, level = self._sides, 0
+        (plus, minus), kr = sides, sides[0].krylov
         while True:
             for seq in sides:
                 if seq.poly is None and len(seq.terms) <= 2 * level:
                     seq._grow()
             odd = even = 0
-            for u, v in zip(sides[0].starts, sides[1].starts):
-                us, wv = kr.levels(u, level), kr.weighted(kr.levels(v, level)[level])
+            for j, v in enumerate(minus.starts):
+                us, wv = plus.levels(j, level), kr.weighted(minus.levels(j, level)[level])
                 even += kr.moment(v, wv, us[level])
                 odd += kr.moment(v, wv, us[level - 1]) if level else 0
             if odd or even:
-                kr.release(x for seq in sides for x in seq.starts)
+                plus.vectors.clear()
+                minus.vectors.clear()
                 return False
             final = [seq.settle() and 2 * level + 1 >= (
                 seq.order if seq.certified else self.red.size) for seq in sides]
             if any(final):
-                kr.release(x for seq, f in zip(sides, final) if f for x in seq.starts)
+                for seq, f in zip(sides, final):
+                    if f:
+                        seq.vectors.clear()
                 return True
             level += 1
 

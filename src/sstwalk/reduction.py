@@ -56,13 +56,15 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
     vectors.
     """
     g = assignment.graph
-    w_ortho = _prepare_subspace(assignment, a, w_basis)
-    if b is None:
-        v_ortho = None
-    else:
+    if b is not None:
         if b == a:
             raise ReductionError("marked vertices must be distinct")
-        v_ortho = _prepare_subspace(assignment, b, w_basis)
+        if g.degree(a) != g.degree(b):
+            raise ReductionError(
+                f"positional identification needs deg(a) = deg(b): vertex {a} has "
+                f"degree {g.degree(a)}, vertex {b} has degree {g.degree(b)}")
+    w_ortho = _prepare_subspace(assignment, a, w_basis)
+    v_ortho = None if b is None else _prepare_subspace(assignment, b, w_basis)
 
     columns: list[tuple[int, tuple[int, ...]]] = []
     s_clones: list[int] = []
@@ -116,9 +118,10 @@ class HermitianReduction:
     of ``sstwalk.exact`` rely on this symmetry.
 
     A reduction is not mutated after build_H: the lazy views below (dense sym,
-    the sparse integer and float views) and the moment sequences
-    and resolvent summaries that ``sstwalk.exact`` memoises in ``memo`` are
-    computed once from nonzeros and delta_sq and never invalidated.
+    the sparse integer and float views) and the resolvent summaries that
+    ``sstwalk.exact`` memoises in ``memo``, one per (S, T) and the only values
+    it holds, are computed once from nonzeros and delta_sq and never
+    invalidated.
     """
 
     assignment: CoinAssignment
@@ -189,6 +192,21 @@ class HermitianReduction:
         h = np.zeros((self.size, self.size))
         h[rows, cols] = vals
         return h
+
+
+def check_pairs(red: HermitianReduction, s: list[int], t: list[int]) -> None:
+    """Raise ReductionError unless S and T pair up into clones of equal
+    delta_sq: only then does the diagonal similarity H = Delta^{-1} H_rat Delta
+    cancel entrywise, so that the moments and powers of Z are those of
+    scale * H."""
+    if len(s) != len(t):
+        raise ReductionError("psi needs |S| = |T|")
+    if not s:
+        raise ReductionError("psi needs nonempty clone sets")
+    for a, b in zip(s, t):
+        if red.delta_sq[a] != red.delta_sq[b]:
+            raise ReductionError(
+                f"clones {a},{b} carry different delta_sq; psi would be irrational")
 
 
 def z_apply(rows, vec: list[int]) -> list[int]:
@@ -281,9 +299,7 @@ def exact_transfer_check(red: HermitianReduction, t: int, gamma: int) -> bool:
         raise ValueError("gamma must be +1 or -1")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    for aj, bj in zip(red.s, red.t):
-        if red.delta_sq[aj] != red.delta_sq[bj]:
-            raise ReductionError("paired S/T clones carry different delta_sq")
+    check_pairs(red, red.s, red.t)
     want = gamma * red.int_view[1] ** t
     for col, bj in zip(_chebyshev_columns(red, t, red.s), red.t):
         if col[bj] != want or any(x for i, x in enumerate(col) if i != bj):

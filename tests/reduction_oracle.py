@@ -7,7 +7,8 @@ products, ``reflection_about`` assembled that projection entry by entry,
 ``induced_coin_basis`` re-ran Gram-Schmidt on the coin basis at every vertex,
 ``build_H`` assembled Fraction nonzeros and ``int_view`` divided each of them
 by its Fraction delta_sq.  Those routines live on here, unchanged, for the
-differential tests in ``test_reduction_oracle.py``, and so does the Fraction
+differential tests in ``test_reduction_oracle.py`` (``induced_coin_basis``
+refuses deg(a) != deg(b) as the package does), and so does the Fraction
 Householder route of ``families.random_orthogonal_columns``, which now runs
 in Python ints.  ``assemble_projection`` is also where the tests, the walk
 oracle and the blow-up oracle read a coin's P and C = 2P - I: the package no
@@ -182,12 +183,17 @@ def induced_coin_basis(assignment, a: int, w_basis, b: int | None = None, v_basi
     """(columns, s_clones, t_clones): Fraction Gram-Schmidt of the coin basis
     against the prescribed vectors at every vertex."""
     g = assignment.graph
+    if b is not None:
+        if b == a:
+            raise ReductionError("marked vertices must be distinct")
+        if g.degree(a) != g.degree(b):
+            raise ReductionError(
+                f"positional identification needs deg(a) = deg(b): vertex {a} has "
+                f"degree {g.degree(a)}, vertex {b} has degree {g.degree(b)}")
     w_ortho = _prepare_subspace(assignment, a, w_basis)
     if b is None:
         v_ortho = None
     else:
-        if b == a:
-            raise ReductionError("marked vertices must be distinct")
         vb = v_basis if v_basis is not None else w_basis
         v_ortho = _prepare_subspace(assignment, b, vb)
         if len(v_ortho) != len(w_ortho):

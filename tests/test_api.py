@@ -50,3 +50,14 @@ REMOVED_FROM_RESOLVENT = ["psi_s", "g", "orders", "factors", "_scan"]
 def test_unit_column_route_removed():
     assert [name for name in REMOVED_FROM_EXACT if hasattr(exact, name)] == []
     assert [name for name in REMOVED_FROM_RESOLVENT if hasattr(exact.Resolvent, name)] == []
+
+
+# a Resolvent owns its two moment sequences, and each sequence its Krylov
+# vectors: no per-reduction vector cache or sequence memo is left
+REMOVED_MEMO_LAYERS = ["_krylov", "_self_moments"]
+REMOVED_FROM_KRYLOV = ["levels", "release", "vectors"]
+
+
+def test_memo_layers_removed():
+    assert [name for name in REMOVED_MEMO_LAYERS if hasattr(exact, name)] == []
+    assert [name for name in REMOVED_FROM_KRYLOV if hasattr(exact._Krylov, name)] == []

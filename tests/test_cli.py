@@ -11,9 +11,11 @@ import pytest
 
 from conftest import FAMILY_NAMES, family_reduction, schedule_reduction
 from sstwalk.cli import main
-from sstwalk.exact import InvariantError
+from sstwalk.coins import parse_coins
+from sstwalk.decider import decide_periodicity
+from sstwalk.exact import InvariantError, psi
 from sstwalk.families import FAMILIES
-from sstwalk.graphs import format_graph, prism_graph
+from sstwalk.graphs import format_graph, generalized_path, prism_graph
 from sstwalk.reduction import reduction_for
 
 
@@ -385,6 +387,13 @@ def _dump_lines(out: str) -> list[str]:
     return [line for line in out.splitlines() if line.startswith(("H_rat ", "delta_sq "))]
 
 
+def _dense_dump(red) -> list[str]:
+    """The --dump-H lines of ``red`` from its dense sym."""
+    return ([f"H_rat {' '.join(str(x / d) for x, d in zip(row, red.delta_sq))}"
+             for row in red.sym]
+            + [f"delta_sq {' '.join(str(d) for d in red.delta_sq)}"])
+
+
 def test_dump_h_rows_match_dense_sym(tmp_path, capsys):
     """--dump-H prints H_rat[i][j] = sym[i][j] / delta_sq[j] from the sparse
     carrier, the same lines under psi, period and transfer: on 12 seeded
@@ -396,15 +405,63 @@ def test_dump_h_rows_match_dense_sym(tmp_path, capsys):
         (tmp_path / str(i)).mkdir()
         cases.append((red, _reduction_argv(tmp_path / str(i), red)))
     for red, argv in cases:
-        want = [f"H_rat {' '.join(str(x / d) for x, d in zip(row, red.delta_sq))}"
-                for row in red.sym]
-        want.append(f"delta_sq {' '.join(str(d) for d in red.delta_sq)}")
+        want = _dense_dump(red)
         rc, out, _ = run(capsys, "psi", "--dump-H", *argv)
         assert rc == 0 and _dump_lines(out) == want, argv
         assert out.startswith("\n".join(want) + "\nPSI ")
         for cmd in ("period", "transfer"):
             rc, out, _ = run(capsys, cmd, "--dump-H", *argv)
             assert rc == 0 and _dump_lines(out) == want, (cmd, argv)
+
+
+def test_dump_h_under_period_and_psi_is_b_free(tmp_path, capsys):
+    """period and psi read a and W only, so --dump-H prints the reduction
+    with no b.  On GP(3,7) with the rank-2 coin <(1,1,1), (1,-1,0)> at a and b
+    and W = <(2,0,1)>, W is not a prefix of b's coin basis: transfer's H
+    completes W at b and differs, while the PSI and PERIODIC lines equal
+    those of the reduction with b."""
+    g, a, b = generalized_path(3, 7)
+    files = {"graph": format_graph(g),
+             "coins": f"coin {a} basis 2 1 1 1 1 -1 0\ncoin {b} basis 2 1 1 1 1 -1 0\n",
+             "subspace": "2 0 1\n"}
+    argv = []
+    for kind, text in files.items():
+        (tmp_path / kind).write_text(text)
+        argv += [f"--{kind}", str(tmp_path / kind)]
+    assignment, w = parse_coins(files["coins"], g), [[2, 0, 1]]
+    free, paired = reduction_for(assignment, a, w), reduction_for(assignment, a, w, b)
+    assert _dense_dump(free) != _dense_dump(paired)
+    rc, out, _ = run(capsys, "transfer", "--dump-H", *argv)
+    assert rc == 0 and _dump_lines(out) == _dense_dump(paired)
+    rc, out, _ = run(capsys, "psi", "--dump-H", *argv)
+    assert (rc, _dump_lines(out)) == (0, _dense_dump(free))
+    assert out.splitlines()[len(free.sym) + 1] == "PSI " + psi(paired, paired.s,
+                                                               paired.s).serialize()
+    rc, out, _ = run(capsys, "period", "--dump-H", *argv)
+    assert (rc, _dump_lines(out)) == (0, _dense_dump(free))
+    assert out.splitlines()[-1] == decide_periodicity(paired).line()
+
+
+def test_period_and_psi_read_a_alone(capsys):
+    """period and psi build their reduction without b: on all-Grover
+    families a b whose degree does not fit W, or b = a, changes nothing
+    (these exited 2 while both built a reduction with b)."""
+    gp = ["--family", "gp", "--k", "3", "--n", "4"]
+    assert run(capsys, "period", *gp, "--a", "1")[:2] == (
+        0, "PERIODIC min_period=6 L={1,2,3,6}\n")
+    assert run(capsys, "psi", *K2M3, "--b", "2")[:2] == run(capsys, "psi", *K2M3)[:2]
+    assert run(capsys, "period", *K2M3, "--a", "1")[:2] == (
+        0, "PERIODIC min_period=4 L={1,2,4}\n")
+
+
+def test_transfer_names_unequal_degrees(capsys):
+    """transfer identifies W at a and b by position, so it refuses
+    deg(a) != deg(b) by naming both vertices, not W."""
+    rc, out, err = run(capsys, "transfer", "--family", "gp", "--k", "3", "--n", "4",
+                       "--a", "1")
+    assert (rc, out) == (2, "")
+    assert err == ("error: positional identification needs deg(a) = deg(b): "
+                   "vertex 1 has degree 2, vertex 7 has degree 3\n")
 
 
 @pytest.mark.parametrize("kind, text", [

@@ -390,6 +390,24 @@ def test_resolvent_summary_built_once(monkeypatch):
     assert calls["massey"] == 4
 
 
+def test_memo_holds_only_resolvents():
+    """Every question asked of one reduction leaves one Resolvent per (S, T)
+    in its memo and nothing else: the sequences and their Krylov vectors
+    belong to the summary that grew them."""
+    from sstwalk.cospec import strong_cospectral_exact
+    from sstwalk.exact import Resolvent, psi
+
+    g, a, b = circulant_2m(4, 1, 3)
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)),
+                        a, w, b)
+    assert decide_transfer(red).occurs and decide_periodicity(red).periodic
+    assert not psi(red, red.s, red.t).is_zero()
+    assert strong_cospectral_exact(red) is not None
+    assert len(red.memo) == 2
+    assert all(isinstance(summary, Resolvent) for summary in red.memo.values())
+
+
 def test_periodicity_builds_no_psi_s(monkeypatch):
     """decide_periodicity reads the orders of g+ of the (S, S) summary: it
     forms no fraction, no RatFun and no gcd, and its verdicts (periodic and

@@ -337,6 +337,26 @@ def test_exact_transfer_check_rejects_mismatched_delta():
         exact_transfer_check(red, 1, 1)
 
 
+@pytest.mark.parametrize("s, t, message", [([0, 1], [1], "|S| = |T|"),
+                                           ([], [], "nonempty clone sets")])
+def test_exact_transfer_check_rejects_unpaired_clones(s, t, message):
+    """The check pairs S with T by the rule psi uses: an unpaired clone or
+    empty S and T are refused, not checked on the pairs zip forms."""
+    red = synthetic_reduction([[0, 1], [1, 0]], [1, 1], s, t)
+    with pytest.raises(ReductionError, match=message):
+        exact_transfer_check(red, 1, 1)
+
+
+def test_unequal_marked_degrees_refused_by_name():
+    """Positional identification needs deg(a) = deg(b): the refusal names
+    both vertices and their degrees before W is read at either."""
+    g, _, b = generalized_path(3, 4)
+    assert (g.degree(1), b, g.degree(b)) == (2, 7, 3)
+    with pytest.raises(ReductionError, match=r"^positional identification needs "
+                       r"deg\(a\) = deg\(b\): vertex 1 has degree 2, vertex 7 has degree 3$"):
+        induced_coin_basis(CoinAssignment.all_grover(g), 1, [[1, 1]], b)
+
+
 def test_sparse_numeric_views_match_dense_scan():
     """h_numeric and int_view, read from the recorded nonzeros, equal their
     dense-scan definitions over sym (h_numeric bit for bit)."""

@@ -17,9 +17,10 @@ import reduction_oracle as oracle
 from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
                       synthetic_reduction)
 from sstwalk import linalg
-from sstwalk.coins import (CoinError, ReflectionCoin, grover_coin,
+from sstwalk.coins import (CoinAssignment, CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
 from sstwalk.families import random_coin_and_subspace, random_orthogonal_columns
+from sstwalk.graphs import generalized_path
 from sstwalk.reduction import ReductionError
 from test_psi_oracle import random_reduction_args, reduction_from_args
 
@@ -226,6 +227,18 @@ def test_reductions_match_fraction_oracle_on_random_reductions():
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_reductions_match_fraction_oracle_on_families(name):
     check_reduction_against_oracle(family_instance(name))
+
+
+def test_unequal_marked_degrees_refused_like_oracle():
+    """Both routes refuse deg(a) != deg(b) with the same message."""
+    g, _, b = generalized_path(3, 4)
+    args = (CoinAssignment.all_grover(g), 1, [[1, 1]], b)
+    with pytest.raises(ReductionError) as want:
+        oracle.induced_coin_basis(*args)
+    with pytest.raises(ReductionError) as got:
+        reduction_from_args(*args)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("vertex 1 has degree 2, vertex 7 has degree 3")
 
 
 def test_reductions_match_fraction_oracle_on_odd_cycles():

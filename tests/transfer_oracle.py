@@ -21,32 +21,36 @@ from math import lcm
 
 from psi_oracle import series_fraction
 from sstwalk.decider import PeriodicityVerdict, TransferVerdict
-from sstwalk.exact import (RatFun, _check_pairs, _cosine_coeffs, _fraction, _krylov,
-                           _monic_quotient, _scaled_ints, _self_moments, cosine_factor,
-                           cosine_poly, factor_irreducible)
+from sstwalk.exact import (RatFun, _cosine_coeffs, _fraction, _Krylov, _monic_quotient,
+                           _scaled_ints, _SelfMoments, cosine_factor, cosine_poly,
+                           factor_irreducible)
+from sstwalk.reduction import check_pairs
 
 
-def _units(cols: list[int]) -> tuple:
-    return tuple(((c, 1),) for c in cols)
+def unit_moments(red, *clone_sets: list[int]) -> tuple[_SelfMoments, ...]:
+    """The self-moment sequences of the unit columns of each clone set, on
+    one Krylov carrier of ``red``."""
+    krylov = _Krylov(red)
+    return tuple(_SelfMoments(krylov, tuple(((c, 1),) for c in cols)) for cols in clone_sets)
 
 
 def unit_psi(red, cols: list[int]) -> RatFun:
     """psi_S for S = cols from the certified self moments of its unit columns
     (2 L + O(1) moments, L = deg of the reduced denominator)."""
-    seq = _self_moments(red, _units(cols)).certify()
+    seq = unit_moments(red, cols)[0].certify()
     return RatFun(*_fraction(seq.poly, seq.terms, red.int_view[1]))
 
 
-def cross_moments(red, s: list[int], t: list[int], count: int) -> list[int]:
+def cross_moments(m_s: _SelfMoments, m_t: _SelfMoments, count: int) -> list[int]:
     """m_k = sum_j (Z^k)[s_j, t_j] for k < count, read as
-    delta_sq[s_j] <Z^i e_(s_j), Z^(k-i) e_(t_j)> with i = ceil(k/2)."""
-    kr = _krylov(red)
+    delta_sq[s_j] <Z^i e_(s_j), Z^(k-i) e_(t_j)> with i = ceil(k/2) off the
+    vectors of the unit-column sequences of S and T."""
+    kr = m_s.krylov
     out = []
     for k in range(count):
-        i, j = (k + 1) // 2, k // 2
-        out.append(sum(kr.moment(((a, 1),), kr.weighted(kr.levels(((a, 1),), i)[i]),
-                                 kr.levels(((b, 1),), j)[j])
-                       for a, b in zip(s, t)))
+        i, h = (k + 1) // 2, k // 2
+        out.append(sum(kr.moment(x, kr.weighted(m_s.levels(j, i)[i]), m_t.levels(j, h)[h])
+                       for j, x in enumerate(m_s.starts)))
     return out
 
 
@@ -57,13 +61,13 @@ class OracleResolvent:
 
     def __init__(self, red):
         self.red, self.s, self.t = red, list(red.s), list(red.t)
+        self.m_s, self.m_t = unit_moments(red, self.s, self.t)
 
     @cached_property
     def cospectral(self) -> bool:
         """The self moments of S and T agree up to the end of both final
         recurrences, and the recurrences are equal."""
-        m_s = _self_moments(self.red, _units(self.s))
-        m_t = _self_moments(self.red, _units(self.t))
+        m_s, m_t = self.m_s, self.m_t
         k = 0
         while True:
             if m_s.term(k) != m_t.term(k):
@@ -77,14 +81,15 @@ class OracleResolvent:
     @cached_property
     def m_st(self) -> list[int]:
         """The first 2 L_S moments of psi_{S,T} (2 size uncertified)."""
-        _check_pairs(self.red, self.s, self.t)
-        m_s = _self_moments(self.red, _units(self.s)).certify()
+        check_pairs(self.red, self.s, self.t)
+        m_s = self.m_s.certify()
         count = 2 * (m_s.order if m_s.certified else self.red.size)
-        return cross_moments(self.red, self.s, self.t, count)
+        return cross_moments(m_s, self.m_t, count)
 
     @cached_property
     def psi_s(self):
-        return unit_psi(self.red, self.s)
+        m_s = self.m_s.certify()
+        return RatFun(*_fraction(m_s.poly, m_s.terms, self.red.int_view[1]))
 
     @cached_property
     def psi_st(self):
@@ -95,8 +100,7 @@ class OracleResolvent:
         return self.psi_s.den
 
     def _combined_den(self, sign: int):
-        m_s = _self_moments(self.red, _units(self.s))
-        seq = [m_s.term(k) + sign * y for k, y in enumerate(self.m_st)]
+        seq = [self.m_s.term(k) + sign * y for k, y in enumerate(self.m_st)]
         return series_fraction(seq, self.red.int_view[1])[1]
 
     @cached_property
