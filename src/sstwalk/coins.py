@@ -150,10 +150,10 @@ class CoinAssignment:
 def parse_coins(text: str, graph: Graph) -> CoinAssignment:
     """Parse the coin spec format.
 
-    One line per non-default vertex: ``coin <v> grover`` or
-    ``coin <v> basis <r> <r*deg rationals>`` (row-major basis vectors, 1 <= r
-    <= deg), each vertex on one line at most.  Vertices not mentioned get the
-    Grover coin.
+    One line per non-default vertex: ``coin <v> grover``,
+    ``coin <v> minus_identity`` or ``coin <v> basis <r> <r*deg rationals>``
+    (row-major basis vectors, 1 <= r <= deg), each vertex on one line at
+    most.  Vertices not mentioned get the Grover coin.
     """
     coins = _grover_coins(graph)
     seen = set()

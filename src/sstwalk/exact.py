@@ -14,12 +14,14 @@ is certified exactly, sum_i c_i Z^(L-i) x = 0 for every start (Wiedemann
 1986): about L + 1 mat-vecs per start, L the support degree, instead of
 2 size.  ``Resolvent`` memoises per (reduction, S, T) what the decider, the
 cospectrality checks and the CLI read, all from one start family, the vectors
-e_(s_j) +- e_(t_j): cospectrality, psi_{S,T}, g+- and their split.  psi_S,
-its support g and periodicity are the (S, S) question, where the starts are
-2 e_(s_j) and 0.  A Resolvent is the only value a reduction's ``memo``
-holds: it owns the two moment sequences of its starts, and each sequence
-owns the Krylov vectors of its starts.  ``charpoly`` (integer Berkowitz) is
-kept as the reference the tests check psi against.
+e_(s_j) +- e_(t_j): cospectrality, psi_{S,T}, g+- and their split.
+Cospectrality is one entry read of u's own Krylov vectors per level, so no
+inner product ever mixes the two sequences.  psi_S, its support g and
+periodicity are the (S, S) question, where the starts are 2 e_(s_j) and 0.
+A Resolvent is the only value a reduction's ``memo`` holds: it owns the two
+moment sequences of its starts, and each sequence owns the Krylov vectors
+of its starts until ``certify`` drops them.  ``charpoly`` (integer
+Berkowitz) is kept as the reference the tests check psi against.
 
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
@@ -596,29 +598,33 @@ class _SelfMoments:
     sequence (the u_j or the v_j = e_(s_j) -+ e_(t_j) of a ``Resolvent``; a
     zero start adds nothing), grown two terms per Krylov level and certified
     online.  A start is a tuple of (row, coefficient) pairs: ((s, 1), (t, -1))
-    is e_s - e_t.  The sequence owns the Krylov vectors Z^k x of its starts:
-    ``levels`` grows them on demand, ``certify`` drops them, and a dropped
-    start is regrown if read again.
+    is e_s - e_t.  The sequence owns one list of Krylov vectors Z^k x per
+    start: ``_grow`` extends it, ``settle`` certifies against it and
+    ``certify`` drops it.  ``reads[K]`` is sum_x (Z^K x)[a] - (Z^K x)[b], a
+    and b the first and last row of x, one entry read per start and level:
+    for u_j = e_(s_j) + e_(t_j) it is the cross term c_K = m_S(K) - m_T(K)
+    (paired clones share delta_sq, so (Z^K)[s, t] = (Z^K)[t, s]).
 
     Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
     Berlekamp-Massey.  When its candidate c of order L has 2L + 2 <= terms,
     and L has changed since the last failed try, the certificate
     sum_i c_i Z^(L-i) x = 0 is checked exactly for every start x; once it
-    holds, every later moment obeys c, and so does every readout of the same
-    vectors.  The residues sum_x ||E x||^2 are >= 0, so no pole cancels and
-    the minimal recurrence of m is the annihilator of the starts; the Hankel
-    matrices of m are positive definite, so BM's order grows by one every two
-    terms until it gets there, and on a reduction (delta_sq > 0) the first
-    candidate tried passes.  A sign-indefinite delta_sq can make candidates
-    fail or never certify: at 2 size terms the candidate is final without a
-    certificate (``certified`` stays False).  ``poly`` is the final
-    connection polynomial; later terms come from it.
+    holds, every later moment obeys c, and so do the reads.  The residues
+    sum_x ||E x||^2 are >= 0, so no pole cancels and the minimal recurrence
+    of m is the annihilator of the starts; the Hankel matrices of m are
+    positive definite, so BM's order grows by one every two terms until it
+    gets there, and on a reduction (delta_sq > 0) the first candidate tried
+    passes.  A sign-indefinite delta_sq can make candidates fail or never
+    certify: at 2 size terms the candidate is final without a certificate
+    (``certified`` stays False).  ``poly`` is the final connection
+    polynomial; later terms come from it.
     """
 
     def __init__(self, krylov: _Krylov, starts: tuple[tuple, ...]):
         self.krylov, self.starts, self.cap = krylov, starts, 2 * krylov.size
-        self.vectors: dict[int, list[list[int]]] = {}
+        self.vectors: list[list[list[int]]] = []
         self.terms: list[int] = []
+        self.reads: list[int] = []
         self.massey = _Massey(self.terms)
         self.poly: list[int] | None = None
         self.certified = False
@@ -627,19 +633,6 @@ class _SelfMoments:
     @property
     def order(self) -> int:
         return len(self.poly) - 1
-
-    def levels(self, j: int, k: int) -> list[list[int]]:
-        """[Z^0 x, ..., Z^k x] (at least) for the j-th start x, grown by
-        sparse mat-vecs."""
-        vecs = self.vectors.get(j)
-        if vecs is None:
-            x = [0] * self.krylov.size
-            for r, c in self.starts[j]:
-                x[r] += c
-            vecs = self.vectors[j] = [x]
-        while len(vecs) <= k:
-            vecs.append(z_apply(self.krylov.rows, vecs[-1]))
-        return vecs
 
     def term(self, k: int) -> int:
         """m_k: grown level by level until final, then from the recurrence."""
@@ -658,7 +651,7 @@ class _SelfMoments:
         """Grow until final; the vectors go, later terms come from ``poly``."""
         while not self.settle():
             self._grow()
-        self.vectors.clear()
+        self.vectors = []
         return self
 
     def settle(self) -> bool:
@@ -670,25 +663,34 @@ class _SelfMoments:
             if n >= self.cap:
                 self.poly = conn
             elif 2 * length + 2 <= n and length != self._failed:
-                if all(_annihilates(self.levels(j, length), conn)
-                       for j in range(len(self.starts))):
+                if all(_annihilates(vecs, conn) for vecs in self.vectors):
                     self.poly, self.certified = conn, True
                 else:
                     self._failed = length
         return self.poly is not None
 
     def _grow(self) -> None:
-        """The next Krylov level K: m_(2K-1) and m_(2K) (m_0 for K = 0)."""
-        kr, level = self.krylov, (len(self.terms) + 1) // 2
-        odd = even = 0
-        for j, x in enumerate(self.starts):
-            vecs = self.levels(j, level)
-            wv = kr.weighted(vecs[level])
-            even += kr.moment(x, wv, vecs[level])
-            odd += kr.moment(x, wv, vecs[level - 1]) if level else 0
+        """The next Krylov level K: m_(2K-1) and m_(2K) (m_0 for K = 0) and
+        reads[K]."""
+        kr, level = self.krylov, len(self.reads)
+        if not level:
+            self.vectors = [[[0] * kr.size] for _ in self.starts]
+            for x, vecs in zip(self.starts, self.vectors):
+                for r, c in x:
+                    vecs[0][r] += c
+        odd = even = read = 0
+        for x, vecs in zip(self.starts, self.vectors):
+            if level:
+                vecs.append(z_apply(kr.rows, vecs[-1]))
+            top = vecs[-1]
+            wv = kr.weighted(top)
+            even += kr.moment(x, wv, top)
+            odd += kr.moment(x, wv, vecs[-2]) if level else 0
+            read += top[x[0][0]] - top[x[-1][0]]
         if level:
             self.terms.append(odd)
         self.terms.append(even)
+        self.reads.append(read)
 
 
 class _Massey:
@@ -803,9 +805,10 @@ class Resolvent:
     2 (psi_S +- psi_{S,T}) for cospectral S and T; the residues
     sum_j ||E u_j||^2, sum_j ||E v_j||^2 >= 0 add up to
     4 sum_j ||E e_(s_j)||^2, so g+- are square-free and g = lcm(g+, g-).
-    psi_S and its support are the (S, S) summary: there u_j = 2 e_(s_j) and
-    v_j = 0, so psi_st is psi_S, g- = 1, g+ = g and ``split_orders`` holds
-    g's orders.
+    Cospectrality reads only the u sequence (its ``reads``), so a
+    not-cospectral exit never grows v.  psi_S and its support are the (S, S)
+    summary: there u_j = 2 e_(s_j) and v_j = 0, so psi_st is psi_S, g- = 1,
+    g+ = g and ``split_orders`` holds g's orders.
     """
 
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
@@ -821,34 +824,17 @@ class Resolvent:
 
     @cached_property
     def cospectral(self) -> bool:
-        """psi_S = psi_T, exactly: the cross terms c_k = m_S(k) - m_T(k) =
-        sum_j delta_sq <Z^i v_j, Z^(k-i) u_j>, read two per level off the
-        vectors u and v grow in step, are all 0.  The first nonzero one gives
-        False; c is a readout of either side's vectors, so once one side is
-        final, L zero terms (size, uncertified) give True."""
-        sides, level = self._sides, 0
-        (plus, minus), kr = sides, sides[0].krylov
-        while True:
-            for seq in sides:
-                if seq.poly is None and len(seq.terms) <= 2 * level:
-                    seq._grow()
-            odd = even = 0
-            for j, v in enumerate(minus.starts):
-                us, wv = plus.levels(j, level), kr.weighted(minus.levels(j, level)[level])
-                even += kr.moment(v, wv, us[level])
-                odd += kr.moment(v, wv, us[level - 1]) if level else 0
-            if odd or even:
-                plus.vectors.clear()
-                minus.vectors.clear()
+        """psi_S = psi_T, exactly: the cross terms c_k = m_S(k) - m_T(k),
+        the reads of the u sequence, one per level, are all 0.  The first
+        nonzero one gives False.  c obeys every polynomial that annihilates
+        the u_j, so once u is final its reads decide: L + 2 levels when
+        certified, size + 1 (Cayley-Hamilton) when not."""
+        plus = self._sides[0]
+        while not plus.settle():
+            plus._grow()
+            if plus.reads[-1]:
                 return False
-            final = [seq.settle() and 2 * level + 1 >= (
-                seq.order if seq.certified else self.red.size) for seq in sides]
-            if any(final):
-                for seq, f in zip(sides, final):
-                    if f:
-                        seq.vectors.clear()
-                return True
-            level += 1
+        return not any(plus.reads)
 
     @cached_property
     def psi_st(self) -> RatFun:

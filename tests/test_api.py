@@ -61,3 +61,13 @@ REMOVED_FROM_KRYLOV = ["levels", "release", "vectors"]
 def test_memo_layers_removed():
     assert [name for name in REMOVED_MEMO_LAYERS if hasattr(exact, name)] == []
     assert [name for name in REMOVED_FROM_KRYLOV if hasattr(exact._Krylov, name)] == []
+
+
+# cospectrality is read off u's own vectors, so a sequence never regrows the
+# vectors ``certify`` dropped
+REMOVED_FROM_SELF_MOMENTS = ["levels"]
+
+
+def test_sequence_regrowth_removed():
+    assert [name for name in REMOVED_FROM_SELF_MOMENTS
+            if hasattr(exact._SelfMoments, name)] == []

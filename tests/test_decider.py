@@ -327,12 +327,13 @@ def test_adjacent_triangle_odd_tau():
 
 def _count_kernels(monkeypatch):
     """Wrap the kernels of sstwalk.exact with recorders: sparse mat-vecs,
-    certificate checks (their order L) and the online Berlekamp-Massey
-    instances (one per moment sequence)."""
+    inner products (``_Krylov.moment``), certificate checks (their order L)
+    and the online Berlekamp-Massey instances (one per moment sequence)."""
     from sstwalk import exact
 
-    calls = {"matvec": 0, "certificate": [], "massey": 0}
+    calls = {"matvec": 0, "moment": 0, "certificate": [], "massey": 0}
     z_apply, annihilates, massey = exact.z_apply, exact._annihilates, exact._Massey
+    moment = exact._Krylov.moment
 
     def counted_z_apply(rows, vec):
         calls["matvec"] += 1
@@ -342,6 +343,10 @@ def _count_kernels(monkeypatch):
         calls["certificate"].append(len(conn) - 1)
         return annihilates(vecs, conn)
 
+    def counted_moment(self, start, wx, y):
+        calls["moment"] += 1
+        return moment(self, start, wx, y)
+
     class CountedMassey(massey):
         def __init__(self, seq):
             calls["massey"] += 1
@@ -350,6 +355,7 @@ def _count_kernels(monkeypatch):
     monkeypatch.setattr(exact, "z_apply", counted_z_apply)
     monkeypatch.setattr(exact, "_annihilates", counted_annihilates)
     monkeypatch.setattr(exact, "_Massey", CountedMassey)
+    monkeypatch.setattr(exact._Krylov, "moment", counted_moment)
     return calls
 
 
@@ -363,7 +369,10 @@ def test_resolvent_summary_built_once(monkeypatch):
     mat-vecs for L = deg g = L+ + L-, against (|S| + |T|)(L + 1) for the unit
     columns of S and T.  decide_periodicity then reads the (S, S) summary:
     it grows each u_j = 2 e_(s_j) to level L + 1 and each v_j = 0 to level 1,
-    one mat-vec per clone of S, and certifies both sequences."""
+    one mat-vec per clone of S, and certifies both sequences.  Each sequence
+    takes one inner product per start at level 0 and two at every later
+    level, and no other: cospectrality is an entry read of u's vectors, not
+    a cross moment."""
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
 
@@ -382,12 +391,14 @@ def test_resolvent_summary_built_once(monkeypatch):
     assert calls["matvec"] == pairs * (plus + minus + 2) == 10
     assert sorted(calls["certificate"]) == sorted([plus] * pairs + [minus] * pairs)
     assert calls["massey"] == 2
+    assert calls["moment"] == pairs * ((1 + 2 * (plus + 1)) + (1 + 2 * (minus + 1))) == 24
     assert decide_periodicity(red).periodic
     order = resolvent(red, red.s, red.s).g_plus.degree
     assert order == plus + minus and 2 * order + 2 < 2 * red.size
     assert calls["matvec"] == pairs * (plus + minus + 2) + pairs * (order + 1) + pairs
     assert calls["certificate"][-2 * pairs:] == [order] * pairs + [0] * pairs
     assert calls["massey"] == 4
+    assert calls["moment"] == 24 + pairs * ((1 + 2 * (order + 1)) + (1 + 2 * 1))
 
 
 def test_memo_holds_only_resolvents():
@@ -437,11 +448,11 @@ def test_periodicity_builds_no_psi_s(monkeypatch):
 
 
 def test_not_cospectral_never_builds_psi_st(monkeypatch):
-    """The not-cospectral exit stops growing at the Krylov level of the first
-    cross term c_k = m_S(k) - m_T(k) that is nonzero, before Berlekamp-Massey
-    has seen a term of that level: no certificate, one online
-    Berlekamp-Massey per sequence, and u_j and v_j take the mat-vecs e_(s_j)
-    and e_(t_j) took."""
+    """The not-cospectral exit reads the cross terms c_k = m_S(k) - m_T(k)
+    off u's own Krylov vectors, one entry read per level, and stops at the
+    level of the first nonzero one, before Berlekamp-Massey has seen its
+    terms: |S| first mat-vecs, no certificate, one online Berlekamp-Massey
+    per sequence, and the v sequence is never grown."""
     from psi_oracle import krylov_moments
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
@@ -450,15 +461,41 @@ def test_not_cospectral_never_builds_psi_st(monkeypatch):
     red = reduction_for(CoinAssignment.all_grover(g), 0, [[1, 1]], 3)
     m_s, m_t = krylov_moments(red, red.s, red.s), krylov_moments(red, red.t, red.t)
     first = next(k for k, (x, y) in enumerate(zip(m_s, m_t)) if x != y)
-    level = (first + 1) // 2       # level K yields c_(2K-1) and c_(2K)
     calls = _count_kernels(monkeypatch)
     assert decide_transfer(red).reason == "not-cospectral"
     assert strong_cospectral_exact(red) is None
     assert not resolvent(red).cospectral
-    assert calls["matvec"] == (len(red.s) + len(red.t)) * level
+    assert calls["matvec"] == len(red.s) * first
     assert calls["certificate"] == [] and calls["massey"] == 2
-    for seq in resolvent(red)._sides:
-        assert len(seq.terms) == 2 * level + 1 and seq.massey.done < 2 * level
+    plus, minus = resolvent(red)._sides
+    assert len(plus.terms) == 2 * first + 1 and plus.massey.done < 2 * first
+    assert plus.reads == [0] * first + [m_s[first] - m_t[first]]
+    assert minus.terms == [] and minus.vectors == [] and minus.reads == []
+
+
+@pytest.mark.parametrize("first", ["psi_st", "split_orders"])
+def test_cospectral_after_certified_reads_no_more(monkeypatch, first):
+    """Reading psi_st or split_orders first certifies u and v and drops
+    their vectors; cospectral read afterwards decides from u's reads with no
+    further mat-vec, and answers as a fresh summary that reads cospectral
+    first, on a cospectral and on a not-cospectral reduction."""
+    from sstwalk.exact import Resolvent, resolvent
+
+    g, a, b = circulant_2m(4, 1, 3)
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    cospectral = reduction_for(
+        CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)), a, w, b)
+    tail = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], 5)  # triangle with a tail
+    not_cospectral = reduction_for(CoinAssignment.all_grover(tail), 0, [[1, 1]], 3)
+    for red, want in ((cospectral, True), (not_cospectral, False)):
+        assert Resolvent(red, list(red.s), list(red.t)).cospectral is want
+        summary = resolvent(red)
+        getattr(summary, first)
+        assert all(seq.vectors == [] for seq in summary._sides)
+        calls = _count_kernels(monkeypatch)
+        assert summary.cospectral is want
+        assert calls["matvec"] == 0 and calls["moment"] == 0
+        monkeypatch.undo()
 
 
 def test_unpaired_clones_refused_before_any_matvec(monkeypatch):

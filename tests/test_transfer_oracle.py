@@ -13,6 +13,11 @@ factors, all read from the (S, S) and (S, T) summaries, must agree with psi_S
 from the unit columns and the scan of its denominator g, on the families, on
 seeded random-small shaped reductions, on the odd cycles and on seeded
 sign-indefinite reductions.
+
+The u sequence's reads are the cross terms c_k = m_S(k) - m_T(k) of the
+full moment kernel at every level it grew, and cospectral agrees with the
+oracle's, on seeded random and sign-indefinite reductions; every read of an
+(S, S) summary is 0.
 """
 
 import random
@@ -114,6 +119,41 @@ def test_transfer_matches_oracle_when_s_is_t(name):
     summary = resolvent(red)
     assert summary.g_minus.is_one() and summary.g_plus == OracleResolvent(red).g
     check_self_route_against_oracle(red)
+
+
+def check_reads_against_kernel(red) -> bool | None:
+    """u's reads are m_S - m_T of the full kernel, before and after u is
+    certified; cospectral is the oracle's; the (S, S) reads are all 0.
+    Returns cospectral, or None for unpaired S and T."""
+    summary = resolvent(red)
+    try:
+        cospectral = summary.cospectral
+    except ValueError:
+        return None
+    m_s, m_t = krylov_moments(red, red.s, red.s), krylov_moments(red, red.t, red.t)
+    c = [x - y for x, y in zip(m_s, m_t)]
+    plus = summary._sides[0]
+    assert plus.reads == c[:len(plus.reads)]
+    assert cospectral == OracleResolvent(red).cospectral == (not any(c))
+    plus.certify()
+    assert plus.reads == c[:len(plus.reads)]
+    self_summary = resolvent(red, red.s, red.s)
+    assert self_summary.cospectral
+    for seq in self_summary._sides:
+        assert seq.certify().reads and not any(seq.reads)
+    return cospectral
+
+
+def test_reads_are_cross_terms_on_random_reductions():
+    rng = random.Random(20251106)
+    seen = Counter(check_reads_against_kernel(random_reduction(rng)) for _ in range(120))
+    assert seen[True] > 0 and seen[False] > 0 and seen[None] > 0
+
+
+def test_reads_are_cross_terms_on_indefinite_reductions():
+    rng = random.Random(20261018)
+    seen = Counter(check_reads_against_kernel(indefinite_reduction(rng)) for _ in range(120))
+    assert seen[True] > 0 and seen[False] > 0
 
 
 # -- psi_S, periodicity and the pole factors from the (S, S) summary -------------

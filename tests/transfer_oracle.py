@@ -3,9 +3,10 @@ read from the sequences of e_s +- e_t, kept as the oracle of the
 differential tests.
 
 ``unit_psi`` is psi_S from the certified self moments of the unit columns
-e_(s_j).  ``OracleResolvent`` grows the Krylov vectors of the unit columns
-of S and of T and compares their self moments for cospectrality, reads the
-2 L_S moments of psi_{S,T} from the same vectors (``cross_moments``), runs
+e_(s_j).  ``OracleResolvent`` compares the self moments of the unit columns
+of S and of T for cospectrality, reads the 2 L_S moments of psi_{S,T} as
+inner products of unit-column Krylov vectors that ``cross_moments`` grows
+itself (the sequences drop theirs once certified), runs
 Berlekamp-Massey on m_S +- m_{S,T} for g+ and g-, scans g = den psi_S once
 for its orders and factors, tests strong cospectrality by the Fraction
 product g+ g- == g, finds the orders of g+- by trial division by the Psi~_m
@@ -24,7 +25,7 @@ from sstwalk.decider import PeriodicityVerdict, TransferVerdict
 from sstwalk.exact import (RatFun, _cosine_coeffs, _fraction, _Krylov, _monic_quotient,
                            _scaled_ints, _SelfMoments, cosine_factor, cosine_poly,
                            factor_irreducible)
-from sstwalk.reduction import check_pairs
+from sstwalk.reduction import check_pairs, z_apply
 
 
 def unit_moments(red, *clone_sets: list[int]) -> tuple[_SelfMoments, ...]:
@@ -41,16 +42,24 @@ def unit_psi(red, cols: list[int]) -> RatFun:
     return RatFun(*_fraction(seq.poly, seq.terms, red.int_view[1]))
 
 
-def cross_moments(m_s: _SelfMoments, m_t: _SelfMoments, count: int) -> list[int]:
+def _powers(kr: _Krylov, row: int, last: int) -> list[list[int]]:
+    """[Z^0 e_row, ..., Z^last e_row], grown by sparse mat-vecs."""
+    vecs = [[int(r == row) for r in range(kr.size)]]
+    while len(vecs) <= last:
+        vecs.append(z_apply(kr.rows, vecs[-1]))
+    return vecs
+
+
+def cross_moments(red, s: list[int], t: list[int], count: int) -> list[int]:
     """m_k = sum_j (Z^k)[s_j, t_j] for k < count, read as
     delta_sq[s_j] <Z^i e_(s_j), Z^(k-i) e_(t_j)> with i = ceil(k/2) off the
-    vectors of the unit-column sequences of S and T."""
-    kr = m_s.krylov
-    out = []
-    for k in range(count):
-        i, h = (k + 1) // 2, k // 2
-        out.append(sum(kr.moment(x, kr.weighted(m_s.levels(j, i)[i]), m_t.levels(j, h)[h])
-                       for j, x in enumerate(m_s.starts)))
+    Krylov vectors of the unit columns, grown here for each pair."""
+    kr = _Krylov(red)
+    out = [0] * count
+    for a, b in zip(s, t):
+        vs, vt = _powers(kr, a, count // 2), _powers(kr, b, (count - 1) // 2)
+        for k in range(count):
+            out[k] += kr.moment(((a, 1),), kr.weighted(vs[(k + 1) // 2]), vt[k // 2])
     return out
 
 
@@ -84,7 +93,7 @@ class OracleResolvent:
         check_pairs(self.red, self.s, self.t)
         m_s = self.m_s.certify()
         count = 2 * (m_s.order if m_s.certified else self.red.size)
-        return cross_moments(m_s, self.m_t, count)
+        return cross_moments(self.red, self.s, self.t, count)
 
     @cached_property
     def psi_s(self):
