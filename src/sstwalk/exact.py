@@ -799,9 +799,12 @@ class Resolvent:
     build_H.  Obtain it through ``resolvent``.
 
     Every field is read from the certified sequences of one start family,
-    u_j, v_j = e_(s_j) +- e_(t_j), which refuse unpaired S and T before any
-    mat-vec.  m_u,v = m_S + m_T +- 2 m_{S,T}, so their certified recurrences
-    are the supports g+- of psi_S + psi_T +- 2 psi_{S,T}, which is
+    u_j, v_j = e_(s_j) +- e_(t_j); construction refuses unpaired S and T,
+    before any mat-vec.  The summary keeps the reduction's ``_Krylov`` and
+    scale, not the reduction, so a reduction and the summaries in its
+    ``memo`` form no reference cycle.  m_u,v = m_S + m_T +- 2 m_{S,T}, so
+    their certified recurrences are the supports g+- of
+    psi_S + psi_T +- 2 psi_{S,T}, which is
     2 (psi_S +- psi_{S,T}) for cospectral S and T; the residues
     sum_j ||E u_j||^2, sum_j ||E v_j||^2 >= 0 add up to
     4 sum_j ||E e_(s_j)||^2, so g+- are square-free and g = lcm(g+, g-).
@@ -812,14 +815,14 @@ class Resolvent:
     """
 
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
-        self.red, self.s, self.t = red, s, t
+        check_pairs(red, s, t)
+        self.s, self.t = s, t
+        self.krylov, self.scale = _Krylov(red), red.int_view[1]
 
     @cached_property
     def _sides(self) -> tuple[_SelfMoments, _SelfMoments]:
-        check_pairs(self.red, self.s, self.t)
-        krylov = _Krylov(self.red)
-        return tuple(_SelfMoments(krylov, tuple(((a, 1), (b, sign))
-                                                for a, b in zip(self.s, self.t)))
+        return tuple(_SelfMoments(self.krylov, tuple(((a, 1), (b, sign))
+                                                     for a, b in zip(self.s, self.t)))
                      for sign in (1, -1))
 
     @cached_property
@@ -847,22 +850,22 @@ class Resolvent:
         diffs = [plus.term(k) - minus.term(k) for k in range(len(conn) - 1)]
         if any(d % 4 for d in diffs):
             raise InvariantError("m_u - m_v is not divisible by 4")
-        return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.red.int_view[1]))
+        return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.scale))
 
     @cached_property
     def g_plus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = +E B_T."""
-        return _denominator(self._sides[0].certify().poly, self.red.int_view[1])
+        return _denominator(self._sides[0].certify().poly, self.scale)
 
     @cached_property
     def g_minus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = -E B_T."""
-        return _denominator(self._sides[1].certify().poly, self.red.int_view[1])
+        return _denominator(self._sides[1].certify().poly, self.scale)
 
     @cached_property
     def _side_scans(self) -> tuple[tuple[dict[int, int], list[int]], ...]:
         """The cosine splits of g+ and g- in Z[y], from their recurrences."""
-        return tuple(_cosine_split(_scaled_conn(seq.certify().poly, self.red.int_view[1]))
+        return tuple(_cosine_split(_scaled_conn(seq.certify().poly, self.scale))
                      for seq in self._sides)
 
     @cached_property

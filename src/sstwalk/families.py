@@ -268,23 +268,48 @@ rounding in every inner product, and left alone the repeated orthogonalisations
 drive them into subnormal numbers, which slow BLAS and LAPACK several-fold."""
 
 
+def _krylov_capacity(red) -> int:
+    """Rows the Krylov basis of ``_krylov_spectrum`` starts with: twice the
+    marked clones, at least 16, at most the clone count n."""
+    return min(max(2 * len(set(red.s) | set(red.t)), 16), red.size)
+
+
 def _marked_spectrum(red) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues lam_k of H and weights E_k[T_j, S_j] (dim W x k).
+
+    When the Krylov basis would start at its full n x n capacity, a dense
+    ``eigh`` of ``h_numeric`` needs no more memory, and at those sizes it
+    costs about a tenth of growing the basis column by column (whose time
+    goes to numpy calls, not arithmetic), so it is taken; otherwise the
+    spectrum comes from the block Krylov space of the marked clones
+    (``_krylov_spectrum``), and no n x n array is built.
+    """
+    import numpy as np
+
+    if _krylov_capacity(red) < red.size:
+        return _krylov_spectrum(red)
+    lam, vecs = np.linalg.eigh(red.h_numeric())
+    return lam, vecs[red.t] * vecs[red.s]
+
+
+def _krylov_spectrum(red) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values lam_k of H and weights E_k[T_j, S_j] (dim W x k) on the
     block Krylov space of the unit columns of S u T.
 
-    The basis grows one block at a time: the next block is H times the last
-    one (sparse mat-vecs on ``h_sparse``), and each of its columns is
-    orthogonalised twice against the whole basis.  A column left with norm
-    below _DEFLATION_TOL is dropped.  When no column survives, the space is
-    H-invariant and holds every e_s and e_t, so Rayleigh-Ritz on it
-    reproduces the marked spectral weights of H up to rounding.
+    The basis starts with ``_krylov_capacity`` rows and grows one block at a
+    time: the next block is H times the last one (sparse mat-vecs on
+    ``h_sparse``), and each of its columns is orthogonalised twice against
+    the whole basis.  A column left with norm below _DEFLATION_TOL is
+    dropped.  When no column survives, the space is H-invariant and holds
+    every e_s and e_t, so Rayleigh-Ritz on it reproduces the marked spectral
+    weights of H up to rounding.
     """
     import numpy as np
 
     rows, cols, vals = red.h_sparse
     n = red.size
     marked = sorted(set(red.s) | set(red.t))
-    basis = np.zeros((min(max(2 * len(marked), 16), n), n))  # rows: orthonormal
+    basis = np.zeros((_krylov_capacity(red), n))            # rows: orthonormal
     basis[np.arange(len(marked)), marked] = 1.0
     images = np.zeros_like(basis)                           # rows: H times each
     used, last = len(marked), slice(0, len(marked))
@@ -352,12 +377,13 @@ def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndar
     """Pointwise W-transfer fidelity at integer steps 0..t_max, spectrally.
 
     Uses N* U^t N = f_t(H): the overlap of U^t x_a(w_j) with x_b(w_j) is
-    sum_k cos(t arccos lambda_k) E_k[T_j, S_j].  Only eigenvalues with weight
-    on the marked clones S u T enter, so the spectrum comes from the block
-    Krylov space of their unit columns (``_marked_spectrum``): it grows until
-    it is H-invariant, so its Ritz values and weights are exact up to
-    rounding, and no size x size array is built.  The cosine sums are
-    evaluated in chunks of SWEEP_CHUNK steps by the blocked kernel
+    sum_k cos(t arccos lambda_k) E_k[T_j, S_j].  ``_marked_spectrum``
+    gives lambda and E: a dense ``eigh`` of H when the block Krylov basis of
+    the marked clones S u T would start at its full size x size capacity
+    (at most 16 clones, or at most twice |S u T|), and otherwise the Ritz
+    values and weights of that Krylov space, grown until it is H-invariant,
+    so exact up to rounding, with no size x size array built.  The cosine
+    sums are evaluated in chunks of SWEEP_CHUNK steps by the blocked kernel
     ``_cos_sums``.  Identical to the direct simulation up to the
     spectral-bridge accuracy; with ``early_exit`` the sweep stops after the
     first step whose fidelity reaches the threshold, and returns that prefix

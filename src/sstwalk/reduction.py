@@ -185,7 +185,9 @@ class HermitianReduction:
         return rows, cols, vals / (d[rows] * d[cols])
 
     def h_numeric(self) -> np.ndarray:
-        """Dense H in doubles, scattered from ``h_sparse``."""
+        """Dense H in doubles, scattered from ``h_sparse``: the matrix that
+        ``families.fidelity_series`` diagonalises when the Krylov basis of
+        the marked clones would start at its full size x size capacity."""
         import numpy as np
 
         rows, cols, vals = self.h_sparse

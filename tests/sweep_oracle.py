@@ -4,6 +4,9 @@ This is the original sweep, kept as a test oracle: it diagonalises all of the
 dense H with ``eigh`` and evaluates cos(t theta_k) on every eigenvalue for
 each step.  It costs O(size^3) plus O(t_max * size) and two size x size
 arrays, so it is only fit for the instances the differential tests use.
+``fidelity_series`` takes the same ``eigh`` on its dense route, but sums the
+cosines with the angle-addition kernel ``_cos_sums``; this oracle sums
+cos(t theta_k) directly, so it checks that kernel on both routes.
 """
 
 from __future__ import annotations

@@ -419,6 +419,39 @@ def test_memo_holds_only_resolvents():
     assert all(isinstance(summary, Resolvent) for summary in red.memo.values())
 
 
+def test_reduction_is_freed_without_the_cycle_collector():
+    """A Resolvent keeps no reference to its reduction, so after the last
+    outside reference goes, reference counting alone frees a reduction that
+    was asked every question: transfer-positive (circulant(4,1,3)) and
+    not-cospectral (a triangle with a tail, whose u vectors are still held)."""
+    import gc
+    import weakref
+
+    from sstwalk.cospec import strong_cospectral_exact
+    from sstwalk.exact import psi
+
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(4, 1, 3)
+    tail = build_graph([(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], 5)
+    instances = [(CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)), a, w, b),
+                 (CoinAssignment.all_grover(tail), 0, [[1, 1]], 3)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for args in instances:
+            red = reduction_for(*args)
+            decide_transfer(red)
+            strong_cospectral_exact(red)
+            psi(red, red.s, red.s)
+            assert len(red.memo) == 2
+            ref = weakref.ref(red)
+            del red
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_periodicity_builds_no_psi_s(monkeypatch):
     """decide_periodicity reads the orders of g+ of the (S, S) summary: it
     forms no fraction, no RatFun and no gcd, and its verdicts (periodic and

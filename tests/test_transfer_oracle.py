@@ -125,8 +125,8 @@ def check_reads_against_kernel(red) -> bool | None:
     """u's reads are m_S - m_T of the full kernel, before and after u is
     certified; cospectral is the oracle's; the (S, S) reads are all 0.
     Returns cospectral, or None for unpaired S and T."""
-    summary = resolvent(red)
     try:
+        summary = resolvent(red)
         cospectral = summary.cospectral
     except ValueError:
         return None
