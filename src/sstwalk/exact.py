@@ -554,8 +554,9 @@ def charpoly(m: linalg.Mat) -> RatPoly:
 
 
 class _Krylov:
-    """The integer matrix Z = scale * H_rat of one reduction and its inner
-    product, shared by the two sequences of a ``Resolvent``.
+    """The integer matrix Z = scale * H_rat of one reduction (its rows and
+    scale) and its inner product, shared by the two sequences of a
+    ``Resolvent``.
 
     Z is self-adjoint for <x, y> = sum_r x_r y_r / delta_sq[r] (sym is
     symmetric, which every HermitianReduction checks), so
@@ -565,7 +566,8 @@ class _Krylov:
     """
 
     def __init__(self, red: "HermitianReduction"):
-        self.rows, self.size, self.delta_sq = red.int_view[0], red.size, red.delta_sq
+        self.rows, self.scale = red.int_view
+        self.size, self.delta_sq = red.size, red.delta_sq
         self.big = lcm(*(d.numerator for d in red.delta_sq))
         self.weights = [d.denominator * (self.big // d.numerator) for d in red.delta_sq]
 
@@ -800,11 +802,10 @@ class Resolvent:
 
     Every field is read from the certified sequences of one start family,
     u_j, v_j = e_(s_j) +- e_(t_j); construction refuses unpaired S and T,
-    before any mat-vec.  The summary keeps the reduction's ``_Krylov`` and
-    scale, not the reduction, so a reduction and the summaries in its
-    ``memo`` form no reference cycle.  m_u,v = m_S + m_T +- 2 m_{S,T}, so
-    their certified recurrences are the supports g+- of
-    psi_S + psi_T +- 2 psi_{S,T}, which is
+    before any mat-vec.  The summary keeps the reduction's ``_Krylov``, not
+    the reduction, so a reduction and the summaries in its ``memo`` form no
+    reference cycle.  m_u,v = m_S + m_T +- 2 m_{S,T}, so their certified
+    recurrences are the supports g+- of psi_S + psi_T +- 2 psi_{S,T}, which is
     2 (psi_S +- psi_{S,T}) for cospectral S and T; the residues
     sum_j ||E u_j||^2, sum_j ||E v_j||^2 >= 0 add up to
     4 sum_j ||E e_(s_j)||^2, so g+- are square-free and g = lcm(g+, g-).
@@ -817,7 +818,7 @@ class Resolvent:
     def __init__(self, red: "HermitianReduction", s: list[int], t: list[int]):
         check_pairs(red, s, t)
         self.s, self.t = s, t
-        self.krylov, self.scale = _Krylov(red), red.int_view[1]
+        self.krylov = _Krylov(red)
 
     @cached_property
     def _sides(self) -> tuple[_SelfMoments, _SelfMoments]:
@@ -850,22 +851,22 @@ class Resolvent:
         diffs = [plus.term(k) - minus.term(k) for k in range(len(conn) - 1)]
         if any(d % 4 for d in diffs):
             raise InvariantError("m_u - m_v is not divisible by 4")
-        return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.scale))
+        return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.krylov.scale))
 
     @cached_property
     def g_plus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = +E B_T."""
-        return _denominator(self._sides[0].certify().poly, self.scale)
+        return _denominator(self._sides[0].certify().poly, self.krylov.scale)
 
     @cached_property
     def g_minus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = -E B_T."""
-        return _denominator(self._sides[1].certify().poly, self.scale)
+        return _denominator(self._sides[1].certify().poly, self.krylov.scale)
 
     @cached_property
     def _side_scans(self) -> tuple[tuple[dict[int, int], list[int]], ...]:
         """The cosine splits of g+ and g- in Z[y], from their recurrences."""
-        return tuple(_cosine_split(_scaled_conn(seq.certify().poly, self.scale))
+        return tuple(_cosine_split(_scaled_conn(seq.certify().poly, self.krylov.scale))
                      for seq in self._sides)
 
     @cached_property

@@ -280,7 +280,10 @@ def _marked_spectrum(red) -> tuple[np.ndarray, np.ndarray]:
     When the Krylov basis would start at its full n x n capacity, a dense
     ``eigh`` of ``h_numeric`` needs no more memory, and at those sizes it
     costs about a tenth of growing the basis column by column (whose time
-    goes to numpy calls, not arithmetic), so it is taken; otherwise the
+    goes to numpy calls, not arithmetic), so it is taken.  That holds at
+    n <= 16, and past 16 clones when n <= 2 |S u T|, a wide W such as the
+    K_{5,5,5} cone's (24 marked of 39 clones); there the sweep also carries
+    all n eigenvalues, not only the Ritz values (39 against 36).  Otherwise the
     spectrum comes from the block Krylov space of the marked clones
     (``_krylov_spectrum``), and no n x n array is built.
     """

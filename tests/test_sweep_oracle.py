@@ -31,10 +31,11 @@ import pytest
 
 from conftest import (FAMILY_NAMES, family_reduction, schedule_reduction,
                       synthetic_reduction)
-from sstwalk import families
+from sstwalk import families, linalg
 from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.families import fidelity_series
-from sstwalk.graphs import circulant_2m, generalized_path
+from sstwalk.graphs import (circulant_2m, complete_multipartite, double_cone_over,
+                            generalized_path, prism_graph)
 from sstwalk.reduction import HermitianReduction, reduction_for
 from sweep_oracle import dense_fidelity_series
 
@@ -88,13 +89,29 @@ def test_sweep_matches_dense_on_random_small_schedule(monkeypatch):
     assert min(sizes) <= 5 and max(sizes) >= 13
 
 
+def cone_reduction(base):
+    """The double cone over base with W = ker A(base) and the reflection
+    about W at both apexes, as ``case_pretty_good_cone`` builds it."""
+    kernel = linalg.kernel_basis([[Fraction(int(base.adjacent(u, v))) for v in range(base.n)]
+                                  for u in range(base.n)])
+    g, a, b = double_cone_over(base)
+    return reduction_for(CoinAssignment.grover_with_marked(g, a, b, reflection_about(kernel)),
+                         a, kernel, b)
+
+
 def test_route_follows_the_krylov_capacity(monkeypatch):
     """The dense route exactly when the Krylov basis would start at n rows:
-    every schedule reduction (4..14 clones) takes it, and gp(3,30), the
-    family reductions and circulant(1000,1,999) take the Krylov route."""
+    every schedule reduction (4..14 clones) and the prism cone (10 clones)
+    take it, and so does the K_{5,5,5} cone, whose 24 marked clones of 39 put
+    it past 16 clones on the dense side; gp(3,30), the family reductions and
+    circulant(1000,1,999) take the Krylov route."""
+    dense = list(schedule_reductions())
+    dense += [cone_reduction(prism_graph()), cone_reduction(complete_multipartite([5, 5, 5]))]
+    assert (dense[-2].size, dense[-1].size) == (10, 39)
+    assert families._krylov_capacity(dense[-1]) == dense[-1].size
     with monkeypatch.context() as patch:
         patch.setattr(families, "_krylov_spectrum", refuse)
-        for red in schedule_reductions():
+        for red in dense:
             assert len(families._marked_spectrum(red)[0]) == red.size
     g, a, b = generalized_path(3, 30)
     krylov = [reduction_for(CoinAssignment.all_grover(g), a, [[1, 1, 1]], b)]
