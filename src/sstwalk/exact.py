@@ -26,12 +26,15 @@ Berkowitz) is kept as the reference the tests check psi against.
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
 ``_cosine_split`` divides the primitive integer polynomial of each certified
-recurrence (``_scaled_conn``) by every Psi~_m that fits.  That split decides
-periodicity and transfer and splits the support into the cosine minimal
-polynomials Psi_m(x) = 2^-deg Psi~_m(2x); a quadratic rest is split by an
-exact discriminant test, and sympy only factors a rest of degree >= 3.
-``cosine_factor``, the same split of a RatPoly, only serves
-``factor_irreducible``.
+recurrence (``_scaled_conn``) by every Psi~_m that fits.  g+- stay in Z[y]
+to the output: the split decides periodicity and transfer, their one gcd
+(``_int_gcd``) decides strong cospectrality when the orders cannot, and the
+rest is factored over Z, a quadratic by its integer discriminant and one of
+degree >= 3 by sympy.  ``_from_scaled`` turns an integer polynomial in y into
+the monic RatPoly in x only where a field is read out: g+-, the factor
+lists (the Psi_m(x) = 2^-deg Psi~_m(2x) and the factors of the rest) and
+psi_st's denominator.  ``cosine_factor``, the same split of a RatPoly,
+serves the tests.
 """
 
 from __future__ import annotations
@@ -184,9 +187,6 @@ class RatPoly:
             return self
         return self * (1 / self.lead)
 
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __call__(self, x):
         """Evaluate (Horner); works for Fraction, int, float or complex x."""
         exact = isinstance(x, (Fraction, int))
@@ -223,14 +223,18 @@ def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    a = f.primitive_int_coeffs()
-    b = g.primitive_int_coeffs()
+    return RatPoly(_int_gcd(f.primitive_int_coeffs(), g.primitive_int_coeffs())).monic()
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd (positive lead) of two nonzero primitive integer
+    polynomials, by the primitive polynomial remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
     while b:
         a = _prem_primitive(a, b)
         a, b = b, a
-    return RatPoly(a).monic()
+    return a
 
 
 def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
@@ -259,63 +263,48 @@ def _primitive(ints: list[int]) -> list[int]:
     return [c // g for c in ints] if ints[-1] > 0 else [-(c // g) for c in ints]
 
 
-def squarefree_part(p: RatPoly) -> RatPoly:
-    """p divided by gcd(p, p'), monic."""
-    if p.degree <= 0:
-        return p.monic()
-    return (p // poly_gcd(p, p.derivative())).monic()
-
-
 def factor_irreducible(p: RatPoly) -> list[RatPoly]:
     """Distinct monic Q-irreducible factors of p, sorted by (degree, coeffs)."""
-    return _factors(*cosine_factor(p)) if p.degree > 0 else []
+    return _factors(*_cosine_split(_scaled_ints(p))) if p.degree > 0 else []
 
 
-def _factors(orders: dict[int, int], rest: RatPoly) -> list[RatPoly]:
-    """factor_irreducible of prod_m Psi_m^{e_m} * rest, for the split ({m: e_m},
-    rest) of ``cosine_factor``: the Psi_m, then the factors of the square-free
-    part of rest.  A quadratic one is split by its discriminant, and only one
-    of degree >= 3 goes to sympy's Q[x] factorizer."""
-    factors = [cosine_poly(m) for m in orders]
-    rest = squarefree_part(rest)
-    if rest.degree == 1:
-        factors.append(rest)
-    elif rest.degree == 2:
-        factors.extend(_split_quadratic(rest))
-    elif rest.degree > 2:
-        factors.extend(_sympy_factor(rest))
+def _factors(orders: dict[int, int], rest: list[int]) -> list[RatPoly]:
+    """The distinct monic irreducible factors of p(x), for the split
+    p~ = prod_m Psi~_m^{e_m} * rest in Z[y] of ``_cosine_split``: the Psi_m,
+    then the factors of rest.  They are gathered as a set, so a repeated
+    factor of rest comes out once with no square-free pass (and g+- have
+    none: they are square-free when delta_sq > 0).  A quadratic rest is split
+    by its integer discriminant, and only one of degree >= 3 goes to sympy's
+    Z[y] factorizer."""
+    factors = {cosine_poly(m) for m in orders}
+    if len(rest) == 2:
+        factors.add(_from_scaled(rest))
+    elif len(rest) == 3:
+        factors.update(map(_from_scaled, _split_quadratic(rest)))
+    elif len(rest) > 3:
+        factors.update(map(_from_scaled, _sympy_factor(rest)))
     return sorted(factors, key=lambda q: (q.degree, q.coeffs))
 
 
-def _split_quadratic(p: RatPoly) -> list[RatPoly]:
-    """The monic factors of a monic square-free quadratic x^2 + bx + c over Q:
-    x + (b -+ r)/2 when the discriminant b^2 - 4c is the square of a rational
-    r, else p itself.  A reduced fraction is a rational square iff its
-    numerator and denominator are integer squares."""
-    c, b, _ = p.coeffs
-    disc = b * b - 4 * c
-    if disc < 0:
-        return [p]
-    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
-    if num * num != disc.numerator or den * den != disc.denominator:
-        return [p]
-    r = Fraction(num, den)
-    return [RatPoly([(b - r) / 2, 1]), RatPoly([(b + r) / 2, 1])]
+def _split_quadratic(ints: list[int]) -> list[list[int]]:
+    """The factors over Z of a quadratic ay^2 + by + c (a > 0): 2ay + b -+ r
+    when the discriminant b^2 - 4ac is the square of an integer r, else the
+    quadratic itself."""
+    c, b, a = ints
+    disc = b * b - 4 * a * c
+    r = isqrt(disc) if disc >= 0 else -1
+    if r * r != disc:
+        return [ints]
+    return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
 
 
-def _sympy_factor(p: RatPoly) -> list[RatPoly]:
+def _sympy_factor(ints: list[int]) -> list[list[int]]:
+    """The distinct irreducible factors over Z of an integer polynomial."""
     import sympy
 
-    x = sympy.Symbol("x")
-    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], x, domain="QQ")
-    out = []
-    for fac, _mult in expr.factor_list()[1]:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        q = RatPoly(cs).monic()
-        if q.degree >= 1:
-            out.append(q)
-    return out
+    poly = sympy.Poly(ints[::-1], sympy.Symbol("y"), domain="ZZ")
+    return [[int(c) for c in reversed(fac.all_coeffs())]
+            for fac, _mult in poly.factor_list()[1]]
 
 
 # -- cyclotomic and cosine minimal polynomials ---------------------------------
@@ -757,18 +746,13 @@ def _fraction(conn: list[int], seq: list[int], scale: int) -> tuple[RatPoly, Rat
          for i in range(length)]
     lead = q[-1] * scale ** length
     num = RatPoly([Fraction(x * scale ** (i + 1), lead) for i, x in enumerate(p)])
-    return num, _denominator(conn, scale)
-
-
-def _denominator(conn: list[int], scale: int) -> RatPoly:
-    """The den of ``_fraction``: Q(scale x) / (c_0 scale^L)."""
-    lead = conn[0] * scale ** (len(conn) - 1)
-    return RatPoly([Fraction(x * scale ** i, lead) for i, x in enumerate(reversed(conn))])
+    return num, _from_scaled(_scaled_conn(conn, scale))
 
 
 def _scaled_conn(conn: list[int], scale: int) -> list[int]:
-    """``_scaled_ints(_denominator(conn, scale))`` with no Fractions:
-    2^L Q(scale y/2) is proportional to sum_j c_(L-j) scale^j 2^(L-j) y^j."""
+    """The primitive integer polynomial in y = 2x of Q(scale x), Q the
+    reversed ``conn``: 2^L Q(scale y/2) is proportional to
+    sum_j c_(L-j) scale^j 2^(L-j) y^j."""
     length = len(conn) - 1
     return _primitive([(c * scale ** j) << (length - j) for j, c in enumerate(reversed(conn))])
 
@@ -854,20 +838,26 @@ class Resolvent:
         return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.krylov.scale))
 
     @cached_property
+    def _scaled(self) -> tuple[list[int], list[int]]:
+        """g+ and g- in Z[y], y = 2x: the primitive integer polynomials of
+        the certified recurrences of u and v."""
+        return tuple(_scaled_conn(seq.certify().poly, self.krylov.scale)
+                     for seq in self._sides)
+
+    @cached_property
     def g_plus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = +E B_T."""
-        return _denominator(self._sides[0].certify().poly, self.krylov.scale)
+        return _from_scaled(self._scaled[0])
 
     @cached_property
     def g_minus(self) -> RatPoly:
         """For cospectral S and T: the poles where E B_S = -E B_T."""
-        return _denominator(self._sides[1].certify().poly, self.krylov.scale)
+        return _from_scaled(self._scaled[1])
 
     @cached_property
     def _side_scans(self) -> tuple[tuple[dict[int, int], list[int]], ...]:
-        """The cosine splits of g+ and g- in Z[y], from their recurrences."""
-        return tuple(_cosine_split(_scaled_conn(seq.certify().poly, self.krylov.scale))
-                     for seq in self._sides)
+        """The cosine splits of g+ and g- in Z[y]."""
+        return tuple(map(_cosine_split, self._scaled))
 
     @cached_property
     def split_orders(self) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -887,7 +877,7 @@ class Resolvent:
             return False
         if self.split_orders is not None:
             return not self.split_orders[0] & self.split_orders[1]
-        return poly_gcd(self.g_plus, self.g_minus).degree == 0
+        return len(_int_gcd(*self._scaled)) == 1
 
     @cached_property
     def split(self) -> tuple[tuple[RatPoly, ...], tuple[RatPoly, ...]] | None:
@@ -895,8 +885,7 @@ class Resolvent:
         unless ``strong``."""
         if not self.strong:
             return None
-        return tuple(tuple(_factors(orders, _from_scaled(rest)))
-                     for orders, rest in self._side_scans)
+        return tuple(tuple(_factors(orders, rest)) for orders, rest in self._side_scans)
 
 
 def resolvent(red: "HermitianReduction", s: list[int] | None = None,

@@ -52,6 +52,17 @@ def test_unit_column_route_removed():
     assert [name for name in REMOVED_FROM_RESOLVENT if hasattr(exact.Resolvent, name)] == []
 
 
+# g+- stay in Z[y] until output, so no Fraction denominator or square-free
+# pass is left; the square-free oracle lives in tests/test_cosine.py
+REMOVED_FRACTION_CARRIER = ["squarefree_part", "_denominator"]
+REMOVED_FROM_RATPOLY = ["derivative"]
+
+
+def test_fraction_carrier_removed():
+    assert [name for name in REMOVED_FRACTION_CARRIER if hasattr(exact, name)] == []
+    assert [name for name in REMOVED_FROM_RATPOLY if hasattr(exact.RatPoly, name)] == []
+
+
 # a Resolvent owns its two moment sequences, and each sequence its Krylov
 # vectors: no per-reduction vector cache or sequence memo is left
 REMOVED_MEMO_LAYERS = ["_krylov", "_self_moments"]

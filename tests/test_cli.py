@@ -445,13 +445,19 @@ def test_dump_h_under_period_and_psi_is_b_free(tmp_path, capsys):
 def test_period_and_psi_read_a_alone(capsys):
     """period and psi build their reduction without b: on all-Grover
     families a b whose degree does not fit W, or b = a, changes nothing
-    (these exited 2 while both built a reduction with b)."""
+    (these exited 2 while both built a reduction with b).  On a family with
+    a canonical marked coin, b still places the second marked coin, so it
+    changes the walk: on circulant(3,1,2), b = a leaves vertex 3 on Grover."""
     gp = ["--family", "gp", "--k", "3", "--n", "4"]
     assert run(capsys, "period", *gp, "--a", "1")[:2] == (
         0, "PERIODIC min_period=6 L={1,2,3,6}\n")
     assert run(capsys, "psi", *K2M3, "--b", "2")[:2] == run(capsys, "psi", *K2M3)[:2]
     assert run(capsys, "period", *K2M3, "--a", "1")[:2] == (
         0, "PERIODIC min_period=4 L={1,2,4}\n")
+    circ = ["--family", "circulant", "--m", "3", "--c", "1", "--d", "2"]
+    assert run(capsys, "period", *circ)[:2] == (0, "PERIODIC min_period=8 L={4,8}\n")
+    assert run(capsys, "period", *circ, "--b", "0")[:2] == (
+        0, "PERIODIC min_period=6 L={3,6}\n")
 
 
 def test_transfer_names_unequal_degrees(capsys):

@@ -3,7 +3,9 @@
 ``old_orders`` and ``old_factor_irreducible`` are the algorithms the decider
 and the factorizer used before the scan: the sharp transform g -> g# plus a
 scan for cyclotomic factors with the Phi_{1,2}-squared multiplicity rule, and
-peel-x-then-sympy.  The cosine scan (read as the resolvent summary reads it,
+peel-x-then-sympy, with the square-free part and sympy's Q[x] factorizer
+it ran on (``squarefree_part`` and ``sympy_factor``, kept here as the
+oracle; the package factors in Z[y] and needs neither).  The cosine scan (read as the resolvent summary reads it,
 ``scan_orders``, and ``exact.factor_irreducible``) must agree with both on the
 single Psi_m, on random products of distinct Psi_m with and without a squared
 or non-cosine factor, and on g, g+ and g- of seeded random reductions.
@@ -18,10 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from sstwalk.decider import cyclotomic, decide_periodicity, factor_into_cyclotomics, sharp
-from sstwalk.exact import (X, RatPoly, _split_quadratic, _sympy_factor,
-                           cosine_factor, cosine_poly, factor_irreducible,
-                           resolvent, squarefree_part)
+from sstwalk import exact
+from sstwalk.cospec import strong_cospectral_exact
+from sstwalk.decider import (cyclotomic, decide_periodicity, decide_transfer,
+                             factor_into_cyclotomics, sharp)
+from sstwalk.exact import (X, RatPoly, _from_scaled, _scaled_ints, _split_quadratic,
+                           cosine_factor, cosine_poly, factor_irreducible, poly_gcd,
+                           resolvent)
 from test_psi_oracle import random_reduction
 from transfer_oracle import unit_psi
 
@@ -53,6 +58,29 @@ def old_orders(g: RatPoly, m_bound: int | None = None):
     return frozenset(factors)
 
 
+def squarefree_part(p: RatPoly) -> RatPoly:
+    """p divided by gcd(p, p'), monic."""
+    if p.degree <= 0:
+        return p.monic()
+    derivative = RatPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+    return (p // poly_gcd(p, derivative)).monic()
+
+
+def sympy_factor(p: RatPoly) -> list[RatPoly]:
+    """The monic factors of p from sympy's factorizer over Q[x]."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], x, domain="QQ")
+    out = []
+    for fac, _mult in expr.factor_list()[1]:
+        q = RatPoly([Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]).monic()
+        if q.degree >= 1:
+            out.append(q)
+    return out
+
+
 def old_factor_irreducible(p: RatPoly) -> list[RatPoly]:
     """The factorizer before the cosine scan: peel x, then sympy."""
     if p.degree <= 0:
@@ -66,7 +94,7 @@ def old_factor_irreducible(p: RatPoly) -> list[RatPoly]:
     if sf.degree == 1:
         factors.append(sf.monic())
     elif sf.degree > 1:
-        factors.extend(_sympy_factor(sf))
+        factors.extend(sympy_factor(sf))
     return sorted(factors, key=lambda q: (q.degree, q.coeffs))
 
 
@@ -170,6 +198,31 @@ def test_random_reduction_supports_match_oracle():
     assert checked >= 250 and periodic > 0
 
 
+def test_strong_and_split_call_no_poly_gcd(monkeypatch):
+    """decide_transfer and strong_cospectral_exact on 100 seeded random
+    reductions with poly_gcd made to raise: strong cospectrality is one gcd
+    of g+- in Z[y] and the split factors the rests in Z[y].  Among them are
+    cospectral ones whose g is not a product of distinct Psi_m (the gcd
+    decides strong) and strong ones with a rest of degree >= 3 (sympy)."""
+    def no_poly_gcd(f, g):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(exact, "poly_gcd", no_poly_gcd)
+    rng = random.Random(1)
+    by_gcd = cubic = 0
+    for _ in range(100):
+        red = random_reduction(rng)
+        try:
+            summary = resolvent(red)
+        except ValueError:
+            continue
+        decide_transfer(red)
+        split = strong_cospectral_exact(red)
+        by_gcd += summary.cospectral and summary.split_orders is None
+        cubic += split is not None and any(len(rest) > 3 for _, rest in summary._side_scans)
+    assert by_gcd > 0 and cubic > 0
+
+
 def test_cosine_factor_rest_and_zero():
     p = cosine_poly(5) * cosine_poly(12) ** 2 * RatPoly([-3, 0, 1]) * 7
     orders, rest = cosine_factor(p)
@@ -219,8 +272,8 @@ def test_only_a_cubic_rest_goes_to_sympy():
 
 
 def test_quadratic_split_matches_sympy():
-    """_split_quadratic and factor_irreducible against sympy on 200 seeded
-    monic quadratics: products of two distinct rational linear factors
+    """_split_quadratic (in Z[y], read back in x) and factor_irreducible
+    against sympy's Q[x] factorizer on 200 seeded monic quadratics: products of two distinct rational linear factors
     (square discriminant) and random x^2 + bx + c, which have a non-square
     or negative discriminant unless they happen to split."""
     rng = random.Random(20261019)
@@ -239,8 +292,9 @@ def test_quadratic_split_matches_sympy():
             p = RatPoly([rational(), rational(), 1])
             if squarefree_part(p).degree < 2:
                 continue
-        want = sorted(_sympy_factor(p), key=lambda q: (q.degree, q.coeffs))
-        assert sorted(_split_quadratic(p), key=lambda q: (q.degree, q.coeffs)) == want, p
+        want = sorted(sympy_factor(p), key=lambda q: (q.degree, q.coeffs))
+        got = map(_from_scaled, _split_quadratic(_scaled_ints(p)))
+        assert sorted(got, key=lambda q: (q.degree, q.coeffs)) == want, p
         assert factor_irreducible(p) == want, p
         split += len(want) == 2
     assert 100 <= split < 200

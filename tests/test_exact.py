@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import synthetic_reduction
+from test_cosine import squarefree_part
 from sstwalk.exact import (ONE, RatFun, RatPoly, X, charpoly,
-                           factor_irreducible, poly_gcd, psi,
-                           squarefree_part)
+                           factor_irreducible, poly_gcd, psi)
 from sstwalk.graphs import build_graph
 from sstwalk.coins import CoinAssignment
 from sstwalk.reduction import reduction_for
@@ -233,3 +233,6 @@ def test_factor_irreducible_nonlinear():
     assert P(Fraction(1, 2), 1) in factors
     assert P(-1, 1) in factors
     assert P(3, 0, 1) in factors
+    # repeated factors come out once: (x^2 - 3)^2 (x - 1/3)^3 (x^3 - 2)
+    p = P(-3, 0, 1) ** 2 * P(Fraction(-1, 3), 1) ** 3 * P(-2, 0, 0, 1)
+    assert factor_irreducible(p) == [P(Fraction(-1, 3), 1), P(-3, 0, 1), P(-2, 0, 0, 1)]
