@@ -27,14 +27,14 @@ The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
 ``_cosine_split`` divides the primitive integer polynomial of each certified
 recurrence (``_scaled_conn``) by every Psi~_m that fits.  g+- stay in Z[y]
-to the output: the split decides periodicity and transfer, their one gcd
-(``_int_gcd``) decides strong cospectrality when the orders cannot, and the
-rest is factored over Z, a quadratic by its integer discriminant and one of
+to the output: the split decides periodicity and transfer, ``coprime`` (one
+``_int_gcd`` when neither g- = 1 nor the orders decide) decides strong
+cospectrality and whether psi_st needs a gcd at all, and the rest is
+factored over Z, a quadratic by its integer discriminant and one of
 degree >= 3 by sympy.  ``_from_scaled`` turns an integer polynomial in y into
 the monic RatPoly in x only where a field is read out: g+-, the factor
 lists (the Psi_m(x) = 2^-deg Psi~_m(2x) and the factors of the rest) and
-psi_st's denominator.  ``cosine_factor``, the same split of a RatPoly,
-serves the tests.
+psi_st's denominator.
 """
 
 from __future__ import annotations
@@ -443,16 +443,6 @@ def _scaled_ints(p: RatPoly) -> list[int]:
     return RatPoly([c * 2 ** (d - i) for i, c in enumerate(p.coeffs)]).primitive_int_coeffs()
 
 
-def cosine_factor(p: RatPoly) -> tuple[dict[int, int], RatPoly]:
-    """Split p = c * prod_m Psi_m^{e_m} * rest over Q; returns ({m: e_m}, rest)
-    with rest monic and divisible by no Psi_m (``_cosine_split`` of
-    ``_scaled_ints(p)``)."""
-    if p.is_zero():
-        raise ValueError("cosine_factor of the zero polynomial")
-    orders, rest = _cosine_split(_scaled_ints(p))
-    return orders, _from_scaled(rest)
-
-
 def _cosine_split(ints: list[int]) -> tuple[dict[int, int], list[int]]:
     """({m: e_m}, rest) with ints = prod_m Psi~_m^{e_m} * rest in Z[y], for a
     primitive ints with positive lead: every monic Psi~_m with deg Psi_m <=
@@ -476,6 +466,13 @@ class RatFun:
     """Reduced rational function num/den over Q with monic denominator."""
 
     __slots__ = ("num", "den")
+
+    @classmethod
+    def _lowest(cls, num: RatPoly, den: RatPoly) -> "RatFun":
+        """num/den as given, already in lowest terms with den monic: no gcd."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
 
     def __init__(self, num: RatPoly, den: RatPoly):
         if den.is_zero():
@@ -828,14 +825,16 @@ class Resolvent:
     def psi_st(self) -> RatFun:
         """psi_{S,T} from m_{S,T} = (m_u - m_v)/4: both sequences obey the
         product of their certified recurrences, of order L+ + L-, so that
-        many terms give the fraction over it, which RatFun reduces.  For
-        S = T the product is u's own recurrence."""
+        many terms give the fraction over it.  Each side's fraction is in
+        lowest terms, so when g+ and g- are coprime (always for S = T) so is
+        this one, and otherwise RatFun cancels gcd(g+, g-)."""
         plus, minus = (seq.certify() for seq in self._sides)
         conn = _product(plus.poly, minus.poly)
         diffs = [plus.term(k) - minus.term(k) for k in range(len(conn) - 1)]
         if any(d % 4 for d in diffs):
             raise InvariantError("m_u - m_v is not divisible by 4")
-        return RatFun(*_fraction(conn, [d // 4 for d in diffs], self.krylov.scale))
+        fraction = _fraction(conn, [d // 4 for d in diffs], self.krylov.scale)
+        return RatFun._lowest(*fraction) if self.coprime else RatFun(*fraction)
 
     @cached_property
     def _scaled(self) -> tuple[list[int], list[int]]:
@@ -869,15 +868,20 @@ class Resolvent:
         return tuple(frozenset(orders) for orders, _ in self._side_scans)
 
     @cached_property
-    def strong(self) -> bool:
-        """Strong cospectrality: S and T are cospectral and g+, g- are coprime
-        (disjoint orders, or a gcd when either is not a cosine product), so
-        every pole of psi_S survives in exactly one of psi_S +- psi_{S,T}."""
-        if not self.cospectral:
-            return False
+    def coprime(self) -> bool:
+        """g+ and g- share no factor: at once when g- = 1 (every (S, S)
+        summary), else by disjoint orders, else by one gcd in Z[y]."""
+        if len(self._scaled[1]) == 1:
+            return True
         if self.split_orders is not None:
             return not self.split_orders[0] & self.split_orders[1]
         return len(_int_gcd(*self._scaled)) == 1
+
+    @cached_property
+    def strong(self) -> bool:
+        """Strong cospectrality: S and T are cospectral and g+, g- coprime,
+        so every pole of psi_S survives in exactly one of psi_S +- psi_{S,T}."""
+        return self.cospectral and self.coprime
 
     @cached_property
     def split(self) -> tuple[tuple[RatPoly, ...], tuple[RatPoly, ...]] | None:

@@ -63,45 +63,39 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
             raise ReductionError(
                 f"positional identification needs deg(a) = deg(b): vertex {a} has "
                 f"degree {g.degree(a)}, vertex {b} has degree {g.degree(b)}")
-    w_ortho = _prepare_subspace(assignment, a, w_basis)
-    v_ortho = None if b is None else _prepare_subspace(assignment, b, w_basis)
-
+    marked = {u: _marked_block(assignment, u, w_basis) for u in (a, b) if u is not None}
     columns: list[tuple[int, tuple[int, ...]]] = []
-    s_clones: list[int] = []
-    t_clones: list[int] = []
+    clones: dict[int, tuple[int, ...]] = {}
     for u in range(g.n):
-        coin = assignment.coin(u)
-        if u == a:
-            prescribed = w_ortho
-            s_clones.extend(range(len(columns), len(columns) + len(prescribed)))
-        elif b is not None and u == b:
-            prescribed = v_ortho
-            t_clones.extend(range(len(columns), len(columns) + len(prescribed)))
+        if u in marked:
+            k, block = marked[u]
+            clones[u] = tuple(range(len(columns), len(columns) + k))
+            columns += [(u, tuple(v)) for v in block]
         else:
-            columns += [(u, col) for col in coin.clone_columns]
-            continue
-        completion = linalg.gram_schmidt(coin.clone_columns, against=prescribed,
-                                         on_dependent="drop")
-        columns += [(u, tuple(v)) for v in prescribed + completion]
-    if b is None:
-        t_clones = list(s_clones)
-    return CoinBasis(tuple(columns), tuple(s_clones), tuple(t_clones))
+            columns += [(u, col) for col in assignment.coin(u).clone_columns]
+    return CoinBasis(tuple(columns), clones[a], clones[a if b is None else b])
 
 
-def _prepare_subspace(assignment: CoinAssignment, u: int, basis: list[Vec]
-                      ) -> list[list[int]]:
+def _marked_block(assignment: CoinAssignment, u: int, basis: list[Vec]
+                  ) -> tuple[int, list[list[int]]]:
+    """(k, block) at a marked vertex u: a dropping Gram-Schmidt of W keeps k
+    vectors, and the block is them followed by the coin's clone columns
+    completed against them.  The coin fixes W exactly when the block has
+    rank(P) vectors, and W's basis is independent when k is its length."""
     coin = assignment.coin(u)
     vecs = [linalg.frac_vec(v) for v in basis]
     for v in vecs:
         if len(v) != coin.degree:
-            raise ReductionError(
-                f"subspace vector at vertex {u} has wrong length {len(v)}")
-    if not coin.fixes(*vecs):
+            raise ReductionError(f"subspace vector at vertex {u} has wrong length {len(v)}")
+    prescribed = linalg.gram_schmidt(vecs, on_dependent="drop")
+    block = prescribed + linalg.gram_schmidt(coin.clone_columns, against=prescribed,
+                                             on_dependent="drop")
+    if len(block) != coin.rank:
         raise ReductionError(f"subspace at vertex {u} is not fixed by its coin")
-    try:
-        return linalg.gram_schmidt(vecs)
-    except ValueError as e:
-        raise ReductionError(f"dependent subspace basis at vertex {u}: {e}") from e
+    if len(prescribed) != len(vecs):
+        raise ReductionError(f"dependent subspace basis at vertex {u}: "
+                             "linearly dependent vector in Gram-Schmidt input")
+    return len(prescribed), block
 
 
 @dataclass

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import settings
+
 from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
 from sstwalk.families import (double_cone_w, random_coin_and_subspace,
                               random_orthogonal_columns)
@@ -12,6 +14,11 @@ from sstwalk.graphs import (GraphError, build_graph, circulant_2m,
                             complete_bipartite_k2m, cycle_graph,
                             double_cone_cycles, generalized_path)
 from sstwalk.reduction import HermitianReduction, reduction_for
+
+# the hypothesis tests draw the same examples on every run and keep no
+# example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_instance(seed: int):

@@ -41,9 +41,9 @@ def test_removed_names_not_importable():
         assert present == [], module
 
 
-# psi_S, g and g's scan from the unit columns live in tests/transfer_oracle.py,
-# the batch Berlekamp-Massey in tests/psi_oracle.py
-REMOVED_FROM_EXACT = ["berlekamp_massey", "_series_fraction"]
+# psi_S, g and g's scan (cosine_factor) from the unit columns live in
+# tests/transfer_oracle.py, the batch Berlekamp-Massey in tests/psi_oracle.py
+REMOVED_FROM_EXACT = ["berlekamp_massey", "_series_fraction", "cosine_factor"]
 REMOVED_FROM_RESOLVENT = ["psi_s", "g", "orders", "factors", "_scan"]
 
 

@@ -25,10 +25,9 @@ from sstwalk.cospec import strong_cospectral_exact
 from sstwalk.decider import (cyclotomic, decide_periodicity, decide_transfer,
                              factor_into_cyclotomics, sharp)
 from sstwalk.exact import (X, RatPoly, _from_scaled, _scaled_ints, _split_quadratic,
-                           cosine_factor, cosine_poly, factor_irreducible, poly_gcd,
-                           resolvent)
+                           cosine_poly, factor_irreducible, poly_gcd, resolvent)
 from test_psi_oracle import random_reduction
-from transfer_oracle import unit_psi
+from transfer_oracle import cosine_factor, unit_psi
 
 ORACLE_BOUND = 200
 # The g# oracle divides a degree-2D Fraction polynomial by every Phi_m in

@@ -452,16 +452,11 @@ def test_reduction_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
-def test_periodicity_builds_no_psi_s(monkeypatch):
-    """decide_periodicity reads the orders of g+ of the (S, S) summary: it
-    forms no fraction, no RatFun and no gcd, and its verdicts (periodic and
-    not) are those of the scan of g = den psi_S from the unit columns."""
+def _record_calls(monkeypatch, *names):
+    """Wrap the named functions of sstwalk.exact (and RatFun's reducing
+    constructor, as "RatFun") with a recorder; returns the list of calls."""
     from sstwalk import exact
-    from transfer_oracle import OracleResolvent, decide_periodicity_oracle
 
-    rng = random.Random(20261019)
-    cases = [red for _name, red in odd_cycle_reductions()]
-    cases += [schedule_reduction(rng, 4 + i % 9, 1, 1) for i in range(20)]
     calls = []
 
     def recorder(name, fn):
@@ -470,14 +465,86 @@ def test_periodicity_builds_no_psi_s(monkeypatch):
             return fn(*args)
         return recorded
 
-    for name in ("_fraction", "poly_gcd"):
-        monkeypatch.setattr(exact, name, recorder(name, getattr(exact, name)))
-    monkeypatch.setattr(exact.RatFun, "__init__", recorder("RatFun", exact.RatFun.__init__))
+    for name in names:
+        if name == "RatFun":
+            monkeypatch.setattr(exact.RatFun, "__init__",
+                                recorder(name, exact.RatFun.__init__))
+        else:
+            monkeypatch.setattr(exact, name, recorder(name, getattr(exact, name)))
+    return calls
+
+
+def test_periodicity_builds_no_psi_s(monkeypatch):
+    """decide_periodicity reads the orders of g+ of the (S, S) summary: it
+    forms no fraction, no RatFun and no gcd, and its verdicts (periodic and
+    not) are those of the scan of g = den psi_S from the unit columns."""
+    from transfer_oracle import OracleResolvent, decide_periodicity_oracle
+
+    rng = random.Random(20261019)
+    cases = [red for _name, red in odd_cycle_reductions()]
+    cases += [schedule_reduction(rng, 4 + i % 9, 1, 1) for i in range(20)]
+    calls = _record_calls(monkeypatch, "_fraction", "poly_gcd", "RatFun")
     verdicts = [decide_periodicity(red) for red in cases]
     assert calls == []
     monkeypatch.undo()
     assert verdicts == [decide_periodicity_oracle(OracleResolvent(red)) for red in cases]
     assert {v.periodic for v in verdicts} == {True, False}
+
+
+def test_psi_s_takes_no_gcd(monkeypatch):
+    """psi_S of the (S, S) summary is the fraction over u's own certified
+    recurrence, g- = 1, so it is in lowest terms as it stands: no poly_gcd,
+    no integer gcd and no reducing RatFun, and it equals the reduced psi_S
+    of the unit columns."""
+    from conftest import FAMILY_NAMES, family_reduction
+    from sstwalk.exact import psi
+    from transfer_oracle import unit_psi
+
+    rng = random.Random(20261020)
+    cases = [red for _name, red in odd_cycle_reductions()]
+    cases += [family_reduction(name) for name in FAMILY_NAMES]
+    cases += [schedule_reduction(rng, 4 + i % 9, 1 + i % 2, 1) for i in range(20)]
+    calls = _record_calls(monkeypatch, "poly_gcd", "_int_gcd", "RatFun")
+    values = [psi(red, red.s, red.s) for red in cases]
+    assert calls == []
+    monkeypatch.undo()
+    assert values == [unit_psi(red, red.s) for red in cases]
+
+
+def test_coprime_pair_psi_st_takes_no_gcd(monkeypatch):
+    """For a strongly cospectral pair, here circulant(3,1,2) with the
+    reflection about its W, g+ and g- have disjoint orders, so psi_{S,T} is
+    the fraction over g+ g- as it stands: no poly_gcd, and it equals the
+    determinant oracle."""
+    from psi_oracle import psi_oracle
+    from sstwalk.exact import psi, resolvent
+
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    graph, a, b = circulant_2m(3, 1, 2)
+    red = reduction_for(CoinAssignment.grover_with_marked(graph, a, b, reflection_about(w)),
+                        a, w, b)
+    calls = _record_calls(monkeypatch, "poly_gcd")
+    value = psi(red, red.s, red.t)
+    summary = resolvent(red)
+    assert summary.strong and summary.coprime and summary.g_minus.degree > 0
+    assert calls == []
+    monkeypatch.undo()
+    assert value == psi_oracle(red, red.s, red.t)
+
+
+def test_zero_psi_st_of_a_shared_factor():
+    """Path 0-1-2 with -I at vertex 1: the clones at 0 and 2 never meet, so
+    H = 0 and g+ = g- = x share their only factor.  psi_{S,T} = 0 goes
+    through RatFun's reduction and serializes as the zero fraction."""
+    from sstwalk.coins import grover_coin, negative_identity_coin
+    from sstwalk.exact import X, psi, resolvent
+
+    graph = build_graph([(0, 1), (1, 2)], 3)
+    coins = {0: grover_coin(1), 1: negative_identity_coin(2), 2: grover_coin(1)}
+    red = reduction_for(CoinAssignment(graph, coins), 0, [[1]], 2)
+    summary = resolvent(red)
+    assert summary.g_plus == summary.g_minus == X and not summary.coprime
+    assert psi(red, red.s, red.t).serialize() == " | 1"
 
 
 def test_not_cospectral_never_builds_psi_st(monkeypatch):

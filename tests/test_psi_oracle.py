@@ -30,11 +30,11 @@ from sstwalk import exact
 from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.cospec import strong_cospectral_exact
 from sstwalk.decider import decide_periodicity, decide_transfer
-from sstwalk.exact import RatPoly, cosine_factor, factor_irreducible, psi, resolvent
+from sstwalk.exact import RatPoly, factor_irreducible, psi, resolvent
 from sstwalk.families import random_orthogonal_columns
 from sstwalk.graphs import build_graph, circulant_2m
 from sstwalk.reduction import CoinBasis, build_H, reduction_for
-from transfer_oracle import unit_psi
+from transfer_oracle import cosine_factor, unit_psi
 
 
 def test_newton_interpolation():

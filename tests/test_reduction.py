@@ -51,6 +51,12 @@ def test_circulant_marked_clone_counts():
     at_a = [vec for u, vec in basis.columns if u == a]
     assert len(at_a) == 4  # 2 W-clones + 2 completion
     assert len(basis.s_clones) == 2 and len(basis.t_clones) == 2
+    # a W that spans the coin's col(P) leaves no completion
+    rank2 = reflection_about([[1, 1, 0, 0], [0, 0, 1, 1]])
+    asn = CoinAssignment.grover_with_marked(g, a, b, rank2)
+    basis = induced_coin_basis(asn, a, [[1, 1, 1, 1], [1, 1, -1, -1]], b)
+    assert [vec for u, vec in basis.columns if u == a] == [(1, 1, 1, 1), (1, 1, -1, -1)]
+    assert len(basis.s_clones) == 2 and len(basis.t_clones) == 2
 
 
 def test_build_H_k2_is_R():
@@ -168,9 +174,9 @@ def test_exact_transfer_octahedron_t4():
 
 
 def test_gram_schmidt_runs_at_the_marked_vertices_only(monkeypatch):
-    """On circulant(1000,1,999) the coin basis makes a constant number of
-    Gram-Schmidt calls: W and V at the marked pair, their completions and at
-    most one per distinct coin, not one per vertex."""
+    """On circulant(1000,1,999) the coin basis makes two Gram-Schmidt passes
+    at each marked vertex, W and the coin's columns completed against it
+    (they also decide that the coin fixes W), and none elsewhere."""
     from sstwalk import linalg
 
     g, a, b = circulant_2m(1000, 1, 999)
@@ -185,9 +191,30 @@ def test_gram_schmidt_runs_at_the_marked_vertices_only(monkeypatch):
 
     monkeypatch.setattr(linalg, "gram_schmidt", counting)
     red = reduction_for(asn, a, w, b)
-    distinct_coins = len({id(asn.coin(u)) for u in range(g.n)})
     assert red.size == 2002
-    assert len(calls) <= 4 + distinct_coins
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("w, message", [
+    ([[1, 1, 0, 0], [1, 1, 0]], "subspace vector at vertex 0 has wrong length 3"),
+    ([[1, 0, 0, 0], [1, 1, 0]], "subspace vector at vertex 0 has wrong length 3"),
+    ([[1, 0, 0, 0], [2, 0, 0, 0]], "subspace at vertex 0 is not fixed by its coin"),
+    ([[1, 1, 1, 1], [1, 1, -1, 0]], "subspace at vertex 0 is not fixed by its coin"),
+    ([[1, 1, 0, 0], [2, 2, 0, 0]], "dependent subspace basis at vertex 0: "
+                                   "linearly dependent vector in Gram-Schmidt input"),
+    ([[0, 0, 0, 0]], "dependent subspace basis at vertex 0: "
+                     "linearly dependent vector in Gram-Schmidt input"),
+], ids=["length", "length-before-fixed", "fixed-before-dependent", "not-fixed",
+        "dependent", "zero"])
+def test_marked_subspace_refusals_in_order(w, message):
+    """W at a marked vertex is refused for a wrong length first, then for not
+    being fixed by its coin, then for a dependent basis."""
+    g, a, b = circulant_2m(3, 1, 2)
+    coin = reflection_about([[1, 1, 0, 0], [0, 0, 1, 1]])
+    asn = CoinAssignment.grover_with_marked(g, a, b, coin)
+    with pytest.raises(ReductionError) as err:
+        induced_coin_basis(asn, a, w, b)
+    assert str(err.value) == message
 
 
 def test_basis_independence_two_completions():

@@ -11,6 +11,7 @@ Berlekamp-Massey on m_S +- m_{S,T} for g+ and g-, scans g = den psi_S once
 for its orders and factors, tests strong cospectrality by the Fraction
 product g+ g- == g, finds the orders of g+- by trial division by the Psi~_m
 of g's scan, and partitions g's factors between g+ and g- by remainder.
+``cosine_factor`` is the cosine split of a RatPoly that g's scan reads.
 ``decide_transfer_oracle`` and ``decide_periodicity_oracle`` are the
 deciders on top of it.
 """
@@ -22,10 +23,20 @@ from math import lcm
 
 from psi_oracle import series_fraction
 from sstwalk.decider import PeriodicityVerdict, TransferVerdict
-from sstwalk.exact import (RatFun, _cosine_coeffs, _fraction, _Krylov, _monic_quotient,
-                           _scaled_ints, _SelfMoments, cosine_factor, cosine_poly,
-                           factor_irreducible)
+from sstwalk.exact import (RatFun, RatPoly, _cosine_coeffs, _cosine_split, _fraction,
+                           _from_scaled, _Krylov, _monic_quotient, _scaled_ints,
+                           _SelfMoments, cosine_poly, factor_irreducible)
 from sstwalk.reduction import check_pairs, z_apply
+
+
+def cosine_factor(p: RatPoly) -> tuple[dict[int, int], RatPoly]:
+    """Split p = c * prod_m Psi_m^{e_m} * rest over Q; returns ({m: e_m}, rest)
+    with rest monic and divisible by no Psi_m (``_cosine_split`` of
+    ``_scaled_ints(p)``)."""
+    if p.is_zero():
+        raise ValueError("cosine_factor of the zero polynomial")
+    orders, rest = _cosine_split(_scaled_ints(p))
+    return orders, _from_scaled(rest)
 
 
 def unit_moments(red, *clone_sets: list[int]) -> tuple[_SelfMoments, ...]:
