@@ -29,11 +29,11 @@ algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
 recurrence (``_scaled_conn``) by every Psi~_m that fits.  g+- stay in Z[y]
 to the output: the split decides periodicity and transfer, ``coprime`` (one
 ``_int_gcd`` when neither g- = 1 nor the orders decide) decides strong
-cospectrality and whether psi_st needs a gcd at all, and the rest is
-factored over Z, a quadratic by its integer discriminant and one of
-degree >= 3 by sympy.  ``_from_scaled`` turns an integer polynomial in y into
-the monic RatPoly in x only where a field is read out: g+-, the factor
-lists (the Psi_m(x) = 2^-deg Psi~_m(2x) and the factors of the rest) and
+cospectrality and whether psi_st needs a gcd at all, and a rest of
+degree >= 2 is factored over Z by the package's Zassenhaus factorizer
+``zfactor``.  ``_from_scaled`` turns an integer polynomial in y into the
+monic RatPoly in x only where a field is read out: g+-, the factor lists
+(the Psi_m(x) = 2^-deg Psi~_m(2x) and the factors of the rest) and
 psi_st's denominator.
 """
 
@@ -271,40 +271,18 @@ def factor_irreducible(p: RatPoly) -> list[RatPoly]:
 def _factors(orders: dict[int, int], rest: list[int]) -> list[RatPoly]:
     """The distinct monic irreducible factors of p(x), for the split
     p~ = prod_m Psi~_m^{e_m} * rest in Z[y] of ``_cosine_split``: the Psi_m,
-    then the factors of rest.  They are gathered as a set, so a repeated
-    factor of rest comes out once with no square-free pass (and g+- have
-    none: they are square-free when delta_sq > 0).  A quadratic rest is split
-    by its integer discriminant, and only one of degree >= 3 goes to sympy's
-    Z[y] factorizer."""
+    then the factors of rest.  A rest of degree >= 2 goes to the Zassenhaus
+    factorizer ``zfactor``, imported on first use, which returns each of its
+    irreducible factors once, also when rest has repeated ones (g+- have
+    none: they are square-free when delta_sq > 0)."""
     factors = {cosine_poly(m) for m in orders}
     if len(rest) == 2:
         factors.add(_from_scaled(rest))
-    elif len(rest) == 3:
-        factors.update(map(_from_scaled, _split_quadratic(rest)))
-    elif len(rest) > 3:
-        factors.update(map(_from_scaled, _sympy_factor(rest)))
+    elif len(rest) > 2:
+        from . import zfactor
+
+        factors.update(map(_from_scaled, zfactor.irreducible_factors(rest)))
     return sorted(factors, key=lambda q: (q.degree, q.coeffs))
-
-
-def _split_quadratic(ints: list[int]) -> list[list[int]]:
-    """The factors over Z of a quadratic ay^2 + by + c (a > 0): 2ay + b -+ r
-    when the discriminant b^2 - 4ac is the square of an integer r, else the
-    quadratic itself."""
-    c, b, a = ints
-    disc = b * b - 4 * a * c
-    r = isqrt(disc) if disc >= 0 else -1
-    if r * r != disc:
-        return [ints]
-    return [_primitive([b - r, 2 * a]), _primitive([b + r, 2 * a])]
-
-
-def _sympy_factor(ints: list[int]) -> list[list[int]]:
-    """The distinct irreducible factors over Z of an integer polynomial."""
-    import sympy
-
-    poly = sympy.Poly(ints[::-1], sympy.Symbol("y"), domain="ZZ")
-    return [[int(c) for c in reversed(fac.all_coeffs())]
-            for fac, _mult in poly.factor_list()[1]]
 
 
 # -- cyclotomic and cosine minimal polynomials ---------------------------------

@@ -358,12 +358,13 @@ def _krylov_spectrum(red) -> tuple[np.ndarray, np.ndarray]:
 def _cos_sums(theta: np.ndarray, weights: np.ndarray, start: int,
               length: int) -> np.ndarray:
     """sum_k weights[j, k] cos(t theta_k) for t = start .. start+length-1,
-    as a (length, dim W) array.
+    as a (dim W, length) array.
 
     With t = t0 + s, t0 on a grid of step B = ceil(sqrt(length)) and
     0 <= s < B, angle addition gives cos(t0 theta) cos(s theta) -
     sin(t0 theta) sin(s theta): (length / B + B) cos and sin per angle and
-    two matrix products, in place of length cosines.
+    two matrix products, in place of length cosines.  The second product is
+    subtracted in place, so the chunk allocates two (dim W, length) arrays.
     """
     import numpy as np
 
@@ -372,8 +373,9 @@ def _cos_sums(theta: np.ndarray, weights: np.ndarray, start: int,
     fine = np.outer(np.arange(step), theta)                        # (B, k)
     cos0 = np.cos(coarse)[None] * weights[:, None, :]              # (dim W, length/B, k)
     sin0 = np.sin(coarse)[None] * weights[:, None, :]
-    sums = cos0 @ np.cos(fine).T - sin0 @ np.sin(fine).T           # (dim W, length/B, B)
-    return sums.reshape(len(weights), -1)[:, :length].T
+    sums = cos0 @ np.cos(fine).T                                   # (dim W, length/B, B)
+    sums -= sin0 @ np.sin(fine).T
+    return sums.reshape(len(weights), -1)[:, :length]
 
 
 def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndarray:
@@ -387,10 +389,12 @@ def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndar
     values and weights of that Krylov space, grown until it is H-invariant,
     so exact up to rounding, with no size x size array built.  The cosine
     sums are evaluated in chunks of SWEEP_CHUNK steps by the blocked kernel
-    ``_cos_sums``.  Identical to the direct simulation up to the
-    spectral-bridge accuracy; with ``early_exit`` the sweep stops after the
-    first step whose fidelity reaches the threshold, and returns that prefix
-    of the full series.
+    ``_cos_sums``, and each chunk's fidelities, min_j gamma overlap_j
+    clipped to [0, 1] with gamma the sign of overlap_0 (+1 where it is 0),
+    are written into the output in place.  Identical to the direct
+    simulation up to the spectral-bridge accuracy; with ``early_exit`` the
+    sweep stops after the first step whose fidelity reaches the threshold,
+    and returns that prefix of the full series.
     """
     import numpy as np
 
@@ -398,15 +402,19 @@ def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndar
     theta = np.arccos(np.clip(lam, -1.0, 1.0))
     out = np.zeros(t_max + 1)
     for start in range(0, t_max + 1, SWEEP_CHUNK):
-        ts = np.arange(start, min(start + SWEEP_CHUNK, t_max + 1))
-        overlaps = _cos_sums(theta, weights, start, len(ts))  # (len(ts), dim W)
-        gamma = np.sign(overlaps[:, 0])
+        chunk = out[start:start + SWEEP_CHUNK]
+        first, *rest = _cos_sums(theta, weights, start, len(chunk))  # dim W rows
+        gamma = np.sign(first)
         gamma[gamma == 0] = 1.0
-        fid = np.min(overlaps * gamma[:, None], axis=1)
-        out[ts] = np.clip(fid, 0.0, 1.0)
-        if early_exit is not None and np.any(out[ts] >= early_exit):
-            stop = int(ts[np.argmax(out[ts] >= early_exit)])
-            return out[: stop + 1]
+        np.multiply(first, gamma, out=chunk)
+        for row in rest:
+            row *= gamma
+            np.minimum(chunk, row, out=chunk)
+        np.clip(chunk, 0.0, 1.0, out=chunk)
+        if early_exit is not None:
+            hits = np.flatnonzero(chunk >= early_exit)
+            if hits.size:
+                return out[: start + hits[0] + 1]
     return out
 
 

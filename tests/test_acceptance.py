@@ -275,16 +275,16 @@ def test_criterion_13_circulant_2002_clones():
 def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
     """`transfer --report-split` on GP(3,300), 896 clones (decide_transfer,
     then strong_cospectral_exact) never scans g, scans each of g+ and g- at
-    most once as an integer polynomial, calls sympy at most once and forms no
-    RatPoly product, and prints the verdict and split it printed when g+- were
-    factored afresh (stdout digest).  Every cosine scan is a ``_cosine_split``
+    most once as an integer polynomial, calls ``zfactor`` at most once and
+    forms no RatPoly product, and prints the verdict and split it printed
+    when g+- were factored afresh (stdout digest).  Every cosine scan is a ``_cosine_split``
     of an integer polynomial, so its record is the whole scan.  Counts only:
     no wall-time gate."""
-    from sstwalk import cli, exact
+    from sstwalk import cli, exact, zfactor
 
-    summaries, split_ints, sympy_calls, products = [], [], [], []
+    summaries, split_ints, factor_calls, products = [], [], [], []
     init, split = exact.Resolvent.__init__, exact._cosine_split
-    sympy_factor, mul = exact._sympy_factor, exact.RatPoly.__mul__
+    factor, mul = zfactor.irreducible_factors, exact.RatPoly.__mul__
 
     def recorded_init(self, *args):
         summaries.append(self)
@@ -294,9 +294,9 @@ def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
         split_ints.append(tuple(ints))
         return split(ints)
 
-    def recorded_sympy(p):
-        sympy_calls.append(p)
-        return sympy_factor(p)
+    def recorded_factor(p):
+        factor_calls.append(p)
+        return factor(p)
 
     def recorded_mul(self, other):
         if isinstance(other, exact.RatPoly):
@@ -305,7 +305,7 @@ def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
 
     monkeypatch.setattr(exact.Resolvent, "__init__", recorded_init)
     monkeypatch.setattr(exact, "_cosine_split", recorded_split)
-    monkeypatch.setattr(exact, "_sympy_factor", recorded_sympy)
+    monkeypatch.setattr(zfactor, "irreducible_factors", recorded_factor)
     monkeypatch.setattr(exact.RatPoly, "__mul__", recorded_mul)
     rc = cli.main(["transfer", "--family", "gp", "--k", "3", "--n", "300", "--report-split"])
     out = capsys.readouterr().out
@@ -317,6 +317,6 @@ def test_criterion_14_gp300_one_support_scan(capsys, monkeypatch):
         "936d133b36d2ea28cee1991994adf74034322ca69c0aacfa505c2f8864c2283a")
     ok = ok and summary.g_plus.degree + summary.g_minus.degree == 300
     ok = ok and sorted(split_ints) == sorted(sides)
-    ok = ok and len(sympy_calls) <= 1 and products == []
+    ok = ok and len(factor_calls) <= 1 and products == []
     report(14, f"GP(3,300) decide + split: {len(split_ints)} integer scans of g+-, "
-               f"{len(sympy_calls)} sympy calls", ok)
+               f"{len(factor_calls)} factorizer calls", ok)

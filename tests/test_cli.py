@@ -293,9 +293,9 @@ def test_every_family_through_cli(name, tmp_path, capsys, monkeypatch):
 # graph, sender, receiver, coin and subspace files of two strongly cospectral
 # random instances whose supports have non-cosine factors, with the stdout of
 # `transfer --report-split` and `psi` pinned from the route that factored g+
-# and g- afresh.  On "quadratic" a rest x^2 - 1/3 is split by its discriminant;
-# on "quadratic+cubic" the split has the irrational quadratics x^2 + x + 1/6
-# and x^2 - 1/6 and a cubic, which only sympy factors.
+# and g- afresh.  On "quadratic" the rest x^2 - 1/3 is irreducible; on
+# "quadratic+cubic" the split has the irrational quadratics x^2 + x + 1/6 and
+# x^2 - 1/6 and a cubic, all factored over Z by ``zfactor``.
 SPLIT_GOLDEN = {
     "quadratic": (
         "n 5\n0 1\n0 2\n0 3\n1 3\n1 4\n2 3\n", 1, 3,

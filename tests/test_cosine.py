@@ -5,10 +5,14 @@ and the factorizer used before the scan: the sharp transform g -> g# plus a
 scan for cyclotomic factors with the Phi_{1,2}-squared multiplicity rule, and
 peel-x-then-sympy, with the square-free part and sympy's Q[x] factorizer
 it ran on (``squarefree_part`` and ``sympy_factor``, kept here as the
-oracle; the package factors in Z[y] and needs neither).  The cosine scan (read as the resolvent summary reads it,
-``scan_orders``, and ``exact.factor_irreducible``) must agree with both on the
-single Psi_m, on random products of distinct Psi_m with and without a squared
-or non-cosine factor, and on g, g+ and g- of seeded random reductions.
+oracle; the package factors in Z[y] and needs neither).  The cosine scan (read
+as the resolvent summary reads it, ``scan_orders``, and
+``exact.factor_irreducible``) must agree with both on the single Psi_m, on
+random products of distinct Psi_m with and without a squared or non-cosine
+factor, on random integer products, and on g, g+ and g- of seeded random
+reductions.  The package's Zassenhaus factorizer ``zfactor`` is checked
+against sympy's factor_list over Z (``sympy_int_factors``) on the rests of
+the random-small schedule and on planted hard cases.
 """
 
 import os
@@ -20,12 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from sstwalk import exact
+from sstwalk import exact, zfactor
 from sstwalk.cospec import strong_cospectral_exact
 from sstwalk.decider import (cyclotomic, decide_periodicity, decide_transfer,
                              factor_into_cyclotomics, sharp)
-from sstwalk.exact import (X, RatPoly, _from_scaled, _scaled_ints, _split_quadratic,
-                           cosine_poly, factor_irreducible, poly_gcd, resolvent)
+from sstwalk.exact import (X, RatPoly, _scaled_ints, cosine_poly, factor_irreducible,
+                           poly_gcd, resolvent)
+from conftest import schedule_reduction
+from test_cli import SPLIT_GOLDEN, _instance_argv
 from test_psi_oracle import random_reduction
 from transfer_oracle import cosine_factor, unit_psi
 
@@ -78,6 +84,20 @@ def sympy_factor(p: RatPoly) -> list[RatPoly]:
         if q.degree >= 1:
             out.append(q)
     return out
+
+
+def sympy_int_factors(ints: list[int]) -> list[list[int]]:
+    """The distinct irreducible factors over Z of an integer polynomial
+    (constant term first) from sympy's factor_list, primitive with positive
+    lead, sorted."""
+    import sympy
+
+    poly = sympy.Poly(ints[::-1], sympy.Symbol("y"), domain="ZZ")
+    out = []
+    for fac, _mult in poly.factor_list()[1]:
+        q = [int(c) for c in reversed(fac.all_coeffs())]
+        out.append(q if q[-1] > 0 else [-c for c in q])
+    return sorted(out)
 
 
 def old_factor_irreducible(p: RatPoly) -> list[RatPoly]:
@@ -197,12 +217,115 @@ def test_random_reduction_supports_match_oracle():
     assert checked >= 250 and periodic > 0
 
 
+def _integer_factor(rng: random.Random) -> RatPoly:
+    """A random integer polynomial of degree 1-4 in x with a lead of 1-6."""
+    degree = rng.randint(1, 4)
+    return RatPoly([rng.randint(-12, 12) for _ in range(degree)] + [rng.randint(1, 6)])
+
+
+def test_random_integer_products_match_oracle():
+    """factor_irreducible against the old factorizer on 150 seeded products
+    of 1-4 random integer factors in x with non-unit leads, a third of them
+    with one factor squared: the rests have repeated factors, linear factors
+    of non-unit lead and factors of degree up to 4 and beyond."""
+    rng = random.Random(20261020)
+    repeated = 0
+    for _ in range(150):
+        factors = [_integer_factor(rng) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 1 / 3:
+            factors.append(rng.choice(factors))
+            repeated += 1
+        p = RatPoly([1])
+        for f in factors:
+            p = p * f
+        assert factor_irreducible(p) == old_factor_irreducible(p), p
+    assert repeated > 30
+
+
+def _schedule_pass(seed: int):
+    """One pass of reductions in the shape of the benchmark's random-small
+    schedule: n cycles through 4..12, and (coin rank, dim W) through (1, 1),
+    (2, 1), (2, 2) every nine instances."""
+    rng = random.Random(seed)
+    for i in range(486):
+        rank, dim_w = ((1, 1), (2, 1), (2, 2))[i // 9 % 3]
+        yield schedule_reduction(rng, 4 + i % 9, rank, dim_w)
+
+
+def test_schedule_rests_match_sympy():
+    """Every rest of degree >= 2 in the split of a strongly cospectral
+    summary, on three seeded passes of the random-small schedule, factors
+    over Z as sympy's factor_list does."""
+    rests = 0
+    for seed in (1, 2, 3):
+        for red in _schedule_pass(seed):
+            summary = resolvent(red)
+            if not summary.strong:
+                continue
+            for _orders, rest in summary._side_scans:
+                if len(rest) > 2:
+                    assert sorted(zfactor.irreducible_factors(rest)) == sympy_int_factors(rest)
+                    rests += 1
+    assert rests >= 30
+
+
+SWINNERTON_DYER = [1, 0, -10, 0, 1]      # x^4 - 10x^2 + 1, roots +-sqrt 2 +- sqrt 3
+SQRT3_PLUS_SQRT5 = [4, 0, -16, 0, 1]     # x^4 - 16x^2 + 4, roots +-sqrt 3 +- sqrt 5
+
+
+def _product(*polys):
+    out = [1]
+    for q in polys:
+        out = exact._product(out, q)
+    return out
+
+
+def _modular_counts(f: list[int], bound: int) -> list[int]:
+    """The number of factors of f mod every admissible prime below bound."""
+    counts = []
+    for p in zfactor._odd_primes(f[-1]):
+        if p >= bound:
+            return counts
+        if zfactor._squarefree(f, p):
+            parts = zfactor._distinct_degree(zfactor._monic(f, p), p, len(f))
+            counts.append(sum((len(g) - 1) // d for d, g in parts))
+
+
+def test_planted_hard_cases():
+    """Inputs that force the factorizer's less travelled paths.
+
+    - x^4 - 10x^2 + 1 is irreducible but splits mod every prime, so only
+      recombination proves it; with x^4 - 16x^2 + 4 (same kind) the product
+      has at least four modular factors and needs pairs.
+    - Linear factors with non-unit leads, as the rest 4 + 3y of random-small.
+    - y^2 - 3 is square-free, but not mod 3, the first prime the search
+      tries, so the search moves on; y^2 - 15015 is square-free mod none of
+      3, 5, 7, 11 and 13, so its square-free part is taken (itself) before
+      the search goes on past them."""
+    for f in (SWINNERTON_DYER, SQRT3_PLUS_SQRT5):
+        assert min(_modular_counts(f, 200)) >= 2
+        assert zfactor.irreducible_factors(f) == [f]
+    both = _product(SWINNERTON_DYER, SQRT3_PLUS_SQRT5)
+    assert min(_modular_counts(both, 200)) >= 4
+    assert sorted(zfactor.irreducible_factors(both)) == sorted([SWINNERTON_DYER,
+                                                               SQRT3_PLUS_SQRT5])
+    assert factor_irreducible(RatPoly(SWINNERTON_DYER)) == [RatPoly(SWINNERTON_DYER)]
+    linear = [[4, 3], [-2, 5], [7, 9]]
+    assert sorted(zfactor.irreducible_factors(_product(*linear))) == sorted(linear)
+    assert zfactor.irreducible_factors([-3, 0, 1]) == [[-3, 0, 1]]
+    assert not zfactor._squarefree([-3, 0, 1], 3)
+    assert zfactor.irreducible_factors([-15015, 0, 1]) == [[-15015, 0, 1]]
+    assert not any(zfactor._squarefree([-15015, 0, 1], p) for p in (3, 5, 7, 11, 13))
+    for f in ([-15015, 0, 1], _product([-3, 0, 1], [-3, 0, 1], [4, 3])):
+        assert sorted(zfactor.irreducible_factors(f)) == sympy_int_factors(f)
+
+
 def test_strong_and_split_call_no_poly_gcd(monkeypatch):
     """decide_transfer and strong_cospectral_exact on 100 seeded random
     reductions with poly_gcd made to raise: strong cospectrality is one gcd
     of g+- in Z[y] and the split factors the rests in Z[y].  Among them are
     cospectral ones whose g is not a product of distinct Psi_m (the gcd
-    decides strong) and strong ones with a rest of degree >= 3 (sympy)."""
+    decides strong) and strong ones with a rest of degree >= 3 (``zfactor``)."""
     def no_poly_gcd(f, g):
         raise AssertionError("poly_gcd called")
 
@@ -244,8 +367,16 @@ def _run_without_sympy(code: str) -> str:
     ["psi", "--family", "k2m", "--m", "3"],
     ["transfer", "--family", "circulant", "--m", "3", "--c", "1", "--d", "2",
      "--report-split"],
+    ["transfer", "--report-split", "quadratic+cubic"],
+    ["psi", "quadratic+cubic"],
 ])
-def test_cosine_supports_never_import_sympy(argv):
+def test_cosine_supports_never_import_sympy(argv, tmp_path):
+    """No command imports sympy: neither on cosine supports nor on the
+    SPLIT_GOLDEN instance whose split has two irrational quadratics and a
+    cubic (its name, last in argv, stands for its graph, coin and subspace
+    files)."""
+    if argv[-1] in SPLIT_GOLDEN:
+        argv = argv[:-1] + _instance_argv(tmp_path, argv[-1])
     out = _run_without_sympy(
         "import sys\n"
         "from sstwalk import cli\n"
@@ -254,9 +385,9 @@ def test_cosine_supports_never_import_sympy(argv):
     assert out.splitlines()[-1] == "False"
 
 
-def test_only_a_cubic_rest_goes_to_sympy():
-    """A non-cosine quadratic rest is settled by the discriminant test with
-    sympy never imported; a rest of degree 3 still goes to sympy."""
+def test_no_rest_goes_to_sympy():
+    """A non-cosine quadratic rest and a cubic one are both factored by the
+    package's factorizer, with sympy never imported."""
     out = _run_without_sympy(
         "import sys\n"
         "from fractions import Fraction\n"
@@ -267,14 +398,16 @@ def test_only_a_cubic_rest_goes_to_sympy():
         "q = RatPoly([-2, 0, 0, 1])\n"
         "assert factor_irreducible(q) == [q]\n"
         "print('sympy' in sys.modules)\n")
-    assert out.splitlines()[-2:] == ["False", "True"]
+    assert out.splitlines()[-2:] == ["False", "False"]
 
 
 def test_quadratic_split_matches_sympy():
-    """_split_quadratic (in Z[y], read back in x) and factor_irreducible
-    against sympy's Q[x] factorizer on 200 seeded monic quadratics: products of two distinct rational linear factors
+    """factor_irreducible against sympy's Q[x] factorizer on 200 seeded
+    monic quadratics: products of two distinct rational linear factors
     (square discriminant) and random x^2 + bx + c, which have a non-square
-    or negative discriminant unless they happen to split."""
+    or negative discriminant unless they happen to split.  Every quadratic
+    rest goes through ``zfactor`` like any other, so its Z[y] factors are
+    checked against sympy's factor_list over Z as well."""
     rng = random.Random(20261019)
 
     def rational():
@@ -292,8 +425,8 @@ def test_quadratic_split_matches_sympy():
             if squarefree_part(p).degree < 2:
                 continue
         want = sorted(sympy_factor(p), key=lambda q: (q.degree, q.coeffs))
-        got = map(_from_scaled, _split_quadratic(_scaled_ints(p)))
-        assert sorted(got, key=lambda q: (q.degree, q.coeffs)) == want, p
+        ints = _scaled_ints(p)
+        assert sorted(zfactor.irreducible_factors(ints)) == sympy_int_factors(ints), p
         assert factor_irreducible(p) == want, p
         split += len(want) == 2
     assert 100 <= split < 200
