@@ -233,7 +233,7 @@ def _initial_state(args, graph, a, assignment, w_basis):
             raise InputError(f"state {name!r}: expected w<j> with an integer j") from e
         if not 0 <= j < len(w_basis):
             raise InputError(f"state {name}: expected w1..w{len(w_basis)}")
-        return coin_state(assignment, a, [float(x) for x in w_basis[j]])
+        return coin_state(assignment, a, w_basis[j])
     raise InputError(f"unknown state {name!r} (use w<j>, uniform, or arc:u,v)")
 
 

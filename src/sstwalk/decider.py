@@ -1,11 +1,13 @@
-"""Exact decision procedures for pointwise periodicity and perfect transfer.
+"""Exact decision procedures for pointwise periodicity, perfect transfer and
+the pretty-good special case.
 
 Everything runs over Q end to end.  The eigenvalue support of the clones shows
 up as the reduced denominator g of a resolvent trace, and integer-step
 questions become "is every root of g of the form cos(2 pi k/m)".  The deciders
 read the resolvent summary (``exact.resolvent``), that is the sequences of
 e_s +- e_t, whose supports g+- are scanned once each over Z[y]: transfer the
-summary of (S, T), periodicity that of (S, S), where g- = 1 and g+ = g.
+summary of (S, T), periodicity and the pretty-good special case that of
+(S, S), where g- = 1 and g+ = g.
 ``sharp`` (g -> g#, which sends cos(theta) roots to e^{+-i theta}) and
 ``factor_into_cyclotomics`` answer the same question on g#; the tests keep
 them as the oracle.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .exact import (X, InvariantError, RatPoly, cyclotomic, default_order_bound,
+from .exact import (InvariantError, RatPoly, cyclotomic, default_order_bound,
                     euler_phi, resolvent)
 
 if TYPE_CHECKING:
@@ -146,37 +148,17 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
                            orders_plus=split[0], orders_minus=split[1])
 
 
-# cos^2 values whose arccos is a rational multiple of pi (pure geodetic
-# angles: tan(q pi) in {0, +-sqrt(3), +-1/sqrt(3), +-1, inf})
-_GEODETIC_COS_SQ = {Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                    Fraction(3, 4), Fraction(1)}
-
-
-def decide_pretty_good_special(support_factors: list[RatPoly]) -> bool:
+def decide_pretty_good_special(red: "HermitianReduction") -> bool:
     """Pretty-good decision for the closed-form support {0, +c, -c}.
 
-    ``support_factors`` are the irreducible factors of the eigenvalue support
-    with the minus class {0}: either {x, x^2 - c^2} or {x, x - c, x + c}.
-    Returns True iff arccos(c) is not a rational multiple of pi, i.e. iff
-    c^2 is outside {0, 1/4, 1/2, 3/4, 1}.
+    Reads the summary of (S, S), whose g+ = g must be x^3 - c^2 x with
+    0 < c^2 <= 1.  Returns True iff arccos(c) is not a rational multiple of
+    pi, that is iff g is not a product of cosine polynomials Psi_m: for
+    rational c^2 the scan leaves x^2 - c^2 as a rest exactly when c^2 is
+    outside Niven's {0, 1/4, 1/2, 3/4, 1}.
     """
-    factors = sorted((f.monic() for f in support_factors),
-                     key=lambda f: (f.degree, f.coeffs))
-    c_sq = _special_support_csq(factors)
-    if c_sq is None:
+    summary = resolvent(red, red.s, red.s)
+    c = summary.g_plus.coeffs
+    if len(c) != 4 or c[0] or c[2] or not 0 < -c[1] <= 1:
         raise ValueError("support is not of the special form {0, +c, -c}")
-    return c_sq not in _GEODETIC_COS_SQ
-
-
-def _special_support_csq(factors: list[RatPoly]) -> Fraction | None:
-    if X not in factors:
-        return None
-    rest = [f for f in factors if f != X]
-    if len(rest) == 1 and rest[0].degree == 2 and rest[0].coeffs[1] == 0:
-        c_sq = -rest[0].coeffs[0]
-        return c_sq if 0 < c_sq <= 1 else None
-    if len(rest) == 2 and all(f.degree == 1 for f in rest):
-        r0, r1 = (-f.coeffs[0] for f in rest)
-        if r0 == -r1 and r0 != 0:
-            return r0 * r0
-    return None
+    return summary.split_orders is None

@@ -214,8 +214,8 @@ def case_pretty_good_cone(base: Graph, name: str = "cone") -> PrettyGoodResult:
     """Double cone over a k-regular base with singular adjacency: pretty-good
     W-transfer for W = ker A(base) iff k is outside {0, 2, 6}.
 
-    Runs the exact pipeline to extract the support, applies the special-form
-    geodetic decision, and (when accepted) sweeps fidelity up to
+    Decides the special form from the reduction's (S, S) resolvent summary,
+    reports the support's factors, and (when accepted) sweeps fidelity up to
     PRETTY_GOOD_T_MAX, then checks the best step of the sweep against the
     stepped walk (``exact.InvariantError`` if they disagree).
     """
@@ -233,10 +233,9 @@ def case_pretty_good_cone(base: Graph, name: str = "cone") -> PrettyGoodResult:
     coin = reflection_about([list(v) for v in kernel])
     assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     red = reduction_for(assignment, a, kernel, b)
+    accepted = decide_pretty_good_special(red)
     factors = strong_cospectral_exact(red, red.s, red.s).support_factors
-    accepted = decide_pretty_good_special(factors)
-    result = PrettyGoodResult(name=name, accepted=accepted,
-                              support_factors=factors)
+    result = PrettyGoodResult(name=name, accepted=accepted, support_factors=factors)
     if not accepted:
         result.status = "REJECTED"
         return result

@@ -20,8 +20,10 @@ leaves it once.  The plan is the only way U is applied; no
 dense U is built.  No renormalization is performed: norm drift is itself a
 diagnostic.  Subspaces W enter as rational vectors, floats converted exactly,
 and are orthonormalized by exact Gram-Schmidt before the one conversion to
-doubles.  numpy is imported by each entry point on first use, so the exact
-layers that import this module never load it.
+doubles; every exact vector is scaled by a power of two before that
+conversion, so entries past the double range convert without overflow.
+numpy is imported by each entry point on first use, so the exact layers
+that import this module never load it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import inf, lcm
 from typing import TYPE_CHECKING
 
@@ -148,6 +151,18 @@ class StepPlan:
         return np.take(z, self.pos, axis=0)
 
 
+def _doubles(v) -> list[float]:
+    """The real vector v as doubles, times the power of two 2^-e that puts
+    its largest entry in (1/2, 2): each entry p/q is one correctly rounded
+    int division p / (q 2^e).  A power-of-two scale is exact in binary
+    floating point, so this is v's own doubles times 2^-e, and a valid
+    exact entry far past the double range (10^400) converts without
+    overflow."""
+    ratios = [Fraction(x).as_integer_ratio() for x in v]
+    e = max((p.bit_length() - q.bit_length() for p, q in ratios if p), default=0)
+    return [p / (q << e) if e >= 0 else (p << -e) / q for p, q in ratios]
+
+
 def _refuse_non_finite(ws, a: int) -> None:
     """A NaN or infinite weight would give a NaN state (NaN passes the
     fixed-vector test, as every comparison with it is false)."""
@@ -162,15 +177,16 @@ def _coin_weights(assignment: CoinAssignment, a: int, ws) -> np.ndarray:
     import numpy as np
 
     d = assignment.graph.degree(a)
-    wv = np.array([[float(x) for x in w] for w in ws])
+    wv = np.array([_doubles(w) for w in ws])
     if wv.shape[1] != d:
         raise ValueError(f"weight vector must have length deg({a}) = {d}")
-    cols = assignment.coin(a).clone_columns
-    b = np.array(cols, dtype=float).reshape(-1, d)
-    norms = np.array([float(linalg.dot(c, c)) for c in cols])
+    # each clone column b scaled by 2^-e, so that its largest entry is in [1, 2)
+    cols = [(c, max(x.bit_length() for x in c) - 1) for c in assignment.coin(a).clone_columns]
+    b = np.array([[x / 2 ** e for x in c] for c, e in cols], dtype=float).reshape(-1, d)
+    norms = np.array([linalg.dot(c, c) / 4 ** e for c, e in cols])
     pw = (wv @ b.T / norms) @ b
     for w, p in zip(wv, pw):
-        if np.linalg.norm(p - w) > 1e-12 * max(np.linalg.norm(w), 1e-30):
+        if np.linalg.norm(p - w) > 1e-12 * np.linalg.norm(w):  # w is scaled near 1
             raise ValueError(f"weight vector is not fixed by the coin at vertex {a}")
     nrm = np.linalg.norm(wv, axis=1)
     if not nrm.all():
@@ -232,7 +248,7 @@ def orthonormal_columns(vectors) -> list[np.ndarray]:
 
     out = []
     for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors], on_dependent="drop"):
-        col = np.array([float(x) for x in v])
+        col = np.array(_doubles(v))
         out.append(col / np.linalg.norm(col))
     return out
 

@@ -4,7 +4,7 @@ deliberate edit of this list."""
 import importlib
 
 import sstwalk
-from sstwalk import exact
+from sstwalk import decider, exact
 
 PUBLIC = [
     "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
@@ -82,3 +82,13 @@ REMOVED_FROM_SELF_MOMENTS = ["levels"]
 def test_sequence_regrowth_removed():
     assert [name for name in REMOVED_FROM_SELF_MOMENTS
             if hasattr(exact._SelfMoments, name)] == []
+
+
+# the pretty-good special case reads the (S, S) summary's g+ and its cosine
+# scan; the factor-list rule and its geodetic cos^2 table live in
+# tests/transfer_oracle.py
+REMOVED_FROM_DECIDER = ["_special_support_csq", "_GEODETIC_COS_SQ"]
+
+
+def test_factor_list_pretty_good_rule_removed():
+    assert [name for name in REMOVED_FROM_DECIDER if hasattr(decider, name)] == []

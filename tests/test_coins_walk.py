@@ -9,7 +9,10 @@ import pytest
 from sstwalk.coins import (CoinAssignment, CoinError, grover_coin,
                            negative_identity_coin, parse_coins,
                            reflection_about)
-from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m
+from sstwalk.decider import decide_transfer
+from sstwalk.families import fidelity_series
+from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m, generalized_path
+from sstwalk.reduction import exact_transfer_check, reduction_for
 from sstwalk.walk import _c_float, coin_state, transfer_fidelity, walk_apply
 from reduction_oracle import assemble_projection
 from walk_oracle import walk_unitary
@@ -187,6 +190,22 @@ def test_non_finite_weights_are_refused(bad):
             coin_state(asn, a, w)
         with pytest.raises(ValueError, match=f"weight vector at vertex {a} is not finite"):
             transfer_fidelity(asn, a, b, [[1, 1, 1, 1], w], 6)
+
+
+def test_exact_entries_past_the_double_range():
+    """gp(2,4) with the marked coin and W = span{(10^400, 1)}: the decider
+    and the Chebyshev identity give transfer at t = 3, and the walk, whose
+    exact vectors are scaled by a power of two before conversion, agrees
+    instead of overflowing; so does the spectral sweep."""
+    w = [[10 ** 400, 1]]
+    g, a, b = generalized_path(2, 4)
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    red = reduction_for(asn, a, w, b)
+    assert decide_transfer(red).line() == "TRANSFER time=3 gamma=+1"
+    assert exact_transfer_check(red, 3, 1)
+    assert coin_state(asn, a, w[0])[:2].tolist() == [1.0, 0.0]
+    assert transfer_fidelity(asn, a, b, w, 3) == (1.0, 1.0)
+    assert abs(fidelity_series(red, 3)[3] - 1) < 1e-12
 
 
 def test_coin_state_requires_fixed_vector():

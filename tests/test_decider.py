@@ -12,7 +12,7 @@ from sstwalk.coins import CoinAssignment, reflection_about
 from sstwalk.decider import (cyclotomic, decide_periodicity,
                              decide_pretty_good_special, decide_transfer,
                              euler_phi, factor_into_cyclotomics, sharp)
-from sstwalk.exact import RatPoly
+from sstwalk.exact import RatPoly, resolvent
 from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
                             generalized_path)
 from sstwalk.reduction import exact_transfer_check, reduction_for
@@ -182,14 +182,27 @@ def test_verdict_lines():
 
 
 def test_pretty_good_special():
-    x = P(0, 1)
-    assert decide_pretty_good_special([x, P(Fraction(-2, 5), 0, 1)])      # 2/5
-    assert not decide_pretty_good_special([x, P(Fraction(-1, 2), 0, 1)])  # 1/2
-    assert not decide_pretty_good_special([x, P(Fraction(-1, 2), 1), P(Fraction(1, 2), 1)])
+    """Planted supports: the path 0 - 1 - 2 with delta_sq (d0, d1, d2) has
+    g = x (x^2 - c^2) at clone 0, c^2 = (1/d0 + 1/d2) / d1."""
+    def support(sym, delta_sq):
+        red = synthetic_reduction(sym, delta_sq, [0], [0])
+        return red, resolvent(red, red.s, red.s).g_plus
+
+    path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    red, g = support(path, [1, 5, 1])
+    assert g == P(0, Fraction(-2, 5), 0, 1) and decide_pretty_good_special(red)
+    red, g = support(path, [1, 4, 1])
+    assert g == P(0, Fraction(-1, 2), 0, 1) and not decide_pretty_good_special(red)
+    red, g = support(path, [2, 4, 2])   # x (x - 1/2) (x + 1/2)
+    assert g == P(0, Fraction(-1, 4), 0, 1) and not decide_pretty_good_special(red)
+    red, g = support([[0, 1], [1, 0]], [1, 2])
+    assert g == P(Fraction(-1, 2), 0, 1)            # no 0 in the support
     with pytest.raises(ValueError):
-        decide_pretty_good_special([P(Fraction(-1, 2), 0, 1)])  # no 0 in support
+        decide_pretty_good_special(red)
+    red, g = support([[0, 1, 0], [1, 2, 1], [0, 1, 0]], [2, 4, 2])
+    assert g == P(0, 1) * P(Fraction(-1, 4), Fraction(-1, 2), 1)
     with pytest.raises(ValueError):
-        decide_pretty_good_special([x, P(Fraction(-1, 4), Fraction(-1, 2), 1)])
+        decide_pretty_good_special(red)
 
 
 def test_pretty_good_numeric_cross_check():

@@ -1,4 +1,5 @@
-"""The demos run to completion, and the families tour verifies every case."""
+"""The demos run to completion, the families tour verifies every case, and the
+pretty-good demo prints its three cone verdicts."""
 
 import os
 import subprocess
@@ -27,3 +28,11 @@ def test_demo_runs(demo):
         assert len(cases) == 22
         assert all([f for f in fields if f.startswith("status=")] == ["status=PASS"]
                    for fields in cases), proc.stdout
+    if demo.stem == "05_pretty_good":
+        verdicts = [line for line in proc.stdout.splitlines() if "support factors" in line]
+        assert verdicts == [
+            "C4 (k=2): support factors [0 1, -1/2 0 1] -> excluded (geodetic angle)",
+            "triangular prism (k=3): support factors [0 1, -2/5 0 1] -> pretty good",
+            "K_{3,3,3} (k=6): support factors [-1/2 1, 0 1, 1/2 1] -> "
+            "excluded (geodetic angle)",
+        ]

@@ -115,6 +115,22 @@ def test_pretty_good_rejections():
     assert not case_pretty_good_cone(complete_multipartite([3, 3, 3]), name="k333").accepted
 
 
+@pytest.mark.parametrize("parts", [[4, 4], [5, 5], [6, 6, 6]],
+                         ids=["K_4,4", "K_5,5", "K_6,6,6"])
+def test_pretty_good_cone_theorem_accepts(parts):
+    """Cones over K_{4,4}, K_{5,5} and K_{6,6,6} (k = 4, 5, 12; c^2 = 1/3,
+    2/7, 1/7): accepted, and the sweep reaches 0.999."""
+    res = case_pretty_good_cone(complete_multipartite(parts), name=str(parts))
+    assert res.accepted and res.status == "PASS"
+
+
+def test_pretty_good_cone_theorem_rejects():
+    """k = 2 (C8) and k = 6 (K_{2,2,2,2}) give geodetic c^2 = 1/2 and 1/4."""
+    assert case_pretty_good_cone(cycle_graph(8), name="c8").status == "REJECTED"
+    assert case_pretty_good_cone(complete_multipartite([2, 2, 2, 2]),
+                                 name="k2222").status == "REJECTED"
+
+
 def test_pretty_good_sweep_simulation_disagreement_is_invariant_error(monkeypatch):
     """A best sweep step that the stepped walk misses by 1e-6 (above the 1e-7
     margin) is a fault of the program, not of the input."""

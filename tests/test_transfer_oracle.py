@@ -18,24 +18,33 @@ The u sequence's reads are the cross terms c_k = m_S(k) - m_T(k) of the
 full moment kernel at every level it grew, and cospectral agrees with the
 oracle's, on seeded random and sign-indefinite reductions; every read of an
 (S, S) summary is 0.
+
+The pretty-good special case read from the (S, S) summary agrees with the
+factor-list rule and its table of geodetic cos^2 values, accepted, rejected
+or refused alike, on the 512 planted path supports, on two shapes that both
+refuse, and on the double cones of the cone theorem.
 """
 
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from conftest import (FAMILY_NAMES, family_instance, family_reduction, odd_cycle_reductions,
-                      random_instance, schedule_reduction)
+                      random_instance, schedule_reduction, synthetic_reduction)
 from psi_oracle import krylov_moments, series_fraction
 from sstwalk.coins import CoinAssignment
 from sstwalk.cospec import SupportSplit, strong_cospectral_exact
-from sstwalk.decider import decide_periodicity, decide_transfer
+from sstwalk.decider import decide_periodicity, decide_pretty_good_special, decide_transfer
 from sstwalk.exact import psi, resolvent
+from sstwalk.graphs import complete_multipartite, cycle_graph, prism_graph
 from sstwalk.reduction import reduction_for
 from test_psi_oracle import indefinite_reduction, random_reduction
+from test_sweep_oracle import cone_reduction
 from transfer_oracle import (OracleResolvent, decide_periodicity_oracle,
-                             decide_transfer_oracle, unit_psi)
+                             decide_pretty_good_special_oracle, decide_transfer_oracle,
+                             unit_psi)
 
 
 def check_transfer_against_oracle(red) -> str:
@@ -207,3 +216,53 @@ def test_self_route_matches_oracle_on_indefinite_reductions():
         seen[check_self_route_against_oracle(red)] += 1
         rejected += resolvent(red, red.s, red.s)._sides[0]._failed >= 0
     assert seen[True] > 0 and seen[False] > 0 and rejected > 0
+
+
+def check_pretty_good_against_oracle(red):
+    """The special-case verdict of ``red`` equals the factor-list rule's on
+    the (S, S) support; returns it, or "refused" when both raise."""
+    factors = strong_cospectral_exact(red, red.s, red.s).support_factors
+    verdicts = []
+    for rule in (lambda: decide_pretty_good_special_oracle(factors),
+                 lambda: decide_pretty_good_special(red)):
+        try:
+            verdicts.append(rule())
+        except ValueError:
+            verdicts.append("refused")
+    assert verdicts[0] == verdicts[1], factors
+    return verdicts[0]
+
+
+def test_pretty_good_matches_oracle_on_planted_paths():
+    """The path 0 - 1 - 2 with delta_sq (d0, d1, d2) marked at 0 has support
+    x (x^2 - c^2) with c^2 = (1/d0 + 1/d2) / d1: c^2 > 1 refuses, and a
+    geodetic c^2 (1/4, 1/2, 3/4 or 1) rejects."""
+    seen = Counter(str(check_pretty_good_against_oracle(
+        synthetic_reduction([[0, 1, 0], [1, 0, 1], [0, 1, 0]], d, [0], [0])))
+        for d in itertools.product(range(1, 9), repeat=3))
+    assert seen == {"True": 472, "False": 25, "refused": 15}
+
+
+@pytest.mark.parametrize("sym, delta_sq", [
+    ([[0, 1], [1, 0]], [1, 3]),                           # x^2 - 1/3: no 0
+    ([[0, 1, 0], [1, 2, 1], [0, 1, 0]], [2, 4, 2]),       # x (x^2 - x/2 - 1/4)
+])
+def test_pretty_good_refusals_match_oracle(sym, delta_sq):
+    assert check_pretty_good_against_oracle(synthetic_reduction(sym, delta_sq, [0], [0])) \
+        == "refused"
+
+
+CONE_BASES = {"C4": cycle_graph(4), "C8": cycle_graph(8), "prism": prism_graph(),
+              "K_{3,3,3}": complete_multipartite([3, 3, 3]),
+              "K_{4,4}": complete_multipartite([4, 4]),
+              "K_{5,5}": complete_multipartite([5, 5]),
+              "K_{2,2,2,2}": complete_multipartite([2, 2, 2, 2]),
+              "K_{6,6,6}": complete_multipartite([6, 6, 6])}
+
+
+@pytest.mark.parametrize("name", CONE_BASES)
+def test_pretty_good_matches_oracle_on_cones(name):
+    """The cone theorem: pretty good iff the base degree k is outside {0, 2, 6}."""
+    base = CONE_BASES[name]
+    accepted = base.degree(0) not in (0, 2, 6)
+    assert check_pretty_good_against_oracle(cone_reduction(base)) is accepted

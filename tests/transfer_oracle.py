@@ -13,17 +13,20 @@ product g+ g- == g, finds the orders of g+- by trial division by the Psi~_m
 of g's scan, and partitions g's factors between g+ and g- by remainder.
 ``cosine_factor`` is the cosine split of a RatPoly that g's scan reads.
 ``decide_transfer_oracle`` and ``decide_periodicity_oracle`` are the
-deciders on top of it.
+deciders on top of it.  ``decide_pretty_good_special_oracle`` is the
+pretty-good special case as a rule on the support's factor list, with the
+table of Niven's geodetic values of cos^2.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from psi_oracle import series_fraction
 from sstwalk.decider import PeriodicityVerdict, TransferVerdict
-from sstwalk.exact import (RatFun, RatPoly, _cosine_coeffs, _cosine_split, _fraction,
+from sstwalk.exact import (X, RatFun, RatPoly, _cosine_coeffs, _cosine_split, _fraction,
                            _from_scaled, _Krylov, _monic_quotient, _scaled_ints,
                            _SelfMoments, cosine_poly, factor_irreducible)
 from sstwalk.reduction import check_pairs, z_apply
@@ -189,3 +192,38 @@ def decide_periodicity_oracle(summary: OracleResolvent) -> PeriodicityVerdict:
     if orders is None:
         return PeriodicityVerdict(False, reason="support-not-cyclotomic")
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
+
+
+# cos^2 values whose arccos is a rational multiple of pi (pure geodetic
+# angles: tan(q pi) in {0, +-sqrt(3), +-1/sqrt(3), +-1, inf})
+GEODETIC_COS_SQ = {Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                   Fraction(3, 4), Fraction(1)}
+
+
+def decide_pretty_good_special_oracle(support_factors: list[RatPoly]) -> bool:
+    """Pretty-good decision for the support {0, +c, -c} given as its
+    irreducible factors, {x, x^2 - c^2} or {x, x - c, x + c}: True iff c^2
+    is outside ``GEODETIC_COS_SQ``."""
+    factors = sorted((f.monic() for f in support_factors),
+                     key=lambda f: (f.degree, f.coeffs))
+    c_sq = special_support_csq(factors)
+    if c_sq is None:
+        raise ValueError("support is not of the special form {0, +c, -c}")
+    return c_sq not in GEODETIC_COS_SQ
+
+
+def special_support_csq(factors: list[RatPoly]) -> Fraction | None:
+    """c^2 for the factor list of a special support, else None.  Only the
+    quadratic branch checks 0 < c^2 <= 1; a rational c beyond [-1, 1] cannot
+    come from a walk, whose H has its spectrum in [-1, 1]."""
+    if X not in factors:
+        return None
+    rest = [f for f in factors if f != X]
+    if len(rest) == 1 and rest[0].degree == 2 and rest[0].coeffs[1] == 0:
+        c_sq = -rest[0].coeffs[0]
+        return c_sq if 0 < c_sq <= 1 else None
+    if len(rest) == 2 and all(f.degree == 1 for f in rest):
+        r0, r1 = (-f.coeffs[0] for f in rest)
+        if r0 == -r1 and r0 != 0:
+            return r0 * r0
+    return None
