@@ -9,13 +9,16 @@ basis and the Hermitian reduction carry.  It is also the one route to kernels
 and ranks: a kernel is the orthogonal complement of the row space, and a rank
 is the number of vectors a dropping Gram-Schmidt keeps.  The integer Berkowitz
 characteristic polynomial and Bareiss determinant back ``exact.charpoly`` and
-the determinant reference for psi that the tests use.
+the determinant reference for psi that the tests use.  ``to_double`` and
+``scaled_doubles`` own the one conversion of exact values to doubles: a
+power-of-two scale first, so values past the double range convert too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 
 Vec = list[Fraction]
@@ -24,6 +27,40 @@ Mat = list[list[Fraction]]
 
 def frac_vec(entries) -> Vec:
     return [Fraction(x) for x in entries]
+
+
+def _ratio(x) -> tuple[int, int]:
+    """x = p / q with q > 0, exact: int, Fraction, float and numpy floats
+    give their own integer ratio, numpy integers their numerator and
+    denominator, and any other real is read as float(x)."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        if isinstance(x, Rational):
+            return x.numerator, x.denominator
+        return float(x).as_integer_ratio()
+
+
+def binary_exponent(x) -> int:
+    """An e with |x| / 2^e in (1/2, 2), for x != 0."""
+    p, q = _ratio(x)
+    return p.bit_length() - q.bit_length()
+
+
+def to_double(x, k: int = 0) -> float:
+    """x 2^-k as a double, by one correctly rounded integer division.  A
+    power-of-two scale is exact in binary floating point, so this is
+    float(x) 2^-k whenever both are normal doubles, and a suitable k brings
+    an exact x far past the double range (10^400) into it."""
+    p, q = _ratio(x)
+    return p / (q << k) if k >= 0 else (p << -k) / q
+
+
+def scaled_doubles(v) -> tuple[list[float], int]:
+    """(v 2^-e as doubles, e), with e the largest ``binary_exponent`` of
+    v's entries (0 for a zero vector), so the largest entry is in (1/2, 2)."""
+    e = max((binary_exponent(x) for x in v if x), default=0)
+    return [to_double(x, e) for x in v], e
 
 
 def zeros(r: int, c: int) -> Mat:

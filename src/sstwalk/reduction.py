@@ -169,22 +169,16 @@ class HermitianReduction:
     def h_sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse float view (rows, cols, vals) of H = D^{-1/2} sym D^{-1/2},
         read from the nonzeros in O(nnz): vals = sym[i][j] / (d_i d_j) with
-        d = sqrt(delta_sq), at (i, j) = (rows, cols).  When an entry is past
-        the double range, each clone is first scaled by a power of two."""
+        d = sqrt(delta_sq), at (i, j) = (rows, cols).  Clone i is scaled by
+        2^-e_i before the conversion to doubles, with e_i half the binary
+        exponent of delta_sq[i]; the scales cancel exactly, and exact entries
+        past the double range convert without overflow."""
         import numpy as np
 
-        try:
-            d = np.sqrt(np.array([float(x) for x in self.delta_sq]))
-            vals = np.array([float(x) for _, _, x in self.nonzeros], dtype=float)
-        except OverflowError:
-            # past the double range: clone i scaled by 2^-e_i, exact in binary
-            # floating point, so that delta_sq_i / 4^e_i lies in (1/2, 4)
-            e = [(x.numerator.bit_length() - x.denominator.bit_length()) // 2
-                 for x in self.delta_sq]
-            d = np.sqrt(np.array([float(x * Fraction(4) ** -k)
-                                  for x, k in zip(self.delta_sq, e)]))
-            vals = np.array([float(x * Fraction(2) ** -(e[i] + e[j]))
-                             for i, j, x in self.nonzeros])
+        e = [linalg.binary_exponent(x) // 2 for x in self.delta_sq]
+        d = np.sqrt([linalg.to_double(x, 2 * k) for x, k in zip(self.delta_sq, e)])
+        vals = np.array([linalg.to_double(x, e[i] + e[j]) for i, j, x in self.nonzeros],
+                        dtype=float)
         rows = np.array([i for i, _, _ in self.nonzeros], dtype=int)
         cols = np.array([j for _, j, _ in self.nonzeros], dtype=int)
         return rows, cols, vals / (d[rows] * d[cols])

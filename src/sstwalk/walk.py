@@ -31,7 +31,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import inf, lcm
 from typing import TYPE_CHECKING
 
@@ -151,18 +150,6 @@ class StepPlan:
         return np.take(z, self.pos, axis=0)
 
 
-def _doubles(v) -> list[float]:
-    """The real vector v as doubles, times the power of two 2^-e that puts
-    its largest entry in (1/2, 2): each entry p/q is one correctly rounded
-    int division p / (q 2^e).  A power-of-two scale is exact in binary
-    floating point, so this is v's own doubles times 2^-e, and a valid
-    exact entry far past the double range (10^400) converts without
-    overflow."""
-    ratios = [Fraction(x).as_integer_ratio() for x in v]
-    e = max((p.bit_length() - q.bit_length() for p, q in ratios if p), default=0)
-    return [p / (q << e) if e >= 0 else (p << -e) / q for p, q in ratios]
-
-
 def _refuse_non_finite(ws, a: int) -> None:
     """A NaN or infinite weight would give a NaN state (NaN passes the
     fixed-vector test, as every comparison with it is false)."""
@@ -170,23 +157,24 @@ def _refuse_non_finite(ws, a: int) -> None:
         raise ValueError(f"weight vector at vertex {a} is not finite")
 
 
-def _coin_weights(assignment: CoinAssignment, a: int, ws) -> np.ndarray:
+def _coin_weights(assignment: CoinAssignment, a: int, wv: np.ndarray) -> np.ndarray:
     """The weights over sigma_a of the unit coin states x_a(w), one row per
-    w in ``ws``; requires C_a w = w up to 1e-12, that is P w = w, tested in
-    O(r d) as P w = B^T ((B w) / <b,b>) from the r clone columns B."""
+    float row w of ``wv``; requires C_a w = w up to 1e-12, that is P w = w,
+    tested in O(r d) as P w = B^T ((B w) / <b,b>) from the r clone columns
+    B, each column b and its <b,b> scaled by 2^-e and 4^-e."""
     import numpy as np
 
     d = assignment.graph.degree(a)
-    wv = np.array([_doubles(w) for w in ws])
     if wv.shape[1] != d:
         raise ValueError(f"weight vector must have length deg({a}) = {d}")
-    # each clone column b scaled by 2^-e, so that its largest entry is in [1, 2)
-    cols = [(c, max(x.bit_length() for x in c) - 1) for c in assignment.coin(a).clone_columns]
-    b = np.array([[x / 2 ** e for x in c] for c, e in cols], dtype=float).reshape(-1, d)
-    norms = np.array([linalg.dot(c, c) / 4 ** e for c, e in cols])
+    cols = assignment.coin(a).clone_columns
+    scaled = [linalg.scaled_doubles(c) for c in cols]
+    b = np.array([v for v, _ in scaled], dtype=float).reshape(-1, d)
+    norms = np.array([linalg.to_double(linalg.dot(c, c), 2 * e)
+                      for c, (_, e) in zip(cols, scaled)])
     pw = (wv @ b.T / norms) @ b
     for w, p in zip(wv, pw):
-        if np.linalg.norm(p - w) > 1e-12 * np.linalg.norm(w):  # w is scaled near 1
+        if np.linalg.norm(p - w) > 1e-12 * np.linalg.norm(w):
             raise ValueError(f"weight vector is not fixed by the coin at vertex {a}")
     nrm = np.linalg.norm(wv, axis=1)
     if not nrm.all():
@@ -202,7 +190,8 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
     _refuse_non_finite([w], a)
     g = assignment.graph
     state = np.zeros(g.num_arcs)
-    state[out_arc_slice(g, a)] = _coin_weights(assignment, a, [w])[0]
+    wv = np.array([linalg.scaled_doubles(w)[0]])
+    state[out_arc_slice(g, a)] = _coin_weights(assignment, a, wv)[0]
     return state
 
 
@@ -248,7 +237,7 @@ def orthonormal_columns(vectors) -> list[np.ndarray]:
 
     out = []
     for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors], on_dependent="drop"):
-        col = np.array(_doubles(v))
+        col = np.array(linalg.scaled_doubles(v)[0])
         out.append(col / np.linalg.norm(col))
     return out
 
@@ -270,8 +259,8 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     import numpy as np
 
     _refuse_non_finite(w_basis, a)
-    ws = orthonormal_columns(w_basis)
-    if not ws:
+    ws = np.array(orthonormal_columns(w_basis))
+    if not len(ws):
         raise ValueError("empty subspace")
     g = assignment.graph
     if g.degree(a) != g.degree(b):

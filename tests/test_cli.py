@@ -126,22 +126,25 @@ def test_family_battery(capsys, monkeypatch):
         assert line.startswith("CASE") and line.endswith("status=PASS")
 
 
-@pytest.mark.parametrize("graph, extra", [
-    ("n 4\n0 1\n1 2\n2 3\n3 0\n", ("--coins", "coin 0 basis 1 1e400 1\n")),
-    ("n 2\n0 1\n", ("--subspace", "1e400\n")),
+@pytest.mark.parametrize("graph, extra, code, stream", [
+    ("n 4\n0 1\n1 2\n2 3\n3 0\n", ("--coins", "coin 0 basis 1 1e400 1\n"), 2,
+     "error: weight vector is not fixed by the coin at vertex 0\n"),
+    ("n 2\n0 1\n", ("--subspace", "1e400\n"), 0, "t=0\n"),
 ], ids=["coin", "subspace"])
-def test_simulate_exact_entries_past_the_double_range(tmp_path, capsys, graph, extra):
+def test_simulate_exact_entries_past_the_double_range(tmp_path, capsys, graph, extra,
+                                                      code, stream):
     """Rationals past the double range that the exact layer accepts are no
-    internal error in the float layer: exit 0, or 2 with one error line."""
+    internal error in the float layer: C4's marked coin does not fix the
+    uniform weights (exit 2, one error line), and K_2 walks from w1 (exit 0)."""
     (tmp_path / "g.txt").write_text(graph)
     (tmp_path / "x.txt").write_text(extra[1])
     rc, out, err = run(capsys, "simulate", "--graph", str(tmp_path / "g.txt"),
                        "--a", "0", "--b", "1", extra[0], str(tmp_path / "x.txt"))
-    assert rc in (0, 2)
-    if rc == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert rc == code
+    if code == 2:
+        assert err == stream
     else:
-        assert out.startswith("t=0\n"), out
+        assert out.startswith(stream), out
 
 
 def test_missing_file_exit_2(capsys):

@@ -208,6 +208,15 @@ def test_exact_entries_past_the_double_range():
     assert abs(fidelity_series(red, 3)[3] - 1) < 1e-12
 
 
+def test_coin_state_accepts_numpy_float32_weights():
+    """A real that is neither a float nor a rational, such as np.float32,
+    is read as float(x), as before the power-of-two scaling."""
+    g, a, b = complete_bipartite_k2m(2)
+    asn = CoinAssignment.all_grover(g)
+    w = np.array([0.1, 0.1], dtype=np.float32)
+    assert coin_state(asn, a, w).tolist() == coin_state(asn, a, [float(w[0])] * 2).tolist()
+
+
 def test_coin_state_requires_fixed_vector():
     g, a, b = complete_bipartite_k2m(2)
     asn = CoinAssignment.all_grover(g)
