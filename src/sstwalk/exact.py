@@ -274,7 +274,7 @@ def _factors(orders: dict[int, int], rest: list[int]) -> list[RatPoly]:
     then the factors of rest.  A rest of degree >= 2 goes to the Zassenhaus
     factorizer ``zfactor``, imported on first use, which returns each of its
     irreducible factors once, also when rest has repeated ones (g+- have
-    none: they are square-free when delta_sq > 0)."""
+    none: they are square-free)."""
     factors = {cosine_poly(m) for m in orders}
     if len(rest) == 2:
         factors.add(_from_scaled(rest))
@@ -572,29 +572,26 @@ class _SelfMoments:
     (paired clones share delta_sq, so (Z^K)[s, t] = (Z^K)[t, s]).
 
     Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
-    Berlekamp-Massey.  When its candidate c of order L has 2L + 2 <= terms,
-    and L has changed since the last failed try, the certificate
-    sum_i c_i Z^(L-i) x = 0 is checked exactly for every start x; once it
-    holds, every later moment obeys c, and so do the reads.  The residues
-    sum_x ||E x||^2 are >= 0, so no pole cancels and the minimal recurrence
-    of m is the annihilator of the starts; the Hankel matrices of m are
-    positive definite, so BM's order grows by one every two terms until it
-    gets there, and on a reduction (delta_sq > 0) the first candidate tried
-    passes.  A sign-indefinite delta_sq can make candidates fail or never
-    certify: at 2 size terms the candidate is final without a certificate
-    (``certified`` stays False).  ``poly`` is the final connection
+    Berlekamp-Massey and, at its first candidate c of order L with
+    2L + 2 <= terms, checks the certificate sum_i c_i Z^(L-i) x = 0 exactly
+    for every start x, once: then every later moment obeys c, and so do the
+    reads.  delta_sq > 0 (checked by every HermitianReduction), so the
+    residues sum_x ||E x||^2 are >= 0, no pole cancels, and the minimal
+    recurrence of m is the annihilator of the starts; its Hankel matrices
+    are Gram matrices, positive definite, so BM's order grows by one every
+    two terms until it gets there, and the first candidate tried is that
+    annihilator, at 2L + 3 terms.  A failed certificate is the program's
+    fault (``InvariantError``).  ``poly`` is the final connection
     polynomial; later terms come from it.
     """
 
     def __init__(self, krylov: _Krylov, starts: tuple[tuple, ...]):
-        self.krylov, self.starts, self.cap = krylov, starts, 2 * krylov.size
+        self.krylov, self.starts = krylov, starts
         self.vectors: list[list[list[int]]] = []
         self.terms: list[int] = []
         self.reads: list[int] = []
         self.massey = _Massey(self.terms)
         self.poly: list[int] | None = None
-        self.certified = False
-        self._failed = -1
 
     @property
     def order(self) -> int:
@@ -622,17 +619,15 @@ class _SelfMoments:
 
     def settle(self) -> bool:
         """Feed the terms grown since the last call to Berlekamp-Massey and
-        try the certificate; True once the recurrence is final."""
+        try the certificate once it is due; True once the recurrence is
+        final."""
         if self.poly is None and self.terms:
             self.massey.update()
-            conn, length, n = self.massey.connection, self.massey.length, len(self.terms)
-            if n >= self.cap:
+            conn = self.massey.connection
+            if 2 * self.massey.length + 2 <= len(self.terms):
+                if not all(_annihilates(vecs, conn) for vecs in self.vectors):
+                    raise InvariantError("Krylov recurrence fails its annihilator certificate")
                 self.poly = conn
-            elif 2 * length + 2 <= n and length != self._failed:
-                if all(_annihilates(vecs, conn) for vecs in self.vectors):
-                    self.poly, self.certified = conn, True
-                else:
-                    self._failed = length
         return self.poly is not None
 
     def _grow(self) -> None:
@@ -790,8 +785,7 @@ class Resolvent:
         """psi_S = psi_T, exactly: the cross terms c_k = m_S(k) - m_T(k),
         the reads of the u sequence, one per level, are all 0.  The first
         nonzero one gives False.  c obeys every polynomial that annihilates
-        the u_j, so once u is final its reads decide: L + 2 levels when
-        certified, size + 1 (Cayley-Hamilton) when not."""
+        the u_j, so once u is final its reads decide: L + 2 levels."""
         plus = self._sides[0]
         while not plus.settle():
             plus._grow()

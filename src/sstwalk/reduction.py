@@ -106,10 +106,11 @@ class HermitianReduction:
     sorted by (i, j), of the symmetric matrix sym; build_H gives int entries
     (a synthetic reduction may carry Fractions) and ``delta_sq`` is a list of
     Fractions.  Invariants (exact): H_rat = sym * diag(delta_sq)^{-1}, so
-    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i].  Construction
-    (build_H included) checks that the transposed nonzeros sort back to
-    nonzeros and raises ``exact.InvariantError`` otherwise: the Krylov moments
-    of ``sstwalk.exact`` rely on this symmetry.
+    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i], and delta_sq > 0
+    (build_H's are <b, b>).  Construction (build_H included) checks that the
+    transposed nonzeros sort back to nonzeros and that delta_sq > 0, and
+    raises ``exact.InvariantError`` otherwise: the Krylov moments of
+    ``sstwalk.exact`` rely on both.
 
     A reduction is not mutated after build_H: the lazy views below (dense sym,
     the sparse integer and float views) and the resolvent summaries that
@@ -127,10 +128,12 @@ class HermitianReduction:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sorted([(j, i, x) for i, j, x in self.nonzeros]) != self.nonzeros:
-            from .exact import InvariantError
+        from .exact import InvariantError
 
+        if sorted([(j, i, x) for i, j, x in self.nonzeros]) != self.nonzeros:
             raise InvariantError("nonzeros are not the sorted entries of a symmetric sym")
+        if any(d.numerator <= 0 for d in self.delta_sq):
+            raise InvariantError("delta_sq is not positive")
 
     @property
     def size(self) -> int:

@@ -116,7 +116,9 @@ def odd_cycle_reductions():
 
 def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:
     """A reduction carrying an arbitrary (sym, delta_sq) pair, for exercising
-    the exact algebra without a graph behind it."""
+    the exact algebra without a graph behind it.  delta_sq must be positive,
+    as build_H's are: construction refuses delta_sq <= 0 with
+    InvariantError."""
     nonzeros = [(i, j, Fraction(x)) for i, row in enumerate(sym_rows)
                 for j, x in enumerate(row) if x]
     return HermitianReduction(assignment=None, basis=None, nonzeros=nonzeros,

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +252,22 @@ def test_exit_code_names_the_fault(capsys, monkeypatch, error, code, prefix):
     assert err == prefix + "stage failed\n"
 
 
-def test_asymmetric_reduction_exit_3(capsys, monkeypatch):
-    """A reduction whose sym is not symmetric is refused as the program's
-    fault: exit 3."""
+def _doubled_first_entry(red):
+    i, j, x = red.nonzeros[0]
+    return {"nonzeros": [(i, j, 2 * x)] + red.nonzeros[1:]}
+
+
+def _zero_first_delta_sq(red):
+    return {"delta_sq": [Fraction(0)] + red.delta_sq[1:]}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_doubled_first_entry, "symmetric sym"),
+    (_zero_first_delta_sq, "delta_sq is not positive"),
+], ids=["asymmetric", "nonpositive-delta_sq"])
+def test_asymmetric_reduction_exit_3(capsys, monkeypatch, corrupt, message):
+    """A reduction whose sym is not symmetric, or whose delta_sq has an entry
+    <= 0, is refused as the program's fault: exit 3."""
     import dataclasses
 
     from sstwalk import reduction
@@ -262,10 +276,20 @@ def test_asymmetric_reduction_exit_3(capsys, monkeypatch):
 
     def corrupted(assignment, basis):
         red = build_h(assignment, basis)
-        i, j, x = red.nonzeros[0]
-        return dataclasses.replace(red, nonzeros=[(i, j, 2 * x)] + red.nonzeros[1:])
+        return dataclasses.replace(red, **corrupt(red))
 
     monkeypatch.setattr(reduction, "build_H", corrupted)
+    rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: ") and message in err
+
+
+def test_failed_certificate_exit_3(capsys, monkeypatch):
+    """A Krylov recurrence that fails its annihilator certificate is the
+    program's fault: exit 3, nothing on stdout."""
+    from sstwalk import exact
+
+    monkeypatch.setattr(exact, "_annihilates", lambda vecs, conn: False)
     rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
     assert rc == 3 and out == ""
     assert err.startswith("internal error: ")

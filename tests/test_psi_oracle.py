@@ -27,12 +27,12 @@ from conftest import (FAMILY_NAMES, family_reduction, odd_cycle_reductions,
                       synthetic_reduction)
 from psi_oracle import berlekamp_massey, full_kernel_summary, newton_interpolate, psi_oracle
 from sstwalk import exact
-from sstwalk.coins import CoinAssignment, reflection_about
+from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
 from sstwalk.cospec import strong_cospectral_exact
 from sstwalk.decider import decide_periodicity, decide_transfer
-from sstwalk.exact import RatPoly, factor_irreducible, psi, resolvent
+from sstwalk.exact import InvariantError, RatPoly, factor_irreducible, psi, resolvent
 from sstwalk.families import random_orthogonal_columns
-from sstwalk.graphs import build_graph, circulant_2m
+from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m
 from sstwalk.reduction import CoinBasis, build_H, reduction_for
 from transfer_oracle import cosine_factor, unit_psi
 
@@ -252,15 +252,15 @@ def test_kernels_agree_on_odd_cycles():
 
 
 def indefinite_reduction(rng: random.Random):
-    """A synthetic reduction with sym the adjacency matrix of a random graph
-    on 6 - 10 vertices (loops allowed) and delta_sq = +-1 at random, S = [0, 1]
-    and T = [2, 3] paired with equal delta_sq.
+    """A draw of the refusal generator: sym the adjacency matrix of a random
+    graph on 6 - 10 vertices (loops allowed) and delta_sq = +-1 at random,
+    S = [0, 1] and T = [2, 3] paired with equal delta_sq.
 
-    Z stays self-adjoint for the delta_sq-weighted form, so the moments are
-    inner products as before; but the form is indefinite, poles can cancel in
-    m_S and its Hankel matrices can be singular.  Berlekamp-Massey candidates
-    then fail the certificate, or the sequence never certifies and stops at
-    2 size terms, paths a reduction (delta_sq > 0) never takes."""
+    A HermitianReduction refuses delta_sq <= 0 when it is constructed, with
+    InvariantError: build_H's delta_sq are <b, b> > 0, and the Krylov
+    moments try their one certificate on the positive definite form.  A draw
+    with a -1 asserts that refusal and gives None; the rare all +1 draw gives
+    its reduction."""
     n = rng.randint(6, 10)
     sym = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -269,30 +269,48 @@ def indefinite_reduction(rng: random.Random):
                 sym[i][j] = sym[j][i] = 1
     dsq = [rng.choice([-1, 1]) for _ in range(n)]
     dsq[2], dsq[3] = dsq[0], dsq[1]
-    return synthetic_reduction(sym, dsq, [0, 1], [2, 3])
+    if min(dsq) > 0:
+        return synthetic_reduction(sym, dsq, [0, 1], [2, 3])
+    with pytest.raises(InvariantError, match="delta_sq is not positive"):
+        synthetic_reduction(sym, dsq, [0, 1], [2, 3])
+    return None
 
 
 def test_kernels_agree_when_candidates_fail(monkeypatch):
-    """On seeded sign-indefinite reductions some Berlekamp-Massey candidate
-    fails the certificate; the kernel keeps growing past it and still agrees
-    with the full kernel."""
+    """A failed candidate is the program's fault, never a path the kernel
+    takes.  Seeded sign-indefinite draws are refused when constructed.  On
+    reductions every certificate passes at its first try, at exactly
+    2 L + 3 terms of the sequence (2 L + 2 <= 2 K + 1 moments first holds at
+    level K = L + 1), with c_0 = +-1 (the annihilator divides the monic
+    integer charpoly of Z, so it is monic over Z by Gauss's lemma); a
+    certificate forced to fail raises InvariantError."""
+    rng = random.Random(20261018)
+    for _ in range(200):
+        red = indefinite_reduction(rng)
+        if red is not None:
+            check_kernels_agree(red)
+
     tried = []
     annihilates = exact._annihilates
 
     def recorded(vecs, conn):
-        tried.append(annihilates(vecs, conn))
-        return tried[-1]
+        tried.append((annihilates(vecs, conn), len(vecs), conn))
+        return tried[-1][0]
 
     monkeypatch.setattr(exact, "_annihilates", recorded)
     rng = random.Random(20261018)
-    rejected = 0
-    for _ in range(200):
-        red = indefinite_reduction(rng)
+    reductions = [random_reduction(rng) for _ in range(200)]
+    reductions += [family_reduction(name) for name in FAMILY_NAMES]
+    reductions += [red for _name, red in odd_cycle_reductions()]
+    for red in reductions:
         check_kernels_agree(red)
-        for summary in red.memo.values():
-            for seq in vars(summary).get("_sides", ()):
-                if seq._failed >= 0:
-                    rejected += 1
-                    assert len(seq.terms) > 2 * seq._failed + 2
-                    assert not seq.certified or seq.order > seq._failed
-    assert rejected > 0 and False in tried
+    assert tried
+    for passed, levels, conn in tried:
+        assert passed and levels == len(conn) + 1 and conn[0] in (1, -1)
+
+    monkeypatch.setattr(exact, "_annihilates", lambda vecs, conn: False)
+    g, a, b = complete_bipartite_k2m(3)
+    red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, grover_coin(3)),
+                        a, [[1] * 3], b)
+    with pytest.raises(InvariantError, match="certificate"):
+        resolvent(red).cospectral

@@ -19,6 +19,7 @@ from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
 from sstwalk import linalg
 from sstwalk.coins import (CoinAssignment, CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
+from sstwalk.exact import InvariantError
 from sstwalk.families import random_coin_and_subspace, random_orthogonal_columns
 from sstwalk.graphs import generalized_path
 from sstwalk.reduction import ReductionError
@@ -247,8 +248,9 @@ def test_reductions_match_fraction_oracle_on_odd_cycles():
 
 
 def test_int_view_matches_fraction_oracle_on_synthetic_reductions():
-    """Rational sym entries and delta_sq of either sign give the oracle's Z
-    and scale."""
+    """Rational sym entries and delta_sq drawn of either sign: a draw with a
+    negative delta_sq is refused when constructed, and its |delta_sq| twin,
+    like every positive draw, gives the oracle's Z and scale."""
     rng = random.Random(5)
     for _ in range(200):
         size = rng.randint(1, 6)
@@ -258,5 +260,8 @@ def test_int_view_matches_fraction_oracle_on_synthetic_reductions():
                 if rng.random() < 0.6:
                     sym[i][j] = sym[j][i] = _rational(rng)
         delta_sq = [_rational(rng) or Fraction(-3, 2) for _ in range(size)]
-        red = synthetic_reduction(sym, delta_sq, [0], [0])
+        if min(delta_sq) < 0:
+            with pytest.raises(InvariantError, match="delta_sq is not positive"):
+                synthetic_reduction(sym, delta_sq, [0], [0])
+        red = synthetic_reduction(sym, list(map(abs, delta_sq)), [0], [0])
         assert red.int_view == oracle.int_view(red.nonzeros, red.delta_sq)

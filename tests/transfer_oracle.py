@@ -103,11 +103,9 @@ class OracleResolvent:
 
     @cached_property
     def m_st(self) -> list[int]:
-        """The first 2 L_S moments of psi_{S,T} (2 size uncertified)."""
+        """The first 2 L_S moments of psi_{S,T}."""
         check_pairs(self.red, self.s, self.t)
-        m_s = self.m_s.certify()
-        count = 2 * (m_s.order if m_s.certified else self.red.size)
-        return cross_moments(self.red, self.s, self.t, count)
+        return cross_moments(self.red, self.s, self.t, 2 * self.m_s.certify().order)
 
     @cached_property
     def psi_s(self):
