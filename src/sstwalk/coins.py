@@ -62,7 +62,7 @@ class ReflectionCoin:
         """Exact test that C w = w for each w: a dropping Gram-Schmidt of the
         ws against the basis keeps none of them."""
         return all(len(w) == self.degree for w in ws) and not linalg.gram_schmidt(
-            ws, against=self.clone_columns, on_dependent="drop")
+            ws, against=self.clone_columns)
 
 
 @cache
@@ -90,10 +90,10 @@ def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
     degree = len(basis_vectors[0])
     if any(len(v) != degree for v in basis_vectors):
         raise CoinError("basis vectors must share a common dimension")
-    try:
-        ortho = linalg.gram_schmidt([linalg.frac_vec(v) for v in basis_vectors])
-    except ValueError as e:
-        raise CoinError(f"rank-deficient coin basis: {e}") from e
+    ortho = linalg.gram_schmidt([linalg.frac_vec(v) for v in basis_vectors])
+    if len(ortho) < len(basis_vectors):
+        raise CoinError("rank-deficient coin basis: "
+                        "linearly dependent vector in Gram-Schmidt input")
     return ReflectionCoin(degree, tuple(map(tuple, ortho)))
 
 

@@ -1,9 +1,10 @@
 """Exact univariate polynomials, rational functions and resolvent traces over Q.
 
 ``RatPoly`` is a dense coefficient vector of Fractions (constant term first);
-``RatFun`` is a reduced fraction of two RatPolys with monic denominator.  These
-carry every exact object in the pipeline: the resolvent traces psi_{S,T},
-their denominators, and cyclotomic factors.
+``RatFun`` is a fraction of two RatPolys in lowest terms with monic
+denominator, which its constructor takes as given: no Q[x] Euclid runs on
+the way to a psi.  These carry every exact object in the pipeline: the
+resolvent traces psi_{S,T}, their denominators, and cyclotomic factors.
 
 psi is computed from moments, never from determinants.  With the reduction's
 sparse integer view Z = scale * H_rat, the moments of integer start vectors x
@@ -29,7 +30,8 @@ algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
 recurrence (``_scaled_conn``) by every Psi~_m that fits.  g+- stay in Z[y]
 to the output: the split decides periodicity and transfer, ``coprime`` (one
 ``_int_gcd`` when neither g- = 1 nor the orders decide) decides strong
-cospectrality and whether psi_st needs a gcd at all, and a rest of
+cospectrality and whether psi_st's recurrence is the product of g+ and g- or
+the minimal one that Berlekamp-Massey finds, and a rest of
 degree >= 2 is factored over Z by the package's Zassenhaus factorizer
 ``zfactor``.  ``_from_scaled`` turns an integer polynomial in y into the
 monic RatPoly in x only where a field is read out: g+-, the factor lists
@@ -142,16 +144,6 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RatPoly":
-        out = RatPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         """Exact polynomial division with remainder."""
         if other.is_zero():
@@ -172,15 +164,6 @@ class RatPoly:
                 for j, b in low:
                     rem[k + j] -= c * b
         return RatPoly(quo), RatPoly(rem)
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise InvariantError("inexact polynomial division")
-        return q
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return self.divmod(other)[1]
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
@@ -218,7 +201,9 @@ ONE = RatPoly([1])
 
 
 def poly_gcd(f: RatPoly, g: RatPoly) -> RatPoly:
-    """Monic gcd via the primitive polynomial remainder sequence over Z[x]."""
+    """Monic gcd via the primitive polynomial remainder sequence over Z[x].
+    No package path calls it: the tests reduce their reference fractions
+    with it."""
     if f.is_zero():
         return g.monic()
     if g.is_zero():
@@ -441,30 +426,22 @@ def _cosine_split(ints: list[int]) -> tuple[dict[int, int], list[int]]:
 
 
 class RatFun:
-    """Reduced rational function num/den over Q with monic denominator."""
+    """A rational function num/den over Q in lowest terms, den monic.
+
+    The constructor only normalizes: zero becomes 0/1 and den is made monic.
+    It computes no gcd, so num and den must be coprime, as every psi of the
+    package is: ``_fraction`` over a minimal recurrence is in lowest terms.
+    """
 
     __slots__ = ("num", "den")
-
-    @classmethod
-    def _lowest(cls, num: RatPoly, den: RatPoly) -> "RatFun":
-        """num/den as given, already in lowest terms with den monic: no gcd."""
-        out = object.__new__(cls)
-        out.num, out.den = num, den
-        return out
 
     def __init__(self, num: RatPoly, den: RatPoly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num, self.den = RatPoly(), ONE
-            return
-        g = poly_gcd(num, den)
-        if g.degree >= 1:
-            num = num // g
-            den = den // g
+            num, den = RatPoly(), ONE
         lead = den.lead
-        self.num = num * (1 / lead)
-        self.den = den * (1 / lead)
+        self.num, self.den = num * (1 / lead), den * (1 / lead)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -476,17 +453,6 @@ class RatFun:
     def __hash__(self) -> int:
         return hash((self.num.coeffs, self.den.coeffs))
 
-    def __add__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    def __sub__(self, other: "RatFun") -> "RatFun":
-        return RatFun(self.num * other.den - other.num * self.den,
-                      self.den * other.den)
-
-    def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
-
     def __call__(self, x):
         return self.num(x) / self.den(x)
 
@@ -495,11 +461,6 @@ class RatFun:
 
     def serialize(self) -> str:
         return f"{self.num.serialize()} | {self.den.serialize()}"
-
-    @staticmethod
-    def parse(text: str) -> "RatFun":
-        num, den = text.split("|")
-        return RatFun(RatPoly.parse(num), RatPoly.parse(den))
 
 
 def charpoly(m: linalg.Mat) -> RatPoly:
@@ -795,18 +756,27 @@ class Resolvent:
 
     @cached_property
     def psi_st(self) -> RatFun:
-        """psi_{S,T} from m_{S,T} = (m_u - m_v)/4: both sequences obey the
-        product of their certified recurrences, of order L+ + L-, so that
-        many terms give the fraction over it.  Each side's fraction is in
-        lowest terms, so when g+ and g- are coprime (always for S = T) so is
-        this one, and otherwise RatFun cancels gcd(g+, g-)."""
+        """psi_{S,T} from m_{S,T} = (m_u - m_v)/4, in lowest terms without a
+        gcd: the fraction over the minimal recurrence of m_{S,T}.  Both
+        sequences obey the product of their certified recurrences, of order
+        L = L+ + L-.  Each side's fraction is in lowest terms, so when g+ and
+        g- are coprime (always for S = T) that product is the minimal
+        recurrence and L terms give the fraction over it, with no third
+        Berlekamp-Massey, which would cost as much as a side's.  Otherwise
+        Berlekamp-Massey on 2L terms finds the minimal one."""
         plus, minus = (seq.certify() for seq in self._sides)
         conn = _product(plus.poly, minus.poly)
-        diffs = [plus.term(k) - minus.term(k) for k in range(len(conn) - 1)]
+        order = len(conn) - 1
+        diffs = [plus.term(k) - minus.term(k)
+                 for k in range(order if self.coprime else 2 * order)]
         if any(d % 4 for d in diffs):
             raise InvariantError("m_u - m_v is not divisible by 4")
-        fraction = _fraction(conn, [d // 4 for d in diffs], self.krylov.scale)
-        return RatFun._lowest(*fraction) if self.coprime else RatFun(*fraction)
+        seq = [d // 4 for d in diffs]
+        if not self.coprime:
+            massey = _Massey(seq)
+            massey.update()
+            conn = massey.connection
+        return RatFun(*_fraction(conn, seq, self.krylov.scale))
 
     @cached_property
     def _scaled(self) -> tuple[list[int], list[int]]:

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals and the integers.
 
 Matrices are plain lists of lists of ``fractions.Fraction`` (rows), vectors are
-lists of Fractions or ints.  Everything here is small and dense; the sizes that
-show up in practice are a few dozen rows, so clarity wins over asymptotics.
+lists of Fractions or ints.  Everything here is dense and written for clarity,
+not asymptotics.  Most inputs are coin bases of a few rows, but
+``kernel_basis`` also serves the adjacency matrix of a whole cone base (240
+rows for the pretty-good cone over C_240), where its O(n^2) integer dot
+products of length n take most of that case's time.
 Gram-Schmidt is fraction-free: it scales its inputs to integer vectors, stays
 in Python ints and returns primitive integer vectors, the columns the coin
-basis and the Hermitian reduction carry.  It is also the one route to kernels
-and ranks: a kernel is the orthogonal complement of the row space, and a rank
-is the number of vectors a dropping Gram-Schmidt keeps.  The integer Berkowitz
-characteristic polynomial and Bareiss determinant back ``exact.charpoly`` and
-the determinant reference for psi that the tests use.  ``to_double`` and
+basis and the Hermitian reduction carry.  It drops a vector already in the
+span, so it is also the one route to kernels and ranks: a kernel is the
+orthogonal complement of the row space, and a rank is the number of vectors
+Gram-Schmidt keeps.  The integer Berkowitz characteristic polynomial and
+Bareiss determinant back ``exact.charpoly`` and the determinant reference for
+psi that the tests use.  ``to_double`` and
 ``scaled_doubles`` own the one conversion of exact values to doubles: a
 power-of-two scale first, so values past the double range convert too.
 """
@@ -93,7 +97,7 @@ def primitive_int_vector(v) -> list[int]:
     return [x // g for x in ints]
 
 
-def gram_schmidt(vectors, against=None, on_dependent: str = "error") -> list[list[int]]:
+def gram_schmidt(vectors, against=None) -> list[list[int]]:
     """Exact unnormalized Gram-Schmidt, fraction-free over Z.
 
     Returns pairwise-orthogonal primitive integer vectors spanning the same
@@ -101,8 +105,8 @@ def gram_schmidt(vectors, against=None, on_dependent: str = "error") -> list[lis
     ``against``).  Each input is scaled to an integer vector w and each
     step against a b is w <- <b,b> w - <w,b> b, a positive multiple of the
     rational step w - (<w,b>/<b,b>) b, so the primitive form of the result is
-    the rational one's.  ``on_dependent`` is either "error" (raise on a vector
-    already in the span) or "drop".
+    the rational one's.  A vector already in the span is dropped, so the
+    output is shorter than ``vectors`` exactly when they are dependent.
     """
     done = [int_vector(b) for b in against or ()]
     norms = [dot(b, b) for b in done]
@@ -114,9 +118,7 @@ def gram_schmidt(vectors, against=None, on_dependent: str = "error") -> list[lis
             if c:
                 w = [nb * x - c * y for x, y in zip(w, b)]
         if not any(w):
-            if on_dependent == "drop":
-                continue
-            raise ValueError("linearly dependent vector in Gram-Schmidt input")
+            continue
         w = primitive_int_vector(w)
         out.append(w)
         done.append(w)
@@ -131,9 +133,9 @@ def kernel_basis(a: Mat) -> list[list[int]]:
     if not a:
         return []
     n = len(a[0])
-    rows = gram_schmidt(a, on_dependent="drop")
+    rows = gram_schmidt(a)
     units = ([int(i == j) for j in range(n)] for i in range(n))
-    return gram_schmidt(units, against=rows, on_dependent="drop")
+    return gram_schmidt(units, against=rows)
 
 
 def bareiss_det(a: list[list[int]]) -> int:

@@ -87,9 +87,8 @@ def _marked_block(assignment: CoinAssignment, u: int, basis: list[Vec]
     for v in vecs:
         if len(v) != coin.degree:
             raise ReductionError(f"subspace vector at vertex {u} has wrong length {len(v)}")
-    prescribed = linalg.gram_schmidt(vecs, on_dependent="drop")
-    block = prescribed + linalg.gram_schmidt(coin.clone_columns, against=prescribed,
-                                             on_dependent="drop")
+    prescribed = linalg.gram_schmidt(vecs)
+    block = prescribed + linalg.gram_schmidt(coin.clone_columns, against=prescribed)
     if len(block) != coin.rank:
         raise ReductionError(f"subspace at vertex {u} is not fixed by its coin")
     if len(prescribed) != len(vecs):

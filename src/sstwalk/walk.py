@@ -236,7 +236,7 @@ def orthonormal_columns(vectors) -> list[np.ndarray]:
     import numpy as np
 
     out = []
-    for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors], on_dependent="drop"):
+    for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors]):
         col = np.array(linalg.scaled_doubles(v)[0])
         out.append(col / np.linalg.norm(col))
     return out

@@ -14,6 +14,13 @@ mat-vec, and Berlekamp-Massey (``berlekamp_massey``, the package's online
 
 ``h_rat`` is the dense H_rat that ``psi_oracle`` starts from; the
 package itself keeps only the sparse carrier.
+
+The package's ``RatFun`` takes its num and den in lowest terms and computes
+no gcd, and ``RatPoly`` has no exact quotient or power.  ``reduced`` puts a
+fraction in lowest terms with ``poly_gcd``, ``combination`` forms a linear
+combination of psi values (the identities the summary's g+- are checked
+against), and ``quotient`` and ``power`` are the Q[x] operators the tests
+build their polynomials with.
 """
 
 from __future__ import annotations
@@ -21,8 +28,36 @@ from __future__ import annotations
 from fractions import Fraction
 
 from sstwalk import linalg
-from sstwalk.exact import ONE, RatFun, RatPoly, _fraction, _Massey, charpoly
+from sstwalk.exact import ONE, RatFun, RatPoly, _fraction, _Massey, charpoly, poly_gcd
 from sstwalk.reduction import z_apply
+
+
+def quotient(p: RatPoly, q: RatPoly) -> RatPoly:
+    """p / q for a q that divides p exactly."""
+    quo, rem = p.divmod(q)
+    assert rem.is_zero(), "inexact polynomial division"
+    return quo
+
+
+def power(p: RatPoly, n: int) -> RatPoly:
+    out = ONE
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def reduced(num: RatPoly, den: RatPoly) -> RatFun:
+    """num/den in lowest terms: both divided by their poly_gcd."""
+    g = poly_gcd(num, den)
+    return RatFun(quotient(num, g), quotient(den, g))
+
+
+def combination(*terms: tuple[int, RatFun]) -> RatFun:
+    """sum_i c_i f_i in lowest terms, for terms (c_i, f_i)."""
+    num, den = RatPoly(), ONE
+    for c, f in terms:
+        num, den = num * f.den + f.num * den * c, den * f.den
+    return reduced(num, den)
 
 
 def berlekamp_massey(seq: list[int]) -> list[int]:
@@ -108,7 +143,7 @@ def psi_oracle(red, s: list[int], t: list[int]) -> RatFun:
         else:
             sign = -1 if (a + b) % 2 else 1
             num = num + sign * _minor_poly(h, b, a)
-    return RatFun(num, den)
+    return reduced(num, den)
 
 
 def krylov_moments(red, s: list[int], t: list[int]) -> list[int]:

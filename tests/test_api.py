@@ -1,7 +1,9 @@
 """The public API of ``sstwalk``, pinned: a name enters or leaves it only by a
 deliberate edit of this list."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import sstwalk
 from sstwalk import decider, exact
@@ -53,14 +55,52 @@ def test_unit_column_route_removed():
 
 
 # g+- stay in Z[y] until output, so no Fraction denominator or square-free
-# pass is left; the square-free oracle lives in tests/test_cosine.py
+# pass is left; the square-free oracle lives in tests/test_cosine.py.  psi_st
+# is built in lowest terms from its own minimal recurrence, so RatFun has one
+# constructor that takes no gcd, and the Q[x] operators no package path called
+# went; tests/psi_oracle.py keeps reduced, combination, quotient and power.
+# RatFun.parse went too: it read text that need not be in lowest terms
 REMOVED_FRACTION_CARRIER = ["squarefree_part", "_denominator"]
-REMOVED_FROM_RATPOLY = ["derivative"]
+REMOVED_FROM_RATPOLY = ["derivative", "__floordiv__", "__mod__", "__pow__"]
+REMOVED_FROM_RATFUN = ["_lowest", "__add__", "__sub__", "__neg__", "parse"]
 
 
 def test_fraction_carrier_removed():
     assert [name for name in REMOVED_FRACTION_CARRIER if hasattr(exact, name)] == []
     assert [name for name in REMOVED_FROM_RATPOLY if hasattr(exact.RatPoly, name)] == []
+    assert [name for name in REMOVED_FROM_RATFUN if hasattr(exact.RatFun, name)] == []
+
+
+# Q[x] Euclid: every call of poly_gcd, RatPoly.divmod and RatPoly.monic in the
+# package, as (enclosing function, callee); moving these two owners to the
+# tests removes the last of it
+Q_X_EUCLID_CALLS = {("decider.factor_into_cyclotomics", "divmod"),
+                    ("decider.factor_into_cyclotomics", "monic"),
+                    ("exact.poly_gcd", "monic")}
+
+
+def _q_x_euclid_calls(node, scope):
+    """(scope, callee) for every call of poly_gcd, .divmod or .monic under
+    node, scope the dotted names of the enclosing module, classes and
+    functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Attribute) and func.attr in ("poly_gcd", "divmod", "monic"):
+                yield scope, func.attr
+            elif isinstance(func, ast.Name) and func.id == "poly_gcd":
+                yield scope, func.id
+        yield from _q_x_euclid_calls(child, inner)
+
+
+def test_q_x_euclid_stays_with_its_owners():
+    calls = set()
+    for path in Path(sstwalk.__file__).parent.glob("*.py"):
+        calls.update(_q_x_euclid_calls(ast.parse(path.read_text()), path.stem))
+    assert calls == Q_X_EUCLID_CALLS
 
 
 # a Resolvent owns its two moment sequences, and each sequence its Krylov

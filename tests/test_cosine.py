@@ -31,6 +31,7 @@ from sstwalk.decider import (cyclotomic, decide_periodicity, decide_transfer,
 from sstwalk.exact import (X, RatPoly, _scaled_ints, cosine_poly, factor_irreducible,
                            poly_gcd, resolvent)
 from conftest import schedule_reduction
+from psi_oracle import power, quotient
 from test_cli import SPLIT_GOLDEN, _instance_argv
 from test_psi_oracle import random_reduction
 from transfer_oracle import cosine_factor, unit_psi
@@ -68,7 +69,7 @@ def squarefree_part(p: RatPoly) -> RatPoly:
     if p.degree <= 0:
         return p.monic()
     derivative = RatPoly([i * c for i, c in enumerate(p.coeffs)][1:])
-    return (p // poly_gcd(p, derivative)).monic()
+    return quotient(p, poly_gcd(p, derivative)).monic()
 
 
 def sympy_factor(p: RatPoly) -> list[RatPoly]:
@@ -131,7 +132,7 @@ def test_cyclotomic_is_the_recursive_quotient():
         num = RatPoly([-1] + [0] * (m - 1) + [1])
         for d in range(1, m):
             if m % d == 0:
-                num = num // cyclotomic(d)
+                num = quotient(num, cyclotomic(d))
         assert cyclotomic(m) == num, m
 
 
@@ -346,7 +347,7 @@ def test_strong_and_split_call_no_poly_gcd(monkeypatch):
 
 
 def test_cosine_factor_rest_and_zero():
-    p = cosine_poly(5) * cosine_poly(12) ** 2 * RatPoly([-3, 0, 1]) * 7
+    p = cosine_poly(5) * power(cosine_poly(12), 2) * RatPoly([-3, 0, 1]) * 7
     orders, rest = cosine_factor(p)
     assert orders == {5: 1, 12: 2} and rest == RatPoly([-3, 0, 1])
     assert cosine_factor(RatPoly([Fraction(2, 3)])) == ({}, RatPoly([1]))

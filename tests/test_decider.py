@@ -466,8 +466,9 @@ def test_reduction_is_freed_without_the_cycle_collector():
 
 
 def _record_calls(monkeypatch, *names):
-    """Wrap the named functions of sstwalk.exact (and RatFun's reducing
-    constructor, as "RatFun") with a recorder; returns the list of calls."""
+    """Wrap the named functions of sstwalk.exact, or the methods named
+    "Class.method" of its classes, with a recorder; returns the list of
+    calls."""
     from sstwalk import exact
 
     calls = []
@@ -479,11 +480,9 @@ def _record_calls(monkeypatch, *names):
         return recorded
 
     for name in names:
-        if name == "RatFun":
-            monkeypatch.setattr(exact.RatFun, "__init__",
-                                recorder(name, exact.RatFun.__init__))
-        else:
-            monkeypatch.setattr(exact, name, recorder(name, getattr(exact, name)))
+        owner, _, attr = name.rpartition(".")
+        target = getattr(exact, owner) if owner else exact
+        monkeypatch.setattr(target, attr, recorder(name, getattr(target, attr)))
     return calls
 
 
@@ -496,7 +495,7 @@ def test_periodicity_builds_no_psi_s(monkeypatch):
     rng = random.Random(20261019)
     cases = [red for _name, red in odd_cycle_reductions()]
     cases += [schedule_reduction(rng, 4 + i % 9, 1, 1) for i in range(20)]
-    calls = _record_calls(monkeypatch, "_fraction", "poly_gcd", "RatFun")
+    calls = _record_calls(monkeypatch, "_fraction", "poly_gcd", "RatFun.__init__")
     verdicts = [decide_periodicity(red) for red in cases]
     assert calls == []
     monkeypatch.undo()
@@ -507,8 +506,8 @@ def test_periodicity_builds_no_psi_s(monkeypatch):
 def test_psi_s_takes_no_gcd(monkeypatch):
     """psi_S of the (S, S) summary is the fraction over u's own certified
     recurrence, g- = 1, so it is in lowest terms as it stands: no poly_gcd,
-    no integer gcd and no reducing RatFun, and it equals the reduced psi_S
-    of the unit columns."""
+    no integer gcd and no Berlekamp-Massey past the two of u and v, and it
+    equals the reduced psi_S of the unit columns."""
     from conftest import FAMILY_NAMES, family_reduction
     from sstwalk.exact import psi
     from transfer_oracle import unit_psi
@@ -517,9 +516,9 @@ def test_psi_s_takes_no_gcd(monkeypatch):
     cases = [red for _name, red in odd_cycle_reductions()]
     cases += [family_reduction(name) for name in FAMILY_NAMES]
     cases += [schedule_reduction(rng, 4 + i % 9, 1 + i % 2, 1) for i in range(20)]
-    calls = _record_calls(monkeypatch, "poly_gcd", "_int_gcd", "RatFun")
+    calls = _record_calls(monkeypatch, "poly_gcd", "_int_gcd", "_Massey")
     values = [psi(red, red.s, red.s) for red in cases]
-    assert calls == []
+    assert calls == ["_Massey", "_Massey"] * len(cases)
     monkeypatch.undo()
     assert values == [unit_psi(red, red.s) for red in cases]
 
@@ -527,8 +526,9 @@ def test_psi_s_takes_no_gcd(monkeypatch):
 def test_coprime_pair_psi_st_takes_no_gcd(monkeypatch):
     """For a strongly cospectral pair, here circulant(3,1,2) with the
     reflection about its W, g+ and g- have disjoint orders, so psi_{S,T} is
-    the fraction over g+ g- as it stands: no poly_gcd, and it equals the
-    determinant oracle."""
+    the fraction over g+ g- as it stands: no poly_gcd, no integer gcd and no
+    Berlekamp-Massey past the two of u and v, and it equals the determinant
+    oracle."""
     from psi_oracle import psi_oracle
     from sstwalk.exact import psi, resolvent
 
@@ -536,19 +536,20 @@ def test_coprime_pair_psi_st_takes_no_gcd(monkeypatch):
     graph, a, b = circulant_2m(3, 1, 2)
     red = reduction_for(CoinAssignment.grover_with_marked(graph, a, b, reflection_about(w)),
                         a, w, b)
-    calls = _record_calls(monkeypatch, "poly_gcd")
+    calls = _record_calls(monkeypatch, "poly_gcd", "_int_gcd", "_Massey")
     value = psi(red, red.s, red.t)
     summary = resolvent(red)
     assert summary.strong and summary.coprime and summary.g_minus.degree > 0
-    assert calls == []
+    assert calls == ["_Massey", "_Massey"]
     monkeypatch.undo()
     assert value == psi_oracle(red, red.s, red.t)
 
 
 def test_zero_psi_st_of_a_shared_factor():
     """Path 0-1-2 with -I at vertex 1: the clones at 0 and 2 never meet, so
-    H = 0 and g+ = g- = x share their only factor.  psi_{S,T} = 0 goes
-    through RatFun's reduction and serializes as the zero fraction."""
+    H = 0 and g+ = g- = x share their only factor.  m_{S,T} = 0, whose
+    minimal recurrence is empty, so psi_{S,T} = 0 serializes as the zero
+    fraction."""
     from sstwalk.coins import grover_coin, negative_identity_coin
     from sstwalk.exact import X, psi, resolvent
 
@@ -558,6 +559,35 @@ def test_zero_psi_st_of_a_shared_factor():
     summary = resolvent(red)
     assert summary.g_plus == summary.g_minus == X and not summary.coprime
     assert psi(red, red.s, red.t).serialize() == " | 1"
+
+
+def test_shared_factor_psi_st_matches_the_reduced_oracle(monkeypatch):
+    """When g+ and g- share a factor, psi_{S,T} is the fraction over the
+    minimal recurrence that one more Berlekamp-Massey finds in m_{S,T}.  On
+    100 seeded such pairs (n = 4-8), and on the coprime pairs drawn among
+    them, psi_{S,T} equals the determinant oracle reduced by poly_gcd and is
+    in lowest terms, and the package calls no poly_gcd, RatPoly.divmod or
+    RatPoly.monic: one Berlekamp-Massey per shared pair, none per coprime
+    one, once both sides are certified."""
+    from psi_oracle import psi_oracle
+    from sstwalk.exact import ONE, poly_gcd, psi, resolvent
+
+    rng = random.Random(20261020)
+    shared, coprime = [], []
+    while len(shared) < 100:
+        i = len(shared) + len(coprime)
+        red = schedule_reduction(rng, 4 + i % 5, *((1, 1), (2, 1), (2, 2))[i % 3])
+        (coprime if resolvent(red).coprime else shared).append(red)
+    cases = shared + coprime
+    calls = _record_calls(monkeypatch, "poly_gcd", "RatPoly.divmod", "RatPoly.monic",
+                          "_Massey")
+    values = [psi(red, red.s, red.t) for red in cases]
+    assert calls == ["_Massey"] * len(shared)
+    monkeypatch.undo()
+    assert coprime and sum(v.is_zero() for v in values) < len(shared)
+    for red, value in zip(cases, values):
+        assert value == psi_oracle(red, red.s, red.t)
+        assert value.is_zero() or poly_gcd(value.num, value.den) == ONE
 
 
 def test_not_cospectral_never_builds_psi_st(monkeypatch):

@@ -25,7 +25,8 @@ import pytest
 import reduction_oracle
 from conftest import (FAMILY_NAMES, family_reduction, odd_cycle_reductions,
                       synthetic_reduction)
-from psi_oracle import berlekamp_massey, full_kernel_summary, newton_interpolate, psi_oracle
+from psi_oracle import (berlekamp_massey, combination, full_kernel_summary, newton_interpolate,
+                        psi_oracle)
 from sstwalk import exact
 from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
 from sstwalk.cospec import strong_cospectral_exact
@@ -63,8 +64,8 @@ def _value_or_error(fn, red, s, t):
 
 def check_against_oracle(red):
     """psi on (S,S), (T,T), (S,T) and the summary's cospectrality and g+-
-    equal the determinant oracle and RatFun arithmetic on it: g+- are the
-    denominators of psi_S + psi_T +- 2 psi_{S,T}, which are 2 (psi_S +-
+    equal the determinant oracle and combinations of its values: g+- are
+    the denominators of psi_S + psi_T +- 2 psi_{S,T}, which are 2 (psi_S +-
     psi_{S,T}) when S and T are cospectral.  Where psi_{S,T} is refused, the
     summary refuses cospectral and g+- with the same ValueError."""
     s, t = red.s, red.t
@@ -78,11 +79,11 @@ def check_against_oracle(red):
         return True
     summary = resolvent(red)
     assert summary.cospectral == (psi_s == psi_t)
-    assert summary.g_plus == (psi_s + psi_t + psi_st + psi_st).den
-    assert summary.g_minus == (psi_s + psi_t - psi_st - psi_st).den
+    assert summary.g_plus == combination((1, psi_s), (1, psi_t), (2, psi_st)).den
+    assert summary.g_minus == combination((1, psi_s), (1, psi_t), (-2, psi_st)).den
     if summary.cospectral:
-        assert summary.g_plus == (psi_s + psi_st).den
-        assert summary.g_minus == (psi_s - psi_st).den
+        assert summary.g_plus == combination((1, psi_s), (1, psi_st)).den
+        assert summary.g_minus == combination((1, psi_s), (-1, psi_st)).den
     return False
 
 

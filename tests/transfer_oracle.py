@@ -161,7 +161,7 @@ class OracleResolvent:
             return None
         cos = {cosine_poly(m): m for m in self.scan[0]}
         return tuple(tuple(f for f in self.factors
-                           if (cos[f] in orders if f in cos else (h % f).is_zero()))
+                           if (cos[f] in orders if f in cos else h.divmod(f)[1].is_zero()))
                      for h, orders in zip((self.g_plus, self.g_minus), self.split_orders))
 
 
