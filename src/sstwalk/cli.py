@@ -18,11 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import families
-from .coins import CoinAssignment, CoinError, parse_coins, reflection_about
+from .coins import CoinError, parse_coins
 from .cospec import strong_cospectral_exact
 from .decider import decide_periodicity, decide_transfer
 from .exact import InvariantError, psi
-from .graphs import GraphError, build_family, parse_graph
+from .graphs import GraphError, build_family, content_lines, parse_graph
 from .reduction import ReductionError, reduction_for
 from .walk import coin_state, walk_apply
 
@@ -56,19 +56,18 @@ def _read(path: str, what: str) -> str:
 
 
 def _load_instance(args):
-    """Resolve (graph, a, b, assignment, w_basis) from the CLI flags."""
-    marked_w = None
+    """Resolve (graph, a, b, assignment, w_basis) from the CLI flags: the
+    marked-pair recipe, its coins or W replaced by a coin or subspace file."""
     if args.graph and args.family:
         raise InputError("give exactly one of --graph or --family")
     if args.graph:
         graph = parse_graph(_read(args.graph, "graph"))
-        a, b = 0, graph.n - 1
+        a, b, marked_w = 0, graph.n - 1, None
     elif args.family:
         family = families.FAMILIES[args.family]
         params = _family_params(args, family)
         graph, a, b = build_family(args.family, params)
-        if family.marked_w is not None:
-            marked_w = family.marked_w(*params)
+        marked_w = family.marked_w(*params) if family.marked_w else None
     else:
         raise InputError("a graph source is required (--graph or --family)")
     a = a if args.a is None else args.a
@@ -76,17 +75,14 @@ def _load_instance(args):
     if not (0 <= a < graph.n and 0 <= b < graph.n):
         raise InputError("marked vertices must be in range")
 
+    # with a coin file the recipe's marked coin is not built
+    assignment, _, w_basis, _ = families.marked_instance(
+        graph, a, b, None if args.coins else marked_w)
     if args.coins:
         assignment = parse_coins(_read(args.coins, "coin"), graph)
-    elif marked_w is not None:
-        assignment = CoinAssignment.grover_with_marked(graph, a, b, reflection_about(marked_w))
-    else:
-        assignment = CoinAssignment.all_grover(graph)
-
+        w_basis = marked_w or w_basis
     if args.subspace:
         w_basis = _parse_subspace(_read(args.subspace, "subspace"), graph.degree(a))
-    else:
-        w_basis = marked_w or [[Fraction(1)] * graph.degree(a)]
     return graph, a, b, assignment, w_basis
 
 
@@ -105,12 +101,17 @@ def _family_params(args, family: families.Family) -> tuple:
     return tuple(params)
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; an empty token is refused."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as e:
+        raise InputError(f"--{flag} {text!r}: expected comma-separated integers") from e
+
+
 def _parse_cycles(text: str) -> list[int]:
     """The m_j of comma-separated cycle lengths 4m_j."""
-    try:
-        lengths = [int(tok) for tok in text.split(",") if tok]
-    except ValueError as e:
-        raise InputError(f"--cycles {text!r}: expected comma-separated integers") from e
+    lengths = _int_list("cycles", text)
     if any(length % 4 for length in lengths):
         raise InputError("double-cone cycle lengths must be divisible by 4")
     return [length // 4 for length in lengths]
@@ -118,10 +119,7 @@ def _parse_cycles(text: str) -> list[int]:
 
 def _parse_subspace(text: str, degree: int) -> list[list[Fraction]]:
     rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         try:
             vec = [Fraction(tok) for tok in line.split()]
         except (ValueError, ZeroDivisionError) as e:
@@ -193,10 +191,7 @@ def cmd_simulate(args) -> int:
         raise InputError(f"--tol {args.tol!r}: expected a finite nonnegative number")
     graph, a, b, assignment, w_basis = _load_instance(args)
     state = _initial_state(args, graph, a, assignment, w_basis)
-    try:
-        times = [int(tok) for tok in (args.times or "0").split(",")]
-    except ValueError as e:
-        raise InputError(f"--times {args.times!r}: expected comma-separated integers") from e
+    times = [0] if args.times is None else _int_list("times", args.times)
     if min(times) < 0:
         raise InputError(f"--times {args.times!r}: step counts must be nonnegative")
     vec, now = state, 0

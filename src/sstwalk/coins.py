@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import linalg
-from .graphs import Graph
+from .graphs import Graph, content_lines
 from .linalg import Vec
 
 
@@ -157,10 +157,7 @@ def parse_coins(text: str, graph: Graph) -> CoinAssignment:
     """
     coins = _grover_coins(graph)
     seen = set()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if parts[0] != "coin" or len(parts) < 3 or (parts[2] != "basis" and len(parts) > 3):
             raise CoinError(f"bad coin line: {line!r}")

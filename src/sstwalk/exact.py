@@ -385,19 +385,21 @@ def cosine_poly(m: int) -> RatPoly:
     return _from_scaled(_cosine_coeffs(m))
 
 
-def _monic_quotient(num: list[int], den: tuple[int, ...]) -> list[int] | None:
-    """num / den over Z for a monic den, or None when den does not divide num."""
-    k = len(den) - 1
-    low = den[:k]
-    rem = list(num)
-    quo = [0] * (len(num) - k)
+def _quotient(num: list[int], den: list[int] | tuple[int, ...]) -> list[int] | None:
+    """num / den in Z[y] (lead of den nonzero), or None when den does not divide
+    num; a monic den takes no integer division, a zero coefficient no product."""
+    k, lead = len(den) - 1, den[-1]
+    low = [(j, b) for j, b in enumerate(den[:k]) if b]
+    rem, quo = list(num), [0] * (len(num) - k)
     for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + k]
+        c, r = (rem[i + k], 0) if lead == 1 else divmod(rem[i + k], lead)
+        if r:
+            return None
         if c:
             quo[i] = c
-            for j, b in enumerate(low):
+            for j, b in low:
                 rem[i + j] -= c * b
-    return None if any(rem[:k]) else quo
+    return quo if quo and not any(rem[:k]) else None
 
 
 def _scaled_ints(p: RatPoly) -> list[int]:
@@ -417,7 +419,7 @@ def _cosine_split(ints: list[int]) -> tuple[dict[int, int], list[int]]:
         if len(ints) == 1:
             break
         while k < len(ints):
-            quo = _monic_quotient(ints, _cosine_coeffs(m))
+            quo = _quotient(ints, _cosine_coeffs(m))
             if quo is None:
                 break
             ints = quo

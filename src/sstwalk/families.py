@@ -1,8 +1,10 @@
 """End-to-end verifiers for the transfer families.
 
-Each case builds the graph, the marked coins and the subspace W, runs the
-exact decider, the exact Chebyshev check and the double-precision simulation,
-and reports the three next to the expected transfer time.  The pretty-good
+Each case builds its instance with ``marked_instance``, the marked-pair
+recipe the command line shares.  ``run_transfer_case`` takes it as
+``reduction_for``'s arguments (assignment, a, W, b), runs the exact decider,
+the exact Chebyshev check and the double-precision simulation, and reports
+the three next to the expected transfer time.  The pretty-good
 case runs the special-form decision plus a numeric fidelity sweep, whose
 best step is checked against the stepped walk.
 ``FAMILIES`` is the table of the families the ``sst`` command line offers;
@@ -20,7 +22,7 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .coins import CoinAssignment, ReflectionCoin, grover_coin, reflection_about
+from .coins import CoinAssignment, reflection_about
 from .decider import TransferVerdict, decide_pretty_good_special, decide_transfer
 from .cospec import strong_cospectral_exact
 from .exact import InvariantError
@@ -50,10 +52,19 @@ class CaseResult:
                 f"fidelity={self.fidelity:.12f} status={self.status}")
 
 
-def run_transfer_case(name: str, graph: Graph, a: int, b: int,
-                      coin: ReflectionCoin, w_basis, expected_time: int) -> CaseResult:
-    """Decide + exact check + simulate one marked-pair instance."""
-    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
+def marked_instance(graph: Graph, a: int, b: int, w=None):
+    """``reduction_for``'s arguments (assignment, a, W, b) of the marked-pair
+    recipe: the pair gets the reflection about W, every other vertex a Grover
+    coin.  With w None, every vertex gets a Grover coin and W = span{1}."""
+    if w is None:
+        return CoinAssignment.all_grover(graph), a, [[Fraction(1)] * graph.degree(a)], b
+    return CoinAssignment.grover_with_marked(graph, a, b, reflection_about(w)), a, w, b
+
+
+def run_transfer_case(name: str, assignment: CoinAssignment, a: int, w_basis, b: int,
+                      expected_time: int) -> CaseResult:
+    """Decide + exact check + simulate one marked-pair instance, given as
+    ``reduction_for``'s arguments."""
     red = reduction_for(assignment, a, w_basis, b)
     verdict = decide_transfer(red)
     ok = verdict.occurs and verdict.time == expected_time
@@ -112,13 +123,12 @@ def case_k2m(m: int, rng: random.Random | None = None) -> CaseResult:
     reflection C_a = C_b and any W inside its fixed space."""
     graph, a, b = complete_bipartite_k2m(m)
     if rng is None:
-        coin = grover_coin(m)
-        w = [[Fraction(1)] * m]
-        label = f"k2m(m={m},grover)"
-    else:
-        coin, w = random_coin_and_subspace(rng, m)
-        label = f"k2m(m={m},rank={coin.rank},dim={len(w)})"
-    return run_transfer_case(label, graph, a, b, coin, w, expected_time=2)
+        return run_transfer_case(f"k2m(m={m},grover)", *marked_instance(graph, a, b),
+                                 expected_time=2)
+    coin, w = random_coin_and_subspace(rng, m)
+    return run_transfer_case(f"k2m(m={m},rank={coin.rank},dim={len(w)})",
+                             CoinAssignment.grover_with_marked(graph, a, b, coin), a, w, b,
+                             expected_time=2)
 
 
 CIRCULANT_W = ([Fraction(1), Fraction(0), Fraction(-1), Fraction(0)],
@@ -128,10 +138,10 @@ CIRCULANT_W = ([Fraction(1), Fraction(0), Fraction(-1), Fraction(0)],
 def case_circulant(m: int, c: int, d: int) -> CaseResult:
     """X(2m, +-{c,d}) with c + d = m: dim-2 W-transfer between antipodes at t=4,
     with the coin reflecting about W (over neighbors c, d, -d, -c)."""
-    graph, a, b = circulant_2m(m, c, d)
-    w = [list(v) for v in CIRCULANT_W]
-    return run_transfer_case(f"circulant(m={m},c={c},d={d})", graph, a, b,
-                             reflection_about(w), w, expected_time=4)
+    return run_transfer_case(f"circulant(m={m},c={c},d={d})",
+                             *marked_instance(*circulant_2m(m, c, d),
+                                              [list(v) for v in CIRCULANT_W]),
+                             expected_time=4)
 
 
 def double_cone_w(ms: list[int]) -> list[list[Fraction]]:
@@ -154,38 +164,29 @@ def double_cone_w(ms: list[int]) -> list[list[Fraction]]:
 def case_double_cone(ms: list[int]) -> CaseResult:
     """Double cone over C_{4m_1} u ... u C_{4m_k}: transfer of the k-dimensional
     alternating subspace between the conical vertices at t=4."""
-    graph, a, b = double_cone_cycles(ms)
-    w = double_cone_w(ms)
-    coin = reflection_about(w)
     name = "double_cone(" + ",".join(str(4 * m) for m in ms) + ")"
-    return run_transfer_case(name, graph, a, b, coin, w, expected_time=4)
+    return run_transfer_case(name, *marked_instance(*double_cone_cycles(ms),
+                                                    double_cone_w(ms)),
+                             expected_time=4)
 
 
 def case_gp(k: int, n: int, coin_rank: int = 1,
             rng: random.Random | None = None) -> CaseResult:
     """GP(k,n) with the glued endpoints marked: any W transfers at t = n-1."""
-    graph, a, b = generalized_path(k, n)
-    if coin_rank == 1:
-        coin = grover_coin(k)
-        w = [[Fraction(1)] * k]
-    else:
+    span = None
+    if coin_rank != 1:
         if coin_rank > k:
             raise ValueError("coin rank cannot exceed the endpoint degree k")
-        rng = rng or random.Random(0)
-        span = random_orthogonal_columns(rng, k, coin_rank)
-        coin = reflection_about([list(v) for v in span])
-        w = [list(v) for v in coin.basis]
-    return run_transfer_case(f"gp(k={k},n={n},rank={coin_rank})", graph, a, b,
-                             coin, w, expected_time=n - 1)
+        span = random_orthogonal_columns(rng or random.Random(0), k, coin_rank)
+    return run_transfer_case(f"gp(k={k},n={n},rank={coin_rank})",
+                             *marked_instance(*generalized_path(k, n), span),
+                             expected_time=n - 1)
 
 
 def case_octahedron_grover() -> CaseResult:
     """The octahedron with Grover coins everywhere and W = span{1}: the
     all-ones coin state moves between antipodes at t=6."""
-    graph, a, b = circulant_2m(3, 1, 2)
-    coin = grover_coin(4)
-    w = [[Fraction(1)] * 4]
-    return run_transfer_case("octahedron(grover)", graph, a, b, coin, w,
+    return run_transfer_case("octahedron(grover)", *marked_instance(*circulant_2m(3, 1, 2)),
                              expected_time=6)
 
 
@@ -229,9 +230,7 @@ def case_pretty_good_cone(base: Graph, name: str = "cone") -> PrettyGoodResult:
     kernel = linalg.kernel_basis(adj)
     if not kernel:
         raise ValueError("empty kernel: base adjacency matrix is nonsingular")
-    graph, a, b = double_cone_over(base)
-    coin = reflection_about([list(v) for v in kernel])
-    assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
+    assignment, a, _, b = marked_instance(*double_cone_over(base), kernel)
     red = reduction_for(assignment, a, kernel, b)
     accepted = decide_pretty_good_special(red)
     factors = strong_cospectral_exact(red, red.s, red.s).support_factors
@@ -443,8 +442,8 @@ class Family:
     ``params`` names the flags the family reads, in the order in which
     ``graph``, ``marked_w`` and ``cases`` take their values.  ``graph`` builds
     (graph, a, b); ``graphs.build_family`` calls it.  ``marked_w`` gives the
-    canonical marked subspace W, and the marked coin is the reflection about it
-    (None: Grover coins everywhere and W = span{1}).  ``cases(rng, *params)``
+    canonical marked subspace W that ``marked_instance`` takes (None: Grover
+    coins everywhere and W = span{1}).  ``cases(rng, *params)``
     gives the ``sst family`` results (None: the family has none).
     """
 

@@ -86,14 +86,16 @@ def build_graph(edges, n: int) -> Graph:
                  arcs=arcs, arc_index=arc_index, arc_start=arc_start)
 
 
+def content_lines(text: str) -> list[str]:
+    """The nonblank lines of an input file, each cut at its first ``#`` (a
+    comment) and stripped."""
+    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the text format: first line ``n <count>``, then ``u v`` edges;
     ``#`` starts a comment."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = content_lines(text)
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "n":
         raise GraphError("graph file must start with 'n <count>'")

@@ -37,7 +37,7 @@ from array import array
 from itertools import combinations, islice, zip_longest
 from math import isqrt
 
-from .exact import _int_gcd, _primitive
+from .exact import _int_gcd, _primitive, _quotient
 
 _PRIMES = 5
 """Admissible primes whose factor counts are compared.  By Chebotarev's
@@ -347,19 +347,3 @@ def _recombine(f: list[int], p: int, modular: list[list[int]]) -> list[list[int]
         else:
             size += 1
     return found + [rest]
-
-
-def _quotient(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b in Z[y], or None when b does not divide a."""
-    db, lead = len(b) - 1, b[-1]
-    rem, quo = list(a), [0] * (len(a) - db)
-    if not quo:
-        return None
-    for i in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem[i + db], lead)
-        if r:
-            return None
-        quo[i] = c
-        if c:
-            rem[i:i + db] = [x - c * y for x, y in zip(rem[i:i + db], b)]
-    return None if any(rem[:db]) else quo

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from sstwalk.coins import CoinAssignment, grover_coin, reflection_about
-from sstwalk.families import (double_cone_w, random_coin_and_subspace,
+from sstwalk.coins import CoinAssignment, reflection_about
+from sstwalk.families import (double_cone_w, marked_instance, random_coin_and_subspace,
                               random_orthogonal_columns)
 from sstwalk.graphs import (GraphError, build_graph, circulant_2m,
                             complete_bipartite_k2m, cycle_graph,
@@ -77,20 +77,17 @@ FAMILY_NAMES = ["gp(4,10)", "circulant(20,1,19)", "double_cone([1,2,3])", "k2m(2
 
 def family_instance(name: str):
     """The reduction_for arguments (assignment, a, W, b) of one of the four
-    FAMILY_NAMES instances the differential tests share: gp(4,10) and k2m(20)
-    with Grover coins and W = span{1}, circulant(20,1,19) and
-    double_cone([1,2,3]) with the reflection about their canonical W."""
+    FAMILY_NAMES instances the differential tests share, from the marked-pair
+    recipe ``families.marked_instance``: gp(4,10) and k2m(20) with Grover
+    coins and W = span{1}, circulant(20,1,19) and double_cone([1,2,3]) with
+    the reflection about their canonical W."""
     if name == "gp(4,10)":
-        (g, a, b), coin, w = generalized_path(4, 10), grover_coin(4), [[1] * 4]
-    elif name == "circulant(20,1,19)":
-        w = [[1, 0, -1, 0], [0, 1, 0, -1]]
-        (g, a, b), coin = circulant_2m(20, 1, 19), reflection_about(w)
-    elif name == "double_cone([1,2,3])":
-        (g, a, b), w = double_cone_cycles([1, 2, 3]), double_cone_w([1, 2, 3])
-        coin = reflection_about(w)
-    else:
-        (g, a, b), coin, w = complete_bipartite_k2m(20), grover_coin(20), [[1] * 20]
-    return CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b
+        return marked_instance(*generalized_path(4, 10))
+    if name == "circulant(20,1,19)":
+        return marked_instance(*circulant_2m(20, 1, 19), [[1, 0, -1, 0], [0, 1, 0, -1]])
+    if name == "double_cone([1,2,3])":
+        return marked_instance(*double_cone_cycles([1, 2, 3]), double_cone_w([1, 2, 3]))
+    return marked_instance(*complete_bipartite_k2m(20))
 
 
 def family_reduction(name: str) -> HermitianReduction:

@@ -6,7 +6,7 @@ import importlib
 from pathlib import Path
 
 import sstwalk
-from sstwalk import decider, exact
+from sstwalk import decider, exact, zfactor
 
 PUBLIC = [
     "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
@@ -132,3 +132,20 @@ REMOVED_FROM_DECIDER = ["_special_support_csq", "_GEODETIC_COS_SQ"]
 
 def test_factor_list_pretty_good_rule_removed():
     assert [name for name in REMOVED_FROM_DECIDER if hasattr(decider, name)] == []
+
+
+# one exact division in Z[y]: the cosine scan, and zfactor's square-free part
+# and recombination, all call exact._quotient
+def test_one_exact_division_in_z_y():
+    assert not hasattr(exact, "_monic_quotient")
+    assert zfactor._quotient is exact._quotient
+    defined = [node.name for node in ast.walk(ast.parse(Path(zfactor.__file__).read_text()))
+               if isinstance(node, ast.FunctionDef)]
+    assert [name for name in defined if "quotient" in name] == []
+
+
+# one reader of comment-stripped input lines, graphs.content_lines, serves the
+# graph, coin and subspace files
+def test_one_comment_stripping_reader():
+    text = "".join(path.read_text() for path in Path(sstwalk.__file__).parent.glob("*.py"))
+    assert text.count('split("#", 1)') == 1

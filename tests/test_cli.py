@@ -119,6 +119,17 @@ def test_subspace_file(tmp_path, capsys):
     assert out.strip() == "TRANSFER time=4 gamma=-1"
 
 
+def test_coin_and_subspace_files_replace_the_family_recipe(tmp_path, capsys):
+    """A coin file and a subspace file replace the family's marked coin and W
+    before the marked coin is built: the double cone's size-8 reflection
+    would not fit the degree-4 cycle vertices 2 and 6."""
+    path = tmp_path / "w4.txt"
+    path.write_text("1 1 1 1\n")
+    rc, out, err = run(capsys, "transfer", "--family", "double-cone", "--cycles", "8",
+                       "--a", "2", "--b", "6", "--coins", "/dev/null", "--subspace", str(path))
+    assert (rc, out, err) == (0, "NO_TRANSFER stage=not-periodic\n", "")
+
+
 def test_family_battery(capsys, monkeypatch):
     monkeypatch.setenv("SST_SEED", "5")
     rc, out, _ = run(capsys, "family", "--family", "k2m", "--m", "3")
@@ -568,15 +579,21 @@ def test_simulate_out_of_range_exit_2(capsys, flag, value, message):
     ("coin x grover\n", ["transfer", *K2M3, "--coins", "{path}"], "0",
      "bad coin line: 'coin x grover'"),
     (None, ["simulate", *K2M3, "--times", "1,x"], "0", "--times '1,x'"),
+    (None, ["simulate", *K2M3, "--times", ""], "0",
+     "--times '': expected comma-separated integers"),
     (None, ["transfer", "--family", "double-cone", "--cycles", "4,x"], "0",
      "--cycles '4,x'"),
+    (None, ["transfer", "--family", "double-cone", "--cycles", "4,,8"], "0",
+     "--cycles '4,,8': expected comma-separated integers"),
     (None, ["simulate", *K2M3, "--state", "wx"], "0", "state 'wx'"),
     (None, ["family", *K2M3], "x", "SST_SEED='x'"),
-], ids=["graph-header", "graph-edge", "coin-vertex", "times", "cycles", "state",
-        "seed"])
+], ids=["graph-header", "graph-edge", "coin-vertex", "times", "times-empty", "cycles",
+        "cycles-empty-token", "state", "seed"])
 def test_non_integer_token_named_exit_2(text, argv, env, message, tmp_path,
                                         capsys, monkeypatch):
-    """A non-integer token names the line, flag or variable it came from."""
+    """A non-integer token names the line, flag or variable it came from; an
+    empty token of a list flag is refused the same way (only an absent
+    --times means 0)."""
     path = tmp_path / "input.txt"
     if text is not None:
         path.write_text(text)

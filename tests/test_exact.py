@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import synthetic_reduction
 from psi_oracle import power
 from test_cosine import squarefree_part
-from sstwalk.exact import (ONE, RatFun, RatPoly, X, charpoly,
+from sstwalk.exact import (ONE, RatFun, RatPoly, X, _quotient, charpoly,
                            factor_irreducible, poly_gcd, psi)
 from sstwalk.graphs import build_graph
 from sstwalk.coins import CoinAssignment
@@ -93,6 +93,50 @@ def test_gcd_divides_both(a, b):
 def test_squarefree_part():
     p = power(P(-1, 1), 3) * P(1, 1)
     assert squarefree_part(p) == (P(-1, 1) * P(1, 1)).monic()
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _int_poly(rng, degree, lead):
+    return [rng.randint(-9, 9) for _ in range(degree)] + [lead]
+
+
+def test_quotient_matches_q_x_division():
+    """exact._quotient(num, den) is the Q[x] quotient exactly when the
+    remainder is zero and the quotient is integral, and None otherwise, on
+    1500 seeded pairs: den monic, non-monic or of degree 0, and num a Z[y]
+    multiple of den, a Q[y] multiple that need not be a Z[y] one (den = c d,
+    num = d q) or an arbitrary polynomial."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(1500):
+        lead = rng.choice([1, 1, -1, 2, -3, 6])
+        den = _int_poly(rng, rng.randint(0, 4), lead)
+        q = _int_poly(rng, rng.randint(0, 4), rng.choice([1, -2, 5]))
+        shape = rng.choice(["z-multiple", "q-multiple", "arbitrary"])
+        if shape == "z-multiple":
+            num = _int_mul(den, q)
+        elif shape == "q-multiple":
+            c = rng.choice([2, 3])
+            den = [c * x for x in den]
+            num = _int_mul([x // c for x in den], q)
+        else:
+            num = _int_poly(rng, rng.randint(0, 7), rng.choice([1, -4, 7]))
+        quo, rem = P(*num).divmod(P(*den))
+        integral = rem.is_zero() and all(x.denominator == 1 for x in quo.coeffs)
+        expected = [int(x) for x in quo.coeffs] if integral else None
+        assert _quotient(num, den) == expected, (num, den)
+        kind = "degree-0" if len(den) == 1 else "monic" if den[-1] == 1 else "non-monic"
+        seen.add((kind, "integral" if integral else "q-only" if rem.is_zero() else "remainder"))
+    assert seen == {(kind, result) for kind in ("degree-0", "monic", "non-monic")
+                    for result in ("integral", "q-only", "remainder")} - {
+        ("monic", "q-only"), ("degree-0", "remainder")}  # Gauss's lemma; a constant divides in Q
 
 
 # -- characteristic polynomials -------------------------------------------------

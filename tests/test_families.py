@@ -51,8 +51,8 @@ def test_circulant_extended_coin():
         extra = [Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(4)]
         if any(extra) and len(linalg.gram_schmidt(w + [extra])) == 3:
             break
-    res = run_transfer_case("circulant(m=4,c=1,d=3)", graph, a, b,
-                            reflection_about(w + [extra]), w, expected_time=4)
+    assignment = CoinAssignment.grover_with_marked(graph, a, b, reflection_about(w + [extra]))
+    res = run_transfer_case("circulant(m=4,c=1,d=3)", assignment, a, w, b, expected_time=4)
     assert res.status == "PASS", res.line()
 
 

@@ -27,7 +27,7 @@ from math import lcm
 from psi_oracle import series_fraction
 from sstwalk.decider import PeriodicityVerdict, TransferVerdict
 from sstwalk.exact import (X, RatFun, RatPoly, _cosine_coeffs, _cosine_split, _fraction,
-                           _from_scaled, _Krylov, _monic_quotient, _scaled_ints,
+                           _from_scaled, _Krylov, _quotient, _scaled_ints,
                            _SelfMoments, cosine_poly, factor_irreducible)
 from sstwalk.reduction import check_pairs, z_apply
 
@@ -148,7 +148,7 @@ class OracleResolvent:
     @cached_property
     def split_orders(self) -> tuple[frozenset[int], frozenset[int]]:
         return tuple(frozenset(m for m in self.scan[0]
-                               if _monic_quotient(ints, _cosine_coeffs(m)) is not None)
+                               if _quotient(ints, _cosine_coeffs(m)) is not None)
                      for ints in map(_scaled_ints, (self.g_plus, self.g_minus)))
 
     @cached_property
