@@ -472,8 +472,8 @@ def charpoly(m: linalg.Mat) -> RatPoly:
         return ONE
     if any(len(row) != n for row in m):
         raise ValueError("charpoly needs a square matrix")
-    scale = linalg.common_denominator(m)
-    z = linalg.scaled_int_matrix(m, scale)
+    scale = lcm(*(x.denominator for row in m for x in row))
+    z = [[int(x * scale) for x in row] for row in m]
     int_coeffs = linalg.berkowitz_charpoly(z)
     # det(xI - M) = scale^-n * det((scale x)I - Z)
     return RatPoly([Fraction(c) * Fraction(scale) ** (k - n)

@@ -157,32 +157,31 @@ def circulant_2m(m: int, c: int, d: int) -> tuple[Graph, int, int]:
     return build_graph(edges, nvert), 0, m
 
 
+def _double_cone(edges, n: int) -> tuple[Graph, int, int]:
+    """Double cone over the base graph on n vertices with these edges: base
+    vertex v becomes v + 2; the marked conical vertices 0 and 1 are joined to
+    every base vertex."""
+    cone = [(u + 2, v + 2) for u, v in edges]
+    cone += [(c, v + 2) for v in range(n) for c in (0, 1)]
+    return build_graph(cone, n + 2), 0, 1
+
+
 def double_cone_cycles(ms: list[int]) -> tuple[Graph, int, int]:
     """Double cone over the disjoint union of cycles C_{4m_j}; marked pair =
     the two conical vertices (0, 1)."""
     if not ms or any(m < 1 for m in ms):
         raise GraphError("double cone needs cycle parameters m_j >= 1")
-    edges = []
-    offset = 2
-    for m in ms:
-        length = 4 * m
-        for i in range(length):
-            edges.append((offset + i, offset + (i + 1) % length))
+    edges, offset = [], 0
+    for length in (4 * m for m in ms):
+        edges += [(offset + i, offset + (i + 1) % length) for i in range(length)]
         offset += length
-    for v in range(2, offset):
-        edges.append((0, v))
-        edges.append((1, v))
-    return build_graph(edges, offset), 0, 1
+    return _double_cone(edges, offset)
 
 
 def double_cone_over(base: Graph) -> tuple[Graph, int, int]:
     """Double cone over an arbitrary base graph; conical vertices are (0, 1),
     base vertex v becomes v + 2."""
-    edges = [(u + 2, v + 2) for u, v in base.edges]
-    for v in range(base.n):
-        edges.append((0, v + 2))
-        edges.append((1, v + 2))
-    return build_graph(edges, base.n + 2), 0, 1
+    return _double_cone(base.edges, base.n)
 
 
 def generalized_path(k: int, n: int) -> tuple[Graph, int, int]:

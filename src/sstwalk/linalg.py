@@ -197,14 +197,3 @@ def berkowitz_charpoly(a: list[list[int]]) -> list[int]:
         poly = new
     return list(reversed(poly))
 
-
-def common_denominator(a: Mat) -> int:
-    den = 1
-    for row in a:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    return den
-
-
-def scaled_int_matrix(a: Mat, scale: int) -> list[list[int]]:
-    return [[int(x * scale) for x in row] for row in a]

@@ -19,9 +19,9 @@ with plan order; the block enters plan order once per ``walk_apply`` and
 leaves it once.  The plan is the only way U is applied; no
 dense U is built.  No renormalization is performed: norm drift is itself a
 diagnostic.  Subspaces W enter as rational vectors, floats converted exactly,
-and are orthonormalized by exact Gram-Schmidt before the one conversion to
-doubles; every exact vector is scaled by a power of two before that
-conversion, so entries past the double range convert without overflow.
+and are orthogonalized by exact Gram-Schmidt; ``_coin_weights`` then converts
+each weight vector to doubles once, scaled by a power of two so entries past
+the double range convert without overflow, and normalizes it once.
 numpy is imported by each entry point on first use, so the exact layers
 that import this module never load it.
 """
@@ -157,17 +157,20 @@ def _refuse_non_finite(ws, a: int) -> None:
         raise ValueError(f"weight vector at vertex {a} is not finite")
 
 
-def _coin_weights(assignment: CoinAssignment, a: int, wv: np.ndarray) -> np.ndarray:
-    """The weights over sigma_a of the unit coin states x_a(w), one row per
-    float row w of ``wv``; requires C_a w = w up to 1e-12, that is P w = w,
-    tested in O(r d) as P w = B^T ((B w) / <b,b>) from the r clone columns
-    B, each column b and its <b,b> scaled by 2^-e and 4^-e."""
+def _coin_weights(assignment: CoinAssignment, u: int, ws) -> np.ndarray:
+    """The weights over sigma_u of the unit coin states x_u(w), one row per
+    weight vector w in ``ws``, rational or float.  Each w is converted to
+    doubles once, by ``linalg.scaled_doubles``, and normalized once; it must
+    satisfy C_u w = w up to 1e-12, that is P w = w, tested in O(r d) as
+    P w = B^T ((B w) / <b,b>) from the r clone columns B, each column b and
+    its <b,b> scaled by 2^-e and 4^-e."""
     import numpy as np
 
-    d = assignment.graph.degree(a)
-    if wv.shape[1] != d:
-        raise ValueError(f"weight vector must have length deg({a}) = {d}")
-    cols = assignment.coin(a).clone_columns
+    d = assignment.graph.degree(u)
+    if any(len(w) != d for w in ws):
+        raise ValueError(f"weight vector must have length deg({u}) = {d}")
+    wv = np.array([linalg.scaled_doubles(w)[0] for w in ws])
+    cols = assignment.coin(u).clone_columns
     scaled = [linalg.scaled_doubles(c) for c in cols]
     b = np.array([v for v, _ in scaled], dtype=float).reshape(-1, d)
     norms = np.array([linalg.to_double(linalg.dot(c, c), 2 * e)
@@ -175,10 +178,10 @@ def _coin_weights(assignment: CoinAssignment, a: int, wv: np.ndarray) -> np.ndar
     pw = (wv @ b.T / norms) @ b
     for w, p in zip(wv, pw):
         if np.linalg.norm(p - w) > 1e-12 * np.linalg.norm(w):
-            raise ValueError(f"weight vector is not fixed by the coin at vertex {a}")
+            raise ValueError(f"weight vector is not fixed by the coin at vertex {u}")
     nrm = np.linalg.norm(wv, axis=1)
     if not nrm.all():
-        raise ValueError("zero coin state")
+        raise ValueError(f"zero coin state at vertex {u}")
     return wv / nrm[:, None]
 
 
@@ -190,8 +193,7 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
     _refuse_non_finite([w], a)
     g = assignment.graph
     state = np.zeros(g.num_arcs)
-    wv = np.array([linalg.scaled_doubles(w)[0]])
-    state[out_arc_slice(g, a)] = _coin_weights(assignment, a, wv)[0]
+    state[out_arc_slice(g, a)] = _coin_weights(assignment, a, [w])[0]
     return state
 
 
@@ -226,22 +228,6 @@ def walk_apply(assignment: CoinAssignment, state: np.ndarray, t: int) -> np.ndar
     return assignment.step_plan.apply(rows.T, t).T.reshape(x.shape)
 
 
-def orthonormal_columns(vectors) -> list[np.ndarray]:
-    """Numeric orthonormal basis for the span of the given vectors.
-
-    The inputs are rational; floats are converted to Fractions exactly.  They
-    are orthogonalized exactly first (no cancellation error, no rank cut), so
-    the output stays inside exact subspaces to machine precision.
-    """
-    import numpy as np
-
-    out = []
-    for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors]):
-        col = np.array(linalg.scaled_doubles(v)[0])
-        out.append(col / np.linalg.norm(col))
-    return out
-
-
 def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: int
                       ) -> tuple[float, float]:
     """Pointwise W-transfer fidelity at step t, plus the estimated phase.
@@ -259,8 +245,8 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     import numpy as np
 
     _refuse_non_finite(w_basis, a)
-    ws = np.array(orthonormal_columns(w_basis))
-    if not len(ws):
+    ws = linalg.gram_schmidt([linalg.frac_vec(w) for w in w_basis])
+    if not ws:
         raise ValueError("empty subspace")
     g = assignment.graph
     if g.degree(a) != g.degree(b):

@@ -19,12 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from reduction_oracle import assemble_projection
+from walk_oracle import orthonormal_columns
 from sstwalk import linalg
 from sstwalk.coins import CoinAssignment, ReflectionCoin
 from sstwalk.graphs import Graph
 from sstwalk.linalg import Mat
 from sstwalk.reduction import ReductionError
-from sstwalk.walk import orthonormal_columns
 
 
 class AdjacentMarkedPair(ReductionError):

@@ -26,6 +26,7 @@ build their polynomials with.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from sstwalk import linalg
 from sstwalk.exact import ONE, RatFun, RatPoly, _fraction, _Massey, charpoly, poly_gcd
@@ -93,7 +94,7 @@ def _minor_poly(m: linalg.Mat, row: int, col: int) -> RatPoly:
     """
     n = len(m)
     size = n - 1
-    scale = linalg.common_denominator(m)
+    scale = lcm(*(x.denominator for row in m for x in row))
     pts: list[tuple[Fraction, Fraction]] = []
     x = 0
     while len(pts) < max(size, 1):

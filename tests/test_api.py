@@ -6,7 +6,7 @@ import importlib
 from pathlib import Path
 
 import sstwalk
-from sstwalk import decider, exact, zfactor
+from sstwalk import decider, exact, linalg, walk, zfactor
 
 PUBLIC = [
     "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
@@ -149,3 +149,24 @@ def test_one_exact_division_in_z_y():
 def test_one_comment_stripping_reader():
     text = "".join(path.read_text() for path in Path(sstwalk.__file__).parent.glob("*.py"))
     assert text.count('split("#", 1)') == 1
+
+
+# one path from a weight vector to a unit coin state: walk._coin_weights
+# converts and normalizes the w of coin_state and W's exact Gram-Schmidt
+# output in transfer_fidelity, and the numeric orthonormal basis of W lives in
+# tests/walk_oracle.py; exact.charpoly clears its own denominators
+def _scaled_doubles_calls(node) -> int:
+    return sum(isinstance(call, ast.Call) and "scaled_doubles" in
+               (getattr(call.func, "attr", None), getattr(call.func, "id", None))
+               for call in ast.walk(node))
+
+
+def test_one_path_to_a_unit_coin_state():
+    assert not hasattr(walk, "orthonormal_columns")
+    assert [name for name in ("common_denominator", "scaled_int_matrix")
+            if hasattr(linalg, name)] == []
+    tree = ast.parse(Path(walk.__file__).read_text())
+    owner = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_coin_weights")
+    assert _scaled_doubles_calls(owner) > 0
+    assert _scaled_doubles_calls(tree) == _scaled_doubles_calls(owner)

@@ -159,6 +159,16 @@ def test_simulate_exact_entries_past_the_double_range(tmp_path, capsys, graph, e
         assert out.startswith(stream), out
 
 
+def test_simulate_zero_weight_names_its_vertex_exit_2(tmp_path, capsys):
+    """W = span{0} on K_2: the zero coin state is refused by the vertex it
+    would start from, like every other weight-vector refusal."""
+    (tmp_path / "g.txt").write_text("n 2\n0 1\n")
+    (tmp_path / "w.txt").write_text("0\n")
+    rc, out, err = run(capsys, "simulate", "--graph", str(tmp_path / "g.txt"),
+                       "--subspace", str(tmp_path / "w.txt"))
+    assert (rc, out, err) == (2, "", "error: zero coin state at vertex 0\n")
+
+
 def test_missing_file_exit_2(capsys):
     rc, _, err = run(capsys, "period", "--graph", "/does/not/exist")
     assert rc == 2 and "not found" in err

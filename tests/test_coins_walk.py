@@ -11,7 +11,8 @@ from sstwalk.coins import (CoinAssignment, CoinError, grover_coin,
                            reflection_about)
 from sstwalk.decider import decide_transfer
 from sstwalk.families import fidelity_series
-from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m, generalized_path
+from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
+                            double_cone_cycles, generalized_path)
 from sstwalk.reduction import exact_transfer_check, reduction_for
 from sstwalk.walk import _c_float, coin_state, transfer_fidelity, walk_apply
 from reduction_oracle import assemble_projection
@@ -168,7 +169,9 @@ def test_octahedron_grover_t6():
 
 
 def test_circulant_walk_t4_and_t2():
-    """Theorem instance at t=4; the frozen t=2 value is 1/2 (simulation oracle)."""
+    """Theorem instance at t=4; the frozen t=2 value is 1/2 (simulation oracle).
+    A dependent and a zero vector added to W's basis change neither value
+    nor the phase: exact Gram-Schmidt drops both."""
     g, a, b = circulant_2m(3, 1, 2)
     w = [[1, 0, -1, 0], [0, 1, 0, -1]]
     asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
@@ -177,6 +180,23 @@ def test_circulant_walk_t4_and_t2():
     fid2, _ = transfer_fidelity(asn, a, b, w, 2)
     assert abs(fid2 - 0.5) < 1e-9
     assert fid2 < 1 - 1e-4
+    padded = w + [[2, -1, -2, 1], [0, 0, 0, 0]]
+    for t in (2, 4):
+        assert transfer_fidelity(asn, a, b, padded, t) == transfer_fidelity(asn, a, b, w, t)
+
+
+def test_transfer_fidelity_refuses_a_w_it_cannot_place():
+    """An all-zero W spans nothing, a W of the wrong length does not live
+    over sigma_a, and positional identification needs deg(a) = deg(b)."""
+    g, a, b = circulant_2m(3, 1, 2)
+    asn = CoinAssignment.all_grover(g)
+    with pytest.raises(ValueError, match="^empty subspace$"):
+        transfer_fidelity(asn, a, b, [[0, 0, 0, 0], [0, 0, 0, 0]], 6)
+    with pytest.raises(ValueError, match=rf"^weight vector must have length deg\({a}\) = 4$"):
+        transfer_fidelity(asn, a, b, [[1, 1, 1]], 6)
+    g, a, _ = double_cone_cycles([1, 2])  # degree 12 at the apex, 4 on the cycles
+    with pytest.raises(ValueError, match=r"^positional identification needs deg\(a\) = deg\(b\)$"):
+        transfer_fidelity(CoinAssignment.all_grover(g), a, 2, [[1] * 12], 6)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -215,6 +235,13 @@ def test_coin_state_accepts_numpy_float32_weights():
     asn = CoinAssignment.all_grover(g)
     w = np.array([0.1, 0.1], dtype=np.float32)
     assert coin_state(asn, a, w).tolist() == coin_state(asn, a, [float(w[0])] * 2).tolist()
+
+
+def test_coin_state_refuses_zero_weights_by_vertex():
+    g, a, b = complete_bipartite_k2m(2)
+    asn = CoinAssignment.all_grover(g)
+    with pytest.raises(ValueError, match=f"^zero coin state at vertex {b}$"):
+        coin_state(asn, b, [0, 0])
 
 
 def test_coin_state_requires_fixed_vector():

@@ -6,8 +6,8 @@ import pytest
 
 from sstwalk.graphs import (GraphError, build_family, build_graph,
                             circulant_2m, complete_bipartite_k2m, cycle_graph,
-                            double_cone_cycles, format_graph, generalized_path,
-                            parse_graph, prism_graph)
+                            double_cone_cycles, double_cone_over, format_graph,
+                            generalized_path, parse_graph, prism_graph)
 
 # the octahedron as drawn in the motivating figures (6 vertices, 12 edges)
 FIGURE_OCTAHEDRON = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3),
@@ -138,6 +138,12 @@ def test_double_cone_conical_twins():
     g, a, b = double_cone_cycles([1, 2])
     assert g.neighbors[a] == g.neighbors[b]
     assert g.degree(a) == 12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_double_cone_over_one_cycle_is_double_cone_cycles(m):
+    """A single cycle is a connected base, so both routes build its cone."""
+    assert double_cone_cycles([m]) == double_cone_over(cycle_graph(4 * m))
 
 
 def test_build_family_dispatch():

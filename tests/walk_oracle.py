@@ -23,6 +23,11 @@ tests in ``test_walk_oracle.py``, on graphs too large for the dense
 stepped W's orthonormal basis as one block, it built the coin states at a and
 b and stepped the walk once per basis vector.  It lives on here, unchanged,
 for the differential test of ``walk.transfer_fidelity``.
+
+``orthonormal_columns`` is the numeric orthonormal basis of W that loop and
+``blowup_oracle`` read: exact Gram-Schmidt, then each vector converted to
+doubles and normalized.  The package now converts and normalizes W's
+Gram-Schmidt output only inside its coin-state builder.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ import numpy as np
 from reduction_oracle import assemble_projection
 from sstwalk.coins import CoinAssignment, ReflectionCoin
 from sstwalk.reduction import HermitianReduction
-from sstwalk.walk import (coin_state, orthonormal_columns, out_arc_slice,
-                          reversal_permutation, walk_apply)
+from sstwalk import linalg
+from sstwalk.walk import coin_state, out_arc_slice, reversal_permutation, walk_apply
 
 
 def c_float(coin: ReflectionCoin) -> np.ndarray:
@@ -107,6 +112,17 @@ class StepPlan:
                 y[arcs] = np.einsum("vij,vj->vi", blocks, x[arcs])
             x = y[self.rev]
         return x
+
+
+def orthonormal_columns(vectors) -> list[np.ndarray]:
+    """Numeric orthonormal basis for the span of the rational (or float)
+    vectors: exact Gram-Schmidt, then one conversion to doubles and one
+    normalization per vector."""
+    out = []
+    for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors]):
+        col = np.array(linalg.scaled_doubles(v)[0])
+        out.append(col / np.linalg.norm(col))
+    return out
 
 
 def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: int
