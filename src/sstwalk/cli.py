@@ -198,8 +198,7 @@ def cmd_simulate(args) -> int:
     for t in sorted(set(times)):
         vec, now = walk_apply(assignment, vec, t - now), t
         print(f"t={t}")
-        for idx, (u, v) in enumerate(graph.arcs):
-            amp = vec[idx]
+        for (u, v), amp in zip(graph.arcs, vec):
             if abs(amp) > args.tol:
                 print(f"  ({u},{v}) {amp.real:+.10f} {amp.imag:+.10f}")
     return 0

@@ -2,13 +2,16 @@
 
 Arcs are ordered pairs (tail, head) over adjacent vertices, enumerated in
 lexicographic order; the neighbor order sigma_u at each vertex is ascending.
-Fixing both makes every coin matrix and every reduction reproducible.
+Fixing both makes every coin matrix and every reduction reproducible.  A graph
+stores ints per arc (neighbors, ``arc_start`` and, derived once on first read,
+``reversal``); the arc tuples and ``arc_index`` are views built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, chain
 
 
 class GraphError(ValueError):
@@ -22,8 +25,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     neighbors: tuple[tuple[int, ...], ...] = field(repr=False)
-    arcs: tuple[tuple[int, int], ...] = field(repr=False)
-    arc_index: dict[tuple[int, int], int] = field(repr=False, compare=False)
     # n + 1 cumulative degrees: u's outgoing arcs are arcs[arc_start[u]:arc_start[u + 1]]
     arc_start: tuple[int, ...] = field(repr=False, compare=False)
 
@@ -33,20 +34,29 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
 
-    def sigma(self, u: int) -> tuple[int, ...]:
-        """Neighbor order at u (ascending vertex order)."""
-        return self.neighbors[u]
-
-    def sigma_pos(self, u: int, v: int) -> int:
-        """Position of neighbor v in sigma_u, read from the arc index in O(1)."""
-        arc = self.arc_index.get((u, v))
-        if arc is None:
-            raise ValueError(f"{v} is not a neighbor of {u}")
-        return arc - self.arc_start[u]
-
     @property
     def num_arcs(self) -> int:
-        return len(self.arcs)
+        return self.arc_start[-1]
+
+    @cached_property
+    def reversal(self) -> tuple[int, ...]:
+        """reversal[i] is the index of arc (v, u) for the i-th arc (u, v).  The
+        arcs into v are met in ascending tail order, which is sigma_v, so one
+        cursor per vertex walks v's outgoing arcs: O(arcs), no dict."""
+        cursor = list(self.arc_start)
+        out = []
+        for v in chain.from_iterable(self.neighbors):
+            out.append(cursor[v])
+            cursor[v] += 1
+        return tuple(out)
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((u, v) for u, heads in enumerate(self.neighbors) for v in heads)
+
+    @cached_property
+    def arc_index(self) -> dict[tuple[int, int], int]:
+        return {arc: i for i, arc in enumerate(self.arcs)}
 
 
 def build_graph(edges, n: int) -> Graph:
@@ -79,11 +89,8 @@ def build_graph(edges, n: int) -> Graph:
     if len(seen) != n:
         raise GraphError("graph is disconnected")
     neighbors = tuple(tuple(sorted(s)) for s in nbrs)
-    arcs = tuple((u, v) for u in range(n) for v in neighbors[u])
-    arc_index = {arc: i for i, arc in enumerate(arcs)}
     arc_start = tuple(accumulate(map(len, neighbors), initial=0))
-    return Graph(n=n, edges=tuple(sorted(canon)), neighbors=neighbors,
-                 arcs=arcs, arc_index=arc_index, arc_start=arc_start)
+    return Graph(n=n, edges=tuple(sorted(canon)), neighbors=neighbors, arc_start=arc_start)
 
 
 def content_lines(text: str) -> list[str]:
@@ -111,12 +118,6 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"bad edge line: {line!r}") from e
         edges.append((u, v))
     return build_graph(edges, n)
-
-
-def format_graph(g: Graph) -> str:
-    out = [f"n {g.n}"]
-    out.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
 
 
 # -- families ----------------------------------------------------------------

@@ -2,20 +2,22 @@
 
 H is never materialized with irrational entries.  The columns of the exact
 orthogonal coin basis M are primitive integer vectors, so a reduction stores
-the integer nonzeros of the symmetric matrix S = M^T R M and the diagonal
-D = M^T M (as the list of Fractions ``delta_sq``); the true Hermitian matrix is
-H = D^{-1/2} S D^{-1/2} and its rational similar carrier is H_rat = S D^{-1}
-(so H = Delta^{-1} H_rat Delta with Delta = D^{1/2}).  Exact transfer checks
-and resolvent traces operate on H_rat directly whenever the paired clones
-share delta_sq, through its sparse integer view Z = scale * H_rat (sparse
-integer mat-vecs, no dense products).  From the coin to Z the arithmetic is in
-Python ints; only the dense view ``sym`` is Fractions.  The float views
-``h_sparse`` and ``h_numeric`` import numpy on first use, so the exact path
-never loads it.
+the integer nonzeros of the symmetric matrix S = M^T R M (``build_H`` emits
+them in sorted order, along the graph's arc reversal, with no sort) and the
+diagonal D = M^T M (as the list of Fractions ``delta_sq``); the true Hermitian
+matrix is H = D^{-1/2} S D^{-1/2} and its rational similar carrier is
+H_rat = S D^{-1} (so H = Delta^{-1} H_rat Delta with Delta = D^{1/2}).  Exact
+transfer checks and resolvent traces operate on H_rat directly whenever the
+paired clones share delta_sq, through its sparse integer view Z = scale * H_rat
+(sparse integer mat-vecs, no dense products).  From the coin to Z the
+arithmetic is in Python ints; only the dense view ``sym`` is Fractions.  The
+float views ``h_sparse`` and ``h_numeric`` import numpy on first use, so the
+exact path never loads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -219,34 +221,32 @@ def z_apply(rows, vec: list[int]) -> list[int]:
 
 def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
     """Assemble the integer nonzeros of sym = M^T R M and delta_sq =
-    diag(M^T M) (as Fractions) from a coin basis.
+    diag(M^T M) (as Fractions) from a coin basis with columns grouped by
+    ascending vertex, as from ``induced_coin_basis`` (other orders are refused).
 
     The (j,k) entry couples clone j at u and clone k at u' ~ u with weight
-    v_j[pos_u(u')] * v_k[pos_{u'}(u)]; non-adjacent (and equal) vertices give 0.
+    v_j[pos_u(u')] * v_k[pos_{u'}(u)], pos_{u'}(u) read from ``Graph.reversal``;
+    non-adjacent (and equal) vertices give 0.  Emitted row by row (clone j, its
+    arcs in sigma order, the head's clones), the nonzeros come out sorted.
     """
     g = assignment.graph
     cols = basis.columns
-    per_vertex: dict[int, list[int]] = {}
-    for j, (u, _) in enumerate(cols):
-        per_vertex.setdefault(u, []).append(j)
-    for u, ids in per_vertex.items():
-        for i, j in [(i, j) for x, i in enumerate(ids) for j in ids[x + 1:]]:
-            if linalg.dot(cols[i][1], cols[j][1]) != 0:
-                raise ReductionError(
-                    f"coin basis at vertex {u} is not exactly orthogonal")
+    verts = [u for u, _ in cols]
+    if verts != sorted(verts):
+        raise ReductionError("coin basis columns are not grouped by ascending vertex")
+    first = [bisect_left(verts, u) for u in range(g.n + 1)]  # u's clones start at first[u]
+    rev, start = g.reversal, g.arc_start
     nonzeros = []
-    for u, ids in per_vertex.items():
+    for j, (u, vj) in enumerate(cols):
+        for i in range(first[u], j):
+            if linalg.dot(cols[i][1], vj) != 0:
+                raise ReductionError(f"coin basis at vertex {u} is not exactly orthogonal")
         for pos_w, w in enumerate(g.neighbors[u]):
-            if w < u or w not in per_vertex:
-                continue
-            pos_u = g.sigma_pos(w, u)
-            for j in ids:
-                vj = cols[j][1][pos_w]
-                for k in per_vertex[w]:
-                    x = vj * cols[k][1][pos_u]
-                    if x:
-                        nonzeros += ((j, k, x), (k, j, x))
-    nonzeros.sort()
+            if x := vj[pos_w]:
+                pos_u = rev[start[u] + pos_w] - start[w]
+                for k in range(first[w], first[w + 1]):
+                    if y := x * cols[k][1][pos_u]:
+                        nonzeros.append((j, k, y))
     delta_sq = [Fraction(linalg.dot(v, v)) for _, v in cols]
     return HermitianReduction(assignment=assignment, basis=basis, nonzeros=nonzeros,
                               delta_sq=delta_sq, s=list(basis.s_clones),

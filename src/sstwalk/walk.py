@@ -2,7 +2,7 @@
 
 States live on arcs in the graph's canonical order; the outgoing arcs of a
 vertex form a contiguous slice, found in O(1) from ``Graph.arc_start``.  The
-step applies the block-diagonal coin followed by the arc-reversal permutation.
+step applies the block-diagonal coin, then the arc reversal ``Graph.reversal``.
 U is real orthogonal (C is built from reflections over Q), so the walk is real:
 states are float64, the states of one call step as the columns of one
 (arcs x k) block, and the orthonormal basis of a subspace W steps as one block.
@@ -45,12 +45,6 @@ if TYPE_CHECKING:
 def out_arc_slice(graph: Graph, u: int) -> slice:
     """Outgoing arcs of u form a contiguous slice in lexicographic arc order."""
     return slice(graph.arc_start[u], graph.arc_start[u + 1])
-
-
-def reversal_permutation(graph: Graph) -> np.ndarray:
-    import numpy as np
-
-    return np.array([graph.arc_index[(v, u)] for u, v in graph.arcs], dtype=int)
 
 
 def _c_float(coin: ReflectionCoin) -> list[list[float]]:
@@ -123,7 +117,7 @@ class StepPlan:
         order = np.concatenate(order)
         pos = np.empty_like(order)
         pos[order] = np.arange(len(order))
-        return cls(order, pos, pos[reversal_permutation(g)][order], tuple(classes))
+        return cls(order, pos, pos[np.array(g.reversal)][order], tuple(classes))
 
     def apply(self, x: np.ndarray, t: int) -> np.ndarray:
         """U^t on each column of the float (arcs x k) block x, by t steps.  A
@@ -150,9 +144,14 @@ class StepPlan:
         return np.take(z, self.pos, axis=0)
 
 
-def _refuse_non_finite(ws, a: int) -> None:
-    """A NaN or infinite weight would give a NaN state (NaN passes the
-    fixed-vector test, as every comparison with it is false)."""
+def _refuse_bad_weights(g: Graph, a: int, ws) -> None:
+    """Each weight vector must have length deg(a), as Gram-Schmidt's ``zip``
+    would truncate it silently; a NaN or infinite weight would give a NaN
+    state (NaN passes the fixed-vector test, as every comparison with it is
+    false)."""
+    d = g.degree(a)
+    if any(len(w) != d for w in ws):
+        raise ValueError(f"weight vector must have length deg({a}) = {d}")
     if not all(-inf < x < inf for w in ws for x in w):
         raise ValueError(f"weight vector at vertex {a} is not finite")
 
@@ -163,12 +162,10 @@ def _coin_weights(assignment: CoinAssignment, u: int, ws) -> np.ndarray:
     doubles once, by ``linalg.scaled_doubles``, and normalized once; it must
     satisfy C_u w = w up to 1e-12, that is P w = w, tested in O(r d) as
     P w = B^T ((B w) / <b,b>) from the r clone columns B, each column b and
-    its <b,b> scaled by 2^-e and 4^-e."""
+    its <b,b> scaled by 2^-e and 4^-e.  Each w has length deg(u) (callers check)."""
     import numpy as np
 
     d = assignment.graph.degree(u)
-    if any(len(w) != d for w in ws):
-        raise ValueError(f"weight vector must have length deg({u}) = {d}")
     wv = np.array([linalg.scaled_doubles(w)[0] for w in ws])
     cols = assignment.coin(u).clone_columns
     scaled = [linalg.scaled_doubles(c) for c in cols]
@@ -190,8 +187,8 @@ def coin_state(assignment: CoinAssignment, a: int, w) -> np.ndarray:
     float) weights w; requires C_a w = w up to 1e-12."""
     import numpy as np
 
-    _refuse_non_finite([w], a)
     g = assignment.graph
+    _refuse_bad_weights(g, a, [w])
     state = np.zeros(g.num_arcs)
     state[out_arc_slice(g, a)] = _coin_weights(assignment, a, [w])[0]
     return state
@@ -233,7 +230,8 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     """Pointwise W-transfer fidelity at step t, plus the estimated phase.
 
     ``w_basis`` spans W as rational vectors over sigma_a (floats are converted
-    to Fractions exactly); the same coordinates are reused over sigma_b
+    to Fractions exactly; a vector whose length is not deg(a) is refused
+    before Gram-Schmidt); the same coordinates are reused over sigma_b
     (positional identification, the identity on the shared neighbor set for
     twins).  Returns min_j gamma <x_b(w_j), U^t x_a(w_j)> over an orthonormal
     basis w_j of W, clamped to [0, 1], and the phase gamma: the walk is real,
@@ -244,11 +242,11 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     """
     import numpy as np
 
-    _refuse_non_finite(w_basis, a)
+    g = assignment.graph
+    _refuse_bad_weights(g, a, w_basis)
     ws = linalg.gram_schmidt([linalg.frac_vec(w) for w in w_basis])
     if not ws:
         raise ValueError("empty subspace")
-    g = assignment.graph
     if g.degree(a) != g.degree(b):
         raise ValueError("positional identification needs deg(a) = deg(b)")
     x = np.zeros((len(ws), g.num_arcs))

@@ -100,7 +100,7 @@ def build_blowup(assignment: CoinAssignment, a: int, b: int) -> BlowUp:
         coin = assignment.coin(mark)
         p = assemble_projection(coin.degree, coin.basis)
         for i in range(g.degree(mark)):
-            for jpos, v in enumerate(g.sigma(mark)):
+            for jpos, v in enumerate(g.neighbors[mark]):
                 val = p[i][jpos]
                 if val:
                     sym[offset + i][rest_pos[v]] = val
@@ -158,7 +158,7 @@ def strong_cospectral_numeric(blowup: BlowUp, w_basis, tol: float = 1e-7
         raise ValueError("positional W-identification needs deg(a) = deg(b)")
     g = blowup.g_numeric()
     lam, vecs = np.linalg.eigh(g)
-    wcols = orthonormal_columns(w_basis)
+    wcols = orthonormal_columns(w_basis, blowup.deg_a)
     if not wcols:
         raise ValueError("empty subspace")
     pw = sum(np.outer(w, w) for w in wcols)
@@ -256,7 +256,7 @@ def twin_transfer_check(graph: Graph, a: int, b: int, coin: ReflectionCoin,
 
     mod4 = min_t = None
     if exact_ok:
-        degs = {graph.degree(graph.sigma(a)[i])
+        degs = {graph.degree(graph.neighbors[a][i])
                 for w in w_exact for i, x in enumerate(w) if x}
         if len(degs) == 1:
             delta = degs.pop()
@@ -273,7 +273,7 @@ def _kernel_condition(graph: Graph, a: int, b: int, blowup: BlowUp,
     pos = {v: i for i, v in enumerate(rest)}
     for w in w_exact:
         embedded = [Fraction(0)] * len(rest)
-        for i, v in enumerate(graph.sigma(a)):
+        for i, v in enumerate(graph.neighbors[a]):
             embedded[pos[v]] = w[i]
         for u in rest:
             acc = Fraction(0)
@@ -299,12 +299,12 @@ def _numeric_e0_condition(blowup: BlowUp, w_basis, tol: float) -> bool:
     e0_rest = kernel[list(blowup.rest), :] @ kernel[list(blowup.rest), :].T
     adj_rows = np.zeros((graph.degree(a), len(rest)))
     pos = {v: i for i, v in enumerate(rest)}
-    for i, v in enumerate(graph.sigma(a)):
+    for i, v in enumerate(graph.neighbors[a]):
         for u in graph.neighbors[v]:
             if u not in (a, blowup.b):
                 adj_rows[i, pos[u]] = 1.0
     dinv = np.array([1.0 / np.sqrt(graph.degree(v)) for v in rest])
     target = adj_rows * dinv[None, :] @ e0_rest
-    wcols = orthonormal_columns(w_basis)
+    wcols = orthonormal_columns(w_basis, graph.degree(a))
     pw = sum(np.outer(w, w) for w in wcols)
     return bool(np.linalg.norm(pw @ target) <= 1e3 * tol)

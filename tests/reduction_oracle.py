@@ -237,7 +237,7 @@ def build_H(assignment, columns) -> tuple[list[tuple[int, int, Fraction]], list[
         for pos_w, w in enumerate(g.neighbors[u]):
             if w < u or w not in per_vertex:
                 continue
-            pos_u = g.sigma_pos(w, u)
+            pos_u = g.arc_index[(w, u)] - g.arc_start[w]
             for j in ids:
                 vj = cols[j][1][pos_w]
                 for k in per_vertex[w]:

@@ -6,7 +6,7 @@ import importlib
 from pathlib import Path
 
 import sstwalk
-from sstwalk import decider, exact, linalg, walk, zfactor
+from sstwalk import decider, exact, graphs, linalg, walk, zfactor
 
 PUBLIC = [
     "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
@@ -170,3 +170,12 @@ def test_one_path_to_a_unit_coin_state():
                  if isinstance(node, ast.FunctionDef) and node.name == "_coin_weights")
     assert _scaled_doubles_calls(owner) > 0
     assert _scaled_doubles_calls(tree) == _scaled_doubles_calls(owner)
+
+
+# the graph derives the arc reversal once, and the walk and build_H read it:
+# the dict-lookup copy, the neighbor-order helpers and the graph writer, none
+# with a package caller, are gone (the writer lives in tests/tests_hutil.py)
+def test_one_arc_reversal():
+    assert not hasattr(walk, "reversal_permutation")
+    assert not hasattr(graphs, "format_graph")
+    assert [name for name in ("sigma", "sigma_pos") if hasattr(graphs.Graph, name)] == []

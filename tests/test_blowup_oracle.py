@@ -74,7 +74,7 @@ def test_decide_transfer_agrees_with_twin_theorem(build, delta, mod4, min_time):
     degree delta: the twin theorem puts the first transfer at min_time, with
     every transfer time = mod4 (mod 4); the exact decider finds that time."""
     (graph, a, b), coin, w = build()
-    assert {graph.degree(v) for v in graph.sigma(a)} == {delta}
+    assert {graph.degree(v) for v in graph.neighbors[a]} == {delta}
     twin = twin_transfer_check(graph, a, b, coin, w)
     assert twin is not None and twin.exact_kernel_condition
     assert (twin.mod4_class, twin.min_time) == (mod4, min_time)

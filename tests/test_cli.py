@@ -16,8 +16,9 @@ from sstwalk.coins import parse_coins
 from sstwalk.decider import decide_periodicity
 from sstwalk.exact import InvariantError, psi
 from sstwalk.families import FAMILIES
-from sstwalk.graphs import format_graph, generalized_path, prism_graph
+from sstwalk.graphs import generalized_path, prism_graph
 from sstwalk.reduction import reduction_for
+from tests_hutil import format_graph
 
 
 def run(capsys, *argv):

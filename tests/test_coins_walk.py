@@ -16,6 +16,7 @@ from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
 from sstwalk.reduction import exact_transfer_check, reduction_for
 from sstwalk.walk import _c_float, coin_state, transfer_fidelity, walk_apply
 from reduction_oracle import assemble_projection
+import walk_oracle
 from walk_oracle import walk_unitary
 
 
@@ -197,6 +198,21 @@ def test_transfer_fidelity_refuses_a_w_it_cannot_place():
     g, a, _ = double_cone_cycles([1, 2])  # degree 12 at the apex, 4 on the cycles
     with pytest.raises(ValueError, match=r"^positional identification needs deg\(a\) = deg\(b\)$"):
         transfer_fidelity(CoinAssignment.all_grover(g), a, 2, [[1] * 12], 6)
+
+
+def test_w_vector_of_wrong_length_refused_before_gram_schmidt():
+    """Gram-Schmidt pairs entries with zip, so a W vector one entry too long
+    or too short beside a good one was truncated or dropped, and the
+    octahedron with Grover coins scored (1.0, 1.0) at t = 6.  Every vector
+    must have length deg(a), in the package and in the oracle alike."""
+    g, a, b = circulant_2m(3, 1, 2)
+    asn = CoinAssignment.all_grover(g)
+    assert transfer_fidelity(asn, a, b, [[1, 1, 1, 1]], 6) == (1.0, 1.0)
+    for w in ([[1, 1, 1, 1], [1, 1, 1, 1, 5]], [[1, 1, 1, 1], [0, 0, 0]]):
+        with pytest.raises(ValueError, match=rf"^weight vector must have length deg\({a}\) = 4$"):
+            transfer_fidelity(asn, a, b, w, 6)
+        with pytest.raises(ValueError, match="^weight vector must have length 4$"):
+            walk_oracle.transfer_fidelity(asn, a, b, w, 6)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -4,10 +4,13 @@ import itertools
 
 import pytest
 
+from conftest import random_instance
 from sstwalk.graphs import (GraphError, build_family, build_graph,
-                            circulant_2m, complete_bipartite_k2m, cycle_graph,
-                            double_cone_cycles, double_cone_over, format_graph,
+                            circulant_2m, complete_bipartite_k2m,
+                            complete_multipartite, cycle_graph,
+                            double_cone_cycles, double_cone_over,
                             generalized_path, parse_graph, prism_graph)
+from tests_hutil import format_graph
 
 # the octahedron as drawn in the motivating figures (6 vertices, 12 edges)
 FIGURE_OCTAHEDRON = [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3),
@@ -78,7 +81,7 @@ def test_arc_reverse_involution():
 def test_sigma_ascending():
     g = build_graph(FIGURE_OCTAHEDRON, 6)
     for u in range(6):
-        assert list(g.sigma(u)) == sorted(g.sigma(u))
+        assert list(g.neighbors[u]) == sorted(g.neighbors[u])
 
 
 def test_circulant_is_figure_octahedron():
@@ -207,14 +210,38 @@ def test_arc_start_offsets():
         assert g.arc_start[g.n] == g.num_arcs
 
 
-def test_sigma_pos_reads_the_arc_index():
-    """sigma_pos(u, v) is v's position in sigma_u, read from arc_index and
-    arc_start; a non-neighbour (or u itself) is a ValueError."""
-    graphs = [build_graph(FIGURE_OCTAHEDRON, 6), generalized_path(3, 5)[0],
-              complete_bipartite_k2m(4)[0], double_cone_cycles([1, 2])[0]]
+def test_reversal_is_the_arc_involution():
+    """reversal[i] is the index of the reverse of arc i, so it is an
+    involution, on every family and on 50 seeded random graphs."""
+    graphs = [build_graph([(0, 1)], 2), build_graph(FIGURE_OCTAHEDRON, 6),
+              complete_bipartite_k2m(4)[0], circulant_2m(7, 2, 5)[0],
+              double_cone_cycles([1, 2])[0], generalized_path(3, 5)[0],
+              double_cone_over(prism_graph())[0], cycle_graph(5), prism_graph(),
+              complete_multipartite([1, 2, 3])]
+    graphs += [random_instance(seed)[0] for seed in range(50)]
     for g in graphs:
-        for u in range(g.n):
-            assert [g.sigma_pos(u, v) for v in g.sigma(u)] == list(range(g.degree(u)))
-            for v in set(range(g.n)) - set(g.sigma(u)):
-                with pytest.raises(ValueError, match="not a neighbor"):
-                    g.sigma_pos(u, v)
+        rev = g.reversal
+        assert len(rev) == g.num_arcs
+        for i, (u, v) in enumerate(g.arcs):
+            assert rev[rev[i]] == i
+            assert g.arcs[rev[i]] == (v, u)
+
+
+def test_arc_storage_is_ints_per_arc():
+    """circulant(3000,1,2999), 12000 arcs, built with its reversal retains at
+    most 150 B per arc: no arc tuple or arc dict is built until read."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = circulant_2m(3000, 1, 2999)[0]
+        g.reversal
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert "arcs" not in g.__dict__ and "arc_index" not in g.__dict__
+    assert retained <= 150 * g.num_arcs, retained / g.num_arcs

@@ -15,7 +15,7 @@ from sstwalk.coins import (CoinAssignment, grover_coin, negative_identity_coin,
 from sstwalk.exact import InvariantError
 from sstwalk.graphs import (build_graph, circulant_2m, complete_bipartite_k2m,
                             generalized_path)
-from sstwalk.reduction import (ReductionError, build_H, chebyshev_apply,
+from sstwalk.reduction import (CoinBasis, ReductionError, build_H, chebyshev_apply,
                                exact_transfer_check, induced_coin_basis,
                                reduction_for)
 from tests_hutil import petersen  # noqa: F401  (helper module below)
@@ -92,6 +92,21 @@ def test_nonorthogonal_basis_rejected():
                      (1, (Fraction(1),))), (0,), (0,))
     with pytest.raises(ReductionError):
         build_H(asn, bad)
+
+
+def test_basis_out_of_vertex_order_refused():
+    """build_H emits its nonzeros in row order for columns grouped by
+    ascending vertex; a hand-built basis that breaks the grouping, or
+    reorders whole vertex blocks, gets a ReductionError before any work,
+    never the InvariantError of an unsorted carrier."""
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(3, 1, 2)
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    cols = induced_coin_basis(asn, a, w, b).columns
+    assert [u for u, _ in cols[:3]] == [0, 0, 1]
+    for bad in (cols[:1] + cols[2:] + cols[1:2], cols[2:] + cols[:2], cols[::-1]):
+        with pytest.raises(ReductionError, match="not grouped by ascending vertex"):
+            build_H(asn, CoinBasis(bad, (0,), (0,)))
 
 
 def test_symmetry_identity_exact():

@@ -20,8 +20,9 @@ from sstwalk import linalg
 from sstwalk.coins import (CoinAssignment, CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
 from sstwalk.exact import InvariantError
-from sstwalk.families import random_coin_and_subspace, random_orthogonal_columns
-from sstwalk.graphs import generalized_path
+from sstwalk.families import (marked_instance, random_coin_and_subspace,
+                              random_orthogonal_columns)
+from sstwalk.graphs import circulant_2m, generalized_path
 from sstwalk.reduction import ReductionError
 from test_psi_oracle import random_reduction_args, reduction_from_args
 
@@ -227,6 +228,14 @@ def test_reductions_match_fraction_oracle_on_random_reductions():
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_reductions_match_fraction_oracle_on_families(name):
     check_reduction_against_oracle(family_instance(name))
+
+
+def test_reductions_match_fraction_oracle_on_a_large_circulant():
+    """circulant(3000,1,2999), 12000 arcs, with the rank-2 marked coin: the
+    nonzeros build_H emits in row order, unsorted, are the oracle's sorted
+    ones."""
+    check_reduction_against_oracle(
+        marked_instance(*circulant_2m(3000, 1, 2999), [[1, 0, -1, 0], [0, 1, 0, -1]]))
 
 
 def test_unequal_marked_degrees_refused_like_oracle():

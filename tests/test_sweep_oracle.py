@@ -37,6 +37,7 @@ from sstwalk.families import fidelity_series
 from sstwalk.graphs import (circulant_2m, complete_multipartite, double_cone_over,
                             generalized_path, prism_graph)
 from sstwalk.reduction import HermitianReduction, reduction_for
+from sstwalk.walk import coin_state, transfer_fidelity, walk_apply
 from sweep_oracle import dense_fidelity_series
 
 SCHEDULE_N = range(4, 13)
@@ -123,6 +124,22 @@ def test_route_follows_the_krylov_capacity(monkeypatch):
     monkeypatch.setattr(HermitianReduction, "h_numeric", refuse)
     for red in krylov:
         assert len(families._marked_spectrum(red)[0]) < red.size
+
+
+def test_numeric_path_builds_no_arc_views():
+    """The walk and build_H read the graph's ints per arc and its reversal:
+    the reduction, the sweep, the stepped walk and the fidelity of
+    circulant(1000,1,999) with the rank-2 marked coin build neither the arc
+    tuples nor ``arc_index``."""
+    w = [[1, 0, -1, 0], [0, 1, 0, -1]]
+    g, a, b = circulant_2m(1000, 1, 999)
+    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
+    series = fidelity_series(reduction_for(asn, a, w, b), 8)
+    assert series[4] > 1 - 1e-9
+    assert np.linalg.norm(walk_apply(asn, coin_state(asn, a, w[0]), 4)
+                          + coin_state(asn, b, w[0])) < 1e-9
+    assert transfer_fidelity(asn, a, b, w, 4) == (pytest.approx(1.0), -1.0)
+    assert "arcs" not in g.__dict__ and "arc_index" not in g.__dict__
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)

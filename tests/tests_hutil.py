@@ -1,6 +1,13 @@
-"""Small graph constructions shared by a few test modules."""
+"""Small graph constructions shared by a few test modules, and the writer of
+the graph text format that ``sstwalk.graphs.parse_graph`` reads."""
 
 from sstwalk.graphs import Graph, build_graph
+
+
+def format_graph(g: Graph) -> str:
+    out = [f"n {g.n}"]
+    out.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(out) + "\n"
 
 
 def petersen() -> Graph:

@@ -40,7 +40,7 @@ from reduction_oracle import assemble_projection
 from sstwalk.coins import CoinAssignment, ReflectionCoin
 from sstwalk.reduction import HermitianReduction
 from sstwalk import linalg
-from sstwalk.walk import coin_state, out_arc_slice, reversal_permutation, walk_apply
+from sstwalk.walk import coin_state, out_arc_slice, walk_apply
 
 
 def c_float(coin: ReflectionCoin) -> np.ndarray:
@@ -59,7 +59,7 @@ def walk_unitary(assignment: CoinAssignment) -> np.ndarray:
     for u in range(g.n):
         sl = out_arc_slice(g, u)
         c[sl, sl] = c_float(assignment.coin(u))
-    return c[reversal_permutation(g), :]
+    return c[np.array(g.reversal), :]
 
 
 def n_numeric(red: HermitianReduction) -> np.ndarray:
@@ -101,7 +101,7 @@ class StepPlan:
             arcs = start[us][:, None] + np.arange(d)
             blocks = np.stack([floats[id(assignment.coin(u))] for u in us])
             classes.append((arcs, blocks))
-        return cls(tuple(classes), reversal_permutation(g))
+        return cls(tuple(classes), np.array(g.reversal))
 
     def apply(self, x: np.ndarray, t: int) -> np.ndarray:
         """U^t x by t steps, each one ``einsum`` per degree class plus one
@@ -114,10 +114,13 @@ class StepPlan:
         return x
 
 
-def orthonormal_columns(vectors) -> list[np.ndarray]:
+def orthonormal_columns(vectors, degree: int) -> list[np.ndarray]:
     """Numeric orthonormal basis for the span of the rational (or float)
-    vectors: exact Gram-Schmidt, then one conversion to doubles and one
-    normalization per vector."""
+    vectors of length ``degree``: exact Gram-Schmidt, then one conversion to
+    doubles and one normalization per vector.  A vector of another length is
+    refused, as Gram-Schmidt's ``zip`` would truncate it silently."""
+    if any(len(v) != degree for v in vectors):
+        raise ValueError(f"weight vector must have length {degree}")
     out = []
     for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors]):
         col = np.array(linalg.scaled_doubles(v)[0])
@@ -130,7 +133,7 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
     """min_j Re(conj(gamma) <x_b(w_j), U^t x_a(w_j)>) over an orthonormal
     basis w_j of W, clamped to [0, 1], with gamma the phase of the first
     overlap: one ``walk_apply`` call per basis vector."""
-    ws = orthonormal_columns(w_basis)
+    ws = orthonormal_columns(w_basis, assignment.graph.degree(a))
     if not ws:
         raise ValueError("empty subspace")
     if assignment.graph.degree(a) != assignment.graph.degree(b):
