@@ -9,6 +9,8 @@ N* U^t N = f_t(H) with f_t the Chebyshev polynomial of the first kind.  All
 transfer questions become exact linear algebra over Q.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from sstwalk import (CoinAssignment, build_graph, chebyshev_apply,
@@ -25,11 +27,11 @@ petersen = build_graph(outer + inner + spokes, 10)
 asn = CoinAssignment.all_grover(petersen)
 red = reduction_for(asn, 0, [[1, 1, 1]])
 # H_rat[u][v] = sym[u][v] / delta_sq[v], read from the integer nonzeros of sym
-h_rat = {(u, v): x / red.delta_sq[v] for u, v, x in red.nonzeros}
+h_rat = {(u, v): Fraction(x, red.norm_sq[v]) for u, v, x in red.nonzeros}
 print("Petersen, all Grover: H_rat = A/3?",
       all(h_rat.get((u, v), 0) * 3 == (1 if petersen.adjacent(u, v) else 0)
           for u in range(10) for v in range(10)))
-print("delta_sq (clone norms squared):", [str(x) for x in red.delta_sq[:5]], "...")
+print("delta_sq (clone norms squared):", [str(x) for x in red.norm_sq[:5]], "...")
 
 # the spectral bridge, numerically: U column by column from single steps, and
 # N with one normalized coin-basis column per clone on its vertex's arcs

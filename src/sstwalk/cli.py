@@ -140,10 +140,10 @@ def _reduction(args, assignment, a, w_basis, b=None):
         # H_rat[i][j] = sym[i][j] / delta_sq[j], read from the sparse carrier
         rows = [["0"] * red.size for _ in range(red.size)]
         for i, j, x in red.nonzeros:
-            rows[i][j] = str(x / red.delta_sq[j])
+            rows[i][j] = str(Fraction(x, red.norm_sq[j]))
         for row in rows:
             print("H_rat", " ".join(row))
-        print("delta_sq", " ".join(str(x) for x in red.delta_sq))
+        print("delta_sq", " ".join(map(str, red.norm_sq)))
     return red
 
 

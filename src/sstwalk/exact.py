@@ -481,22 +481,22 @@ def charpoly(m: linalg.Mat) -> RatPoly:
 
 
 class _Krylov:
-    """The integer matrix Z = scale * H_rat of one reduction (its rows and
-    scale) and its inner product, shared by the two sequences of a
-    ``Resolvent``.
+    """The integer matrix Z = scale * H_rat of one reduction (its entries and
+    scale, ``HermitianReduction.int_view``) and its inner product, shared by
+    the two sequences of a ``Resolvent``.
 
     Z is self-adjoint for <x, y> = sum_r x_r y_r / delta_sq[r] (sym is
     symmetric, which every HermitianReduction checks), so
     (Z^(i+j))[s, t] = delta_sq[s] <Z^i e_s, Z^j e_t>: every new Krylov vector
-    yields two moments.  ``weights`` clears the delta_sq denominators,
-    weights[r] = big / delta_sq[r] with big the lcm of their numerators.
+    yields two moments.  The delta_sq are ints, and ``weights`` clears their
+    inverses: weights[r] = big // delta_sq[r] with big their lcm.
     """
 
     def __init__(self, red: "HermitianReduction"):
-        self.rows, self.scale = red.int_view
-        self.size, self.delta_sq = red.size, red.delta_sq
-        self.big = lcm(*(d.numerator for d in red.delta_sq))
-        self.weights = [d.denominator * (self.big // d.numerator) for d in red.delta_sq]
+        self.entries, self.scale = red.int_view
+        self.size, self.norm_sq = red.size, red.norm_sq
+        self.big = lcm(*red.norm_sq)
+        self.weights = [self.big // d for d in red.norm_sq]
 
     def weighted(self, x: list[int]) -> list[int]:
         return list(map(mul, self.weights, x))
@@ -505,8 +505,7 @@ class _Krylov:
         """delta_sq[r] <x, y> for wx = weighted(x), r the first row of start
         (whose rows share delta_sq): integer entries of a power of Z; a
         remainder means Z is not self-adjoint."""
-        d = self.delta_sq[start[0][0]]
-        q, r = divmod(sum(map(mul, wx, y)) * d.numerator, d.denominator * self.big)
+        q, r = divmod(sum(map(mul, wx, y)) * self.norm_sq[start[0][0]], self.big)
         if r:
             raise InvariantError("Krylov moment is not an integer: Z is not self-adjoint")
         return q
@@ -605,7 +604,7 @@ class _SelfMoments:
         odd = even = read = 0
         for x, vecs in zip(self.starts, self.vectors):
             if level:
-                vecs.append(z_apply(kr.rows, vecs[-1]))
+                vecs.append(z_apply(kr.entries, vecs[-1]))
             top = vecs[-1]
             wv = kr.weighted(top)
             even += kr.moment(x, wv, top)

@@ -4,15 +4,15 @@ H is never materialized with irrational entries.  The columns of the exact
 orthogonal coin basis M are primitive integer vectors, so a reduction stores
 the integer nonzeros of the symmetric matrix S = M^T R M (``build_H`` emits
 them in sorted order, along the graph's arc reversal, with no sort) and the
-diagonal D = M^T M (as the list of Fractions ``delta_sq``); the true Hermitian
+diagonal D = M^T M (the ints delta_sq = <b, b>, ``norm_sq``); the true Hermitian
 matrix is H = D^{-1/2} S D^{-1/2} and its rational similar carrier is
 H_rat = S D^{-1} (so H = Delta^{-1} H_rat Delta with Delta = D^{1/2}).  Exact
 transfer checks and resolvent traces operate on H_rat directly whenever the
-paired clones share delta_sq, through its sparse integer view Z = scale * H_rat
-(sparse integer mat-vecs, no dense products).  From the coin to Z the
-arithmetic is in Python ints; only the dense view ``sym`` is Fractions.  The
-float views ``h_sparse`` and ``h_numeric`` import numpy on first use, so the
-exact path never loads it.
+paired clones share delta_sq, through its integer view Z = scale * H_rat (a
+flat list of nonzeros, applied by ``z_apply``, the one sparse integer mat-vec:
+no dense products).  From the coin to Z the arithmetic is in Python ints; only
+the views ``sym`` and ``delta_sq`` are Fractions.  The float views ``h_sparse``
+and ``h_numeric`` import numpy on first use, so the exact path never loads it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, groupby
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -104,26 +105,25 @@ class HermitianReduction:
     """The pair (H_rat, delta_sq) plus clone bookkeeping.
 
     The carrier is ``nonzeros``: the (i, j, sym[i][j]) with sym[i][j] != 0,
-    sorted by (i, j), of the symmetric matrix sym; build_H gives int entries
-    (a synthetic reduction may carry Fractions) and ``delta_sq`` is a list of
-    Fractions.  Invariants (exact): H_rat = sym * diag(delta_sq)^{-1}, so
-    delta_sq[j] * H_rat[i][j] == delta_sq[i] * H_rat[j][i], and delta_sq > 0
-    (build_H's are <b, b>).  Construction (build_H included) checks that the
-    transposed nonzeros sort back to nonzeros and that delta_sq > 0, and
-    raises ``exact.InvariantError`` otherwise: the Krylov moments of
-    ``sstwalk.exact`` rely on both.
+    sorted by (i, j), of the symmetric int matrix sym, and ``norm_sq``: the
+    ints delta_sq[j] = <b_j, b_j>.  Invariants (exact): H_rat = sym *
+    diag(delta_sq)^{-1}, so delta_sq[j] * H_rat[i][j] == delta_sq[i] *
+    H_rat[j][i], and delta_sq > 0.  Construction (build_H included) checks in
+    O(nnz) that delta_sq are positive ints, the nonzeros ints, and that the
+    transposed nonzeros, bucketed by column (so sorted within each), give the
+    nonzeros back; else it raises ``exact.InvariantError``: the Krylov
+    moments of ``sstwalk.exact`` rely on it.
 
-    A reduction is not mutated after build_H: the lazy views below (dense sym,
-    the sparse integer and float views) and the resolvent summaries that
-    ``sstwalk.exact`` memoises in ``memo``, one per (S, T) and the only values
-    it holds, are computed once from nonzeros and delta_sq and never
-    invalidated.
+    A reduction is not mutated after build_H: its lazy views (sym, delta_sq,
+    the integer and float views) and the resolvent summaries ``sstwalk.exact``
+    memoises in ``memo`` (one per (S, T), the only values it holds) are
+    computed once from nonzeros and norm_sq and never invalidated.
     """
 
     assignment: CoinAssignment
     basis: CoinBasis
     nonzeros: list[tuple[int, int, int]]
-    delta_sq: list[Fraction]
+    norm_sq: list[int]
     s: list[int]
     t: list[int]
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -131,43 +131,50 @@ class HermitianReduction:
     def __post_init__(self):
         from .exact import InvariantError
 
-        if sorted([(j, i, x) for i, j, x in self.nonzeros]) != self.nonzeros:
+        if not all(type(d) is int and d > 0 for d in self.norm_sq):
+            raise InvariantError("delta_sq is not positive ints")
+        columns = [[] for _ in self.norm_sq]
+        try:
+            for i, j, x in self.nonzeros:
+                if type(x) is not int:
+                    raise InvariantError("nonzeros are not ints")
+                columns[j].append((j, i, x))
+        except IndexError:
+            columns = None  # a column index out of range
+        if columns is None or list(chain.from_iterable(columns)) != self.nonzeros:
             raise InvariantError("nonzeros are not the sorted entries of a symmetric sym")
-        if any(d.numerator <= 0 for d in self.delta_sq):
-            raise InvariantError("delta_sq is not positive")
 
     @property
     def size(self) -> int:
-        return len(self.delta_sq)
+        return len(self.norm_sq)
 
     @cached_property
     def sym(self) -> Mat:
-        """Dense sym in Fractions, filled from the nonzeros; only the
-        benchmark's tracer and tests read it."""
+        """Dense sym in Fractions (for the benchmark's tracer and tests)."""
         sym = linalg.zeros(self.size, self.size)
         for i, j, x in self.nonzeros:
             sym[i][j] = Fraction(x)
         return sym
 
     @cached_property
-    def int_view(self) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-        """Sparse integer view (rows, scale) of H_rat: Z = scale * H_rat with
-        scale the least common denominator of its entries; row i is the pair
-        (column indices, integer values) of the nonzeros of Z[i].  Each entry
-        H_rat[i][j] = sym[i][j] / delta_sq[j] is kept as a reduced integer pair
-        (numerator, denominator), with no Fraction division."""
-        inv = [(d.denominator, d.numerator) for d in self.delta_sq]
-        entries = [[] for _ in range(self.size)]
-        for i, j, x in self.nonzeros:
-            dd, dn = inv[j]
-            num, den = x.numerator * dd, x.denominator * dn
-            g = gcd(num, den)
-            entries[i].append((j, num // g, den // g))
-        scale = lcm(1, *(den for row in entries for _, _, den in row))
-        rows = [(tuple(j for j, _, _ in row),
-                 tuple(num * (scale // den) for _, num, den in row))
-                for row in entries]
-        return rows, scale
+    def delta_sq(self) -> list[Fraction]:
+        """``norm_sq`` as Fractions (the benchmark's tracer divides by them)."""
+        return list(map(Fraction, self.norm_sq))
+
+    @cached_property
+    def int_view(self) -> tuple[list[tuple[int, int, int]], int]:
+        """Integer view (entries, scale) of H_rat: Z = scale * H_rat, scale the
+        least common denominator of H_rat[i][j] = sym[i][j] / delta_sq[j], and
+        entries the (i, j, Z[i][j]) in the order of ``nonzeros``.  With g_j =
+        gcd(delta_sq[j], content of column j = that of row j), scale is the
+        lcm of the delta_sq[j] / g_j: one gcd per row, none per entry."""
+        g = list(self.norm_sq)
+        for i, row in groupby(self.nonzeros, itemgetter(0)):
+            g[i] = gcd(g[i], *(x for _, _, x in row))
+        den = [d // c for d, c in zip(self.norm_sq, g)]
+        scale = lcm(*den)
+        mult = [scale // d for d in den]
+        return [(i, j, x // g[j] * mult[j]) for i, j, x in self.nonzeros], scale
 
     @cached_property
     def h_sparse(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,8 +186,8 @@ class HermitianReduction:
         past the double range convert without overflow."""
         import numpy as np
 
-        e = [linalg.binary_exponent(x) // 2 for x in self.delta_sq]
-        d = np.sqrt([linalg.to_double(x, 2 * k) for x, k in zip(self.delta_sq, e)])
+        e = [linalg.binary_exponent(x) // 2 for x in self.norm_sq]
+        d = np.sqrt([linalg.to_double(x, 2 * k) for x, k in zip(self.norm_sq, e)])
         vals = np.array([linalg.to_double(x, e[i] + e[j]) for i, j, x in self.nonzeros],
                         dtype=float)
         rows = np.array([i for i, _, _ in self.nonzeros], dtype=int)
@@ -209,19 +216,22 @@ def check_pairs(red: HermitianReduction, s: list[int], t: list[int]) -> None:
     if not s:
         raise ReductionError("psi needs nonempty clone sets")
     for a, b in zip(s, t):
-        if red.delta_sq[a] != red.delta_sq[b]:
+        if red.norm_sq[a] != red.norm_sq[b]:
             raise ReductionError(
                 f"clones {a},{b} carry different delta_sq; psi would be irrational")
 
 
-def z_apply(rows, vec: list[int]) -> list[int]:
-    """Z vec for the sparse integer rows of ``HermitianReduction.int_view``."""
-    return [sum(map(mul, vals, map(vec.__getitem__, cols))) for cols, vals in rows]
+def z_apply(entries, vec: list[int]) -> list[int]:
+    """Z vec, one multiply-add per entry of ``HermitianReduction.int_view``."""
+    out = [0] * len(vec)
+    for i, j, z in entries:
+        out[i] += z * vec[j]
+    return out
 
 
 def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
     """Assemble the integer nonzeros of sym = M^T R M and delta_sq =
-    diag(M^T M) (as Fractions) from a coin basis with columns grouped by
+    diag(M^T M) (``norm_sq``) from a coin basis with columns grouped by
     ascending vertex, as from ``induced_coin_basis`` (other orders are refused).
 
     The (j,k) entry couples clone j at u and clone k at u' ~ u with weight
@@ -247,10 +257,9 @@ def build_H(assignment: CoinAssignment, basis: CoinBasis) -> HermitianReduction:
                 for k in range(first[w], first[w + 1]):
                     if y := x * cols[k][1][pos_u]:
                         nonzeros.append((j, k, y))
-    delta_sq = [Fraction(linalg.dot(v, v)) for _, v in cols]
     return HermitianReduction(assignment=assignment, basis=basis, nonzeros=nonzeros,
-                              delta_sq=delta_sq, s=list(basis.s_clones),
-                              t=list(basis.t_clones))
+                              norm_sq=[linalg.dot(v, v) for _, v in cols],
+                              s=list(basis.s_clones), t=list(basis.t_clones))
 
 
 def reduction_for(assignment: CoinAssignment, a: int, w_basis: list[Vec],
@@ -264,20 +273,18 @@ def _chebyshev_columns(red: HermitianReduction, t: int, cols: list[int]) -> list
 
     With Z = scale H_rat and w_k = scale^k T_k(H_rat) e_c the Chebyshev
     recurrence reads w_{k+1} = 2 Z w_k - scale^2 w_{k-1}: sparse integer
-    mat-vecs only.
+    mat-vecs only, t per column.
     """
-    rows, scale = red.int_view
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    entries, scale = red.int_view
     sq = scale * scale
     out = []
     for c in cols:
-        prev = [0] * red.size
-        prev[c] = 1
-        if t == 0:
-            out.append(prev)
-            continue
-        cur = z_apply(rows, prev)
-        for _ in range(t - 1):
-            prev, cur = cur, [2 * x - sq * y for x, y in zip(z_apply(rows, cur), prev)]
+        prev, cur = [], [int(r == c) for r in range(red.size)]
+        for k in range(t):
+            zc = z_apply(entries, cur)
+            prev, cur = cur, [2 * x - sq * y for x, y in zip(zc, prev)] if k else zc
         out.append(cur)
     return out
 
@@ -288,8 +295,6 @@ def chebyshev_apply(red: HermitianReduction, t: int) -> Mat:
     Since f_t is a polynomial, f_t(H) = Delta^{-1} f_t(H_rat) Delta, so column
     checks against paired clones with equal delta_sq are exact on H_rat.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     den = red.int_view[1] ** t
     columns = _chebyshev_columns(red, t, list(range(red.size)))
     return [[Fraction(x, den) for x in row] for row in zip(*columns)]
@@ -300,12 +305,8 @@ def exact_transfer_check(red: HermitianReduction, t: int, gamma: int) -> bool:
     start columns only."""
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     check_pairs(red, red.s, red.t)
-    want = gamma * red.int_view[1] ** t
-    for col, bj in zip(_chebyshev_columns(red, t, red.s), red.t):
-        if col[bj] != want or any(x for i, x in enumerate(col) if i != bj):
-            return False
-    return True
+    want = gamma * red.int_view[1] ** t  # nonzero: column bj must be want e_bj
+    return all(col[bj] == want and col.count(0) == red.size - 1
+               for col, bj in zip(_chebyshev_columns(red, t, red.s), red.t))
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from hypothesis import settings
 
@@ -112,12 +114,17 @@ def odd_cycle_reductions():
 
 
 def synthetic_reduction(sym_rows, delta_sq, s, t) -> HermitianReduction:
-    """A reduction carrying an arbitrary (sym, delta_sq) pair, for exercising
-    the exact algebra without a graph behind it.  delta_sq must be positive,
-    as build_H's are: construction refuses delta_sq <= 0 with
-    InvariantError."""
-    nonzeros = [(i, j, Fraction(x)) for i, row in enumerate(sym_rows)
+    """A reduction carrying an arbitrary rational (sym, delta_sq) pair, for
+    exercising the exact algebra without a graph behind it.  A reduction holds
+    ints, so sym and delta_sq are both scaled by the least common denominator
+    of their entries: H_rat = sym * diag(delta_sq)^-1, H and every psi stay
+    as given.  delta_sq must be positive, as build_H's are: construction
+    refuses delta_sq <= 0 with InvariantError."""
+    sym_rows = [[Fraction(x) for x in row] for row in sym_rows]
+    delta_sq = [Fraction(x) for x in delta_sq]
+    den = lcm(*(x.denominator for x in chain(delta_sq, *sym_rows)))
+    nonzeros = [(i, j, int(x * den)) for i, row in enumerate(sym_rows)
                 for j, x in enumerate(row) if x]
     return HermitianReduction(assignment=None, basis=None, nonzeros=nonzeros,
-                              delta_sq=[Fraction(x) for x in delta_sq],
+                              norm_sq=[int(x * den) for x in delta_sq],
                               s=list(s), t=list(t))

@@ -6,11 +6,15 @@ stored its projection, validated it and tested ``fixes`` with dense Fraction
 products, ``reflection_about`` assembled that projection entry by entry,
 ``induced_coin_basis`` re-ran Gram-Schmidt on the coin basis at every vertex,
 ``build_H`` assembled Fraction nonzeros and ``int_view`` divided each of them
-by its Fraction delta_sq.  Those routines live on here, unchanged, for the
-differential tests in ``test_reduction_oracle.py`` (``induced_coin_basis``
-refuses deg(a) != deg(b) as the package does), and so does the Fraction
-Householder route of ``families.random_orthogonal_columns``, which now runs
-in Python ints.  ``assemble_projection`` is also where the tests, the walk
+by its Fraction delta_sq.  Later, ``int_view`` kept Z as rows of (column
+indices, values), reduced each entry by its own gcd (``row_int_view``), and
+``z_apply`` gathered and summed each row (``row_z_apply``); the package now
+keeps Z as one flat list of (i, j, z) and applies it one nonzero at a time
+(``flatten`` turns rows into that list).  Those routines live on here,
+unchanged, for the differential tests in ``test_reduction_oracle.py``
+(``induced_coin_basis`` refuses deg(a) != deg(b) as the package does), and so
+does the Fraction Householder route of ``families.random_orthogonal_columns``,
+which now runs in Python ints.  ``assemble_projection`` is also where the tests, the walk
 oracle and the blow-up oracle read a coin's P and C = 2P - I: the package no
 longer forms either.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from sstwalk import linalg
 from sstwalk.coins import CoinError
@@ -260,3 +265,33 @@ def int_view(nonzeros, delta_sq):
              tuple(h.numerator * (scale // h.denominator) for _, h in row))
             for row in entries]
     return rows, scale
+
+
+def row_int_view(nonzeros, delta_sq):
+    """(rows, scale) of Z = scale * H_rat: row i is the pair (column indices,
+    integer values) of the nonzeros of Z[i], each entry H_rat[i][j] =
+    sym[i][j] / delta_sq[j] kept as a reduced integer pair (numerator,
+    denominator), with one gcd per entry."""
+    inv = [(Fraction(d).denominator, Fraction(d).numerator) for d in delta_sq]
+    entries = [[] for _ in range(len(delta_sq))]
+    for i, j, x in nonzeros:
+        dd, dn = inv[j]
+        num, den = x.numerator * dd, x.denominator * dn
+        g = gcd(num, den)
+        entries[i].append((j, num // g, den // g))
+    scale = lcm(1, *(den for row in entries for _, _, den in row))
+    rows = [(tuple(j for j, _, _ in row),
+             tuple(num * (scale // den) for _, num, den in row))
+            for row in entries]
+    return rows, scale
+
+
+def row_z_apply(rows, vec: list[int]) -> list[int]:
+    """Z vec for the rows of ``row_int_view``: one gather and sum per row."""
+    return [sum(map(mul, vals, map(vec.__getitem__, cols))) for cols, vals in rows]
+
+
+def flatten(rows) -> list[tuple[int, int, int]]:
+    """The (i, j, z) entries of the rows of ``row_int_view`` or ``int_view``,
+    in row order: the package's flat integer view."""
+    return [(i, j, z) for i, (cols, vals) in enumerate(rows) for j, z in zip(cols, vals)]

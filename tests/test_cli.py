@@ -280,7 +280,7 @@ def _doubled_first_entry(red):
 
 
 def _zero_first_delta_sq(red):
-    return {"delta_sq": [Fraction(0)] + red.delta_sq[1:]}
+    return {"norm_sq": [0] + red.norm_sq[1:]}
 
 
 @pytest.mark.parametrize("corrupt, message", [

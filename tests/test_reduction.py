@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from blowup_oracle import AdjacentMarkedPair, build_blowup
-from conftest import assembled_instance, synthetic_reduction
+from conftest import assembled_instance, family_instance, synthetic_reduction
 from psi_oracle import h_rat
+from reduction_oracle import flatten
 from sstwalk.coins import (CoinAssignment, grover_coin, negative_identity_coin,
                            reflection_about)
 from sstwalk.exact import InvariantError
@@ -421,7 +422,7 @@ def test_sparse_numeric_views_match_dense_scan():
         scale = lcm(1, *(h.denominator for row in entries for _, h in row))
         rows = [(tuple(j for j, _ in row), tuple(int(h * scale) for _, h in row))
                 for row in entries]
-        assert red.int_view == (rows, scale)
+        assert red.int_view == (flatten(rows), scale)
 
 
 def test_reduction_rejects_asymmetric_sym():
@@ -429,8 +430,8 @@ def test_reduction_rejects_asymmetric_sym():
     built (nor one from build_H): the Krylov moments of sstwalk.exact read
     (Z^(i+j))[s, t] as a delta_sq-weighted inner product, which needs it."""
     red = synthetic_reduction([[0, 1], [1, 0]], [1, 2], [0], [0])
-    corrupted = [(0, 1, Fraction(1)), (1, 0, Fraction(2))]
-    with pytest.raises(InvariantError):
+    corrupted = [(0, 1, 1), (1, 0, 2)]
+    with pytest.raises(InvariantError, match="symmetric sym"):
         dataclasses.replace(red, nonzeros=corrupted)
     with pytest.raises(InvariantError):
         synthetic_reduction([[0, 1], [0, 0]], [1, 1], [0], [0])
@@ -439,3 +440,73 @@ def test_reduction_rejects_asymmetric_sym():
     i, j, x = red.nonzeros[0]
     with pytest.raises(InvariantError):
         dataclasses.replace(red, nonzeros=[(i, j, 2 * x)] + red.nonzeros[1:])
+
+
+def test_reduction_refuses_planted_records():
+    """The one-pass construction check refuses, with InvariantError, a record
+    that is asymmetric, unsorted (across rows or within one), has a column
+    index out of range, carries a Fraction entry (even one equal to an int, in
+    a symmetric pair), or a delta_sq that is a Fraction or <= 0."""
+    red = reduction_for(*family_instance("gp(4,10)"))
+    nz, dsq = red.nonzeros, red.norm_sq
+    (i, j, x), k = nz[0], next(k for k in range(len(nz)) if nz[k][0] == nz[k + 1][0])
+    mirror = nz.index((j, i, x))
+    fraction_pair = [(a, b, Fraction(y)) if n in (0, mirror) else (a, b, y)
+                     for n, (a, b, y) in enumerate(nz)]
+    planted = [
+        ("symmetric sym", {"nonzeros": [(i, j, 2 * x)] + nz[1:]}),
+        ("symmetric sym", {"nonzeros": nz[::-1]}),
+        ("symmetric sym", {"nonzeros": nz[:k] + [nz[k + 1], nz[k]] + nz[k + 2:]}),
+        ("symmetric sym", {"nonzeros": nz + [(0, len(dsq), 1), (len(dsq), 0, 1)]}),
+        ("nonzeros are not ints", {"nonzeros": fraction_pair}),
+        ("delta_sq is not positive", {"norm_sq": [Fraction(d) for d in dsq]}),
+        ("delta_sq is not positive", {"norm_sq": [0] + dsq[1:]}),
+        ("delta_sq is not positive", {"norm_sq": dsq[:-1] + [-dsq[-1]]}),
+    ]
+    for message, fields in planted:
+        with pytest.raises(InvariantError, match=message):
+            dataclasses.replace(red, **fields)
+    assert dataclasses.replace(red).int_view == red.int_view
+
+
+def test_one_sparse_integer_mat_vec(monkeypatch):
+    """Z is applied in one place: the Krylov sequences (``_SelfMoments._grow``)
+    and the exact Chebyshev check (``_chebyshev_columns``) both call
+    ``reduction.z_apply``, and nothing else in the package iterates over or
+    indexes Z's entries.  The per-row gather of the old row-form view
+    (``map(vec.__getitem__, cols)``) is gone from src/."""
+    import sys
+    from collections import Counter
+    from pathlib import Path
+
+    from sstwalk import decider, exact, reduction
+
+    calls, reads = Counter(), Counter()
+    z_apply = reduction.z_apply
+
+    class Entries(list):
+        def __iter__(self):
+            reads[sys._getframe(1).f_code.co_name] += 1
+            return super().__iter__()
+
+        def __getitem__(self, key):
+            reads[sys._getframe(1).f_code.co_name] += 1
+            return super().__getitem__(key)
+
+    def counted(entries, vec):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return z_apply(entries, vec)
+
+    monkeypatch.setattr(reduction, "z_apply", counted)
+    monkeypatch.setattr(exact, "z_apply", counted)
+    red = reduction_for(*family_instance("gp(4,10)"))
+    entries, scale = red.int_view
+    red.__dict__["int_view"] = (Entries(entries), scale)
+    verdict = decider.decide_transfer(red)
+    assert verdict.occurs and calls["_grow"] > 0 and set(calls) == {"_grow"}
+    assert exact_transfer_check(red, verdict.time, verdict.gamma)
+    assert calls["_chebyshev_columns"] >= verdict.time
+    assert set(calls) == {"_grow", "_chebyshev_columns"}
+    assert set(reads) == {"z_apply"}
+    src = Path(reduction.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "__getitem__" in p.read_text()] == []

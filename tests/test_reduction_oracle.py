@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 
 import reduction_oracle as oracle
-from conftest import (FAMILY_NAMES, family_instance, odd_cycle_instances,
-                      synthetic_reduction)
+from conftest import (FAMILY_NAMES, assembled_instance, family_instance,
+                      family_reduction, odd_cycle_instances, odd_cycle_reductions,
+                      schedule_reduction, synthetic_reduction)
 from sstwalk import linalg
 from sstwalk.coins import (CoinAssignment, CoinError, ReflectionCoin, grover_coin,
                            negative_identity_coin, reflection_about)
@@ -23,7 +24,7 @@ from sstwalk.exact import InvariantError
 from sstwalk.families import (marked_instance, random_coin_and_subspace,
                               random_orthogonal_columns)
 from sstwalk.graphs import circulant_2m, generalized_path
-from sstwalk.reduction import ReductionError
+from sstwalk.reduction import ReductionError, z_apply
 from test_psi_oracle import random_reduction_args, reduction_from_args
 
 
@@ -200,9 +201,9 @@ def test_integer_householder_matches_fraction_oracle():
 
 def check_reduction_against_oracle(args) -> None:
     """Clone columns, S and T, nonzeros, delta_sq and Z of reduction_for equal
-    the Fraction route's; the nonzeros are ints and delta_sq Fractions.  With a
-    V at b (a fifth argument) the columns come from the oracle, so only
-    build_H and Z are compared."""
+    the Fraction route's (Z as its rows, flattened); the nonzeros and norm_sq
+    are ints.  With a V at b (a fifth argument) the columns come from the
+    oracle, so only build_H and Z are compared."""
     try:
         want = oracle.induced_coin_basis(*args)
     except ReductionError as e:
@@ -215,8 +216,9 @@ def check_reduction_against_oracle(args) -> None:
     nonzeros, delta_sq = oracle.build_H(args[0], want[0])
     assert red.nonzeros == nonzeros and red.delta_sq == delta_sq
     assert all(type(x) is int for _, _, x in red.nonzeros)
-    assert all(type(d) is Fraction for d in red.delta_sq)
-    assert red.int_view == oracle.int_view(nonzeros, delta_sq)
+    assert all(type(d) is int for d in red.norm_sq) and red.norm_sq == delta_sq
+    rows, scale = oracle.int_view(nonzeros, delta_sq)
+    assert red.int_view == (oracle.flatten(rows), scale)
 
 
 def test_reductions_match_fraction_oracle_on_random_reductions():
@@ -255,6 +257,36 @@ def test_reductions_match_fraction_oracle_on_odd_cycles():
         check_reduction_against_oracle(args)
 
 
+def _z_reductions():
+    """The conftest random reductions (both shapes), the FAMILY_NAMES
+    instances and the odd cycles."""
+    yield from (assembled_instance(seed)[-1] for seed in range(40))
+    rng = random.Random(36)
+    yield from (schedule_reduction(rng, 4 + i % 9, *((1, 1), (2, 1), (2, 2))[i % 3])
+                for i in range(30))
+    yield from map(family_reduction, FAMILY_NAMES)
+    yield from (red for _, red in odd_cycle_reductions())
+
+
+def test_int_view_and_z_apply_match_row_oracle():
+    """The flat integer view, built with one scale per column, is the old
+    row-form view with one gcd per entry, flattened (same scale, same entries
+    in the same order), and z_apply's one multiply-add per nonzero gives the
+    row-wise gather and sum's Z vec on random vectors of 8- and 400-bit
+    entries."""
+    rng = random.Random(3636)
+    count = 0
+    for red in _z_reductions():
+        rows, scale = oracle.row_int_view(red.nonzeros, red.norm_sq)
+        entries = red.int_view[0]
+        assert red.int_view == (oracle.flatten(rows), scale)
+        for bits in (8, 400):
+            vec = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(red.size)]
+            assert z_apply(entries, vec) == oracle.row_z_apply(rows, vec)
+        count += 1
+    assert count == 40 + 30 + len(FAMILY_NAMES) + 14
+
+
 def test_int_view_matches_fraction_oracle_on_synthetic_reductions():
     """Rational sym entries and delta_sq drawn of either sign: a draw with a
     negative delta_sq is refused when constructed, and its |delta_sq| twin,
@@ -272,4 +304,5 @@ def test_int_view_matches_fraction_oracle_on_synthetic_reductions():
             with pytest.raises(InvariantError, match="delta_sq is not positive"):
                 synthetic_reduction(sym, delta_sq, [0], [0])
         red = synthetic_reduction(sym, list(map(abs, delta_sq)), [0], [0])
-        assert red.int_view == oracle.int_view(red.nonzeros, red.delta_sq)
+        rows, scale = oracle.int_view(red.nonzeros, red.delta_sq)
+        assert red.int_view == (oracle.flatten(rows), scale)

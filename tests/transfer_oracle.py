@@ -60,7 +60,7 @@ def _powers(kr: _Krylov, row: int, last: int) -> list[list[int]]:
     """[Z^0 e_row, ..., Z^last e_row], grown by sparse mat-vecs."""
     vecs = [[int(r == row) for r in range(kr.size)]]
     while len(vecs) <= last:
-        vecs.append(z_apply(kr.rows, vecs[-1]))
+        vecs.append(z_apply(kr.entries, vecs[-1]))
     return vecs
 
 
