@@ -90,7 +90,7 @@ def reflection_about(basis_vectors: list[Vec]) -> ReflectionCoin:
     degree = len(basis_vectors[0])
     if any(len(v) != degree for v in basis_vectors):
         raise CoinError("basis vectors must share a common dimension")
-    ortho = linalg.gram_schmidt([linalg.frac_vec(v) for v in basis_vectors])
+    ortho = linalg.gram_schmidt(basis_vectors)
     if len(ortho) < len(basis_vectors):
         raise CoinError("rank-deficient coin basis: "
                         "linearly dependent vector in Gram-Schmidt input")

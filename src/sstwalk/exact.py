@@ -12,17 +12,18 @@ are inner products of their Krylov vectors Z^i x (two moments per sparse
 mat-vec), and Berlekamp-Massey turns them into the reduced fraction.  The
 vectors are grown only until an online Berlekamp-Massey candidate of order L
 is certified exactly, sum_i c_i Z^(L-i) x = 0 for every start (Wiedemann
-1986): about L + 1 mat-vecs per start, L the support degree, instead of
-2 size.  ``Resolvent`` memoises per (reduction, S, T) what the decider, the
-cospectrality checks and the CLI read, all from one start family, the vectors
-e_(s_j) +- e_(t_j): cospectrality, psi_{S,T}, g+- and their split.
-Cospectrality is one entry read of u's own Krylov vectors per level, so no
-inner product ever mixes the two sequences.  psi_S, its support g and
-periodicity are the (S, S) question, where the starts are 2 e_(s_j) and 0.
-A Resolvent is the only value a reduction's ``memo`` holds: it owns the two
-moment sequences of its starts, and each sequence owns the Krylov vectors
-of its starts until ``certify`` drops them.  ``charpoly`` (integer
-Berkowitz) is kept as the reference the tests check psi against.
+1986), from the moments alone: about L + 1 mat-vecs per start, L the support
+degree, instead of 2 size, and two live vectors per start.  ``Resolvent``
+memoises per (reduction, S, T) what the decider, the cospectrality checks
+and the CLI read, all from one start family, the vectors e_(s_j) +- e_(t_j):
+cospectrality, psi_{S,T}, g+- and their split.  Cospectrality is one entry
+read of u's own Krylov vectors per level, so no inner product ever mixes the
+two sequences.  psi_S, its support g and periodicity are the (S, S)
+question, where the starts are 2 e_(s_j) and 0.  A Resolvent is the only
+value a reduction's ``memo`` holds: it owns the two moment sequences of its
+starts, and each sequence owns the last two Krylov vectors of each start
+until its recurrence is final.  ``charpoly`` (integer Berkowitz) is kept as
+the reference the tests check psi against.
 
 The support questions are answered over Z as well: 2cos(2 pi/m) is an
 algebraic integer, so its minimal polynomial Psi~_m(y) is monic over Z, and
@@ -511,14 +512,12 @@ class _Krylov:
         return q
 
 
-def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
-    """The certificate sum_i c_i Z^(L-i) x = 0, for vecs = [Z^k x] with
-    k <= L at least and conn = c_0 .. c_L."""
-    acc = [0] * len(vecs[0])
-    for ci, vec in zip(conn, vecs[len(conn) - 1::-1]):
-        if ci:
-            acc = [a + ci * x for a, x in zip(acc, vec)]
-    return not any(acc)
+def _hankel_certifies(terms: list[int], conn: list[int]) -> bool:
+    """r_k = sum_i c_i m_(k+L-i) = 0 for k = 0 .. L, for conn = c_0 .. c_L and
+    terms = m_0 .. m_2L at least: r is the Hankel matrix times reversed conn."""
+    length = len(conn) - 1
+    return not any(sum(map(mul, conn, reversed(terms[k:k + length + 1])))
+                   for k in range(length + 1))
 
 
 class _SelfMoments:
@@ -526,21 +525,25 @@ class _SelfMoments:
     sequence (the u_j or the v_j = e_(s_j) -+ e_(t_j) of a ``Resolvent``; a
     zero start adds nothing), grown two terms per Krylov level and certified
     online.  A start is a tuple of (row, coefficient) pairs: ((s, 1), (t, -1))
-    is e_s - e_t.  The sequence owns one list of Krylov vectors Z^k x per
-    start: ``_grow`` extends it, ``settle`` certifies against it and
-    ``certify`` drops it.  ``reads[K]`` is sum_x (Z^K x)[a] - (Z^K x)[b], a
-    and b the first and last row of x, one entry read per start and level:
-    for u_j = e_(s_j) + e_(t_j) it is the cross term c_K = m_S(K) - m_T(K)
+    is e_s - e_t.  At level K, ``pairs`` holds [Z^(K-1) x, Z^K x] per start,
+    all the next level reads, until ``settle`` drops them with the final
+    ``poly``.  ``reads[K]`` is sum_x (Z^K x)[a] - (Z^K x)[b], a and b the
+    first and last row of x, one entry read per start and level: for
+    u_j = e_(s_j) + e_(t_j) it is the cross term c_K = m_S(K) - m_T(K)
     (paired clones share delta_sq, so (Z^K)[s, t] = (Z^K)[t, s]).
 
     Level K adds m_(2K-1) and m_(2K); ``settle`` feeds them to an online
     Berlekamp-Massey and, at its first candidate c of order L with
-    2L + 2 <= terms, checks the certificate sum_i c_i Z^(L-i) x = 0 exactly
-    for every start x, once: then every later moment obeys c, and so do the
-    reads.  delta_sq > 0 (checked by every HermitianReduction), so the
-    residues sum_x ||E x||^2 are >= 0, no pole cancels, and the minimal
-    recurrence of m is the annihilator of the starts; its Hankel matrices
-    are Gram matrices, positive definite, so BM's order grows by one every
+    2L + 2 <= terms, checks r = 0 of ``_hankel_certifies`` once: then every
+    later moment obeys c, and so do the reads.  That is a proof because
+    delta_sq > 0 (checked by every HermitianReduction): the Hankel matrix
+    (m_(i+j)), i, j <= L, is sum_x delta_sq_x times the Gram matrix of
+    x, Zx, .., Z^L x in a positive definite inner product (Golub and Meurant
+    2010, ch. 2-4), so c'.r = sum_x delta_sq_x ||sum_i c_i Z^(L-i) x||^2 for
+    the reversed c', and r = 0 makes c annihilate every start.  The same
+    positivity makes the residues sum_x ||E x||^2 >= 0, so no pole cancels
+    and the minimal recurrence of m is the annihilator of the starts; its
+    Hankel matrices are positive definite, so BM's order grows by one every
     two terms until it gets there, and the first candidate tried is that
     annihilator, at 2L + 3 terms.  A failed certificate is the program's
     fault (``InvariantError``).  ``poly`` is the final connection
@@ -549,7 +552,7 @@ class _SelfMoments:
 
     def __init__(self, krylov: _Krylov, starts: tuple[tuple, ...]):
         self.krylov, self.starts = krylov, starts
-        self.vectors: list[list[list[int]]] = []
+        self.pairs: list[list[list[int] | None]] = []
         self.terms: list[int] = []
         self.reads: list[int] = []
         self.massey = _Massey(self.terms)
@@ -573,23 +576,22 @@ class _SelfMoments:
         return self.terms[k]
 
     def certify(self) -> "_SelfMoments":
-        """Grow until final; the vectors go, later terms come from ``poly``."""
+        """Grow until final; later terms come from ``poly``."""
         while not self.settle():
             self._grow()
-        self.vectors = []
         return self
 
     def settle(self) -> bool:
         """Feed the terms grown since the last call to Berlekamp-Massey and
         try the certificate once it is due; True once the recurrence is
-        final."""
+        final, when the Krylov vectors go."""
         if self.poly is None and self.terms:
             self.massey.update()
             conn = self.massey.connection
             if 2 * self.massey.length + 2 <= len(self.terms):
-                if not all(_annihilates(vecs, conn) for vecs in self.vectors):
+                if not _hankel_certifies(self.terms, conn):
                     raise InvariantError("Krylov recurrence fails its annihilator certificate")
-                self.poly = conn
+                self.poly, self.pairs = conn, []
         return self.poly is not None
 
     def _grow(self) -> None:
@@ -597,18 +599,18 @@ class _SelfMoments:
         reads[K]."""
         kr, level = self.krylov, len(self.reads)
         if not level:
-            self.vectors = [[[0] * kr.size] for _ in self.starts]
-            for x, vecs in zip(self.starts, self.vectors):
+            self.pairs = [[None, [0] * kr.size] for _ in self.starts]
+            for x, pair in zip(self.starts, self.pairs):
                 for r, c in x:
-                    vecs[0][r] += c
+                    pair[1][r] += c
         odd = even = read = 0
-        for x, vecs in zip(self.starts, self.vectors):
+        for x, pair in zip(self.starts, self.pairs):
             if level:
-                vecs.append(z_apply(kr.entries, vecs[-1]))
-            top = vecs[-1]
+                pair[:] = pair[1], z_apply(kr.entries, pair[1])
+            prev, top = pair
             wv = kr.weighted(top)
             even += kr.moment(x, wv, top)
-            odd += kr.moment(x, wv, vecs[-2]) if level else 0
+            odd += kr.moment(x, wv, prev) if level else 0
             read += top[x[0][0]] - top[x[-1][0]]
         if level:
             self.terms.append(odd)

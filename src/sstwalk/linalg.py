@@ -29,19 +29,15 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-def frac_vec(entries) -> Vec:
-    return [Fraction(x) for x in entries]
-
-
 def _ratio(x) -> tuple[int, int]:
-    """x = p / q with q > 0, exact: int, Fraction, float and numpy floats
-    give their own integer ratio, numpy integers their numerator and
-    denominator, and any other real is read as float(x)."""
+    """x = p / q in Python ints with q > 0, exact: int, Fraction, float and
+    numpy floats give their own integer ratio, numpy integers their numerator
+    and denominator, and any other real is read as float(x)."""
     try:
         return x.as_integer_ratio()
     except AttributeError:
         if isinstance(x, Rational):
-            return x.numerator, x.denominator
+            return int(x.numerator), int(x.denominator)
         return float(x).as_integer_ratio()
 
 
@@ -76,9 +72,10 @@ def dot(u, v):
 
 
 def int_vector(v) -> list[int]:
-    """A rational vector times the least common denominator of its entries."""
-    den = lcm(1, *(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v]
+    """A rational vector (entries read by ``_ratio``) times their lcm denominator."""
+    ratios = list(map(_ratio, v))
+    den = lcm(1, *(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios]
 
 
 def primitive_int_vector(v) -> list[int]:

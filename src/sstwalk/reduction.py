@@ -86,15 +86,14 @@ def _marked_block(assignment: CoinAssignment, u: int, basis: list[Vec]
     completed against them.  The coin fixes W exactly when the block has
     rank(P) vectors, and W's basis is independent when k is its length."""
     coin = assignment.coin(u)
-    vecs = [linalg.frac_vec(v) for v in basis]
-    for v in vecs:
+    for v in basis:
         if len(v) != coin.degree:
             raise ReductionError(f"subspace vector at vertex {u} has wrong length {len(v)}")
-    prescribed = linalg.gram_schmidt(vecs)
+    prescribed = linalg.gram_schmidt(basis)
     block = prescribed + linalg.gram_schmidt(coin.clone_columns, against=prescribed)
     if len(block) != coin.rank:
         raise ReductionError(f"subspace at vertex {u} is not fixed by its coin")
-    if len(prescribed) != len(vecs):
+    if len(prescribed) != len(basis):
         raise ReductionError(f"dependent subspace basis at vertex {u}: "
                              "linearly dependent vector in Gram-Schmidt input")
     return len(prescribed), block

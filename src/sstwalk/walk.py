@@ -244,7 +244,7 @@ def transfer_fidelity(assignment: CoinAssignment, a: int, b: int, w_basis, t: in
 
     g = assignment.graph
     _refuse_bad_weights(g, a, w_basis)
-    ws = linalg.gram_schmidt([linalg.frac_vec(w) for w in w_basis])
+    ws = linalg.gram_schmidt(w_basis)
     if not ws:
         raise ValueError("empty subspace")
     if g.degree(a) != g.degree(b):

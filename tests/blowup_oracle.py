@@ -241,7 +241,7 @@ def twin_transfer_check(graph: Graph, a: int, b: int, coin: ReflectionCoin,
         raise ValueError("twin_transfer_check needs N(a) = N(b)")
     assignment = CoinAssignment.grover_with_marked(graph, a, b, coin)
     blowup = build_blowup(assignment, a, b)
-    w_exact = [linalg.frac_vec(v) for v in w_basis]
+    w_exact = [[Fraction(x) for x in v] for v in w_basis]
     for w in w_exact:
         if not coin.fixes(w):
             raise ValueError("W is not fixed by the marked coin")

@@ -171,7 +171,7 @@ def fixes(coin, w: Vec) -> bool:
 
 def _prepare_subspace(assignment, u: int, basis: list[Vec]) -> list[Vec]:
     coin = assignment.coin(u)
-    vecs = [linalg.frac_vec(v) for v in basis]
+    vecs = [[Fraction(x) for x in v] for v in basis]
     for v in vecs:
         if len(v) != coin.degree:
             raise ReductionError(

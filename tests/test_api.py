@@ -6,6 +6,7 @@ import importlib
 from pathlib import Path
 
 import sstwalk
+from conftest import family_reduction
 from sstwalk import decider, exact, graphs, linalg, walk, zfactor
 
 PUBLIC = [
@@ -43,9 +44,10 @@ def test_removed_names_not_importable():
         assert present == [], module
 
 
-# psi_S, g and g's scan (cosine_factor) from the unit columns live in
-# tests/transfer_oracle.py, the batch Berlekamp-Massey in tests/psi_oracle.py
-REMOVED_FROM_EXACT = ["berlekamp_massey", "_series_fraction", "cosine_factor"]
+# psi_S, g and g's scan (cosine_factor) from the unit columns and the vector
+# certificate (_annihilates) live in tests/transfer_oracle.py, the batch
+# Berlekamp-Massey in tests/psi_oracle.py
+REMOVED_FROM_EXACT = ["berlekamp_massey", "_series_fraction", "cosine_factor", "_annihilates"]
 REMOVED_FROM_RESOLVENT = ["psi_s", "g", "orders", "factors", "_scan"]
 
 
@@ -114,14 +116,16 @@ def test_memo_layers_removed():
     assert [name for name in REMOVED_FROM_KRYLOV if hasattr(exact._Krylov, name)] == []
 
 
-# cospectrality is read off u's own vectors, so a sequence never regrows the
-# vectors ``certify`` dropped
-REMOVED_FROM_SELF_MOMENTS = ["levels"]
+# a sequence keeps only the last two Krylov vectors of each start, which it
+# drops once its recurrence is final and never regrows: the moments certify
+# the recurrence, so no list of every Z^k x is kept for a certificate
+REMOVED_FROM_SELF_MOMENTS = ["levels", "vectors"]
 
 
 def test_sequence_regrowth_removed():
+    seq = exact._SelfMoments(exact._Krylov(family_reduction("k2m(20)")), (((0, 1),),))
     assert [name for name in REMOVED_FROM_SELF_MOMENTS
-            if hasattr(exact._SelfMoments, name)] == []
+            if hasattr(exact._SelfMoments, name) or hasattr(seq, name)] == []
 
 
 # the pretty-good special case reads the (S, S) summary's g+ and its cosine

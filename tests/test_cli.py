@@ -311,7 +311,7 @@ def test_failed_certificate_exit_3(capsys, monkeypatch):
     program's fault: exit 3, nothing on stdout."""
     from sstwalk import exact
 
-    monkeypatch.setattr(exact, "_annihilates", lambda vecs, conn: False)
+    monkeypatch.setattr(exact, "_hankel_certifies", lambda terms, conn: False)
     rc, out, err = run(capsys, "transfer", "--family", "k2m", "--m", "3")
     assert rc == 3 and out == ""
     assert err.startswith("internal error: ")

@@ -253,6 +253,19 @@ def test_coin_state_accepts_numpy_float32_weights():
     assert coin_state(asn, a, w).tolist() == coin_state(asn, a, [float(w[0])] * 2).tolist()
 
 
+def test_gram_schmidt_reads_numpy_weights_exactly():
+    """Gram-Schmidt reads each entry through ``linalg._ratio``: numpy
+    integers and np.float32 give the Python-int columns their Python values
+    give, in a reflection coin and in the W of a fidelity."""
+    coin = reflection_about([[np.int64(1), np.float32(0.5), 0]])
+    assert coin.clone_columns == reflection_about([[1, Fraction(1, 2), 0]]).clone_columns
+    assert all(type(x) is int for x in coin.clone_columns[0])
+    g, a, b = circulant_2m(3, 1, 2)
+    asn = CoinAssignment.all_grover(g)
+    w = np.ones((1, 4), dtype=np.float32)
+    assert transfer_fidelity(asn, a, b, w, 6) == transfer_fidelity(asn, a, b, [[1] * 4], 6)
+
+
 def test_coin_state_refuses_zero_weights_by_vertex():
     g, a, b = complete_bipartite_k2m(2)
     asn = CoinAssignment.all_grover(g)

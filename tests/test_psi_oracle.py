@@ -35,7 +35,7 @@ from sstwalk.exact import InvariantError, RatPoly, factor_irreducible, psi, reso
 from sstwalk.families import random_orthogonal_columns
 from sstwalk.graphs import build_graph, circulant_2m, complete_bipartite_k2m
 from sstwalk.reduction import CoinBasis, build_H, reduction_for
-from transfer_oracle import cosine_factor, unit_psi
+from transfer_oracle import annihilates, cosine_factor, unit_psi
 
 
 def test_newton_interpolation():
@@ -292,13 +292,13 @@ def test_kernels_agree_when_candidates_fail(monkeypatch):
             check_kernels_agree(red)
 
     tried = []
-    annihilates = exact._annihilates
+    certifies = exact._hankel_certifies
 
-    def recorded(vecs, conn):
-        tried.append((annihilates(vecs, conn), len(vecs), conn))
+    def recorded(terms, conn):
+        tried.append((certifies(terms, conn), len(terms), conn))
         return tried[-1][0]
 
-    monkeypatch.setattr(exact, "_annihilates", recorded)
+    monkeypatch.setattr(exact, "_hankel_certifies", recorded)
     rng = random.Random(20261018)
     reductions = [random_reduction(rng) for _ in range(200)]
     reductions += [family_reduction(name) for name in FAMILY_NAMES]
@@ -306,12 +306,77 @@ def test_kernels_agree_when_candidates_fail(monkeypatch):
     for red in reductions:
         check_kernels_agree(red)
     assert tried
-    for passed, levels, conn in tried:
-        assert passed and levels == len(conn) + 1 and conn[0] in (1, -1)
+    for passed, terms, conn in tried:
+        assert passed and terms == 2 * len(conn) + 1 and conn[0] in (1, -1)
 
-    monkeypatch.setattr(exact, "_annihilates", lambda vecs, conn: False)
+    monkeypatch.setattr(exact, "_hankel_certifies", lambda terms, conn: False)
     g, a, b = complete_bipartite_k2m(3)
     red = reduction_for(CoinAssignment.grover_with_marked(g, a, b, grover_coin(3)),
                         a, [[1] * 3], b)
     with pytest.raises(InvariantError, match="certificate"):
         resolvent(red).cospectral
+
+
+def _lower_connection(terms: list[int], order: int) -> list[int]:
+    """The online Berlekamp-Massey connection polynomial of the given order,
+    at the longest prefix of terms (the empty one included) that gives it."""
+    seq: list[int] = []
+    massey = exact._Massey(seq)
+    found = massey.connection
+    for m in terms[:2 * order + 2]:
+        seq.append(m)
+        massey.update()
+        if massey.length == order:
+            found = massey.connection
+    assert len(found) == order + 1
+    return found
+
+
+def check_certificates_agree(red) -> Counter:
+    """The certificate on the moments (``exact._hankel_certifies``) and the
+    vector oracle (``transfer_oracle.annihilates``) give the same answer on
+    every certified sequence of red's summaries, after psi on (S,S), (T,T)
+    and (S,T) certified them: both accept the certified connection
+    polynomial c of order L and its multiple c (y - 1), and, when L >= 1,
+    both reject c with c_L + 1 and the Berlekamp-Massey candidate of order
+    L - 1.  (A zero sequence, L = 0, has only zero starts, which every
+    candidate annihilates.)  Returns the number of planted candidates."""
+    for a, b in ((red.s, red.s), (red.t, red.t), (red.s, red.t)):
+        _value_or_error(psi, red, a, b)
+    seen = Counter()
+    for summary in red.memo.values():
+        for seq in summary._sides:
+            conn, order = seq.poly, seq.order
+
+            def both(candidate):
+                verdict = exact._hankel_certifies(seq.terms, candidate)
+                assert verdict == annihilates(summary.krylov, seq.starts, candidate), candidate
+                return verdict
+
+            assert both(conn)
+            assert both(exact._product(conn, [1, -1]))
+            seen["multiple"] += 1
+            if order:
+                assert not both(conn[:-1] + [conn[-1] + 1])
+                assert not both(_lower_connection(seq.terms, order - 1))
+                seen["wrong"] += 2
+    return seen
+
+
+def test_certificates_agree_with_vector_oracle():
+    """The differential test of the certificate on the moments against the
+    vector certificate it replaced, on the reductions of
+    ``test_kernels_agree_when_candidates_fail``: its seeded random
+    reductions and the all +1 draws of its indefinite generator (none at
+    this seed), the families and the odd cycles."""
+    rng = random.Random(20261018)
+    reductions = [indefinite_reduction(rng) for _ in range(200)]
+    rng = random.Random(20261018)
+    reductions += [random_reduction(rng) for _ in range(200)]
+    reductions += [family_reduction(name) for name in FAMILY_NAMES]
+    reductions += [red for _name, red in odd_cycle_reductions()]
+    seen = Counter()
+    for red in reductions:
+        if red is not None:
+            seen += check_certificates_agree(red)
+    assert seen["multiple"] > 1000 and seen["wrong"] > 1000, seen

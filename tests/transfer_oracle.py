@@ -16,6 +16,11 @@ of g's scan, and partitions g's factors between g+ and g- by remainder.
 deciders on top of it.  ``decide_pretty_good_special_oracle`` is the
 pretty-good special case as a rule on the support's factor list, with the
 table of Niven's geodetic values of cos^2.
+
+``annihilates`` is the certificate the sequences tried before they proved
+their recurrence from the moments alone (``exact._hankel_certifies``):
+sum_i c_i Z^(L-i) x = 0, summed over Krylov vectors x .. Z^L x that it grows
+itself for every start.
 """
 
 from __future__ import annotations
@@ -62,6 +67,31 @@ def _powers(kr: _Krylov, row: int, last: int) -> list[list[int]]:
     while len(vecs) <= last:
         vecs.append(z_apply(kr.entries, vecs[-1]))
     return vecs
+
+
+def _annihilates(vecs: list[list[int]], conn: list[int]) -> bool:
+    """The certificate sum_i c_i Z^(L-i) x = 0, for vecs = [Z^k x] with
+    k <= L at least and conn = c_0 .. c_L."""
+    acc = [0] * len(vecs[0])
+    for ci, vec in zip(conn, vecs[len(conn) - 1::-1]):
+        if ci:
+            acc = [a + ci * x for a, x in zip(acc, vec)]
+    return not any(acc)
+
+
+def annihilates(kr: _Krylov, starts: tuple[tuple, ...], conn: list[int]) -> bool:
+    """The vector certificate of conn on every start of a ``_SelfMoments``
+    (a tuple of (row, coefficient) pairs), from the start's own Krylov
+    vectors x, Zx, .., Z^L x."""
+    for x in starts:
+        vecs = [[0] * kr.size]
+        for r, c in x:
+            vecs[0][r] += c
+        while len(vecs) < len(conn):
+            vecs.append(z_apply(kr.entries, vecs[-1]))
+        if not _annihilates(vecs, conn):
+            return False
+    return True
 
 
 def cross_moments(red, s: list[int], t: list[int], count: int) -> list[int]:

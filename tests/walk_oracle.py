@@ -33,6 +33,7 @@ Gram-Schmidt output only inside its coin-state builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def orthonormal_columns(vectors, degree: int) -> list[np.ndarray]:
     if any(len(v) != degree for v in vectors):
         raise ValueError(f"weight vector must have length {degree}")
     out = []
-    for v in linalg.gram_schmidt([linalg.frac_vec(v) for v in vectors]):
+    for v in linalg.gram_schmidt([[Fraction(x) for x in v] for v in vectors]):
         col = np.array(linalg.scaled_doubles(v)[0])
         out.append(col / np.linalg.norm(col))
     return out
