@@ -24,7 +24,7 @@ asn = CoinAssignment.all_grover(g)
 coin = asn.coin(2)
 print("\nGrover coin at the degree-3 vertex 2 (entries 2/3 - [i=j]):")
 for i in range(coin.degree):
-    row = [2 * sum(Fraction(b[i] * b[j], sum(x * x for x in b)) for b in coin.clone_columns)
+    row = [2 * sum(Fraction(b[i] * b[j], sum(x * x for x in b)) for b in coin.basis)
            - (i == j) for j in range(coin.degree)]
     print("  ", [str(x) for x in row])
 

@@ -32,37 +32,30 @@ class CoinError(ValueError):
 @dataclass(frozen=True)
 class ReflectionCoin:
     """Exact rational reflection coin C = 2P - I about the span of ``basis``,
-    kept also as primitive integer clone columns, the block a vertex with
-    nothing prescribed gives the reduction."""
+    given in rationals and kept as primitive integer columns, the block a
+    vertex with nothing prescribed gives the reduction: rescaling a column
+    gives an equal coin."""
 
     degree: int
-    basis: tuple[tuple[Fraction | int, ...], ...]  # orthogonal basis of col(P)
+    basis: tuple[tuple[int, ...], ...]  # orthogonal basis of col(P)
 
     def __post_init__(self):
-        ints = [linalg.int_vector(u) for u in self.basis]
-        for i, u in enumerate(ints):
+        ints = []
+        for u in map(linalg.int_vector, self.basis):
             if len(u) != self.degree:
                 raise CoinError(f"coin basis vector has length {len(u)}, "
                                 f"degree is {self.degree}")
             if not any(u):
                 raise CoinError("coin basis has a zero vector")
-            if any(linalg.dot(u, v) for v in ints[:i]):
+            if any(linalg.dot(u, v) for v in ints):
                 raise CoinError("coin basis is not orthogonal")
-
-    @cached_property
-    def clone_columns(self) -> tuple[tuple[int, ...], ...]:
-        """The basis as primitive integer vectors (it is validated orthogonal)."""
-        return tuple(tuple(linalg.primitive_int_vector(u)) for u in self.basis)
+            ints.append(u)
+        object.__setattr__(self, "basis", tuple(
+            tuple(linalg.primitive_int_vector(u)) for u in ints))
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def fixes(self, *ws: Vec) -> bool:
-        """Exact test that C w = w for each w: a dropping Gram-Schmidt of the
-        ws against the basis keeps none of them."""
-        return all(len(w) == self.degree for w in ws) and not linalg.gram_schmidt(
-            ws, against=self.clone_columns)
 
 
 @cache

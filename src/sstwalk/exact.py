@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd as int_gcd, isqrt, lcm, prod
+from math import gcd as int_gcd, lcm, prod
 from operator import mul
 from typing import Iterable, TYPE_CHECKING
 
@@ -192,10 +192,6 @@ class RatPoly:
         """Space-separated rational coefficients, constant term first."""
         return " ".join(str(c) for c in self.coeffs)
 
-    @staticmethod
-    def parse(text: str) -> "RatPoly":
-        return RatPoly([Fraction(tok) for tok in text.split()])
-
 
 X = RatPoly([0, 1])
 ONE = RatPoly([1])
@@ -293,11 +289,17 @@ def euler_phi(m: int) -> int:
 
 
 def default_order_bound(degree: int) -> int:
-    """Orders m with phi(m) <= degree satisfy m <= 3 phi(m)^{3/2} <= 3 degree^{3/2};
-    computed exactly as floor(sqrt(9 degree^3)) + 1."""
-    if degree <= 0:
-        return 1
-    return isqrt(9 * degree ** 3) + 1
+    """A bound on every m with phi(m) <= degree.  If m has k distinct primes,
+    phi(m) >= prod_{i<=k} (p_i - 1) and m/phi(m) <= prod_{i<=k} p_i/(p_i - 1)
+    for p_i the i-th prime; so k <= K, the largest k with
+    prod_{i<=k} (p_i - 1) <= degree, and m <= degree prod_{i<=K} p_i/(p_i - 1)."""
+    num = den = 1
+    for p in range(2, degree + 2):
+        if _prime_factors(p) == [p]:
+            if den * (p - 1) > degree:
+                break
+            num, den = num * p, den * (p - 1)
+    return max(1, degree * num // den)
 
 
 @lru_cache(maxsize=None)

@@ -54,8 +54,8 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
     b spans x_b(W), under the positional identification).
 
     Vertices with rk(C_u + I) = 0 contribute no clones.  A vertex with
-    nothing prescribed takes its coin's clone columns as they are; at a and b
-    the coin's columns are completed by Gram-Schmidt against the prescribed
+    nothing prescribed takes its coin's integer basis as it is; at a and b
+    the coin's basis is completed by Gram-Schmidt against the prescribed
     vectors.
     """
     g = assignment.graph
@@ -75,14 +75,14 @@ def induced_coin_basis(assignment: CoinAssignment, a: int, w_basis: list[Vec],
             clones[u] = tuple(range(len(columns), len(columns) + k))
             columns += [(u, tuple(v)) for v in block]
         else:
-            columns += [(u, col) for col in assignment.coin(u).clone_columns]
+            columns += [(u, col) for col in assignment.coin(u).basis]
     return CoinBasis(tuple(columns), clones[a], clones[a if b is None else b])
 
 
 def _marked_block(assignment: CoinAssignment, u: int, basis: list[Vec]
                   ) -> tuple[int, list[list[int]]]:
     """(k, block) at a marked vertex u: a dropping Gram-Schmidt of W keeps k
-    vectors, and the block is them followed by the coin's clone columns
+    vectors, and the block is them followed by the coin's basis
     completed against them.  The coin fixes W exactly when the block has
     rank(P) vectors, and W's basis is independent when k is its length."""
     coin = assignment.coin(u)
@@ -90,7 +90,7 @@ def _marked_block(assignment: CoinAssignment, u: int, basis: list[Vec]
         if len(v) != coin.degree:
             raise ReductionError(f"subspace vector at vertex {u} has wrong length {len(v)}")
     prescribed = linalg.gram_schmidt(basis)
-    block = prescribed + linalg.gram_schmidt(coin.clone_columns, against=prescribed)
+    block = prescribed + linalg.gram_schmidt(coin.basis, against=prescribed)
     if len(block) != coin.rank:
         raise ReductionError(f"subspace at vertex {u} is not fixed by its coin")
     if len(prescribed) != len(basis):

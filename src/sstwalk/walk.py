@@ -6,7 +6,7 @@ step applies the block-diagonal coin, then the arc reversal ``Graph.reversal``.
 U is real orthogonal (C is built from reflections over Q), so the walk is real:
 states are float64, the states of one call step as the columns of one
 (arcs x k) block, and the orthonormal basis of a subspace W steps as one block.
-Each coin's C = 2P - I is built from its primitive integer clone columns and
+Each coin's C = 2P - I is built from its primitive integer basis columns and
 rounded to doubles once per entry.  A ``StepPlan``, built once per coin
 assignment, keeps the block in a fixed plan order: degree class by degree
 class, the arcs of the vertices with the class's most common coin first,
@@ -49,10 +49,10 @@ def out_arc_slice(graph: Graph, u: int) -> slice:
 
 def _c_float(coin: ReflectionCoin) -> list[list[float]]:
     """C = 2P - I as doubles, each entry rounded once.  P = sum of b b^T/<b,b>
-    over the clone columns is summed in Python ints q over L = lcm <b,b>, and
+    over the basis columns is summed in Python ints q over L = lcm <b,b>, and
     C_ij = (2 q_ij - [i = j] L) / L is an int true division, which Python
     rounds correctly: the double nearest the exact rational entry."""
-    cols = coin.clone_columns
+    cols = coin.basis
     norms = [linalg.dot(b, b) for b in cols]
     den = lcm(1, *norms)
     q = [[0] * coin.degree for _ in range(coin.degree)]
@@ -161,13 +161,13 @@ def _coin_weights(assignment: CoinAssignment, u: int, ws) -> np.ndarray:
     weight vector w in ``ws``, rational or float.  Each w is converted to
     doubles once, by ``linalg.scaled_doubles``, and normalized once; it must
     satisfy C_u w = w up to 1e-12, that is P w = w, tested in O(r d) as
-    P w = B^T ((B w) / <b,b>) from the r clone columns B, each column b and
+    P w = B^T ((B w) / <b,b>) from the r basis columns B, each column b and
     its <b,b> scaled by 2^-e and 4^-e.  Each w has length deg(u) (callers check)."""
     import numpy as np
 
     d = assignment.graph.degree(u)
     wv = np.array([linalg.scaled_doubles(w)[0] for w in ws])
-    cols = assignment.coin(u).clone_columns
+    cols = assignment.coin(u).basis
     scaled = [linalg.scaled_doubles(c) for c in cols]
     b = np.array([v for v, _ in scaled], dtype=float).reshape(-1, d)
     norms = np.array([linalg.to_double(linalg.dot(c, c), 2 * e)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from reduction_oracle import assemble_projection
+from reduction_oracle import assemble_projection, fixes
 from walk_oracle import orthonormal_columns
 from sstwalk import linalg
 from sstwalk.coins import CoinAssignment, ReflectionCoin
@@ -243,7 +243,7 @@ def twin_transfer_check(graph: Graph, a: int, b: int, coin: ReflectionCoin,
     blowup = build_blowup(assignment, a, b)
     w_exact = [[Fraction(x) for x in v] for v in w_basis]
     for w in w_exact:
-        if not coin.fixes(w):
+        if not fixes(coin, w):
             raise ValueError("W is not fixed by the marked coin")
 
     exact_ok = _kernel_condition(graph, a, b, blowup, w_exact)

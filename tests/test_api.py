@@ -3,11 +3,12 @@ deliberate edit of this list."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import sstwalk
 from conftest import family_reduction
-from sstwalk import decider, exact, graphs, linalg, walk, zfactor
+from sstwalk import ReflectionCoin, decider, exact, graphs, linalg, walk, zfactor
 
 PUBLIC = [
     "CoinAssignment", "CoinBasis", "CoinError", "Graph", "GraphError",
@@ -61,9 +62,10 @@ def test_unit_column_route_removed():
 # is built in lowest terms from its own minimal recurrence, so RatFun has one
 # constructor that takes no gcd, and the Q[x] operators no package path called
 # went; tests/psi_oracle.py keeps reduced, combination, quotient and power.
-# RatFun.parse went too: it read text that need not be in lowest terms
+# RatFun.parse went too: it read text that need not be in lowest terms, and
+# RatPoly.parse, which only a test called
 REMOVED_FRACTION_CARRIER = ["squarefree_part", "_denominator"]
-REMOVED_FROM_RATPOLY = ["derivative", "__floordiv__", "__mod__", "__pow__"]
+REMOVED_FROM_RATPOLY = ["derivative", "__floordiv__", "__mod__", "__pow__", "parse"]
 REMOVED_FROM_RATFUN = ["_lowest", "__add__", "__sub__", "__neg__", "parse"]
 
 
@@ -183,3 +185,92 @@ def test_one_arc_reversal():
     assert not hasattr(walk, "reversal_permutation")
     assert not hasattr(graphs, "format_graph")
     assert [name for name in ("sigma", "sigma_pos") if hasattr(graphs.Graph, name)] == []
+
+
+# a coin keeps one integer form: its basis, as primitive integer columns, which
+# the reduction and the walk read; the Fraction fixedness test lives in
+# tests/reduction_oracle.py, and the package's own is induced_coin_basis
+REMOVED_FROM_COIN = ["clone_columns", "fixes"]
+
+
+def test_one_integer_form_per_coin():
+    assert [name for name in REMOVED_FROM_COIN if hasattr(ReflectionCoin, name)] == []
+    coin = ReflectionCoin(2, ((1, 0), (0, 3)))
+    assert coin.basis == ((1, 0), (0, 1))
+    assert coin == ReflectionCoin(2, ((1, 0), (0, 1)))
+
+
+# Code with no caller goes.  These are the functions, methods, classes and
+# properties of the package that no package module names outside their own
+# body (the re-exports of __init__ aside), each with its reason to stay; the
+# names bench/tracing.py looks up leave once the tracer no longer patches them
+TRACED = "looked up by name in bench/tracing.py"
+CONSTRUCTOR = "public constructor that demos and users call"
+NO_PACKAGE_CALLER = {
+    "decider.sharp": TRACED,
+    "decider.factor_into_cyclotomics": TRACED,
+    "exact.poly_gcd": TRACED,
+    "exact.factor_irreducible": TRACED,
+    "exact.charpoly": TRACED,
+    "linalg.bareiss_det": TRACED,
+    "reduction.chebyshev_apply": TRACED,
+    "reduction.HermitianReduction.sym": TRACED,
+    "reduction.HermitianReduction.delta_sq": TRACED,
+    "graphs.cycle_graph": CONSTRUCTOR,
+    "graphs.prism_graph": CONSTRUCTOR,
+    "graphs.complete_multipartite": CONSTRUCTOR,
+    "families.case_pretty_good_cone": CONSTRUCTOR,
+    "exact.Resolvent.g_minus": "g_plus's twin, read by the oracle tests as their "
+                               "differential target and looked up by name in psi_oracle",
+}
+
+
+def _definitions(node, scope):
+    """(dotted name, node) for every function, method, class and property
+    under node, nested ones too, dunders skipped."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}"
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield name, child
+            yield from _definitions(child, name)
+        else:
+            yield from _definitions(child, scope)
+
+
+def _references(node, enclosing=()):
+    """(name, enclosing definitions) for every name node refers to, as a Name,
+    an Attribute or an import."""
+    for child in ast.iter_child_nodes(node):
+        inner = enclosing + (child,) if isinstance(
+            child, (ast.FunctionDef, ast.ClassDef)) else enclosing
+        if isinstance(child, ast.Name):
+            yield child.id, inner
+        elif isinstance(child, ast.Attribute):
+            yield child.attr, inner
+        elif isinstance(child, ast.alias):
+            yield child.name.rpartition(".")[2], inner
+        yield from _references(child, inner)
+
+
+def test_no_package_caller_pinned():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(sstwalk.__file__).parent.glob("*.py")}
+    enclosings: dict[str, list[tuple]] = {}
+    for module, tree in trees.items():
+        if module != "__init__":
+            for name, enclosing in _references(tree):
+                enclosings.setdefault(name, []).append(enclosing)
+    uncalled = {name for module, tree in trees.items()
+                for name, node in _definitions(tree, module)
+                if all(node in enclosing
+                       for enclosing in enclosings.get(name.rpartition(".")[2], []))}
+    assert uncalled == set(NO_PACKAGE_CALLER)
+
+
+def test_traced_exceptions_are_named_by_the_tracer():
+    text = (Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text()
+    traced = [name.rpartition(".")[2] for name, why in NO_PACKAGE_CALLER.items()
+              if why == TRACED]
+    assert len(traced) == 9
+    assert [name for name in traced if not re.search(rf"\b{name}\b", text)] == []

@@ -644,8 +644,8 @@ def test_simulate_bad_tol_exit_2(tol, capsys):
 
 def test_exact_transfer_forms_no_projection(capsys, monkeypatch):
     """The exact transfer path reads only the integer bases of its coins: on
-    K_{2,400} neither the degree-400 nor the degree-2 Grover coin caches more
-    than its clone columns, so no d x d matrix is formed."""
+    K_{2,400} neither the degree-400 nor the degree-2 Grover coin holds more
+    than its degree and integer basis, so no d x d matrix is formed."""
     from sstwalk import cli, coins
 
     assignments = []
@@ -660,7 +660,7 @@ def test_exact_transfer_forms_no_projection(capsys, monkeypatch):
     assert (rc, out) == (0, "TRANSFER time=2 gamma=+1\n")
     used = set(assignments[0].coins.values())
     assert sorted(coin.degree for coin in used) == [2, 400]
-    assert all(set(vars(coin)) <= {"degree", "basis", "clone_columns"} for coin in used)
+    assert all(set(vars(coin)) <= {"degree", "basis"} for coin in used)
 
 
 # byte-exact stdout of branches the tests above do not pin: human-format

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import synthetic_reduction
 from psi_oracle import power
 from test_cosine import squarefree_part
-from sstwalk.exact import (ONE, RatFun, RatPoly, X, _quotient, charpoly,
-                           factor_irreducible, poly_gcd, psi)
+from sstwalk.exact import (ONE, RatFun, RatPoly, X, _cosine_orders, _quotient,
+                           charpoly, factor_irreducible, poly_gcd, psi)
 from sstwalk.graphs import build_graph
 from sstwalk.coins import CoinAssignment
 from sstwalk.reduction import reduction_for
@@ -59,7 +60,7 @@ def test_canonical_trim():
 
 def test_serialization_roundtrip():
     p = P(Fraction(1, 3), -2, 0, 5)
-    assert RatPoly.parse(p.serialize()) == p
+    assert RatPoly([Fraction(tok) for tok in p.serialize().split()]) == p
     f = RatFun(P(0, 1), P(-1, 0, 1))
     assert f.serialize() == "0 1 | -1 0 1"
 
@@ -331,11 +332,46 @@ def test_sequences_keep_two_krylov_vectors_per_start(monkeypatch):
     assert max(levels) > 30
 
 
+def test_order_table_matches_a_wide_sieve():
+    """_cosine_orders(D) for D = 0 ... 300 and 1000 lists every m with
+    phi(m) <= 2D that a totient sieve to 3 * 2000^(3/2) finds: the table
+    was sized before by the looser bound m <= 3 phi(m)^(3/2)."""
+    bound = isqrt(9 * 2000 ** 3) + 1
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    small = [m for m in range(1, bound + 1) if phi[m] <= 2000]
+    for degree in [*range(301), 1000]:
+        assert _cosine_orders(degree) == tuple(
+            (m, max(1, phi[m] // 2)) for m in small if phi[m] <= 2 * degree), degree
+
+
+def test_order_table_peak_memory():
+    """A cold _cosine_orders(1000) peaks under 1 MiB in tracemalloc: the
+    totient sieve runs to default_order_bound(2000) = 9625, where the bound
+    3 N^(3/2) sieved to 268329 and peaked at 10.6 MiB."""
+    import gc
+    import tracemalloc
+
+    _cosine_orders.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        orders = _cosine_orders(1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(orders), orders[-1]) == (3884, (9240, 960))
+    assert peak < 2 ** 20, peak / 2 ** 20
+
+
 def test_periodicity_peak_memory_is_two_vectors_per_start():
     """decide_periodicity on gp(3,100), 296 clones and a recurrence of order
-    100, peaks under 0.5 MiB in tracemalloc, warm caches or cold (0.41 MiB
-    cold, most of it the totient sieve of ``_cosine_orders``).  Keeping every
-    Z^k x until the certificate peaked at 0.70 MiB."""
+    100, peaks under 0.5 MiB in tracemalloc, warm caches or cold (0.22 MiB
+    cold, 0.10 warm).  Keeping every Z^k x until the certificate peaked at
+    0.70 MiB."""
     import gc
     import tracemalloc
 

@@ -23,8 +23,8 @@ from sstwalk.coins import (CoinAssignment, CoinError, ReflectionCoin, grover_coi
 from sstwalk.exact import InvariantError
 from sstwalk.families import (marked_instance, random_coin_and_subspace,
                               random_orthogonal_columns)
-from sstwalk.graphs import circulant_2m, generalized_path
-from sstwalk.reduction import ReductionError, z_apply
+from sstwalk.graphs import build_graph, circulant_2m, generalized_path
+from sstwalk.reduction import ReductionError, induced_coin_basis, z_apply
 from test_psi_oracle import random_reduction_args, reduction_from_args
 
 
@@ -96,7 +96,25 @@ def _random_coin(rng: random.Random) -> ReflectionCoin:
             continue
 
 
+def _marked_error(coin: ReflectionCoin, ws) -> str:
+    """The ReductionError message of induced_coin_basis with W spanned by ws
+    at the centre of a star whose centre carries ``coin``, or ''."""
+    d = coin.degree
+    g = build_graph([(0, i) for i in range(1, d + 1)], d + 1)
+    asn = CoinAssignment(g, {u: coin if u == 0 else grover_coin(1) for u in range(d + 1)})
+    try:
+        induced_coin_basis(asn, 0, list(ws))
+    except ReductionError as e:
+        return str(e)
+    return ""
+
+
 def test_fixes_matches_fraction_oracle():
+    """The package's exact fixedness test, the rank of the marked block in
+    induced_coin_basis, refuses W as not fixed by its coin exactly when the
+    Fraction oracle finds P w != w for some w in W, on seeded coins with
+    fixed, random and zero vectors; a vector of the wrong length is refused
+    for its length, and the oracle does not fix it either."""
     rng = random.Random(7)
     seen = set()
     for _ in range(300):
@@ -104,12 +122,14 @@ def test_fixes_matches_fraction_oracle():
         fixed = [sum((_rational(rng) * x for x in col), Fraction(0))
                  for col in zip(*coin.basis)] if coin.basis else [Fraction(0)] * coin.degree
         cases = (fixed, _vector(rng, coin.degree), fixed[:-1])
-        for w in cases:
-            want = oracle.fixes(coin, w)
-            assert coin.fixes(w) == want
+        for ws in [(w,) for w in cases] + [(fixed, fixed), (fixed, cases[1]), cases]:
+            want = all(oracle.fixes(coin, w) for w in ws)
+            error = _marked_error(coin, ws)
+            if any(len(w) != coin.degree for w in ws):
+                assert not want and "wrong length" in error
+            else:
+                assert ("not fixed by its coin" in error) == (not want), (coin, ws)
             seen.add(want)
-        for ws in ((fixed, fixed), (fixed, cases[1]), cases):
-            assert coin.fixes(*ws) == all(oracle.fixes(coin, w) for w in ws)
     assert seen == {True, False}
 
 
@@ -165,15 +185,19 @@ def test_coin_validation_matches_fraction_oracle():
 def test_derived_projection_keeps_the_dropped_invariants():
     """The checks a coin ran on a stored P hold by construction for the P
     its basis spans: on seeded random coins of degree 1-8 and on the Grover
-    and -I coins, the Fraction assembly of sum b b^T/<b,b> from the basis and
-    from the clone columns agree, P = P^T = P^2, tr P = rank and P b = b on
-    the basis, exactly."""
+    and -I coins, the Fraction assembly of sum b b^T/<b,b> from the integer
+    basis and from a coin built on the basis rescaled by rationals agree, the
+    two coins are equal, P = P^T = P^2, tr P = rank and P b = b on the basis,
+    exactly."""
     coins = [coin for seed in range(6) for coin in
              (random_coin_and_subspace(random.Random(seed), d)[0] for d in range(1, 9))]
     coins += [make(d) for make in (grover_coin, negative_identity_coin) for d in range(1, 9)]
     for coin in coins:
         d, p = coin.degree, oracle.assemble_projection(coin.degree, coin.basis)
-        assert p == oracle.assemble_projection(d, coin.clone_columns)
+        rescaled = ReflectionCoin(d, tuple(tuple(Fraction(-x, k + 2) for x in b)
+                                           for k, b in enumerate(coin.basis)))
+        assert rescaled == coin
+        assert p == oracle.assemble_projection(d, rescaled.basis)
         assert p == oracle.transpose(p) == oracle.mat_mul(p, p)
         assert sum(p[i][i] for i in range(d)) == coin.rank
         assert all(oracle.mat_vec(p, list(b)) == list(b) for b in coin.basis)
