@@ -119,8 +119,7 @@ def decide_periodicity(red: "HermitianReduction") -> PeriodicityVerdict:
     return PeriodicityVerdict(True, min_period=lcm(*orders), orders=orders)
 
 
-def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
-                    t: list[int] | None = None) -> TransferVerdict:
+def decide_transfer(red: "HermitianReduction") -> TransferVerdict:
     """Pointwise perfect W-transfer from a to b at integer steps (exact).
 
     The stages: cospectrality, periodicity, even minimum period tau, and the
@@ -130,7 +129,7 @@ def decide_transfer(red: "HermitianReduction", s: list[int] | None = None,
     O+ and O- disjoint, which is strong cospectrality.  On success the
     minimum time is tau/2 and gamma records the transfer phase.
     """
-    summary = resolvent(red, s, t)
+    summary = resolvent(red)
     if not summary.cospectral:
         return TransferVerdict(False, reason="not-cospectral")
     split = summary.split_orders

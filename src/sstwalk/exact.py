@@ -32,12 +32,11 @@ recurrence (``_scaled_conn``) by every Psi~_m that fits.  g+- stay in Z[y]
 to the output: the split decides periodicity and transfer, ``coprime`` (one
 ``_int_gcd`` when neither g- = 1 nor the orders decide) decides strong
 cospectrality and whether psi_st's recurrence is the product of g+ and g- or
-the minimal one that Berlekamp-Massey finds, and a rest of
-degree >= 2 is factored over Z by the package's Zassenhaus factorizer
-``zfactor``.  ``_from_scaled`` turns an integer polynomial in y into the
-monic RatPoly in x only where a field is read out: g+-, the factor lists
-(the Psi_m(x) = 2^-deg Psi~_m(2x) and the factors of the rest) and
-psi_st's denominator.
+the minimal one that Berlekamp-Massey finds, and a rest is factored over Z
+by the package's Zassenhaus factorizer ``zfactor``.  ``_from_scaled`` turns
+an integer polynomial in y into the monic RatPoly in x only where a field is
+read out: g+-, the factor lists (the Psi_m(x) = 2^-deg Psi~_m(2x) and the
+factors of the rest) and psi_st's denominator.
 """
 
 from __future__ import annotations
@@ -124,12 +123,6 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             return RatPoly([c * other for c in self.coeffs])
@@ -183,10 +176,7 @@ class RatPoly:
 
     def primitive_int_coeffs(self) -> list[int]:
         """Coefficients scaled to a primitive integer vector (positive lead)."""
-        if self.is_zero():
-            return []
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return _primitive([int(c * den) for c in self.coeffs])
+        return [] if self.is_zero() else _primitive(linalg.int_vector(self.coeffs))
 
     def serialize(self) -> str:
         """Space-separated rational coefficients, constant term first."""
@@ -253,14 +243,12 @@ def factor_irreducible(p: RatPoly) -> list[RatPoly]:
 def _factors(orders: dict[int, int], rest: list[int]) -> list[RatPoly]:
     """The distinct monic irreducible factors of p(x), for the split
     p~ = prod_m Psi~_m^{e_m} * rest in Z[y] of ``_cosine_split``: the Psi_m,
-    then the factors of rest.  A rest of degree >= 2 goes to the Zassenhaus
+    then the factors of rest.  A rest of degree >= 1 goes to the Zassenhaus
     factorizer ``zfactor``, imported on first use, which returns each of its
     irreducible factors once, also when rest has repeated ones (g+- have
     none: they are square-free)."""
     factors = {cosine_poly(m) for m in orders}
-    if len(rest) == 2:
-        factors.add(_from_scaled(rest))
-    elif len(rest) > 2:
+    if len(rest) > 1:
         from . import zfactor
 
         factors.update(map(_from_scaled, zfactor.irreducible_factors(rest)))

@@ -14,6 +14,7 @@ line reads the table without loading it.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -392,10 +393,17 @@ def fidelity_series(red, t_max: int, early_exit: float | None = None) -> np.ndar
     are written into the output in place.  Identical to the direct
     simulation up to the spectral-bridge accuracy; with ``early_exit`` the
     sweep stops after the first step whose fidelity reaches the threshold,
-    and returns that prefix of the full series.
+    and returns that prefix of the full series.  A t_max that is not a
+    nonnegative integer is refused with ValueError, as walk_apply refuses t.
     """
     import numpy as np
 
+    try:
+        t_max = operator.index(t_max)
+    except TypeError:
+        raise ValueError(f"t_max must be an integer, got t_max={t_max!r}") from None
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got t_max={t_max}")
     lam, weights = _marked_spectrum(red)
     theta = np.arccos(np.clip(lam, -1.0, 1.0))
     out = np.zeros(t_max + 1)

@@ -37,7 +37,7 @@ from array import array
 from itertools import combinations, islice, zip_longest
 from math import isqrt
 
-from .exact import _int_gcd, _primitive, _quotient
+from .exact import _int_gcd, _prime_factors, _primitive, _quotient
 
 _PRIMES = 5
 """Admissible primes whose factor counts are compared.  By Chebotarev's
@@ -215,7 +215,7 @@ def _odd_primes(lead: int):
     """The odd primes that do not divide ``lead``, ascending."""
     p = 3
     while True:
-        if lead % p and all(p % q for q in range(3, isqrt(p) + 1, 2)):
+        if lead % p and _prime_factors(p) == [p]:
             yield p
         p += 2
 

@@ -74,6 +74,22 @@ def schedule_reduction(rng: random.Random, n: int, rank: int, dim_w: int
     return reduction_for(assignment, a, cols[:dim_w], b)
 
 
+def mirror(n: int, seed: int) -> HermitianReduction:
+    """Two copies of a seeded random connected graph H on n vertices (a random
+    tree plus 10 chords), vertex 0 of each marked (a = 0, b = n), and the
+    copies' last vertices joined through a middle vertex 2n; Grover coins and
+    W = span{1}, so 2n + 1 clones.  The swap of the copies exchanges a and
+    b, so S and T are cospectral for every seed."""
+    rng = random.Random(seed)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    in_tree = set(tree)
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in in_tree]
+    copy = tree + rng.sample(chords, 10)
+    edges = copy + [(u + n, v + n) for u, v in copy] + [(n - 1, 2 * n), (2 * n - 1, 2 * n)]
+    graph = build_graph(edges, 2 * n + 1)
+    return reduction_for(CoinAssignment.all_grover(graph), 0, [[1] * graph.degree(0)], n)
+
+
 FAMILY_NAMES = ["gp(4,10)", "circulant(20,1,19)", "double_cone([1,2,3])", "k2m(20)"]
 
 

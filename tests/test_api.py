@@ -3,6 +3,7 @@ deliberate edit of this list."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -63,9 +64,11 @@ def test_unit_column_route_removed():
 # constructor that takes no gcd, and the Q[x] operators no package path called
 # went; tests/psi_oracle.py keeps reduced, combination, quotient and power.
 # RatFun.parse went too: it read text that need not be in lowest terms, and
-# RatPoly.parse, which only a test called
+# RatPoly.parse, which only a test called, and RatPoly's uncalled negation
+# and difference
 REMOVED_FRACTION_CARRIER = ["squarefree_part", "_denominator"]
-REMOVED_FROM_RATPOLY = ["derivative", "__floordiv__", "__mod__", "__pow__", "parse"]
+REMOVED_FROM_RATPOLY = ["derivative", "__floordiv__", "__mod__", "__pow__", "parse",
+                        "__neg__", "__sub__"]
 REMOVED_FROM_RATFUN = ["_lowest", "__add__", "__sub__", "__neg__", "parse"]
 
 
@@ -148,6 +151,41 @@ def test_one_exact_division_in_z_y():
     defined = [node.name for node in ast.walk(ast.parse(Path(zfactor.__file__).read_text()))
                if isinstance(node, ast.FunctionDef)]
     assert [name for name in defined if "quotient" in name] == []
+
+
+# decide_transfer reads the reduction's own (S, T), as decide_periodicity and
+# decide_pretty_good_special read its (S, S); strong_cospectral_exact keeps
+# its clone-set arguments, which the CLI and the families pass as (S, S)
+def test_decide_transfer_reads_the_reduction_pair():
+    assert list(inspect.signature(decider.decide_transfer).parameters) == ["red"]
+
+
+def _function(module, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _names(node) -> list[str]:
+    return [child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node) if isinstance(child, (ast.Name, ast.Attribute))]
+
+
+# one primality test: zfactor's prime search asks exact._prime_factors, as
+# exact.default_order_bound does, and does no trial division of its own
+def test_one_primality_test():
+    assert zfactor._prime_factors is exact._prime_factors
+    names = _names(_function(zfactor, "_odd_primes"))
+    assert "_prime_factors" in names
+    assert [name for name in ("all", "range", "isqrt") if name in names] == []
+
+
+# one path for every rest: exact._factors sends each rest of positive degree,
+# a linear one too, to zfactor, with no branch of its own for a linear rest
+def test_one_rest_factor_path():
+    owner = _function(exact, "_factors")
+    assert _names(owner).count("irreducible_factors") == 1
+    assert sum(isinstance(node, ast.If) for node in ast.walk(owner)) == 1
+    assert _names(owner).count("_from_scaled") == 1
 
 
 # one reader of comment-stripped input lines, graphs.content_lines, serves the

@@ -635,6 +635,34 @@ def test_coin_file_error_names_the_line(text, message, tmp_path, capsys):
     assert (rc, out) == (2, "") and message in err and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("text, argv, message", [
+    ("n 3\n0 1\n1 2\n", ["transfer", "--graph", "{path}", *K2M3],
+     "give exactly one of --graph or --family"),
+    (None, ["transfer", *K2M3, "--b", "99"], "marked vertices must be in range"),
+    (None, ["transfer", "--family", "double-cone", "--cycles", "4,6"],
+     "double-cone cycle lengths must be divisible by 4"),
+    ("1 1\n", ["transfer", *K2M3, "--subspace", "{path}"],
+     "subspace vector has 2 entries, need 3"),
+    ("# no vector\n", ["transfer", *K2M3, "--subspace", "{path}"], "empty subspace file"),
+    (None, ["simulate", *K2M3, "--state", "arc:0,0"], "(0,0) is not an arc"),
+    (None, ["simulate", *K2M3, "--state", "up"],
+     "unknown state 'up' (use w<j>, uniform, or arc:u,v)"),
+    ("coin 0 fair\n", ["transfer", *K2M3, "--coins", "{path}"], "unknown coin kind 'fair'"),
+    ("n 0\n", ["transfer", "--graph", "{path}"], "graph needs at least one vertex"),
+    (None, ["transfer", *K2M3, "--a", "0", "--b", "0"], "marked vertices must be distinct"),
+], ids=["graph-and-family", "vertex-range", "cycles-mod-4", "subspace-length",
+        "subspace-empty", "state-not-an-arc", "state-unknown", "coin-kind", "graph-n-0",
+        "a-equals-b"])
+def test_input_refused_with_one_error_line(text, argv, message, tmp_path, capsys):
+    """Each input refusal exits 2 with nothing on stdout and one stderr line,
+    its message, with no traceback."""
+    path = tmp_path / "input.txt"
+    if text is not None:
+        path.write_text(text)
+    rc, out, err = run(capsys, *(arg.replace("{path}", str(path)) for arg in argv))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("tol", ["-1", "-1e-9", "nan", "inf"])
 def test_simulate_bad_tol_exit_2(tol, capsys):
     rc, out, err = run(capsys, "simulate", *K2M3, f"--tol={tol}")

@@ -166,17 +166,18 @@ def test_twin_check_requires_twins():
 
 
 def test_transfer_symmetry():
-    """decide_transfer(S, T) and decide_transfer(T, S) agree."""
-    for seed in (0, 3, 12):
-        red = assembled_instance(seed)[5]
-        fwd = decide_transfer(red, red.s, red.t)
-        bwd = decide_transfer(red, red.t, red.s)
-        assert fwd == bwd
+    """Transfer a -> b and b -> a get the same verdict: both marked blocks come
+    from the same coins and W, so the swapped reduction is the same matrix
+    with S and T exchanged."""
+    instances = [assembled_instance(seed)[1:5] for seed in (0, 3, 12)]
     g, a, b = circulant_2m(3, 1, 2)
     w = [[1, 0, -1, 0], [0, 1, 0, -1]]
-    asn = CoinAssignment.grover_with_marked(g, a, b, reflection_about(w))
-    red = reduction_for(asn, a, w, b)
-    assert decide_transfer(red, red.s, red.t) == decide_transfer(red, red.t, red.s)
+    instances.append((a, b, CoinAssignment.grover_with_marked(g, a, b, reflection_about(w)), w))
+    for a, b, assignment, w in instances:
+        fwd, bwd = reduction_for(assignment, a, w, b), reduction_for(assignment, b, w, a)
+        assert (bwd.s, bwd.t, bwd.nonzeros) == (fwd.t, fwd.s, fwd.nonzeros)
+        assert decide_transfer(fwd) == decide_transfer(bwd)
+    assert decide_transfer(fwd).line() == "TRANSFER time=4 gamma=-1"
 
 
 def test_monogamy_spot_check():

@@ -644,8 +644,8 @@ def test_cospectral_after_certified_reads_no_more(monkeypatch, first):
 
 def test_unpaired_clones_refused_before_any_matvec(monkeypatch):
     """|S| != |T|, or a pair of clones with different delta_sq, is refused
-    with psi's ValueError by cospectral, decide_transfer and
-    strong_cospectral_exact before any mat-vec."""
+    with psi's ValueError by cospectral and strong_cospectral_exact before
+    any mat-vec."""
     from sstwalk.cospec import strong_cospectral_exact
     from sstwalk.exact import resolvent
 
@@ -659,8 +659,6 @@ def test_unpaired_clones_refused_before_any_matvec(monkeypatch):
                           (red.s[:1], [unequal], "different delta_sq")):
         with pytest.raises(ValueError, match=message):
             resolvent(red, s, t).cospectral
-        with pytest.raises(ValueError, match=message):
-            decide_transfer(red, s, t)
         with pytest.raises(ValueError, match=message):
             strong_cospectral_exact(red, s, t)
     assert calls["matvec"] == 0

@@ -1,6 +1,7 @@
 """Family harness: every theorem instance decided, checked exactly, simulated."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,19 @@ def test_fidelity_series_matches_direct():
     for t in (0, 1, 2, 5, 12):
         direct, _ = transfer_fidelity(asn, a, b, w, t)
         assert abs(series[t] - direct) < 1e-10
+
+
+@pytest.mark.parametrize("t_max, message", [
+    (-1, "t_max must be nonnegative, got t_max=-1"),
+    (2.5, "t_max must be an integer, got t_max=2.5"),
+])
+def test_fidelity_series_refuses_bad_step_count(t_max, message):
+    """A negative or non-integer t_max is refused as walk_apply refuses t,
+    not answered with an empty series or a numpy TypeError."""
+    g, a, b = complete_bipartite_k2m(3)
+    red = reduction_for(CoinAssignment.all_grover(g), a, [[1, 1, 1]], b)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fidelity_series(red, t_max)
 
 
 def test_gp1n_paths_all_lengths():

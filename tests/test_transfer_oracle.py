@@ -4,7 +4,8 @@ unit-column route it replaced (``transfer_oracle``).
 The transfer verdict (stage, time, gamma and the orders of g+-),
 cospectrality, g+-, strong cospectrality and the split must agree on seeded
 random reductions, the shared families, the odd cycles and reductions with
-S = T.  Unpaired S and T (|S| != |T|, or paired clones with different
+S = T, and on the mirror graphs, cospectral by their swap symmetry and
+not periodic.  Unpaired S and T (|S| != |T|, or paired clones with different
 delta_sq) are refused with psi's ValueError exactly where the oracle's
 psi_{S,T} is one.
 
@@ -31,13 +32,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import (FAMILY_NAMES, family_instance, family_reduction, odd_cycle_reductions,
-                      random_instance, schedule_reduction, synthetic_reduction)
+from conftest import (FAMILY_NAMES, family_instance, family_reduction, mirror,
+                      odd_cycle_reductions, random_instance, schedule_reduction,
+                      synthetic_reduction)
 from psi_oracle import krylov_moments, series_fraction
 from sstwalk.coins import CoinAssignment
 from sstwalk.cospec import SupportSplit, strong_cospectral_exact
 from sstwalk.decider import decide_periodicity, decide_pretty_good_special, decide_transfer
 from sstwalk.exact import psi, resolvent
+from sstwalk.families import fidelity_series
 from sstwalk.graphs import complete_multipartite, cycle_graph, prism_graph
 from sstwalk.reduction import reduction_for
 from test_psi_oracle import indefinite_reduction, random_reduction
@@ -88,6 +91,18 @@ def test_transfer_matches_oracle_on_random_instances():
         CoinAssignment.grover_with_marked(g, a, b, coin), a, w, b))
         for g, a, b, coin, w in map(random_instance, range(600)))
     assert seen["transfer"] > 0 and seen["not-cospectral"] > 0
+
+
+@pytest.mark.parametrize("n", [6, 10, 20, 40])
+def test_mirror_is_cospectral_and_not_periodic(n):
+    """The mirror of a random graph on n vertices (seed n) is cospectral by its
+    swap symmetry and generically not periodic: the verdict agrees with the
+    oracle, and the fidelity sweep to 4 size^2 backs the negative."""
+    red = mirror(n, n)
+    assert resolvent(red).cospectral
+    assert decide_transfer(red).line() == "NO_TRANSFER stage=not-periodic"
+    assert check_transfer_against_oracle(red) == "not-periodic"
+    assert fidelity_series(red, 4 * red.size ** 2).max() < 1 - 1e-9
 
 
 def test_transfer_matches_oracle_on_schedule_reductions():
